@@ -1440,7 +1440,8 @@ let apply_commits t ~upto =
              (List.length entries) (Lsn.to_string t.cmt));
       let applied = List.map (fun (e : Commit_queue.entry) -> e.Commit_queue.lsn) entries in
       let own = Store.durable_write_lsns_in t.ctx.store ~above:old_cmt ~upto:t.cmt in
-      let stale = List.filter (fun l -> not (List.exists (Lsn.equal l) applied)) own in
+      (* Both lists ascend by LSN. *)
+      let stale = Lsn.diff_sorted own applied in
       if stale <> [] then begin
         Skipped_lsns.add (Store.skipped t.ctx.store) stale;
         trace t "logical_truncation" (String.concat "," (List.map Lsn.to_string stale))

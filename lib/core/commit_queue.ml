@@ -32,6 +32,11 @@ type t = {
   acked_upto : (int, Storage.Lsn.t) Hashtbl.t;
       (* follower -> highest LSN whose cumulative ack has been APPLIED to
          entry ack lists; the next ack walks only (applied, upto] *)
+  mutable frontier : (Storage.Lsn.t * Storage.Lsn.t) option;
+      (* (from, last): the last non-empty answer of [contiguous_forced_upto].
+         Forced flags only turn on, so the chain from the head through
+         [last] stays valid until an entry at or below [last] is inserted
+         or any entry is removed; both drop the memo. *)
 }
 
 let create () =
@@ -40,6 +45,7 @@ let create () =
     unforced = Lsn_map.empty;
     versions = Hashtbl.create 64;
     acked_upto = Hashtbl.create 8;
+    frontier = None;
   }
 
 let rec iter_writes f = function
@@ -87,6 +93,7 @@ let index_remove t (e : entry) =
 let remove_entry t (e : entry) =
   t.entries <- Lsn_map.remove e.lsn t.entries;
   if not e.forced then t.unforced <- Lsn_map.remove e.lsn t.unforced;
+  t.frontier <- None;
   index_remove t e
 
 let add t ~lsn ~op ~timestamp ?origin ?reply () =
@@ -94,6 +101,11 @@ let add t ~lsn ~op ~timestamp ?origin ?reply () =
   t.entries <- Lsn_map.add lsn entry t.entries;
   t.unforced <- Lsn_map.add lsn entry t.unforced;
   index_add t lsn op;
+  (* A new head, a back-filled entry or an unforced replacement at or below
+     the memoized frontier can each break the chain it vouches for. *)
+  (match t.frontier with
+   | Some (_, last) when Storage.Lsn.(lsn <= last) -> t.frontier <- None
+   | _ -> ());
   (* A takeover rebuild can re-introduce an LSN at or below a follower's
      applied-ack point (the previous incarnation was acked, then dropped on
      leader change). Acks must be earned by the current incarnation: rewind
@@ -192,7 +204,9 @@ let pop_contiguous t ~from ~upto =
 
 (* The chain must start at the map's first binding — a stranded entry at or
    below [from] honestly blocks acking, as before; the lazy sequence just
-   avoids materializing the whole map to find the (usually short) chain. *)
+   avoids materializing the whole map to find the (usually short) chain. A
+   repeated [from] resumes just past the memoized frontier, so a follower's
+   ack costs O(new entries) rather than O(backlog). *)
 let contiguous_forced_upto t ~from =
   let rec go prev_seq best seq =
     match seq () with
@@ -200,7 +214,14 @@ let contiguous_forced_upto t ~from =
       go lsn.Storage.Lsn.seq (Some lsn) rest
     | _ -> best
   in
-  go from.Storage.Lsn.seq None (Lsn_map.to_seq t.entries)
+  let best =
+    match t.frontier with
+    | Some (f, last) when Storage.Lsn.equal f from ->
+      go last.Storage.Lsn.seq (Some last) (Seq.drop 1 (Lsn_map.to_seq_from last t.entries))
+    | _ -> go from.Storage.Lsn.seq None (Lsn_map.to_seq t.entries)
+  in
+  t.frontier <- Option.map (fun last -> (from, last)) best;
+  best
 
 let drop_above t lsn =
   let dropped =

@@ -28,6 +28,10 @@ val max : t -> t -> t
 
 val min : t -> t -> t
 
+val diff_sorted : t list -> t list -> t list
+(** [diff_sorted a b] is the elements of [a] that are not in [b], in [a]'s
+    order, for [a] and [b] both ascending: one merge walk, O(|a| + |b|). *)
+
 val next : t -> t
 (** Successor within the same epoch. *)
 

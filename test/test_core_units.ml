@@ -93,16 +93,14 @@ let test_queue_commit_stops_at_gap () =
   add q ~l:(lsn 1 1) ();
   add q ~l:(lsn 1 2) ();
   Commit_queue.mark_forced_upto q (lsn 1 2);
-  (* Only the second entry is acked: commit order must stall at entry 1. *)
-  let e2_only = Commit_queue.create () in
-  ignore e2_only;
+  (* A cumulative ack covering both entries commits both. *)
   Commit_queue.add_ack q ~from:9 ~upto:(lsn 1 2);
-  (* ack covers both here; emulate a gap instead via acks_needed=2 on entry 1 *)
+  check_int "ack covers both" 2 (List.length (Commit_queue.pop_committable q ~acks_needed:1));
   let q2 = Commit_queue.create () in
   add q2 ~l:(lsn 1 1) ();
   add q2 ~l:(lsn 1 2) ();
   Commit_queue.mark_forced_upto q2 (lsn 1 2);
-  (* Hand-mark only entry 2 as acked. *)
+  (* Only the second entry is acked: commit order must stall at entry 1. *)
   List.iter
     (fun (e : Commit_queue.entry) -> if Lsn.equal e.lsn (lsn 1 2) then e.ackers <- [ 5 ])
     (Commit_queue.to_list q2);
@@ -160,6 +158,108 @@ let prop_queue_commits_exactly_once =
       let first = Commit_queue.pop_committable q ~acks_needed:1 in
       let second = Commit_queue.pop_committable q ~acks_needed:1 in
       List.length first = n && second = [] && Commit_queue.is_empty q)
+
+(* Differential check of the memoized follower frontier: random programs over
+   the whole queue API, with [contiguous_forced_upto] compared after every
+   step against a naive walk of [to_list]. LSNs span two epochs over a small
+   seq range, so chains, holes, re-adds at or below the frontier and
+   replacements of forced entries all occur. *)
+type queue_cmd =
+  | Add of Lsn.t
+  | Force of Lsn.t
+  | Force_upto of Lsn.t
+  | Ack of int * Lsn.t
+  | Pop_contiguous of Lsn.t
+  | Pop_upto of Lsn.t
+  | Drop_above of Lsn.t
+  | Set_from of Lsn.t
+  | Ask of Lsn.t
+
+let pp_queue_cmd = function
+  | Add l -> "add " ^ Lsn.to_string l
+  | Force l -> "force " ^ Lsn.to_string l
+  | Force_upto l -> "force_upto " ^ Lsn.to_string l
+  | Ack (f, l) -> Printf.sprintf "ack %d %s" f (Lsn.to_string l)
+  | Pop_contiguous l -> "pop_contiguous " ^ Lsn.to_string l
+  | Pop_upto l -> "pop_upto " ^ Lsn.to_string l
+  | Drop_above l -> "drop_above " ^ Lsn.to_string l
+  | Set_from l -> "set_from " ^ Lsn.to_string l
+  | Ask l -> "ask " ^ Lsn.to_string l
+
+let arb_queue_program =
+  let open QCheck.Gen in
+  let l = map2 (fun e s -> lsn e s) (int_range 1 2) (int_range 0 12) in
+  let cmd =
+    frequency
+      [
+        (6, map (fun l -> Add l) l);
+        (5, map (fun l -> Force l) l);
+        (1, map (fun l -> Force_upto l) l);
+        (1, map2 (fun f l -> Ack (f, l)) (int_range 1 2) l);
+        (1, map (fun l -> Pop_contiguous l) l);
+        (1, map (fun l -> Pop_upto l) l);
+        (1, map (fun l -> Drop_above l) l);
+        (1, map (fun l -> Set_from l) (oneof [ return Lsn.zero; l ]));
+        (2, map (fun l -> Ask l) (oneof [ return Lsn.zero; l ]));
+      ]
+  in
+  QCheck.make
+    ~print:(fun cmds -> String.concat "; " (List.map pp_queue_cmd cmds))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 1 60) cmd)
+
+let naive_frontier q ~from =
+  let rec go prev best = function
+    | (e : Commit_queue.entry) :: rest when e.lsn.Lsn.seq = prev + 1 && e.forced ->
+      go e.lsn.Lsn.seq (Some e.lsn) rest
+    | _ -> best
+  in
+  go from.Lsn.seq None (Commit_queue.to_list q)
+
+let prop_queue_frontier_matches_naive_walk =
+  QCheck.Test.make ~name:"commit queue: memoized frontier matches a naive walk" ~count:500
+    arb_queue_program (fun cmds ->
+      let q = Commit_queue.create () in
+      let from = ref Lsn.zero in
+      let agrees from =
+        Option.equal Lsn.equal (Commit_queue.contiguous_forced_upto q ~from)
+          (naive_frontier q ~from)
+      in
+      List.for_all
+        (fun cmd ->
+          let step_ok =
+            match cmd with
+            | Add l -> add q ~l (); true
+            | Force l -> Commit_queue.mark_forced q l; true
+            | Force_upto l -> Commit_queue.mark_forced_upto q l; true
+            | Ack (f, l) -> Commit_queue.add_ack q ~from:f ~upto:l; true
+            | Pop_contiguous l ->
+              List.iter
+                (fun (e : Commit_queue.entry) -> from := Lsn.max !from e.lsn)
+                (Commit_queue.pop_contiguous q ~from:!from ~upto:l);
+              true
+            | Pop_upto l -> ignore (Commit_queue.pop_upto q l); true
+            | Drop_above l -> ignore (Commit_queue.drop_above q l); true
+            | Set_from l -> from := l; true
+            | Ask l -> agrees l
+          in
+          (* Asked twice: the second ask resumes from the first's memo. *)
+          step_ok && agrees !from && agrees !from)
+        cmds)
+
+(* The logical-truncation scan's merge walk against the quadratic filter it
+   replaced, on ascending LSN lists. *)
+let prop_lsn_diff_sorted =
+  let arb_lsns =
+    QCheck.(
+      map
+        (fun ps -> List.sort_uniq Lsn.compare (List.map (fun (e, s) -> lsn e s) ps))
+        (small_list (pair (int_range 1 3) (int_range 0 20))))
+  in
+  QCheck.Test.make ~name:"lsn: sorted difference equals filter" ~count:500
+    (QCheck.pair arb_lsns arb_lsns) (fun (a, b) ->
+      List.equal Lsn.equal (Lsn.diff_sorted a b)
+        (List.filter (fun l -> not (List.exists (Lsn.equal l) b)) a))
 
 (* --- messages -------------------------------------------------------------------- *)
 
@@ -228,6 +328,8 @@ let suite =
     Alcotest.test_case "queue: drop_above" `Quick test_queue_drop_above;
     Alcotest.test_case "queue: version overlay" `Quick test_queue_latest_version_overlay;
     QCheck_alcotest.to_alcotest prop_queue_commits_exactly_once;
+    QCheck_alcotest.to_alcotest prop_queue_frontier_matches_naive_walk;
+    QCheck_alcotest.to_alcotest prop_lsn_diff_sorted;
     Alcotest.test_case "message: read/write classification" `Quick test_message_classification;
     Alcotest.test_case "message: size accounting" `Quick test_message_sizes_scale;
     Alcotest.test_case "message: txn/scan classification" `Quick test_message_new_ops_classified;
