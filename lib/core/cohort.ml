@@ -395,11 +395,9 @@ let reply_for_record (op : Log_record.op) ~lsn =
    across crashes and leader changes. Logically truncated LSNs never
    committed and must not be remembered as done. *)
 let recache_outcomes_from_log t ~above ~upto =
-  List.iter
-    (fun (lsn, op, _, origin) ->
-      if not (Storage.Skipped_lsns.mem (Store.skipped t.ctx.store) lsn) then
-        cache_outcome t origin (reply_for_record op ~lsn))
-    (Wal.durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above ~upto)
+  let skipped = Storage.Skipped_lsns.ascending_mem (Store.skipped t.ctx.store) ~from:above in
+  Wal.iter_durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above ~upto (fun lsn op _ origin ->
+      if not (skipped lsn) then cache_outcome t origin (reply_for_record op ~lsn))
 
 (* ------------------------------------------------------------------ *)
 (* Leader lease: implicit in the leader's ZK session. The lease is granted
@@ -2543,7 +2541,10 @@ let crash t =
   t.takeover_commit_wait <- false;
   t.waiting <- [];
   t.commit_timer_armed <- false;
-  Hashtbl.reset t.dedup;
+  (* [clear], not [reset]: recovery re-learns about as many outcomes from
+     the log as the table held, so keeping its buckets spares the regrowth.
+     Nothing iterates the table, so its layout is unobservable. *)
+  Hashtbl.clear t.dedup;
   t.migration <- None;
   t.splitting <- false;
   t.catching_up <- false;

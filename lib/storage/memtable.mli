@@ -11,7 +11,27 @@ val create : unit -> t
 val put : t -> ?newer:(Row.cell -> Row.cell -> bool) -> Row.coord -> Row.cell -> unit
 (** Insert/overwrite. With [newer] (e.g. {!Row.newer_by_timestamp}) the
     existing cell is kept when it is newer than the incoming one; by default
-    the incoming cell always wins (Spinnaker applies in LSN order). *)
+    the incoming cell always wins (Spinnaker applies in LSN order). One map
+    descent. *)
+
+(** {2 Staged bulk load}
+
+    Recovery replay puts many cells, often to the same coordinates, into an
+    empty memtable. Staging makes each of those puts a hash-table probe and
+    builds the sorted map once per distinct coordinate. *)
+
+type staged
+
+val staged : ?newer:(Row.cell -> Row.cell -> bool) -> unit -> staged
+(** An empty stage whose puts follow [newer] as {!put} does. *)
+
+val stage : staged -> Row.coord -> Row.cell -> unit
+(** {!put} into the stage. *)
+
+val of_staged : staged -> t
+(** A memtable with exactly the bindings, {!approx_bytes} and {!max_lsn} that
+    {!put}ting the staged cells, in staging order, into an empty memtable
+    gives. *)
 
 val get : t -> Row.coord -> Row.cell option
 

@@ -13,6 +13,12 @@ val add : t -> Lsn.t list -> unit
 
 val mem : t -> Lsn.t -> bool
 
+val ascending_mem : t -> from:Lsn.t -> Lsn.t -> bool
+(** [ascending_mem t ~from] is {!mem} over the set as it is now, restricted
+    to LSNs [>= from], for queries made in non-decreasing LSN order — the
+    order of a log replay. Each query advances a cursor instead of
+    descending the set. *)
+
 val count : t -> int
 
 val is_empty : t -> bool

@@ -1,10 +1,16 @@
 type read_cost = Cache_hit | Probed of int
 
-(* One entry in a coordinate's in-memory version chain (newest first).
-   [mv_txn_ts] is [Some ts] when the cell was installed by a committed
-   transaction: its visibility under a snapshot is decided by the commit
-   timestamp, not the per-range LSN. *)
-type mvcc_version = { mv_cell : Row.cell; mv_txn_ts : int option }
+(* A coordinate's in-memory version chain: its newest [mvcc_depth] cells,
+   strictly descending by LSN. A cell whose [txn_ts] is [Some ts] was
+   installed by a committed transaction: its visibility under a snapshot is
+   decided by the commit timestamp, not the per-range LSN. One version is a
+   single box; longer chains live in a ring whose array starts at four
+   slots, doubles up to [mvcc_depth] slots and then wraps, each push
+   overwriting the oldest version. Version [i] (0 = newest) sits at slot
+   [(head + i) mod capacity], for [i < len]; the other slots are unused. *)
+type chain =
+  | One of { mutable only : Row.cell }
+  | Ring of { mutable slots : Row.cell array; mutable head : int; mutable len : int }
 
 type snap_result =
   | Snap_cell of Row.cell  (** visible at the fence (may be a tombstone) *)
@@ -58,10 +64,10 @@ type t = {
       (** largest total SSTable footprint observed when a compaction ran —
           the denominator of the tier-bounded-work claim *)
   mvcc_depth : int;  (** per-coordinate version-chain cap *)
-  mvcc : (Row.coord, mvcc_version list) Hashtbl.t;
+  mvcc : (Row.coord, chain) Hashtbl.t;
       (** in-memory version chains, newest first; rebuilt from the WAL on
-          recovery (versions that only survive in SSTables fall back to the
-          plain LSN visibility rule) *)
+          recovery (a read no chained version answers applies the interval
+          rule to the memtable's and SSTables' cells instead) *)
   intents : (string, intent_info) Hashtbl.t;  (** txn id -> live intents *)
   intent_at : (Row.coord, string) Hashtbl.t;  (** base coord -> owning txn *)
 }
@@ -69,6 +75,7 @@ type t = {
 let create ~cohort ~wal ?(newer = Row.newer_by_lsn) ?(flush_bytes = 4 * 1024 * 1024)
     ?(compaction_fanin = 4) ?(max_sstables = 16) ?(tier_growth = Compaction.default_growth)
     ?(cache_capacity = 0) ?(mvcc_depth = 64) () =
+  if mvcc_depth < 1 then invalid_arg "Store.create: mvcc_depth must be positive";
   {
     cohort;
     wal;
@@ -239,28 +246,78 @@ let flush t =
 (* ------------------------------------------------------------------ *)
 (* MVCC chains and the intent index, maintained on every applied cell.   *)
 
-let push_version t coord (cell : Row.cell) ~txn_ts =
-  let chain = match Hashtbl.find_opt t.mvcc coord with Some l -> l | None -> [] in
-  let entry = { mv_cell = cell; mv_txn_ts = txn_ts } in
-  let chain =
-    match chain with
-    | head :: rest when Lsn.equal head.mv_cell.Row.lsn cell.Row.lsn ->
+let ring_index slots ~head i =
+  let j = head + i in
+  if j >= Array.length slots then j - Array.length slots else j
+
+let nth_version chain i =
+  match chain with
+  | One { only } -> only
+  | Ring r -> r.slots.(ring_index r.slots ~head:r.head i)
+
+let chain_length = function One _ -> 1 | Ring r -> r.len
+
+(* A full ring below the cap unrolls into an array twice as large (at most
+   [mvcc_depth] slots), newest at slot 0, so the next version has a free
+   slot. Full means every slot is in use, so the unrolling is two blits. *)
+let make_room t chain =
+  match chain with
+  | Ring ({ slots; head; len } as r) when len = Array.length slots && len < t.mvcc_depth ->
+    let bigger = Array.make (min t.mvcc_depth (2 * len)) slots.(head) in
+    Array.blit slots head bigger 0 (len - head);
+    Array.blit slots 0 bigger (len - head) head;
+    r.slots <- bigger;
+    r.head <- 0
+  | _ -> ()
+
+let push_version t coord (cell : Row.cell) =
+  let lsn = cell.Row.lsn in
+  match Hashtbl.find t.mvcc coord with
+  | exception Not_found -> Hashtbl.add t.mvcc coord (One { only = cell })
+  | One o ->
+    let only = o.only in
+    if Lsn.equal only.Row.lsn lsn then
       (* Idempotent re-apply (catch-up, recovery replay): replace in place. *)
-      entry :: rest
-    | head :: _ when Lsn.(cell.Row.lsn < head.mv_cell.Row.lsn) ->
-      (* Out-of-order duplicate below the head: already represented. *)
-      if List.exists (fun v -> Lsn.equal v.mv_cell.Row.lsn cell.Row.lsn) chain then chain
-      else
-        (* Insert in descending-LSN position (rare; bounded by the cap). *)
-        let rec ins = function
-          | v :: tl when Lsn.(v.mv_cell.Row.lsn > cell.Row.lsn) -> v :: ins tl
-          | tl -> entry :: tl
-        in
-        ins chain
-    | _ -> entry :: chain
-  in
-  let chain = if List.length chain > t.mvcc_depth then List.filteri (fun i _ -> i < t.mvcc_depth) chain else chain in
-  Hashtbl.replace t.mvcc coord chain
+      o.only <- cell
+    else if t.mvcc_depth = 1 then (if Lsn.(lsn > only.Row.lsn) then o.only <- cell)
+    else begin
+      (* Start with room for four: growing a two-slot ring was a visible
+         share of short chains' cost. *)
+      let newer, older = if Lsn.(lsn > only.Row.lsn) then (cell, only) else (only, cell) in
+      let slots = Array.make (min t.mvcc_depth 4) older in
+      slots.(0) <- newer;
+      Hashtbl.replace t.mvcc coord (Ring { slots; head = 0; len = 2 })
+    end
+  | Ring r as chain ->
+    let newest = r.slots.(r.head) in
+    if Lsn.equal newest.Row.lsn lsn then r.slots.(r.head) <- cell
+    else if Lsn.(lsn > newest.Row.lsn) then begin
+      (* The common case, O(1): the slot before the head is free, or holds
+         the oldest version of a full ring, which falls off. *)
+      make_room t chain;
+      let cap = Array.length r.slots in
+      r.head <- (if r.head = 0 then cap - 1 else r.head - 1);
+      r.slots.(r.head) <- cell;
+      if r.len < cap then r.len <- r.len + 1
+    end
+    else begin
+      (* Below the head (rare, bounded by the cap): an out-of-order duplicate
+         is already represented; anything else shifts into its
+         descending-LSN position, and a full ring drops its oldest
+         version. *)
+      let lsn_at i = (nth_version chain i).Row.lsn in
+      let rec position i = if i < r.len && Lsn.(lsn_at i > lsn) then position (i + 1) else i in
+      let p = position 1 in
+      let duplicate = p < r.len && Lsn.equal (lsn_at p) lsn in
+      if (not duplicate) && (p < r.len || r.len < t.mvcc_depth) then begin
+        make_room t chain;
+        if r.len < Array.length r.slots then r.len <- r.len + 1;
+        for i = r.len - 1 downto p + 1 do
+          r.slots.(ring_index r.slots ~head:r.head i) <- nth_version chain (i - 1)
+        done;
+        r.slots.(ring_index r.slots ~head:r.head p) <- cell
+      end
+    end
 
 (* Track an applied intent/decision system cell in the in-memory intent
    index. Driven by the cell's coordinate, not the op shape, so catch-up
@@ -315,24 +372,32 @@ let track_system_cell t (key, col) (cell : Row.cell) =
       | None -> ())
   end
 
+(* Where an ingested cell's memtable half goes: straight into the memtable
+   ([apply], catch-up), or into the replay stage that recovery loads as its
+   memtable once the log has been walked. *)
+type sink = Apply | Replay of Memtable.staged
+
 (* The per-cell ingest shared by [apply] and recovery replay. The cell's own
    [txn_ts] marks data cells installed by a committed transaction — carried
    on the cell (not derived from the op shape) so catch-up and migration,
    which ship materialized cells, classify versions identically. *)
-let ingest_cell t ((key, col) as coord) (cell : Row.cell) =
+let ingest_cell t sink ((key, col) as coord) (cell : Row.cell) =
   if in_bounds t key then begin
-    Memtable.put t.memtable ~newer:t.newer coord cell;
+    (match sink with
+    | Apply -> Memtable.put t.memtable ~newer:t.newer coord cell
+    | Replay stage -> Memtable.stage stage coord cell);
     if Row.is_system_col col then track_system_cell t coord cell
     else begin
-      push_version t coord cell ~txn_ts:cell.Row.txn_ts;
-      (* Write-through invalidation: the next read re-resolves the winner. *)
-      match t.cache with Some c -> Cache.invalidate c coord | None -> ()
+      push_version t coord cell;
+      (* Write-through invalidation: the next read re-resolves the winner.
+         Replay runs on the cache recovery just cleared. *)
+      match (sink, t.cache) with Apply, Some c -> Cache.invalidate c coord | _ -> ()
     end
   end
 
 let apply t ~lsn ~timestamp op =
   List.iter
-    (fun (coord, cell) -> ingest_cell t coord cell)
+    (fun (coord, cell) -> ingest_cell t Apply coord cell)
     (Log_record.cells_of_write op ~lsn ~timestamp);
   if Memtable.approx_bytes t.memtable >= t.flush_bytes then flush t
 
@@ -432,39 +497,39 @@ let snapshot_get t coord ~fence ~fence_ts =
   match blocked_by with
   | Some txn -> Snap_blocked txn
   | None -> (
+    let visible (c : Row.cell) =
+      match c.txn_ts with Some ts -> ts <= fence_ts | None -> Lsn.(c.lsn <= fence)
+    in
     let fallback () =
       (* The chain does not cover the fence (deep history only in SSTables,
          the coordinate was never chained, or the chain was reset by a
          crash): every durable version still carries its own classification,
          so the interval rule applies cell by cell — commit-timestamp
          visibility for transactional versions, plain LSN for the rest. *)
-      let visible (c : Row.cell) =
-        match c.txn_ts with Some ts -> ts <= fence_ts | None -> Lsn.(c.lsn <= fence)
-      in
       match List.filter visible (all_versions_at t coord) with
       | [] -> Snap_none
       | c :: rest -> Snap_cell (List.fold_left (fun a b -> if t.newer a b then a else b) c rest)
     in
-    match Hashtbl.find_opt t.mvcc coord with
-    | Some chain -> (
-      match
-        List.find_opt
-          (fun v ->
-            match v.mv_txn_ts with
-            | Some ts -> ts <= fence_ts
-            | None -> Lsn.(v.mv_cell.Row.lsn <= fence))
-          chain
-      with
-      | Some v -> Snap_cell v.mv_cell
-      | None -> fallback ())
-    | None -> fallback ())
+    match Hashtbl.find t.mvcc coord with
+    | chain ->
+      let len = chain_length chain in
+      let rec newest_visible i =
+        if i = len then fallback ()
+        else
+          let c = nth_version chain i in
+          if visible c then Snap_cell c else newest_visible (i + 1)
+      in
+      newest_visible 0
+    | exception Not_found -> fallback ())
 
 (* Newest installed version of a base coordinate with its transactional
    classification — the first-committer-wins conflict check's input. *)
 let head_info t coord =
-  match Hashtbl.find_opt t.mvcc coord with
-  | Some (v :: _) -> Some (v.mv_cell.Row.lsn, v.mv_txn_ts)
-  | _ -> (
+  match Hashtbl.find t.mvcc coord with
+  | chain ->
+    let v = nth_version chain 0 in
+    Some (v.Row.lsn, v.Row.txn_ts)
+  | exception Not_found -> (
     match fst (lookup t coord) with
     | Some c -> Some (c.Row.lsn, c.Row.txn_ts)
     | None -> None)
@@ -601,6 +666,22 @@ let rebuild_intents t =
          if in_bounds t key && Row.is_intent_col col && not (Row.is_tombstone cell) then
            track_system_cell t coord cell)
 
+(* Replay the cohort's durable writes in (flushed_upto, upto], skipping the
+   LSNs [skipped] names, into a fresh memtable, MVCC chains and intent
+   index. The log is streamed and the memtable staged: each cell costs a
+   hash probe, and the sorted memtable is built once per coordinate. *)
+let replay t ~upto ~skipped =
+  let stage = Memtable.staged ~newer:t.newer () in
+  let sink = Replay stage in
+  Wal.iter_durable_writes_in t.wal ~cohort:t.cohort ~above:t.flushed_upto ~upto
+    (fun lsn op timestamp _ ->
+      if not (skipped lsn) then
+        List.iter
+          (fun (coord, cell) -> ingest_cell t sink coord cell)
+          (Log_record.cells_of_write op ~lsn ~timestamp));
+  t.memtable <- Memtable.of_staged stage;
+  rebuild_intents t
+
 let recover t =
   t.memtable <- Memtable.create ();
   clear_cache t;
@@ -615,17 +696,7 @@ let recover t =
   t.flushed_upto <- Lsn.max t.flushed_upto (Lsn.max checkpoint t.inherited_upto);
   let cmt = Lsn.max t.flushed_upto (Wal.last_commit_marker t.wal ~cohort:t.cohort) in
   let lst = Lsn.max cmt (Wal.last_write_lsn t.wal ~cohort:t.cohort) in
-  let replay =
-    Wal.durable_writes_in t.wal ~cohort:t.cohort ~above:t.flushed_upto ~upto:cmt
-  in
-  List.iter
-    (fun (lsn, op, timestamp, _) ->
-      if not (Skipped_lsns.mem t.skipped lsn) then
-        List.iter
-          (fun (coord, cell) -> ingest_cell t coord cell)
-          (Log_record.cells_of_write op ~lsn ~timestamp))
-    replay;
-  rebuild_intents t;
+  replay t ~upto:cmt ~skipped:(Skipped_lsns.ascending_mem t.skipped ~from:t.flushed_upto);
   (cmt, lst)
 
 let recover_all t =
@@ -635,14 +706,7 @@ let recover_all t =
   let checkpoint = Wal.last_checkpoint t.wal ~cohort:t.cohort in
   t.flushed_upto <- Lsn.max t.flushed_upto (Lsn.max checkpoint t.inherited_upto);
   let lst = Wal.last_write_lsn t.wal ~cohort:t.cohort in
-  let replay = Wal.durable_writes_in t.wal ~cohort:t.cohort ~above:t.flushed_upto ~upto:lst in
-  List.iter
-    (fun (lsn, op, timestamp, _) ->
-      List.iter
-        (fun (coord, cell) -> ingest_cell t coord cell)
-        (Log_record.cells_of_write op ~lsn ~timestamp))
-    replay;
-  rebuild_intents t;
+  replay t ~upto:lst ~skipped:(fun _ -> false);
   lst
 
 let all_cells t =
@@ -660,14 +724,20 @@ let all_cells t =
 let chain_history_cells t =
   Hashtbl.fold
     (fun coord chain acc ->
-      match chain with
-      | [] | [ _ ] -> acc
-      | _ :: tail when List.exists (fun v -> v.mv_txn_ts <> None) chain ->
-        (* Only chains a committed transaction ever touched: interval reads
-           classify plain-only chains by LSN, and skipping them keeps
-           migration payloads byte-identical for non-transactional runs. *)
-        List.fold_left (fun acc v -> (coord, v.mv_cell) :: acc) acc tail
-      | _ -> acc)
+      let len = chain_length chain in
+      let rec transactional i =
+        i < len && ((nth_version chain i).Row.txn_ts <> None || transactional (i + 1))
+      in
+      (* Only chains a committed transaction ever touched: interval reads
+         classify plain-only chains by LSN, and skipping them keeps migration
+         payloads byte-identical for non-transactional runs. Each tail is
+         emitted oldest first. *)
+      if len < 2 || not (transactional 0) then acc
+      else
+        let rec tail i acc =
+          if i = len then acc else tail (i + 1) ((coord, nth_version chain i) :: acc)
+        in
+        tail 1 acc)
     t.mvcc []
 
 let committed_cells_in t ~above ~upto =

@@ -43,9 +43,15 @@ val create :
     (similarity factor [tier_growth], default {!Compaction.default_growth}).
     [max_sstables] (default 16) forces a full merge with tombstone GC.
     [cache_capacity] (default 0 = disabled) bounds the LRU row cache in
-    entries. [mvcc_depth] (default 64) caps each coordinate's in-memory
-    version chain; snapshot reads below the cap fall back to the plain
-    durable-LSN rule. *)
+    entries. [mvcc_depth] (default 64, at least 1) bounds each coordinate's
+    in-memory version chain: a ring of its newest [mvcc_depth] versions,
+    which an apply pushes onto in O(1), overwriting the oldest once full.
+    A snapshot read that no retained version answers (the visible version
+    is older than the ring, or was never chained, as after a crash) falls
+    back to the interval rule applied cell by cell across the memtable and
+    SSTables, which hold only each table's newest version of the
+    coordinate: commit-timestamp visibility for transactionally installed
+    versions, LSN visibility for the rest. *)
 
 val cohort : t -> int
 

@@ -231,21 +231,27 @@ let last_commit_marker t ~cohort =
 let last_checkpoint t ~cohort =
   match Hashtbl.find_opt t.cohorts cohort with None -> Lsn.zero | Some c -> c.last_ckpt
 
-let durable_writes_in t ~cohort ~above ~upto =
+let iter_durable_writes_in t ~cohort ~above ~upto f =
   match Hashtbl.find_opt t.cohorts cohort with
-  | None -> []
-  | Some c ->
-    (* Ascending slice of the LSN index: only the head of the sequence can
-       sit at [above] itself, so the walk is O(log n + answer). *)
-    let rec collect seq acc =
-      match seq () with
-      | Seq.Nil -> List.rev acc
-      | Seq.Cons ((lsn, slot), rest) ->
-        if Lsn.(lsn > upto) then List.rev acc
-        else if Lsn.(lsn <= above) then collect rest acc
-        else collect rest ((lsn, slot.op, slot.timestamp, slot.origin) :: acc)
-    in
-    collect (Lsn_map.to_seq_from above c.writes) []
+  | None -> ()
+  | Some c -> (
+    (* Cut the LSN index at [above] in O(log n), then walk the rest in order
+       without allocating, until an LSN passes [upto]. *)
+    let exception Past_upto in
+    let _, _, above_only = Lsn_map.split above c.writes in
+    try
+      Lsn_map.iter
+        (fun lsn slot ->
+          if Lsn.(lsn > upto) then raise_notrace Past_upto;
+          f lsn slot.op slot.timestamp slot.origin)
+        above_only
+    with Past_upto -> ())
+
+let durable_writes_in t ~cohort ~above ~upto =
+  let acc = ref [] in
+  iter_durable_writes_in t ~cohort ~above ~upto (fun lsn op timestamp origin ->
+      acc := (lsn, op, timestamp, origin) :: !acc);
+  List.rev !acc
 
 let gc_cohort t ~cohort ~upto =
   match Hashtbl.find_opt t.cohorts cohort with

@@ -74,6 +74,12 @@ val durable_writes_in : t -> cohort:int -> above:Lsn.t -> upto:Lsn.t ->
 (** Durable [Write] records with LSN in (above, upto], ascending; the [int]
     is the record's timestamp, the option its (client, request id) origin. *)
 
+val iter_durable_writes_in : t -> cohort:int -> above:Lsn.t -> upto:Lsn.t ->
+  (Lsn.t -> Log_record.op -> int -> (int * int) option -> unit) -> unit
+(** {!durable_writes_in} streamed: the callback sees each record in
+    ascending LSN order without the list being built. The slice is taken
+    when the walk starts. *)
+
 val gc_cohort : t -> cohort:int -> upto:Lsn.t -> unit
 (** Roll over: drop the cohort's durable [Write] records with LSN [<= upto]
     and all but the newest [Commit_upto]/[Checkpoint] markers. *)

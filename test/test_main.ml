@@ -4,6 +4,7 @@ let () =
       ("sim", Test_sim.suite);
       ("storage", Test_storage.suite);
       ("read-path", Test_read_path.suite);
+      ("mvcc-chain", Test_mvcc_chain.suite);
       ("wal-properties", Test_wal_properties.suite);
       ("wal-differential", Test_wal_differential.suite);
       ("coord", Test_coord.suite);

@@ -170,9 +170,15 @@ let prop_tiered_survives_crash_recover =
       apply_schedule tiered ops;
       apply_schedule reference ops;
       let _, rs = reference in
+      (* The replayed log is exactly what the memtable held: the writes
+         since the last flush, so the staged replay must rebuild its
+         entries and bytes, not just the reads. *)
+      let size = Store.memtable_size ts and bytes = Store.memtable_bytes ts in
       Store.crash ts;
       ignore (Store.recover_all ts);
-      List.for_all
+      Store.memtable_size ts = size
+      && Store.memtable_bytes ts = bytes
+      && List.for_all
         (fun k ->
           List.for_all
             (fun c ->
