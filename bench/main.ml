@@ -12,7 +12,10 @@
    With [--json], each experiment also writes a machine-readable
    [BENCH_<experiment>.json] mirroring the printed tables (per-series
    throughput and latency percentiles, the per-phase write-path breakdown,
-   and the experiment's simulated-versus-wall-clock time).
+   and the simulated seconds the experiment ran). The file holds model
+   outputs only, no host timings, so it is a pure function of the code:
+   bench/baseline/ checks in the quick outputs and [dune build
+   @bench-baseline] diffs against them.
 
    With [--trace-out], each experiment also writes the last cluster's
    structured trace as Chrome trace-event JSON ([TRACE_<experiment>.json],
@@ -88,16 +91,6 @@ let emit_series ?phases ?extra name points select =
     Format.printf "  %-34s %a@." "" Sim.Metrics.Write_phases.pp p
   | _ -> ());
   record_series ?phases ?extra name points
-
-(* Wall-clock marks for the setup/measure split: experiments with a
-   heavyweight setup phase (preloading an LSM, booting a large cluster) call
-   [measurement_begins] when the measured run starts, and the driver reports
-   setup separately instead of folding it into the headline sim-s/wall-s
-   figure. The first call per experiment wins. *)
-let measure_mark : (float * float) option ref = ref None
-
-let measurement_begins () =
-  if !measure_mark = None then measure_mark := Some (Unix.gettimeofday (), sim_seconds ())
 
 (* --- cluster builders --------------------------------------------------- *)
 
@@ -535,8 +528,8 @@ let tail () =
   record_field "dominants" (J.List (List.map (fun d -> J.String d) order));
   if List.length (List.sort_uniq String.compare order) < 2 then
     failwith "tail: dominant segment never shifted across load levels";
-  (* Always emit the outlier trace; CI uploads TRACE_*.json. It must
-     round-trip through the JSON parser — Perfetto is stricter than we are. *)
+  (* Always emit the outlier trace for Perfetto. It must round-trip through
+     the JSON parser — Perfetto is stricter than we are. *)
   (match !outlier_json with
   | None -> ()
   | Some json ->
@@ -682,9 +675,6 @@ let read_exp () =
     (Workload.Experiment.run ~engine ~key_space
        ~make_driver:(fun () -> Workload.Driver.spinnaker cluster ~consistent_reads:true ())
        preload);
-  (* Everything up to here built the LSM under test; only the read series
-     below are the measured run. *)
-  measurement_begins ();
   let s0 = Cluster.read_path_stats cluster in
   Format.printf
     "  preload: %d compactions (%d full), max merge input %d KB vs max store %d KB@."
@@ -1407,8 +1397,9 @@ let scaleout () =
    store, the master-slave pair) and emits one comparable cell per
    combination: throughput/latency, fault exposure, per-cause network
    counters, and invariant violations. A clean tree produces zero violations
-   — CI asserts exactly that — so any non-empty [violations] list marks the
-   cell that found a safety bug together with the fault schedule that fired.
+   and the experiment fails otherwise; the non-empty [violations] list marks
+   the cell that found a safety bug together with the fault schedule that
+   fired.
    Quick mode trims the sweep to uniform keys, two fault profiles, and one
    cluster size (the acceptance floor: 3 backends x 2 profiles x 2 mixes). *)
 let audit () =
@@ -1520,7 +1511,8 @@ let audit () =
     (J.List (List.map (fun b -> J.String b) [ "spinnaker"; "eventual-quorum"; "masterslave" ]));
   record_field "invariant_violations" (J.Int !total_violations);
   Format.printf "  %d cells, %d invariant violations@." (List.length !series_acc)
-    !total_violations
+    !total_violations;
+  if !total_violations > 0 then failwith "audit: a cell violated an invariant"
 
 (* --- Transactions: bank transfers over MVCC snapshots + 2PC over Paxos ----- *)
 
@@ -1528,9 +1520,10 @@ let audit () =
    snapshot audits on a healthy cluster — throughput/latency of the 2PC
    path plus the conservation and serializability verdicts. Chaos: the same
    bank under the transaction gauntlet (crash hazard ×8 while transfers are
-   mid-commit), a small seed battery of the 20-seed nemesis suite. The
-   experiment fails if no transfer commits or any invariant is violated —
-   the CI smoke assertions read the same fields out of BENCH_txn.json. *)
+   mid-commit), a small seed battery of the 20-seed nemesis suite (replay
+   one seed through NEMESIS_SEEDS and test/test_nemesis.ml). The experiment
+   fails if no steady transfer commits, a steady transfer stays unresolved,
+   a chaos seed commits nothing, or any invariant is violated. *)
 let txn () =
   header "Transactions: cross-range bank transfers (MVCC snapshots + 2PC over Paxos)";
   let config =
@@ -1553,13 +1546,7 @@ let txn () =
     (fun (invariant, detail) -> Format.printf "    VIOLATION [%s] %s@." invariant detail)
     bank.Workload.Experiment.bank_violations;
   record_field "steady" (Workload.Experiment.json_of_bank bank);
-  (* TXN_SEEDS=3 (or "3,7,21") replays specific gauntlet seeds — the
-     reproduction knob for a failing battery entry. *)
-  let seeds =
-    match Sys.getenv_opt "TXN_SEEDS" with
-    | Some s -> String.split_on_char ',' s |> List.filter_map int_of_string_opt
-    | None -> if !quick then [ 7001; 7002 ] else [ 7001; 7002; 7003; 7004; 7005 ]
-  in
+  let seeds = if !quick then [ 7001; 7002 ] else [ 7001; 7002; 7003; 7004; 7005 ] in
   let chaos_violations = ref 0 in
   let verdicts =
     List.map
@@ -1574,6 +1561,8 @@ let txn () =
         List.iter
           (fun (invariant, detail) -> Format.printf "    VIOLATION [%s] %s@." invariant detail)
           v.Workload.Chaos.violations;
+        if v.Workload.Chaos.acked = 0 then
+          failwith (Printf.sprintf "txn: chaos seed %d committed no transfer" seed);
         chaos_violations := !chaos_violations + List.length v.Workload.Chaos.violations;
         Workload.Chaos.json_of_verdict v)
       seeds
@@ -1583,6 +1572,10 @@ let txn () =
     (J.Int (List.length bank.Workload.Experiment.bank_violations + !chaos_violations));
   if bank.Workload.Experiment.transfers_committed = 0 then
     failwith "txn: no transfer committed in the steady cell";
+  if bank.Workload.Experiment.transfers_unresolved > 0 then
+    failwith
+      (Printf.sprintf "txn: %d steady-cell transfers left unresolved"
+         bank.Workload.Experiment.transfers_unresolved);
   if bank.Workload.Experiment.bank_violations <> [] then
     failwith "txn: steady cell violated conservation or serializability";
   if !chaos_violations > 0 then failwith "txn: chaos cell violated an invariant"
@@ -1739,73 +1732,52 @@ let json_path ~json ~single name = out_path ~prefix:"BENCH_" ~arg:json ~single n
 let run_experiments names quick_flag json trace_out =
   quick := quick_flag;
   want_trace := trace_out <> None;
-  let names = if names = [] || names = [ "all" ] then List.map fst all_experiments else names in
+  let names = if names = [] || List.mem "all" names then List.map fst all_experiments else names in
   let single = match names with [ _ ] -> true | _ -> false in
   List.iter
     (fun name ->
-      match List.assoc_opt name all_experiments with
-      | Some f ->
-        series_acc := [];
-        extras_acc := [];
-        tracked_engines := [];
-        traced := None;
-        measure_mark := None;
-        let wall0 = Unix.gettimeofday () in
-        f ();
-        let total_wall = Unix.gettimeofday () -. wall0 in
-        let total_sim = sim_seconds () in
-        (* The measured phase excludes any setup the experiment marked off
-           with [measurement_begins] (e.g. the read experiment's preload);
-           the headline sim-s/wall-s is for the measured phase only. *)
-        let setup_wall, setup_sim =
-          match !measure_mark with Some (w, s) -> (w -. wall0, s) | None -> (0.0, 0.0)
+      series_acc := [];
+      extras_acc := [];
+      tracked_engines := [];
+      traced := None;
+      (List.assoc name all_experiments) ();
+      let sim = sim_seconds () in
+      Format.printf "  [%s] %.1f sim-s@." name sim;
+      (match json_path ~json ~single name with
+      | None -> ()
+      | Some path ->
+        let doc =
+          J.Obj
+            ([
+               ("experiment", J.String name);
+               ("quick", J.Bool !quick);
+               ("sim_seconds", J.Float sim);
+               ("series", J.List (List.rev !series_acc));
+             ]
+            @ List.rev !extras_acc)
         in
-        let wall = total_wall -. setup_wall in
-        let sim = total_sim -. setup_sim in
-        let rate = if wall > 0.0 then sim /. wall else 0.0 in
-        Format.printf "  [%s] %.1f sim-s in %.1f wall-s (%.1f sim-s per wall-s%s)@." name sim
-          wall rate
-          (if setup_wall > 0.0 then
-             Printf.sprintf "; setup %.1f sim-s in %.1f wall-s" setup_sim setup_wall
-           else "");
-        (match json_path ~json ~single name with
-        | None -> ()
-        | Some path ->
-          let doc =
-            J.Obj
-              ([
-                 ("experiment", J.String name);
-                 ("quick", J.Bool !quick);
-                 ("wall_seconds", J.Float wall);
-                 ("sim_seconds", J.Float sim);
-                 ("sim_seconds_per_wall_second", J.Float rate);
-                 ("setup_wall_seconds", J.Float setup_wall);
-                 ("setup_sim_seconds", J.Float setup_sim);
-                 ("total_wall_seconds", J.Float total_wall);
-                 ("total_sim_seconds", J.Float total_sim);
-                 ("series", J.List (List.rev !series_acc));
-               ]
-              @ List.rev !extras_acc)
-          in
-          J.to_file path doc;
-          Format.printf "  wrote %s@." path);
-        (match (out_path ~prefix:"TRACE_" ~arg:trace_out ~single name, !traced) with
-        | Some path, Some (trace, registry) ->
-          Sim.Trace_export.to_file ~registry trace path;
-          Format.printf "  wrote %s (%d events, %d dropped)@." path (Sim.Trace.length trace)
-            (Sim.Trace.dropped trace)
-        | Some _, None ->
-          Format.printf "  (no Spinnaker cluster built by %s: no trace written)@." name
-        | None, _ -> ())
-      | None ->
-        Format.printf "unknown experiment %s (known: %s)@." name
-          (String.concat ", " (List.map fst all_experiments)))
+        J.to_file path doc;
+        Format.printf "  wrote %s@." path);
+      match (out_path ~prefix:"TRACE_" ~arg:trace_out ~single name, !traced) with
+      | Some path, Some (trace, registry) ->
+        Sim.Trace_export.to_file ~registry trace path;
+        Format.printf "  wrote %s (%d events, %d dropped)@." path (Sim.Trace.length trace)
+          (Sim.Trace.dropped trace)
+      | Some _, None ->
+        Format.printf "  (no Spinnaker cluster built by %s: no trace written)@." name
+      | None, _ -> ())
     names
 
 open Cmdliner
 
+(* Names are parsed as an enum, so an unknown one is a usage error (exit
+   124) before any experiment runs. *)
 let names_t =
-  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"Experiments to run.")
+  let names = "all" :: List.map fst all_experiments in
+  Arg.(
+    value
+    & pos_all (enum (List.map (fun n -> (n, n)) names)) []
+    & info [] ~docv:"EXPERIMENT" ~doc:"Experiments to run.")
 
 let quick_t = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweeps for CI.")
 

@@ -312,17 +312,6 @@ let guard t k =
 
 let now_us t = Sim.Sim_time.time_to_us (Sim.Engine.now t.ctx.engine)
 
-(* TXN_DEBUG=1: stream transaction-protocol server events to stderr (see
-   Workload.Experiment.bank_debug for the matching client-side stream). *)
-let txn_debug = Sys.getenv_opt "TXN_DEBUG" <> None
-
-let dbg t fmt =
-  if txn_debug then
-    Printf.ksprintf
-      (fun s -> Printf.eprintf "%d r%d n%d %s\n%!" (now_us t) t.ctx.range t.ctx.node_id s)
-      fmt
-  else Printf.ikfprintf (fun () -> ()) () fmt
-
 (* Trace id for a Propose batch: the newest write in the batch that carries an
    originating (client, request id). Tagging the batch's transit span with it
    lets the causal analyzer charge the propose hop to that request; writes
@@ -904,15 +893,18 @@ and perform_write_routed t ~arrived ~client ~request_id op =
              | None -> false)
         in
         if List.exists conflicts writes then begin
-          dbg t "PREP %s conflict keys=%s"
-            txn
-            (String.concat "," (List.map (fun (k, _, _) -> k) writes));
+          if tracing t then
+            trace t "txn.prepare"
+              (Printf.sprintf "%s conflict keys=%s" txn
+                 (String.concat "," (List.map (fun (k, _, _) -> k) writes)));
           reply_write t ~client ~request_id Message.Txn_conflict;
           Ok []
         end
         else begin
-          dbg t "PREP %s ok fence=%s fts=%d keys=%s" txn (Lsn.to_string fence) fence_ts
-            (String.concat "," (List.map (fun (k, _, _) -> k) writes));
+          if tracing t then
+            trace t "txn.prepare"
+              (Printf.sprintf "%s ok fence=%s fts=%d keys=%s" txn (Lsn.to_string fence) fence_ts
+                 (String.concat "," (List.map (fun (k, _, _) -> k) writes)));
           List.iter (fun (key, col, _) -> Hashtbl.replace t.locks (key, col) txn) writes;
           Ok [ Log_record.Txn_prepare { txn; anchor; fence; writes } ]
         end
@@ -925,7 +917,8 @@ and perform_write_routed t ~arrived ~client ~request_id op =
         reply_write t ~client ~request_id (Message.Txn_decided { committed; ts = decided_ts });
         Ok []
       | None ->
-        dbg t "DECIDE %s commit=%b ts=%d" txn commit ts;
+        if tracing t then
+          trace t "txn.decide" (Printf.sprintf "%s commit=%b ts=%d" txn commit ts);
         Hashtbl.replace t.pending_decisions txn (commit, ts);
         Ok [ Log_record.Txn_decision { txn; anchor; commit; ts } ])
     | Message.Txn_status_req { txn; anchor } -> (
@@ -964,8 +957,10 @@ and perform_write_routed t ~arrived ~client ~request_id op =
               (fun ((key, col), value) -> (key, col, value, latest_version t (key, col) + 1))
               intents
           in
-          dbg t "RESOLVE %s commit=%b ts=%d keys=%s" txn commit decision_ts
-            (String.concat "," (List.map (fun (k, _, _, _) -> k) writes));
+          if tracing t then
+            trace t "txn.resolve"
+              (Printf.sprintf "%s commit=%b ts=%d keys=%s" txn commit decision_ts
+                 (String.concat "," (List.map (fun (k, _, _, _) -> k) writes)));
           Hashtbl.replace t.resolving txn ();
           List.iter (fun (key, col, _, _) -> Hashtbl.remove t.locks (key, col)) writes;
           Ok [ Log_record.Txn_resolve { txn; commit; ts = decision_ts; writes } ]
@@ -1326,7 +1321,8 @@ and handle_fence t ~client ~request_id =
       (guard t (fun () ->
            if not (strong_serve_ok t) then finish (Message.Not_leader { hint = t.leader })
            else begin
-             dbg t "FENCE c%d cmt=%s" client (Lsn.to_string t.cmt);
+             if tracing t then
+               trace t "txn.fence" (Printf.sprintf "c%d cmt=%s" client (Lsn.to_string t.cmt));
              finish (Message.Fenced { lsn = t.cmt; ts = now_us t })
            end))
   in
@@ -1352,22 +1348,18 @@ and handle_snap_get t ~client ~request_id ~key ~col ~fence ~fence_ts =
     Sim.Resource.submit t.ctx.cpu ~service
       (guard t (fun () ->
            let result = Store.snapshot_get t.ctx.store (key, col) ~fence ~fence_ts in
-           dbg t "SNAP c%d %s fence=%s fts=%d cmt=%s head=%s -> %s" client key
-             (Lsn.to_string fence) fence_ts (Lsn.to_string t.cmt)
-             (match Store.get t.ctx.store (key, col) with
-             | Some c ->
-               Printf.sprintf "%s@%s"
-                 (match c.Row.value with Some v -> v | None -> "<del>")
-                 (Lsn.to_string c.Row.lsn)
-             | None -> "none")
-             (match result with
-             | Store.Snap_blocked txn -> "blocked:" ^ txn
-             | Store.Snap_cell c ->
-               Printf.sprintf "%s@%s/ts=%s"
-                 (match c.Row.value with Some v -> v | None -> "<del>")
-                 (Lsn.to_string c.Row.lsn)
-                 (match c.Row.txn_ts with Some ts -> string_of_int ts | None -> "-")
-             | Store.Snap_none -> "none");
+           if tracing t then
+             trace t "txn.snap"
+               (Printf.sprintf "c%d %s fence=%s fts=%d cmt=%s -> %s" client key
+                  (Lsn.to_string fence) fence_ts (Lsn.to_string t.cmt)
+                  (match result with
+                  | Store.Snap_blocked txn -> "blocked:" ^ txn
+                  | Store.Snap_cell c ->
+                    Printf.sprintf "%s@%s/ts=%s"
+                      (match c.Row.value with Some v -> v | None -> "<del>")
+                      (Lsn.to_string c.Row.lsn)
+                      (match c.Row.txn_ts with Some ts -> string_of_int ts | None -> "-")
+                  | Store.Snap_none -> "none"));
            let reply =
              match result with
              | Store.Snap_blocked txn -> Message.Snap_blocked { txn }
@@ -1661,13 +1653,6 @@ let leader_run_catchup t ~follower ~f_cmt =
     trace t "catchup_serve"
       (Printf.sprintf "to n%d cells=%d upto=%s" follower (List.length cells)
          (Lsn.to_string t.cmt));
-    dbg t "CATCHUP-SERVE to=n%d above=%s upto=%s cells=[%s]" follower
-      (Lsn.to_string f_cmt) (Lsn.to_string t.cmt)
-      (String.concat ";"
-         (List.map
-            (fun (((k, c), (cell : Row.cell)) : Row.coord * Row.cell) ->
-              Printf.sprintf "%s/%s@%s" k c (Lsn.to_string cell.lsn))
-            cells));
     t.ctx.send ~dst:follower
       (Message.Catchup_data
          { range = t.ctx.range; epoch = t.epoch; cells; upto = t.cmt; final = true });
@@ -1782,9 +1767,6 @@ let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~final =
       trace t "logical_truncation"
         (String.concat "," (List.map Lsn.to_string stale))
     end;
-    dbg t "CATCHUP-APPLY from=n%d upto=%s cells=%d stale=[%s]" src (Lsn.to_string upto)
-      (List.length cells)
-      (String.concat "," (List.map Lsn.to_string stale));
     (* Entries at or below the catch-up point are superseded by the cells;
        anything above it that is still valid will be re-proposed (the leader
        re-proposes its pending queue right after this round and on every
@@ -2622,7 +2604,6 @@ let rejoin t =
   recache_outcomes_from_log t ~above:Lsn.zero ~upto:cmt;
   trace t "local_recovery"
     (Printf.sprintf "cmt=%s lst=%s" (Lsn.to_string cmt) (Lsn.to_string lst));
-  dbg t "RECOVER cmt=%s lst=%s" (Lsn.to_string cmt) (Lsn.to_string t.lst);
   join_cohort t
 
 (* The coordination-service session expired (§7): a leader must stop serving

@@ -117,11 +117,6 @@ type bank_outcome = {
 
 let bank_column = "b"
 
-(* TXN_DEBUG=1 streams every committed transfer and audit snapshot to
-   stderr — enough to reconstruct by hand which read of a flagged audit
-   went wrong and against which transaction. *)
-let bank_debug = Sys.getenv_opt "TXN_DEBUG" <> None
-
 (* Every value carries its writer's harness tag, so any later observation
    identifies the transaction it read from — the wr edges of the
    serialization graph come straight out of the data. *)
@@ -191,14 +186,6 @@ let run_bank ~engine ~cluster ?(accounts = 16) ?(initial_balance = 100)
               incr committed;
               Sim.Metrics.Histogram.record_span transfer_hist
                 (Sim.Sim_time.diff (Sim.Engine.now engine) invoked);
-              if bank_debug then
-                Printf.eprintf "TXN %s ts=%d %s->%s amount=%d read=[%s]\n%!" tag ts ka kb
-                  amount
-                  (String.concat ";"
-                     (List.map
-                        (fun (k, from) ->
-                          k ^ "<" ^ Option.value from ~default:"-")
-                        !observed));
               History.record_txn history ~id:tag ~commit_ts:ts ~reads:!observed
                 ~writes:[ ka; kb ]
             | Spinnaker.Txn.Aborted _ -> incr aborted
@@ -241,13 +228,6 @@ let run_bank ~engine ~cluster ?(accounts = 16) ?(initial_balance = 100)
         (match (outcome, !stash) with
         | Spinnaker.Txn.Committed { ts }, Some decoded ->
           incr audits;
-          if bank_debug then
-            Printf.eprintf "AUDIT %s ts=%d [%s]\n%!" tag ts
-              (String.concat ";"
-                 (List.map
-                    (fun (k, (from, bal)) ->
-                      Printf.sprintf "%s<%s=%d" k (Option.value from ~default:"-") bal)
-                    decoded));
           let total = List.fold_left (fun acc (_, (_, bal)) -> acc + bal) 0 decoded in
           if total <> expected_total then
             flag "conservation"

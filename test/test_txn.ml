@@ -220,6 +220,52 @@ let test_snapshot_reads_bypass_row_cache () =
   | _ -> Alcotest.fail "snapshot read at the older fence lost the old version");
   check_int "snapshot read never touched the cache" hits_before (Store.cache_hits store)
 
+(* Serving a snapshot read must not touch the row cache at all: no hit, no
+   miss, no eviction. Leader-side observation of a served snapshot (trace
+   detail, debug text) once looked the key up through [Store.get], which
+   warmed the LRU and moved its counters on every snapshot read. *)
+let test_snapshot_reads_leave_cache_counters () =
+  let engine = Sim.Engine.create ~seed:11 () in
+  let cluster = Cluster.create engine test_config in
+  Cluster.start cluster;
+  if not (Cluster.run_until_ready cluster) then Alcotest.fail "cluster never became ready";
+  let client = Cluster.new_client cluster in
+  let key = Partition.key_of_int (Cluster.partition cluster) 42 in
+  let await cell =
+    let rec go n =
+      match !cell with
+      | Some v -> v
+      | None when n = 0 -> Alcotest.fail "request never completed"
+      | None ->
+        Sim.Engine.run_for engine (Sim.Sim_time.ms 5);
+        go (n - 1)
+    in
+    go 2_000
+  in
+  let put = ref None in
+  Client.put client key "c" ~value:"v" (fun r -> put := Some r);
+  if Result.is_error (await put) then Alcotest.fail "put failed";
+  let fenced = ref None in
+  Client.fence client key (fun r -> fenced := Some r);
+  let fence, fence_ts =
+    match await fenced with Ok f -> f | Error _ -> Alcotest.fail "fence failed"
+  in
+  let counters () =
+    let s = Cluster.read_path_stats cluster in
+    (s.Cluster.cache_hits, s.Cluster.cache_misses)
+  in
+  let before = counters () in
+  for _ = 1 to 5 do
+    let read = ref None in
+    Client.snap_get client key "c" ~fence ~fence_ts (fun r -> read := Some r);
+    match await read with
+    | Ok (Client.Snap_value r) -> check_str_opt "snapshot value" (Some "v") r.Client.value
+    | _ -> Alcotest.fail "snapshot read failed"
+  done;
+  let hits, misses = counters () in
+  check_int "cache hits unchanged" (fst before) hits;
+  check_int "cache misses unchanged" (snd before) misses
+
 (* --- serializability checker anomaly fixtures ------------------------------ *)
 
 (* G1c, circular information flow: T1 reads y from T2 and writes x; T2 reads
@@ -267,6 +313,8 @@ let suite =
       test_snapshot_blocked_by_intent;
     Alcotest.test_case "snapshot reads bypass the row cache" `Quick
       test_snapshot_reads_bypass_row_cache;
+    Alcotest.test_case "served snapshot reads leave the cache counters alone" `Quick
+      test_snapshot_reads_leave_cache_counters;
     Alcotest.test_case "checker catches G1c circular information flow" `Quick
       test_checker_catches_g1c;
     Alcotest.test_case "checker catches lost updates" `Quick test_checker_catches_lost_update;
