@@ -281,11 +281,16 @@ let check_no_double_commit cluster flag =
       match Node.cohort node ~range with
       | None -> ()
       | Some c ->
-        let skipped = Cohort.skipped_lsns c in
+        (* The durable records ascend, so one merge walk over the skipped
+           LSNs answers every query. *)
+        let skipped =
+          Storage.Skipped_lsns.ascending_mem (Storage.Store.skipped (Cohort.store c))
+            ~from:Storage.Lsn.zero
+        in
         let seen = Hashtbl.create 64 in
         List.iter
           (fun (lsn, _, _, origin) ->
-            if not (List.exists (Storage.Lsn.equal lsn) skipped) then
+            if not (skipped lsn) then
               match origin with
               | None -> ()
               | Some o -> (
@@ -405,29 +410,31 @@ let run_spinnaker ?(config = default_config) ?(profile = Mixed) ?schedule
       ~n_writes:(History.writes history) ~n_reads:(History.reads history)
   end
 
-(* Shrinking: ddmin over the recorded schedule, oracle = "replaying the
-   candidate under the same seed still violates an invariant". The baseline
-   replay of the full log is checked first so the shrinker never chases a
-   failure that does not survive the record/replay round-trip. *)
+(* Shrinking: ddmin over the recorded schedule. The oracle accepts a replay
+   only if it shows one of the invariants the recorded run violated, so the
+   shrinker cannot slide from the failure it was given to a different one
+   (say, to a schedule that merely leaves a node down). The baseline replay
+   of the full log is checked first so the shrinker never chases a failure
+   that does not survive the record/replay round-trip. *)
+let shrink ?max_replays run =
+  let recorded = run None in
+  let same_failure v =
+    List.exists (fun (invariant, _) -> List.mem_assoc invariant recorded.violations) v.violations
+  in
+  if not (failed recorded && same_failure (run (Some recorded.schedule))) then None
+  else
+    let minimal, stats =
+      Sim.Shrink.ddmin ?max_replays
+        ~replay:(fun s -> same_failure (run (Some s)))
+        recorded.schedule
+    in
+    Some (recorded, minimal, stats)
+
 let shrink_spinnaker ?config ?profile ?planted_hole_ack_bug ?chaos_for ?quiesce_for
     ?max_replays ~seed () =
-  let run ?schedule () =
-    run_spinnaker ?config ?profile ?schedule ?planted_hole_ack_bug ?chaos_for
-      ?quiesce_for ~seed ()
-  in
-  let recorded = run () in
-  if not (failed recorded) then None
-  else begin
-    let replayed = run ~schedule:recorded.schedule () in
-    if not (failed replayed) then None
-    else
-      let minimal, stats =
-        Sim.Shrink.ddmin ?max_replays
-          ~replay:(fun s -> failed (run ~schedule:s ()))
-          recorded.schedule
-      in
-      Some (recorded, minimal, stats)
-  end
+  shrink ?max_replays (fun schedule ->
+      run_spinnaker ?config ?profile ?schedule ?planted_hole_ack_bug ?chaos_for
+        ?quiesce_for ~seed ())
 
 (* ------------------------------------------------------------------ *)
 (* The transaction gauntlet: cross-range bank transfers under crashes  *)
@@ -537,20 +544,8 @@ let run_txn_bank ?(config = default_config) ?schedule
   end
 
 let shrink_txn_bank ?config ?chaos_for ?quiesce_for ?max_replays ~seed () =
-  let run ?schedule () = run_txn_bank ?config ?schedule ?chaos_for ?quiesce_for ~seed () in
-  let recorded = run () in
-  if not (failed recorded) then None
-  else begin
-    let replayed = run ~schedule:recorded.schedule () in
-    if not (failed replayed) then None
-    else
-      let minimal, stats =
-        Sim.Shrink.ddmin ?max_replays
-          ~replay:(fun s -> failed (run ~schedule:s ()))
-          recorded.schedule
-      in
-      Some (recorded, minimal, stats)
-  end
+  shrink ?max_replays (fun schedule ->
+      run_txn_bank ?config ?schedule ?chaos_for ?quiesce_for ~seed ())
 
 (* ------------------------------------------------------------------ *)
 (* Audit cells: one backend under one fault profile and workload spec  *)

@@ -67,6 +67,18 @@ val run_spinnaker :
     ({!Spinnaker.Cohort.chaos_ack_past_holes}) for shrinker fixtures; the
     flag is always cleared on return. *)
 
+val shrink :
+  ?max_replays:int ->
+  (Sim.Failure.schedule option -> verdict) ->
+  (verdict * Sim.Failure.schedule * Sim.Shrink.stats) option
+(** [shrink run] records [run None]; if it violates an invariant AND a
+    replay of the full recorded schedule ([run (Some schedule)]) shows one of
+    the same invariant names, ddmin the schedule down to a minimal subset
+    whose replay still shows one of them. A replay that only fails some
+    other invariant does not count as reproducing: the shrinker keeps the
+    failure class. [None] if the run is clean or the failure does not
+    replay. *)
+
 val shrink_spinnaker :
   ?config:Spinnaker.Config.t ->
   ?profile:profile ->
@@ -77,10 +89,7 @@ val shrink_spinnaker :
   seed:int ->
   unit ->
   (verdict * Sim.Failure.schedule * Sim.Shrink.stats) option
-(** Record the seed's run; if it violates an invariant AND the violation
-    survives replay of the full recorded schedule, ddmin the schedule down
-    to a minimal still-failing subset. [None] if the run is clean or the
-    failure does not replay. *)
+(** {!shrink} of the seed's gauntlet run. *)
 
 (** {2 The transaction gauntlet}
 
@@ -115,8 +124,7 @@ val shrink_txn_bank :
   seed:int ->
   unit ->
   (verdict * Sim.Failure.schedule * Sim.Shrink.stats) option
-(** Record/replay/ddmin for the transaction gauntlet, mirroring
-    {!shrink_spinnaker}. *)
+(** {!shrink} of the seed's transaction gauntlet run. *)
 
 (** {2 Audit cells}
 

@@ -13,7 +13,9 @@
       begins (any clients), B observes a value at least as new as A's;
     - reads dominate acknowledged writes: a read invoked after write W was
       acknowledged observes W's value or newer;
-    - a read never observes a value before that value's write was invoked. *)
+    - a read never observes a value before that value's write was invoked.
+
+    Each operation is assumed to complete no earlier than it was invoked. *)
 
 type t
 
@@ -36,7 +38,17 @@ type violation = {
 
 val check : t -> violation list
 (** Empty iff the recorded history is consistent with a linearizable
-    register per key. *)
+    register per key. O(n log n) in a key's reads and writes: the reads
+    sorted by invocation are swept against the reads and the acknowledged
+    writes in completion order.
+
+    Violations are counted per read, in six classes (a seq never written, a
+    seq whose write was invoked after the read completed, time travel, a
+    key lost after a seq was seen, a seq older than an acknowledged write,
+    nothing after an acknowledged write). A key reports at most 8 witness
+    lines; if it has more violating reads than that, one more line per
+    class gives the exact number of violating reads in it, as
+    ["<count> <class description>"]. *)
 
 val record_txn :
   t -> id:string -> commit_ts:int ->
@@ -45,14 +57,18 @@ val record_txn :
 (** Record one {e committed} transaction for {!check_serializable}. Each read
     reports the id of the transaction whose write it observed ([None] = the
     initial state) — the harness encodes the writer's id into every value so
-    observations identify their writers. *)
+    observations identify their writers. Ids are unique. *)
 
 val check_serializable : t -> violation list
 (** Empty iff the recorded transactions are serializable. Builds the direct
     serialization graph — wr (read-from), ww (per-key writer order by commit
-    timestamp), and rw (anti-dependency) edges — and reports each dependency
-    cycle as a minimal witness (the shortest cycle in its strongly connected
-    component), plus any read of a transaction that never committed. *)
+    timestamp), and rw (anti-dependency) edges — over dense transaction
+    indices, and decides acyclicity with Kahn's algorithm: O(n log n) in the
+    transactions' reads and writes. Reports each dependency cycle as a
+    minimal witness (the shortest cycle through the least id of its
+    strongly connected component), plus any read of a transaction that
+    never committed. Working arrays are kept in [t] and reused by later
+    calls. *)
 
 val reads : t -> int
 

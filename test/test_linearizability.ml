@@ -48,6 +48,30 @@ let test_checker_allows_concurrent_reads_to_disagree () =
   History.record_read h ~key:"k" ~observed:(Some 1) ~invoked:(at_us 12) ~completed:(at_us 29);
   check_int "overlapping reads may disagree" 0 (List.length (History.check h))
 
+(* One key, 100 reads of seq 5 and then 100 later reads of seq 4: every
+   later read travels back in time against every earlier one. Pair by pair
+   that is 10,000 findings; the report stays at the witness cap plus one
+   count per class, and the count is of violating reads. *)
+let test_checker_bounds_witnesses () =
+  let h = History.create () in
+  History.record_write h ~key:"k" ~seq:4 ~invoked:(at_us 0) ~completed:(at_us 5) ~acked:false;
+  History.record_write h ~key:"k" ~seq:5 ~invoked:(at_us 6) ~completed:(at_us 9) ~acked:false;
+  for i = 0 to 99 do
+    History.record_read h ~key:"k" ~observed:(Some 5) ~invoked:(at_us (10 + i))
+      ~completed:(at_us (20 + i))
+  done;
+  for i = 0 to 99 do
+    History.record_read h ~key:"k" ~observed:(Some 4) ~invoked:(at_us (200 + i))
+      ~completed:(at_us (210 + i))
+  done;
+  let violations = History.check h in
+  List.iter (fun v -> Format.printf "%a@." History.pp_violation v) violations;
+  check_bool "at most 9 entries" true (List.length violations <= 9);
+  check_bool "the count says 100" true
+    (List.exists
+       (fun (v : History.violation) -> v.explanation = "100 reads travel back in time")
+       violations)
+
 (* --- end-to-end: strong reads stay linearizable through failover ---------- *)
 
 let test_strong_reads_linearizable_through_failover () =
@@ -122,6 +146,8 @@ let suite =
     Alcotest.test_case "checker: lost acked write" `Quick test_checker_detects_lost_ack;
     Alcotest.test_case "checker: concurrent reads may disagree" `Quick
       test_checker_allows_concurrent_reads_to_disagree;
+    Alcotest.test_case "checker: witnesses capped, violations counted" `Quick
+      test_checker_bounds_witnesses;
     Alcotest.test_case "strong reads linearizable through failover" `Slow
       test_strong_reads_linearizable_through_failover;
   ]

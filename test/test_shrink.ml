@@ -70,6 +70,51 @@ let test_ddmin_respects_budget () =
   (* On exhaustion the best-so-far schedule must still fail. *)
   check_bool "result still fails" true (replay minimal)
 
+(* --- the shrinker keeps the failure class ----------------------------------- *)
+
+(* A synthetic gauntlet: node-2 and node-5 together lose an acknowledged
+   write; node-5 without node-2 only leaves a node down after heal. *)
+let synthetic_run schedule =
+  let s = Option.value schedule ~default:(synthetic 10) in
+  let violations =
+    if contains "node-2" s && contains "node-5" s then [ ("lost-acked-write", "version 7 < 8 acked") ]
+    else if contains "node-5" s then [ ("unavailable-after-heal", "final read failed") ]
+    else []
+  in
+  {
+    Chaos.seed = 0;
+    profile = Chaos.Mixed;
+    planted_bug = false;
+    schedule = s;
+    exposure = [];
+    violations;
+    fingerprint = "";
+    acked = 0;
+    indeterminate = 0;
+    n_writes = 0;
+    n_reads = 0;
+    outliers = None;
+  }
+
+let classes schedule = List.map fst (synthetic_run (Some schedule)).Chaos.violations
+
+let test_shrink_keeps_failure_class () =
+  match Chaos.shrink synthetic_run with
+  | None -> Alcotest.fail "the synthetic failure did not shrink"
+  | Some (recorded, minimal, _) ->
+    check_bool "recorded lost a write" true
+      (List.mem_assoc "lost-acked-write" recorded.Chaos.violations);
+    check_int "minimal size" 2 (List.length minimal);
+    check_bool "minimal still loses a write" true (classes minimal = [ "lost-acked-write" ]);
+    (* Accepting any violation slides to the other failure. *)
+    let any, _ =
+      Sim.Shrink.ddmin
+        ~replay:(fun s -> Chaos.failed (synthetic_run (Some s)))
+        recorded.Chaos.schedule
+    in
+    check_bool "any-violation oracle settles on the wrong class" true
+      (classes any = [ "unavailable-after-heal" ])
+
 (* --- schedule JSON round-trip --------------------------------------------- *)
 
 let test_schedule_json_roundtrip () =
@@ -271,6 +316,8 @@ let suite =
     Alcotest.test_case "ddmin never proposes the empty schedule" `Quick
       test_ddmin_floor_is_one_injection;
     Alcotest.test_case "ddmin respects the replay budget" `Quick test_ddmin_respects_budget;
+    Alcotest.test_case "shrinker keeps the recorded failure class" `Quick
+      test_shrink_keeps_failure_class;
     Alcotest.test_case "schedule JSON round-trips" `Quick test_schedule_json_roundtrip;
     Alcotest.test_case "artifact JSON accepts a verdict object" `Slow
       test_artifact_json_accepts_verdict_object;
