@@ -13,7 +13,7 @@ let () =
       ("recovery-example", Test_recovery_example.suite);
       ("invariants", Test_invariants.suite);
       ("linearizability", Test_linearizability.suite);
-      ("history-differential", Test_history_differential.suite);
+      ("history-oracle", Test_history_differential.suite);
       ("txn", Test_txn.suite);
       ("nemesis", Test_nemesis.suite);
       ("shrink", Test_shrink.suite);
