@@ -24,6 +24,7 @@ type txn = {
 type work = {
   mutable by_inv : read array;  (** a key's reads by invocation *)
   mutable by_comp : read array;  (** a key's reads by completion *)
+  mutable w_by_seq : write array;  (** a key's writes by seq *)
   mutable w_by_comp : write array;  (** a key's writes by completion *)
   mutable xs : txn array;  (** the transactions by dense index: record order *)
   mutable ts : int array;  (** commit timestamp of each transaction *)
@@ -70,6 +71,7 @@ let create () =
       {
         by_inv = [||];
         by_comp = [||];
+        w_by_seq = [||];
         w_by_comp = [||];
         xs = [||];
         ts = [||];
@@ -182,23 +184,6 @@ let class_summary = function
 (* No seq observed or acknowledged yet. *)
 let nothing = min_int
 
-(* A key with at most this many read-pair and read-write comparisons keeps
-   the nested loops: sorting costs more than they do. *)
-let small_key = 256
-
-(* Writes with at most this many entries are searched by seq in place. *)
-let few_writes = 16
-
-(* [l] ascending by [cmp]. Records arrive newest first, so a list that
-   strictly descends is reversed instead of sorted; otherwise the sort is
-   stable, keeping equal entries in list order. *)
-let ascending cmp l =
-  let rec descends = function
-    | a :: (b :: _ as rest) -> cmp a b > 0 && descends rest
-    | _ -> true
-  in
-  if descends l then List.rev l else List.stable_sort cmp l
-
 let by_invoked a b = Sim.Sim_time.compare a.r_invoked b.r_invoked
 let by_completed a b = Sim.Sim_time.compare a.r_completed b.r_completed
 let write_by_completed a b = Sim.Sim_time.compare a.w_completed b.w_completed
@@ -206,26 +191,18 @@ let by_seq a b = Int.compare a.w_seq b.w_seq
 
 let observed_seq r = match r.r_observed with Some s -> s | None -> nothing
 
-(* [length_upto cap 0 l] is [min cap (List.length l)], without walking past
-   [cap]. *)
-let rec length_upto cap n = function
-  | [] -> n
-  | _ :: l -> if n >= cap then n else length_upto cap (n + 1) l
+(* Stands for "no write of the observed seq", so that matching a read to
+   its write allocates nothing. *)
+let absent =
+  { w_seq = nothing; w_invoked = Sim.Sim_time.zero; w_completed = Sim.Sim_time.zero; w_acked = false }
 
-(* What [List.find_opt] would pick: the newest write of [seq]. *)
+(* What [List.find_opt] would pick, the newest write of [seq], or [absent]. *)
 let rec find_write seq = function
-  | [] -> None
-  | w :: ws -> if w.w_seq = seq then Some w else find_write seq ws
+  | [] -> absent
+  | w :: ws -> if w.w_seq = seq then w else find_write seq ws
 
-(* The newest seq observed by a read of [reads] that completed before
-   [until], and acknowledged by a write of [writes] that did. *)
-let rec prior_before until m = function
-  | [] -> m
-  | a :: l ->
-    prior_before until
-      (if Sim.Sim_time.(a.r_completed < until) then Int.max m (observed_seq a) else m)
-      l
-
+(* The newest seq acknowledged by a write of [writes] that completed before
+   [until]. *)
 let rec acked_before until m = function
   | [] -> m
   | w :: l ->
@@ -234,16 +211,17 @@ let rec acked_before until m = function
       l
 
 (* In the judges, [note cls text] counts a violating read of class [cls];
-   [text] renders its witness and is forced only for the first few.
+   [text] renders its witness and is forced only for the first few. A read
+   that breaks two rules is noted twice, once per class.
 
-   Value rules: [w] is the write of the seq [r] observed, if any. *)
+   Value rules: [w] is the write of the seq [r] observed, or [absent]. *)
 let judge_value note r w =
-  match (r.r_observed, w) with
-  | None, _ -> ()
-  | Some s, None ->
-    note phantom (fun () -> Printf.sprintf "read observed seq %d, which was never written" s)
-  | Some s, Some w ->
-    if Sim.Sim_time.(r.r_completed < w.w_invoked) then
+  match r.r_observed with
+  | None -> ()
+  | Some s ->
+    if w == absent then
+      note phantom (fun () -> Printf.sprintf "read observed seq %d, which was never written" s)
+    else if Sim.Sim_time.(r.r_completed < w.w_invoked) then
       note future (fun () ->
           Printf.sprintf "read of seq %d completed before its write was invoked" s)
 
@@ -264,52 +242,36 @@ let judge_order note r ~prior ~acked =
     if acked <> nothing then
       note unseen_ack (fun () -> Printf.sprintf "read after ack of seq %d observed nothing" acked)
 
-let value_of r writes = match r.r_observed with None -> None | Some s -> find_write s writes
-
-(* Every read against every other read and every write. *)
-let rec nested note reads writes = function
-  | [] -> ()
-  | r :: rest ->
-    judge_value note r (value_of r writes);
-    judge_order note r
-      ~prior:(prior_before r.r_invoked nothing reads)
-      ~acked:(acked_before r.r_invoked nothing writes);
-    nested note reads writes rest
-
 (* The [n] elements of [l] into [a.(0) .. a.(n - 1)], oldest record first,
    then ordered by [cmp]. *)
 let load a n l cmp =
   List.iteri (fun j x -> a.(n - 1 - j) <- x) l;
   sort_range a 0 n cmp
 
-(* The first write of [ws], ascending by seq, whose seq is [seq]. *)
-let search ws seq =
-  let lo = ref 0 and hi = ref (Array.length ws) in
+(* The write of seq [seq] among [ws.(0) .. ws.(n - 1)], ascending by seq,
+   or [absent]. Seqs are unique per key, so it is the one [List.find_opt]
+   finds. *)
+let search ws n seq =
+  let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if ws.(mid).w_seq < seq then lo := mid + 1 else hi := mid
   done;
-  if !lo < Array.length ws && ws.(!lo).w_seq = seq then Some ws.(!lo) else None
+  if !lo < n && ws.(!lo).w_seq = seq then ws.(!lo) else absent
 
-(* The verdict on one key. *)
+(* The verdict on one key. A single read, with no other read to order it
+   against, walks the writes, which costs less than sorting them. More
+   reads are sorted by invocation and swept against the reads and the
+   writes by completion, keeping running maxima of the seqs observed and
+   acknowledged. *)
 let check_key s note reads writes =
-  let n_reads = length_upto (small_key + 1) 0 reads in
-  if n_reads <= 1
-     || n_reads * (n_reads + length_upto (small_key + 1) 0 writes) <= small_key
-  then nested note reads writes reads
-  else begin
+  match reads with
+  | [] -> ()
+  | [ r ] ->
+    judge_value note r (match r.r_observed with None -> absent | Some q -> find_write q writes);
+    judge_order note r ~prior:nothing ~acked:(acked_before r.r_invoked nothing writes)
+  | r0 :: _ ->
     let n_reads = List.length reads and n_writes = List.length writes in
-    (if n_writes <= few_writes then
-       List.iter (fun r -> judge_value note r (value_of r writes)) reads
-     else
-       let by_seq = Array.of_list (ascending by_seq writes) in
-       List.iter
-         (fun r -> judge_value note r (Option.bind r.r_observed (search by_seq)))
-         reads);
-    (* Sweep the reads by invocation against the reads and the writes by
-       completion, keeping running maxima of the seqs observed and
-       acknowledged. *)
-    let r0 = List.hd reads in
     s.by_inv <- room s.by_inv n_reads r0;
     s.by_comp <- room s.by_comp n_reads r0;
     load s.by_inv n_reads reads by_invoked;
@@ -317,11 +279,15 @@ let check_key s note reads writes =
     (match writes with
     | [] -> ()
     | w0 :: _ ->
+      s.w_by_seq <- room s.w_by_seq n_writes w0;
       s.w_by_comp <- room s.w_by_comp n_writes w0;
+      load s.w_by_seq n_writes writes by_seq;
       load s.w_by_comp n_writes writes write_by_completed);
     let c = ref 0 and prior = ref nothing and w = ref 0 and acked = ref nothing in
     for i = 0 to n_reads - 1 do
       let r = s.by_inv.(i) in
+      judge_value note r
+        (match r.r_observed with None -> absent | Some q -> search s.w_by_seq n_writes q);
       while !c < n_reads && Sim.Sim_time.(s.by_comp.(!c).r_completed < r.r_invoked) do
         prior := Int.max !prior (observed_seq s.by_comp.(!c));
         incr c
@@ -333,26 +299,26 @@ let check_key s note reads writes =
       done;
       judge_order note r ~prior:!prior ~acked:!acked
     done
-  end
 
 let check t =
   let violations = ref [] in
-  let counts = Array.make 6 0 and current = ref "" and shown = ref 0 and total = ref 0 in
+  let counts = Array.make 6 0 and current = ref "" and shown = ref 0 and dropped = ref false in
   let note cls text =
     counts.(cls) <- counts.(cls) + 1;
-    incr total;
     if !shown < witness_cap then begin
       incr shown;
       violations := { key = !current; explanation = text () } :: !violations
     end
+    else dropped := true
   in
   Hashtbl.iter
     (fun key reads ->
       current := key;
       shown := 0;
-      total := 0;
-      check_key t.work note reads (Option.value ~default:[] (Hashtbl.find_opt t.writes key));
-      if !total > !shown then
+      dropped := false;
+      check_key t.work note reads
+        (match Hashtbl.find t.writes key with ws -> ws | exception Not_found -> []);
+      if !dropped then
         Array.iteri
           (fun cls n ->
             if n > 0 then
@@ -360,7 +326,7 @@ let check t =
                 { key; explanation = Printf.sprintf "%d %s" n (class_summary cls) }
                 :: !violations)
           counts;
-      if !total > 0 then Array.fill counts 0 (Array.length counts) 0)
+      if !shown > 0 then Array.fill counts 0 (Array.length counts) 0)
     t.reads;
   List.rev !violations
 

@@ -40,14 +40,16 @@ val check : t -> violation list
 (** Empty iff the recorded history is consistent with a linearizable
     register per key. O(n log n) in a key's reads and writes: the reads
     sorted by invocation are swept against the reads and the acknowledged
-    writes in completion order.
+    writes in completion order, and each observed seq is found by binary
+    search over the writes by seq.
 
     Violations are counted per read, in six classes (a seq never written, a
     seq whose write was invoked after the read completed, time travel, a
     key lost after a seq was seen, a seq older than an acknowledged write,
     nothing after an acknowledged write). A key reports at most 8 witness
-    lines; if it has more violating reads than that, one more line per
-    class gives the exact number of violating reads in it, as
+    lines, one per violation: a read in two classes is two violations. If
+    a key has more violations than that, one more line per class gives the
+    exact number of violating reads in it, as
     ["<count> <class description>"]. *)
 
 val record_txn :

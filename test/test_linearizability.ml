@@ -72,6 +72,33 @@ let test_checker_bounds_witnesses () =
        (fun (v : History.violation) -> v.explanation = "100 reads travel back in time")
        violations)
 
+(* A read can break two rules at once: a read of seq 1 after seq 2 was both
+   observed and acknowledged travels back in time and is stale. Each is a
+   violation of its own, so five such reads are ten violations: 8 witnesses,
+   then a count of 5 reads in each class. Three such reads are six
+   violations, all shown, with no count lines. *)
+let test_checker_counts_a_read_in_two_classes () =
+  let check_reads n =
+    let h = History.create () in
+    History.record_write h ~key:"k" ~seq:1 ~invoked:(at_us 0) ~completed:(at_us 5) ~acked:true;
+    History.record_write h ~key:"k" ~seq:2 ~invoked:(at_us 6) ~completed:(at_us 9) ~acked:true;
+    History.record_read h ~key:"k" ~observed:(Some 2) ~invoked:(at_us 10) ~completed:(at_us 12);
+    for i = 1 to n do
+      History.record_read h ~key:"k" ~observed:(Some 1) ~invoked:(at_us (20 + i))
+        ~completed:(at_us (30 + i))
+    done;
+    List.map (fun (v : History.violation) -> v.explanation) (History.check h)
+  in
+  let is_count e = e.[0] >= '0' && e.[0] <= '9' in
+  let five = check_reads 5 in
+  check_int "8 witnesses and 2 counts" 10 (List.length five);
+  check_int "8 witnesses" 8 (List.length (List.filter (fun e -> not (is_count e)) five));
+  check_bool "5 travel" true (List.mem "5 reads travel back in time" five);
+  check_bool "5 stale" true (List.mem "5 reads after an ack observed an older seq" five);
+  let three = check_reads 3 in
+  check_int "all 6 violations shown" 6 (List.length three);
+  check_bool "no count lines" true (not (List.exists is_count three))
+
 (* --- end-to-end: strong reads stay linearizable through failover ---------- *)
 
 let test_strong_reads_linearizable_through_failover () =
@@ -148,6 +175,8 @@ let suite =
       test_checker_allows_concurrent_reads_to_disagree;
     Alcotest.test_case "checker: witnesses capped, violations counted" `Quick
       test_checker_bounds_witnesses;
+    Alcotest.test_case "checker: a read in two classes" `Quick
+      test_checker_counts_a_read_in_two_classes;
     Alcotest.test_case "strong reads linearizable through failover" `Slow
       test_strong_reads_linearizable_through_failover;
   ]
