@@ -1,13 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§9, Appendix D), plus ablations and Bechamel microbenchmarks.
+   evaluation (§9, Appendix D), plus ablations.
 
    Usage:  dune exec bench/main.exe [-- EXPERIMENT...] [--quick] [--json [PATH]]
              [--trace-out [PATH]]
 
    Experiments: fig1 fig8 fig9 read paxos-tuning table1 failover tail fig11 fig12
-   fig13 fig14 fig15 fig16 scaleout audit txn ablations micro all (default: all). Absolute numbers come from a
-   calibrated simulation (see DESIGN.md); the paper-comparable quantity is
-   the *shape* of each series.
+   fig13 fig14 fig15 fig16 scaleout audit txn ablations all (default: all).
+   Absolute numbers come from a calibrated simulation (see DESIGN.md); the
+   paper-comparable quantity is the *shape* of each series.
 
    With [--json], each experiment also writes a machine-readable
    [BENCH_<experiment>.json] mirroring the printed tables (per-series
@@ -982,8 +982,9 @@ let paxos_tuning () =
   let clients = 100_000 in
   let config =
     {
-      (Config.with_nodes nodes Config.default) with
-      Config.wal_max_batch = best_batch;
+      Config.default with
+      Config.nodes;
+      wal_max_batch = best_batch;
       pipeline_depth = best_depth;
       value_bytes = 256;
       client_timeout = Sim.Sim_time.sec 10;
@@ -1245,7 +1246,6 @@ let scaleout () =
     {
       Config.default with
       Config.nodes = 10;
-      replication = 3;
       (* Snapshots ship while the donor cohort is saturated; give a
          migration room before the leader declares it wedged. *)
       migration_timeout = Sim.Sim_time.sec 30;
@@ -1580,115 +1580,6 @@ let txn () =
     failwith "txn: steady cell violated conservation or serializability";
   if !chaos_violations > 0 then failwith "txn: chaos cell violated an invariant"
 
-(* --- Bechamel microbenchmarks ------------------------------------------------------- *)
-
-let micro () =
-  header "Microbenchmarks (Bechamel): substrate operations";
-  let open Bechamel in
-  let memtable_insert =
-    Test.make ~name:"memtable-insert-1k"
-      (Staged.stage (fun () ->
-           let m = Storage.Memtable.create () in
-           for i = 0 to 999 do
-             Storage.Memtable.put m
-               (Printf.sprintf "key-%d" i, "c")
-               {
-                 Storage.Row.value = Some "value";
-                 version = 1;
-                 lsn = Storage.Lsn.make ~epoch:1 ~seq:i;
-                 timestamp = 0;
-                 txn_ts = None;
-               }
-           done))
-  in
-  let entries =
-    List.init 1000 (fun i ->
-        ( (Printf.sprintf "key-%06d" i, "c"),
-          {
-            Storage.Row.value = Some "value";
-            version = 1;
-            lsn = Storage.Lsn.make ~epoch:1 ~seq:(i + 1);
-            timestamp = 0;
-            txn_ts = None;
-          } ))
-  in
-  let table = Storage.Sstable.build entries in
-  let sstable_lookup =
-    Test.make ~name:"sstable-get-1k"
-      (Staged.stage (fun () ->
-           for i = 0 to 999 do
-             ignore (Storage.Sstable.get table (Printf.sprintf "key-%06d" i, "c"))
-           done))
-  in
-  let bloom = Storage.Bloom.create ~expected:10_000 () in
-  let () =
-    for i = 0 to 9_999 do
-      Storage.Bloom.add bloom (string_of_int i)
-    done
-  in
-  let bloom_query =
-    Test.make ~name:"bloom-mem-1k"
-      (Staged.stage (fun () ->
-           for i = 0 to 999 do
-             ignore (Storage.Bloom.mem bloom (string_of_int i))
-           done))
-  in
-  let merkle_build =
-    Test.make ~name:"merkle-build-1k"
-      (Staged.stage (fun () -> ignore (Eventual.Merkle.build entries)))
-  in
-  let heap_churn =
-    Test.make ~name:"event-heap-push-pop-1k"
-      (Staged.stage (fun () ->
-           let h = Sim.Event_heap.create () in
-           for i = 0 to 999 do
-             ignore (Sim.Event_heap.push h ~time:(Sim.Sim_time.at_us (i * 7919 mod 10_000)) i)
-           done;
-           while Sim.Event_heap.pop h <> None do
-             ()
-           done))
-  in
-  let sim_second =
-    Test.make ~name:"paxos-cohort-sim-second"
-      (Staged.stage (fun () ->
-           (* One simulated second of a small Spinnaker cluster under write
-              load: end-to-end cost of the whole stack. *)
-           let config = { Config.default with Config.nodes = 3; disk = Sim.Disk_model.Ssd } in
-           let engine, cluster = spin_cluster ~config () in
-           let client = Cluster.new_client cluster in
-           let rec writer i =
-             Client.put client
-               (Partition.key_of_int (Cluster.partition cluster) (i mod 1000))
-               "c" ~value:"x"
-               (fun _ -> writer (i + 1))
-           in
-           writer 0;
-           Sim.Engine.run_for engine (Sim.Sim_time.sec 1)))
-  in
-  let tests =
-    Test.make_grouped ~name:"spinnaker"
-      [ memtable_insert; sstable_lookup; bloom_query; merkle_build; heap_churn; sim_second ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 1.0) ~stabilize:false () in
-  let raw = Benchmark.all cfg instances tests in
-  let figures = ref [] in
-  List.iter
-    (fun instance ->
-      let results = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let estimate =
-            match Analyze.OLS.estimates ols_result with Some (e :: _) -> e | _ -> nan
-          in
-          Format.printf "  %-44s %14.0f ns/run@." name estimate;
-          figures := (name, J.Float estimate) :: !figures)
-        results)
-    instances;
-  record_field "micro_ns_per_run"
-    (J.Obj (List.sort (fun (a, _) (b, _) -> String.compare a b) !figures))
-
 (* --- driver ----------------------------------------------------------------------------- *)
 
 let all_experiments =
@@ -1711,7 +1602,6 @@ let all_experiments =
     ("audit", audit);
     ("txn", txn);
     ("ablations", ablations);
-    ("micro", micro);
   ]
 
 (* Resolve an output-path argument ([--json] or [--trace-out]) for one

@@ -191,15 +191,22 @@ let read_token t ~consistent key =
     if range < Array.length t.tokens then t.tokens.(range) else Storage.Lsn.zero
   end
 
+(* First retry delay, in µs; it doubles per attempt (jittered). *)
+let backoff_base_us = 2_000
+
+(* Retry delay cap, in µs. *)
+let backoff_max_us = 400_000
+
+(* Attempts before a request reports [Unavailable]. *)
+let max_attempts = 60
+
 (* Capped exponential backoff with equal jitter: attempt [n] waits
    [min(cap, base * 2^(n-1))], half of it fixed and half uniformly random,
    so retry storms from many clients decorrelate instead of hammering a
    recovering leader in lockstep. *)
 let backoff t attempts =
-  let base = Sim.Sim_time.to_us t.config.Config.client_backoff_base in
-  let cap = Sim.Sim_time.to_us t.config.Config.client_backoff_max in
   let exp = Stdlib.min 30 (Stdlib.max 0 (attempts - 1)) in
-  let d = Stdlib.min cap (base * (1 lsl exp)) in
+  let d = Stdlib.min backoff_max_us (backoff_base_us * (1 lsl exp)) in
   let half = Stdlib.max 1 (d / 2) in
   Sim.Sim_time.us (half + Sim.Rng.int t.rng half)
 
@@ -277,7 +284,7 @@ and sweep_timeouts t =
 and retry t request_id p ~after =
   p.attempts <- p.attempts + 1;
   t.retries <- t.retries + 1;
-  if p.attempts >= t.config.Config.client_max_attempts then begin
+  if p.attempts >= max_attempts then begin
     pending_remove t request_id;
     settle t p "unavailable (retries exhausted)";
     p.deliver Message.Unavailable

@@ -65,7 +65,7 @@ let register_node_gauges metrics node =
 
 let create engine config =
   let partition =
-    Partition.create ~nodes:config.Config.nodes ~replication:config.Config.replication
+    Partition.create ~nodes:config.Config.nodes ~replication:Config.replication
       ~key_space:config.Config.key_space
   in
   let net = Sim.Network.create engine () in
@@ -77,8 +77,7 @@ let create engine config =
   bootstrap_zk zk_server partition;
   Sim.Network.attach_trace net trace;
   let flight =
-    Sim.Trace.Flight.create ~top_k:config.Config.outlier_top_k
-      ~window:config.Config.outlier_window trace
+    Sim.Trace.Flight.create ~top_k:config.Config.outlier_top_k trace
   in
   let metrics = Sim.Metrics.Registry.create engine in
   (* Ring-eviction visibility: a non-zero [trace_dropped] means analyses over
@@ -96,12 +95,51 @@ let create engine config =
   { engine; config; partition; net; zk_server; nodes; trace; flight; metrics;
     next_client = 10_000 }
 
-(* The presumed-abort escalation wiring needs [new_client], defined below
-   (it depends on nothing here); tied together after that definition. *)
-let install_txn_escalation : (t -> unit) ref = ref (fun _ -> ())
+let new_client t =
+  let id = t.next_client in
+  t.next_client <- id + 1;
+  let zk = Coord.Zk_client.connect t.zk_server ~owner:(Printf.sprintf "client-%d" id) () in
+  let lookup_leader ~range k =
+    Coord.Zk_client.get_data zk
+      ~path:(Printf.sprintf "/ranges/%d/leader" range)
+      (function Ok data -> k (int_of_string_opt data) | Error _ -> k None)
+  in
+  let fetch_layout k =
+    Coord.Zk_client.get_data zk ~path:"/layout" (function
+      | Ok data -> k (Some data)
+      | Error _ -> k None)
+  in
+  (* Each client routes on its own snapshot of the table; [Wrong_range]
+     answers make it re-fetch /layout (§10). *)
+  Client.create ~engine:t.engine ~net:t.net
+    ~partition:(Partition.copy t.partition)
+    ~config:t.config ~id ~trace:t.trace ~flight:t.flight ~lookup_leader ~fetch_layout ()
+
+(* Presumed-abort recovery agent: when any leader cohort's sweep finds an
+   in-doubt intent, a cluster-owned client asks the coordinator for the
+   transaction's outcome (logging an abort there if none exists) and then
+   resolves the stranded intents. One lazily created client serves the whole
+   cluster — escalations are rare and idempotent. *)
+let install_txn_escalation t =
+  let resolver = ref None in
+  let client () =
+    match !resolver with
+    | Some c -> c
+    | None ->
+      let c = new_client t in
+      resolver := Some c;
+      c
+  in
+  let escalate ~txn ~anchor ~key =
+    let c = client () in
+    Client.txn_status c ~txn ~anchor (function
+      | Ok (committed, ts) -> Client.txn_resolve c ~txn ~key ~commit:committed ~ts (fun _ -> ())
+      | Error _ -> ())
+  in
+  Array.iter (fun n -> Node.set_txn_escalation n escalate) t.nodes
 
 let start t =
-  !install_txn_escalation t;
+  install_txn_escalation t;
   Array.iter Node.start t.nodes;
   (* A zero period disables the periodic gauge sampler: benches that do not
      export timelines should not pay one sweep over every gauge per 100 ms
@@ -109,6 +147,7 @@ let start t =
   if Sim.Sim_time.span_compare t.config.Config.metrics_sample_period Sim.Sim_time.span_zero > 0
   then
     Sim.Metrics.Registry.start_sampling t.metrics ~period:t.config.Config.metrics_sample_period
+
 let engine t = t.engine
 let config t = t.config
 let partition t = t.partition
@@ -131,7 +170,7 @@ let add_node t =
   in
   t.nodes <- Array.append t.nodes [| node |];
   register_node_gauges t.metrics node;
-  !install_txn_escalation t;
+  install_txn_escalation t;
   Node.start node;
   id
 
@@ -312,52 +351,6 @@ let run_until_ready ?(timeout = Sim.Sim_time.sec 60) t =
     end
   in
   loop ()
-
-let new_client t =
-  let id = t.next_client in
-  t.next_client <- id + 1;
-  let zk = Coord.Zk_client.connect t.zk_server ~owner:(Printf.sprintf "client-%d" id) () in
-  let lookup_leader ~range k =
-    Coord.Zk_client.get_data zk
-      ~path:(Printf.sprintf "/ranges/%d/leader" range)
-      (function Ok data -> k (int_of_string_opt data) | Error _ -> k None)
-  in
-  let fetch_layout k =
-    Coord.Zk_client.get_data zk ~path:"/layout" (function
-      | Ok data -> k (Some data)
-      | Error _ -> k None)
-  in
-  (* Each client routes on its own snapshot of the table; [Wrong_range]
-     answers make it re-fetch /layout (§10). *)
-  Client.create ~engine:t.engine ~net:t.net
-    ~partition:(Partition.copy t.partition)
-    ~config:t.config ~id ~trace:t.trace ~flight:t.flight ~lookup_leader ~fetch_layout ()
-
-(* Presumed-abort recovery agent: when any leader cohort's sweep finds an
-   in-doubt intent, a cluster-owned client asks the coordinator for the
-   transaction's outcome (logging an abort there if none exists) and then
-   resolves the stranded intents. One lazily created client serves the whole
-   cluster — escalations are rare and idempotent. *)
-let () =
-  install_txn_escalation :=
-    fun t ->
-      let resolver = ref None in
-      let client () =
-        match !resolver with
-        | Some c -> c
-        | None ->
-          let c = new_client t in
-          resolver := Some c;
-          c
-      in
-      let escalate ~txn ~anchor ~key =
-        let c = client () in
-        Client.txn_status c ~txn ~anchor (function
-          | Ok (committed, ts) ->
-            Client.txn_resolve c ~txn ~key ~commit:committed ~ts (fun _ -> ())
-          | Error _ -> ())
-      in
-      Array.iter (fun n -> Node.set_txn_escalation n escalate) t.nodes
 
 (* Administrative rebalancing entry points. Both are asynchronous: they ask
    the range's current leader to drive the protocol and return immediately;

@@ -31,9 +31,9 @@ val trace : t -> Sim.Trace.t
 
 val flight : t -> Sim.Trace.Flight.t
 (** The cluster-wide outlier flight recorder: every client created through
-    {!new_client} reports its completed requests here, and each
-    [Config.outlier_window]'s top [Config.outlier_top_k] slowest keep their
-    trace events pinned past ring eviction (export with
+    {!new_client} reports its completed requests here, and each 1 s
+    window's top [Config.outlier_top_k] slowest keep their trace events
+    pinned past ring eviction (export with
     {!Sim.Trace_export.outliers_to_file}). *)
 
 val metrics : t -> Sim.Metrics.Registry.t
@@ -100,10 +100,10 @@ type read_path_stats = {
 val read_path_stats : t -> read_path_stats
 
 val set_lease_enabled : t -> bool -> unit
-(** Flip every cohort between lease-served strong reads ([true], the default
-    when [Config.lease_fraction] > 0) and the per-read quorum-guard fallback
-    ([false]) at runtime — the bench's leased-vs-unleased A/B switch, usable
-    without rebuilding or re-preloading the cluster. *)
+(** Flip every cohort between lease-served strong reads ([true], the
+    default) and the per-read quorum-guard fallback ([false]) at runtime —
+    the bench's leased-vs-unleased A/B switch, usable without rebuilding or
+    re-preloading the cluster, and the only way to run unleased. *)
 
 type read_serve_stats = {
   leased : int;  (** strong reads served locally under a live lease *)

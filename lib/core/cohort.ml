@@ -32,7 +32,7 @@ type ctx = {
       (** the cohort's current membership under the live routing table *)
   xfer : Sim.Resource.t;
       (** the node's bulk-transfer link; snapshot chunks stream through it at
-          [Config.xfer_bytes_per_sec] so migration bandwidth is modelled *)
+          [xfer_bytes_per_sec] so migration bandwidth is modelled *)
   apply_meta : op:Storage.Log_record.op -> leader:bool -> unit;
       (** node-level side effects of a committed metadata record (routing
           table update, child-cohort spawn, layout publication) *)
@@ -167,8 +167,8 @@ type t = {
   (* read path *)
   mutable lease_disabled : bool;
       (** runtime override forcing the unleased (quorum-guard) strong-read
-          path even when [Config.lease_fraction] > 0; a bench knob, so it
-          survives crashes like the config itself *)
+          path; a bench knob, so it survives crashes like the config
+          itself *)
   mutable guard_seq : int;
   guards : (int, pending_guard) Hashtbl.t;
       (** outstanding read-index rounds, keyed by guard sequence number *)
@@ -192,6 +192,41 @@ type t = {
           (double-append guard for retried resolve requests) *)
   mutable txn_sweep_armed : bool;  (** presumed-abort sweep timer running *)
 }
+
+(* ------------------------------------------------------------------ *)
+(* Cost model and timers shared by every run.                          *)
+
+(* CPU cost, in µs, of a read served from the row cache. A miss costs
+   {!Config.read_service_us} plus [read_probe_service_us] per SSTable probed. *)
+let read_cache_hit_service_us = 40.0
+let read_probe_service_us = 30.0
+
+(* CPU cost, in µs, on leader and follower to process one read-index guard
+   message (the unleased strong-read quorum round). *)
+let read_guard_service_us = 20.0
+
+(* Follower-side staleness bound for token (read-your-writes) timeline
+   reads: how long a follower parks a read waiting for its applied LSN to
+   reach the client's token before redirecting it to the leader. *)
+let read_lsn_wait = Sim.Sim_time.ms 50
+
+(* Leader lease length as a fraction of [Config.session_timeout]. Must be
+   < 0.5: see the lease section below. *)
+let lease_fraction = 0.4
+
+(* A learner replica never promoted within this span retires itself. *)
+let learner_timeout = Sim.Sim_time.sec 30
+
+(* Snapshot-transfer bandwidth per node, and the chunk size a migration
+   ships its snapshot in. *)
+let xfer_bytes_per_sec = 100e6
+let snapshot_chunk_bytes = 512 * 1024
+
+(* How often a leader scans its store for in-doubt transaction intents, and
+   the age at which an unresolved intent counts as in-doubt: old enough that
+   a live coordinator client would have resolved it already. *)
+let txn_sweep_period = Sim.Sim_time.sec 2
+let txn_indoubt_after = Sim.Sim_time.sec 4
 
 (* Test-only fault plant: when set, followers ack (and advance lst over)
    every LSN they appended, including writes sitting beyond a loss-induced
@@ -399,7 +434,7 @@ let recache_outcomes_from_log t ~above ~upto =
    replacement election — so any fraction < 0.5 lapses strictly before a
    new leader can exist anywhere. *)
 
-let leases_enabled t = t.ctx.config.Config.lease_fraction > 0.0 && not t.lease_disabled
+let leases_enabled t = not t.lease_disabled
 
 let lease_valid t =
   let config = t.ctx.config in
@@ -410,8 +445,7 @@ let lease_valid t =
     Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) (Coord.Zk_client.last_contact zk)
   in
   let lease_us =
-    config.Config.lease_fraction
-    *. float_of_int (Sim.Sim_time.to_us config.Config.session_timeout)
+    lease_fraction *. float_of_int (Sim.Sim_time.to_us config.Config.session_timeout)
   in
   float_of_int (Sim.Sim_time.to_us held) < lease_us
 
@@ -513,7 +547,7 @@ let install_ops_by_lsn (cells : (Row.coord * Row.cell) list) :
 
 let rec try_commit t =
   let committable =
-    Commit_queue.pop_committable t.queue ~acks_needed:(Config.majority t.ctx.config - 1)
+    Commit_queue.pop_committable t.queue ~acks_needed:(Config.majority - 1)
   in
   List.iter
     (fun (e : Commit_queue.entry) ->
@@ -702,7 +736,7 @@ and arm_txn_sweep t =
     t.txn_sweep_armed <- true;
     let rec tick () =
       if t.role = Leader && t.open_for_writes then begin
-        let older_than = Sim.Sim_time.to_us t.ctx.config.Config.txn_indoubt_after in
+        let older_than = Sim.Sim_time.to_us txn_indoubt_after in
         List.iter
           (fun (txn, anchor, key) ->
             if not (Hashtbl.mem t.resolving txn) then begin
@@ -710,11 +744,11 @@ and arm_txn_sweep t =
               t.ctx.resolve_in_doubt ~txn ~anchor ~key
             end)
           (Store.in_doubt t.ctx.store ~now:(now_us t) ~older_than);
-        after t t.ctx.config.Config.txn_sweep_period tick
+        after t txn_sweep_period tick
       end
       else t.txn_sweep_armed <- false
     in
-    after t t.ctx.config.Config.txn_sweep_period tick
+    after t txn_sweep_period tick
   end
 
 and drain_waiting t =
@@ -758,7 +792,7 @@ and enqueue_write t ~client ~request_id op =
     t.waiting <- { client; request_id; op } :: t.waiting
   else begin
     let arrived = Sim.Engine.now t.ctx.engine in
-    let service = Sim.Sim_time.of_us_f t.ctx.config.Config.write_service_us in
+    let service = Sim.Sim_time.of_us_f Config.write_service_us in
     let trace_id = Sim.Trace.request_trace_id ~client ~request_id in
     let queue_span =
       if tracing t then
@@ -1168,7 +1202,7 @@ and gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit
         }
       in
       t.parked_reads <- p :: t.parked_reads;
-      after t t.ctx.config.Config.read_lsn_wait (fun () ->
+      after t read_lsn_wait (fun () ->
           if not p.p_done then begin
             p.p_done <- true;
             t.parked_reads <- List.filter (fun q -> not (q == p)) t.parked_reads;
@@ -1189,7 +1223,6 @@ and gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit
    (arrival for leased and timeline reads, quorum confirmation for guarded
    ones, token arrival for parked ones). *)
 and handle_read t ~client ~request_id ~consistent ~token ~key ~cols ~single =
-  let config = t.ctx.config in
   let probe_cost = ref 0.0 in
   (* Probes one column; the service charge accumulates in [probe_cost] so the
      single-column path (every point read) builds no intermediate pairs. *)
@@ -1206,10 +1239,9 @@ and handle_read t ~client ~request_id ~consistent ~token ~key ~cols ~single =
        !probe_cost
        +.
        match cost with
-       | Store.Cache_hit -> config.Config.read_cache_hit_service_us
+       | Store.Cache_hit -> read_cache_hit_service_us
        | Store.Probed probed ->
-         config.Config.read_service_us
-         +. (float_of_int probed *. config.Config.read_probe_service_us));
+         Config.read_service_us +. (float_of_int probed *. read_probe_service_us));
     value
   in
   let trace_id = if tracing t then Sim.Trace.request_trace_id ~client ~request_id else -1 in
@@ -1293,7 +1325,7 @@ and handle_scan t ~client ~request_id ~start_key ~end_key ~limit ~consistent ~to
           finish (Message.Rows { rows; next })
         end)
   in
-  let service = Sim.Sim_time.of_us_f t.ctx.config.Config.read_service_us in
+  let service = Sim.Sim_time.of_us_f Config.read_service_us in
   let submit () = Sim.Resource.submit t.ctx.cpu ~service serve in
   gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit
 
@@ -1316,7 +1348,7 @@ and handle_fence t ~client ~request_id =
     t.ctx.reply ~client ~request_id reply
   in
   let submit () =
-    let service = Sim.Sim_time.of_us_f t.ctx.config.Config.read_cache_hit_service_us in
+    let service = Sim.Sim_time.of_us_f read_cache_hit_service_us in
     Sim.Resource.submit t.ctx.cpu ~service
       (guard t (fun () ->
            if not (strong_serve_ok t) then finish (Message.Not_leader { hint = t.leader })
@@ -1344,7 +1376,7 @@ and handle_snap_get t ~client ~request_id ~key ~col ~fence ~fence_ts =
     t.ctx.reply ~client ~request_id reply
   in
   let submit () =
-    let service = Sim.Sim_time.of_us_f t.ctx.config.Config.read_service_us in
+    let service = Sim.Sim_time.of_us_f Config.read_service_us in
     Sim.Resource.submit t.ctx.cpu ~service
       (guard t (fun () ->
            let result = Store.snapshot_get t.ctx.store (key, col) ~fence ~fence_ts in
@@ -1572,7 +1604,7 @@ let handle_commit t ~src ~epoch ~upto =
 let handle_guard t ~src ~epoch ~seq =
   if epoch >= t.epoch && t.role <> Offline && t.role <> Leader then begin
     accept_leader t ~src ~epoch;
-    let service = Sim.Sim_time.of_us_f t.ctx.config.Config.read_guard_service_us in
+    let service = Sim.Sim_time.of_us_f read_guard_service_us in
     Sim.Resource.submit t.ctx.cpu ~service
       (guard t (fun () ->
            if t.role = Follower && epoch >= t.epoch then
@@ -1586,14 +1618,14 @@ let handle_guard t ~src ~epoch ~seq =
    every guarded read costs it one ack-processing slot per responding
    follower, which is exactly why the lease pays off at saturation. *)
 let handle_guard_ack t ~from ~seq =
-  let service = Sim.Sim_time.of_us_f t.ctx.config.Config.read_guard_service_us in
+  let service = Sim.Sim_time.of_us_f read_guard_service_us in
   Sim.Resource.submit t.ctx.cpu ~service
     (guard t (fun () ->
          if t.role = Leader && List.mem from (t.ctx.members ()) then
            match Hashtbl.find_opt t.guards seq with
            | Some g when not (List.mem from g.g_acks) ->
              g.g_acks <- from :: g.g_acks;
-             if List.length g.g_acks >= Config.majority t.ctx.config - 1 then begin
+             if List.length g.g_acks >= Config.majority - 1 then begin
                Hashtbl.remove t.guards seq;
                span_end t ~span:g.g_span ~trace_id:g.g_trace_id ~tag:"read.guard"
                  "quorum confirmed";
@@ -1899,7 +1931,7 @@ let rec migration_send_chunk t =
           }
       in
       Sim.Resource.submit_bytes t.ctx.xfer ~bytes:(Message.size msg)
-        ~bytes_per_sec:t.ctx.config.Config.xfer_bytes_per_sec
+        ~bytes_per_sec:xfer_bytes_per_sec
         (guard t (fun () ->
              match t.migration with
              | Some m' when m' == m && t.role = Leader && m.phase = `Snapshot && m.next_chunk = seq
@@ -1968,7 +2000,6 @@ let request_join t ~joiner ?remove () =
       |> List.stable_sort (fun (_, (a : Row.cell)) (_, (b : Row.cell)) ->
              Lsn.compare a.lsn b.lsn)
     in
-    let chunk_bytes = t.ctx.config.Config.snapshot_chunk_bytes in
     let chunks = ref [] and cur = ref [] and cur_bytes = ref 0 in
     List.iter
       (fun ((coord, (cell : Row.cell)) as c) ->
@@ -1979,7 +2010,7 @@ let request_join t ~joiner ?remove () =
           + 24
         in
         let boundary =
-          !cur_bytes >= chunk_bytes
+          !cur_bytes >= snapshot_chunk_bytes
           && match !cur with (_, (p : Row.cell)) :: _ -> not (Lsn.equal p.lsn cell.lsn) | [] -> false
         in
         if boundary then begin
@@ -2021,7 +2052,7 @@ let start_learner t ~leader =
   trace t "learner_start" (Printf.sprintf "leader=n%d" leader);
   let inc = t.ctx.incarnation () in
   ignore
-    (Sim.Engine.schedule t.ctx.engine ~after:t.ctx.config.Config.learner_timeout (fun () ->
+    (Sim.Engine.schedule t.ctx.engine ~after:learner_timeout (fun () ->
          if t.ctx.incarnation () = inc && t.learner && t.role <> Offline then begin
            trace t "learner_abort" "never promoted; migration aborted";
            t.ctx.retire_self ()
@@ -2472,7 +2503,7 @@ and await_candidates t =
                  | None -> false
                in
                if not own_present then announce_candidacy t
-               else if List.length kids >= Config.majority t.ctx.config then
+               else if List.length kids >= Config.majority then
                  evaluate_candidates t kids
              | Error _ -> ()))
   end

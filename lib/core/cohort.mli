@@ -45,7 +45,7 @@ type ctx = {
       (** the cohort's current membership under the live routing table *)
   xfer : Sim.Resource.t;
       (** the node's bulk-transfer link; snapshot chunks stream through it at
-          [Config.xfer_bytes_per_sec] so migration bandwidth is modelled *)
+          a fixed 100 MB/s, so migration bandwidth is modelled *)
   apply_meta : op:Storage.Log_record.op -> leader:bool -> unit;
       (** node-level side effects of a committed metadata record (routing
           table update, child-cohort spawn, layout publication) *)
@@ -118,14 +118,15 @@ val read_stats : t -> read_stats
     not reset them — they feed bench series like the write-phase samples). *)
 
 val set_lease_disabled : t -> bool -> unit
-(** Force the unleased (per-read quorum guard) strong-read path even with
-    [Config.lease_fraction] > 0 — the bench's leased-vs-unleased A/B switch,
-    flippable at runtime without rebuilding the cluster. *)
+(** Force the unleased (per-read quorum guard) strong-read path — the
+    bench's leased-vs-unleased A/B switch, flippable at runtime without
+    rebuilding the cluster. *)
 
 val lease_valid : t -> bool
 (** Whether this replica currently holds a live leader lease: its ZK session
-    is alive and the last successful contact is fresher than
-    [Config.lease_fraction] of the session timeout. Meaningful on a leader;
+    is alive and the last successful contact is fresher than 0.4 of
+    [Config.session_timeout]; the fraction must stay below 0.5, where the ZK
+    client declares its own session dead. Meaningful on a leader;
     tests use it to probe the fencing window. *)
 
 (** {2 Membership change and splits (§10)} *)
@@ -151,8 +152,7 @@ val request_split : t -> bool
 val start_learner : t -> leader:int -> unit
 (** Called by the node layer when a snapshot chunk arrives for a range it
     does not host: turn this fresh cohort into a learner replica fed by
-    [leader]. Retires itself if never promoted within
-    [Config.learner_timeout]. *)
+    [leader]. Retires itself if never promoted within 30 s. *)
 
 val retire : t -> unit
 (** The node no longer hosts this range: fail queued writers, release any

@@ -1,6 +1,5 @@
 type t = {
   nodes : int;
-  replication : int;
   key_space : int;
   commit_period : Sim.Sim_time.span;
   session_timeout : Sim.Sim_time.span;
@@ -20,58 +19,24 @@ type t = {
           (historical behavior). *)
   piggyback_commits : bool;
   flush_bytes : int;
-  compaction_fanin : int;
-  max_sstables : int;
   row_cache_capacity : int;
-  read_service_us : float;
-  read_cache_hit_service_us : float;
-  read_probe_service_us : float;
-  write_service_us : float;
-  follower_write_service_us : float;
   value_bytes : int;
   client_timeout : Sim.Sim_time.span;
-  client_backoff_base : Sim.Sim_time.span;
-  client_backoff_max : Sim.Sim_time.span;
-  client_max_attempts : int;
   metrics_sample_period : Sim.Sim_time.span;
   trace_capacity : int;
   outlier_top_k : int;
-  outlier_window : Sim.Sim_time.span;
-  xfer_bytes_per_sec : float;
-  snapshot_chunk_bytes : int;
-  learner_timeout : Sim.Sim_time.span;
   migration_timeout : Sim.Sim_time.span;
-  lease_fraction : float;
-      (** Leader lease length as a fraction of [session_timeout], anchored to
-          the leader's last successful ZK contact. Must be < 0.5: the ZK
-          client declares its own session dead once it has been silent for
-          half the timeout, so any lease shorter than that lapses strictly
-          before a replacement leader can be elected. [<= 0.] disables leases
-          and falls back to a per-read quorum guard. *)
-  read_guard_service_us : float;
-      (** CPU cost on leader and follower to process one read-index guard
-          message (the unleased strong-read quorum round). *)
-  read_lsn_wait : Sim.Sim_time.span;
-      (** Follower-side staleness bound for token (read-your-writes) timeline
-          reads: how long a follower parks a read waiting for its applied LSN
-          to reach the client's token before redirecting to the leader. *)
-  txn_sweep_period : Sim.Sim_time.span;
-      (** How often a leader scans its store for in-doubt transaction intents
-          (presumed-abort recovery). *)
-  txn_indoubt_after : Sim.Sim_time.span;
-      (** Age at which an unresolved intent counts as in-doubt: old enough
-          that a live coordinator client would have resolved it already. *)
-  txn_snap_retries : int;
-      (** How many times a snapshot reader retries a [Snap_blocked] read
-          (an unresolved intent at or below its fence) before giving up and
-          aborting the transaction. *)
   seed : int;
 }
+
+let replication = 3
+let majority = (replication / 2) + 1
+let read_service_us = 700.0
+let write_service_us = 50.0
 
 let default =
   {
     nodes = 10;
-    replication = 3;
     key_space = 100_000;
     commit_period = Sim.Sim_time.sec 1;
     session_timeout = Sim.Sim_time.sec 2;
@@ -81,37 +46,12 @@ let default =
     ack_coalesce = Sim.Sim_time.span_zero;
     piggyback_commits = false;
     flush_bytes = 4 * 1024 * 1024;
-    compaction_fanin = 4;
-    max_sstables = 16;
     row_cache_capacity = 4096;
-    read_service_us = 700.0;
-    read_cache_hit_service_us = 40.0;
-    read_probe_service_us = 30.0;
-    write_service_us = 50.0;
-    follower_write_service_us = 30.0;
     value_bytes = 4096;
     client_timeout = Sim.Sim_time.ms 400;
-    client_backoff_base = Sim.Sim_time.ms 2;
-    client_backoff_max = Sim.Sim_time.ms 400;
-    client_max_attempts = 60;
     metrics_sample_period = Sim.Sim_time.ms 100;
     trace_capacity = Sim.Trace.default_capacity;
     outlier_top_k = 5;
-    outlier_window = Sim.Sim_time.sec 1;
-    xfer_bytes_per_sec = 100e6;
-    snapshot_chunk_bytes = 512 * 1024;
-    learner_timeout = Sim.Sim_time.sec 30;
     migration_timeout = Sim.Sim_time.sec 10;
-    lease_fraction = 0.4;
-    read_guard_service_us = 20.0;
-    read_lsn_wait = Sim.Sim_time.ms 50;
-    txn_sweep_period = Sim.Sim_time.sec 2;
-    txn_indoubt_after = Sim.Sim_time.sec 4;
-    txn_snap_retries = 8;
     seed = 42;
   }
-
-let with_nodes nodes t = { t with nodes }
-let with_disk disk t = { t with disk }
-let with_commit_period commit_period t = { t with commit_period }
-let majority t = (t.replication / 2) + 1

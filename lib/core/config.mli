@@ -2,11 +2,13 @@
 
     Defaults mirror the paper's setup (§C): 10 nodes, 3-way replication, a
     dedicated magnetic logging disk per node, a 1-GbE rack network, a
-    2-second Zookeeper session timeout, and a 1-second commit period. *)
+    2-second Zookeeper session timeout, and a 1-second commit period.
+
+    [t] holds only what some experiment varies; figures every run shares
+    are constants, here or in the one module that reads them. *)
 
 type t = {
   nodes : int;
-  replication : int;  (** N; 3 throughout the paper *)
   key_space : int;  (** keys are zero-padded integers in [0, key_space) *)
   commit_period : Sim.Sim_time.span;
       (** interval between asynchronous commit messages (§5) *)
@@ -24,65 +26,29 @@ type t = {
   piggyback_commits : bool;
       (** piggy-back commit messages on proposes (§D.1 optimisation) *)
   flush_bytes : int;  (** memtable flush threshold *)
-  compaction_fanin : int;
-      (** size-tier width: adjacent similar-sized SSTables per merge *)
-  max_sstables : int;
-      (** table-count safety valve forcing a full merge with tombstone GC *)
   row_cache_capacity : int;  (** LRU row-cache entries per store; 0 disables *)
-  read_service_us : float;  (** CPU cost to serve a read that misses the cache *)
-  read_cache_hit_service_us : float;  (** CPU cost of a row-cache hit *)
-  read_probe_service_us : float;
-      (** additional CPU cost per SSTable actually probed on a miss *)
-  write_service_us : float;  (** leader CPU cost to process a write *)
-  follower_write_service_us : float;  (** follower CPU cost per propose *)
   value_bytes : int;  (** payload size; the paper uses 4 KB *)
   client_timeout : Sim.Sim_time.span;  (** client retry timeout *)
-  client_backoff_base : Sim.Sim_time.span;
-      (** first retry delay; doubles per attempt (jittered) *)
-  client_backoff_max : Sim.Sim_time.span;  (** retry delay cap *)
-  client_max_attempts : int;  (** attempts before reporting [Unavailable] *)
   metrics_sample_period : Sim.Sim_time.span;
       (** gauge sampling interval for the cluster metrics registry *)
   trace_capacity : int;  (** trace ring-buffer capacity (events retained) *)
   outlier_top_k : int;
-      (** flight recorder: slowest requests pinned per window (0 disables) *)
-  outlier_window : Sim.Sim_time.span;
-      (** flight recorder: window over which the top-K slowest are tracked *)
-  xfer_bytes_per_sec : float;
-      (** snapshot-transfer bandwidth per node (replica migration) *)
-  snapshot_chunk_bytes : int;  (** snapshot ship chunk size *)
-  learner_timeout : Sim.Sim_time.span;
-      (** a learner replica never promoted within this span retires itself *)
+      (** flight recorder: slowest requests pinned per 1 s window (0 disables) *)
   migration_timeout : Sim.Sim_time.span;
       (** leader-side watchdog: abort a migration stuck in catch-up *)
-  lease_fraction : float;
-      (** leader lease length as a fraction of [session_timeout], anchored to
-          the leader's last successful ZK contact; must be < 0.5 (the ZK
-          client self-expires after half the timeout of silence, so the lease
-          lapses strictly before a replacement leader can exist). [<= 0.]
-          disables leases: strong reads then pay a per-read quorum guard *)
-  read_guard_service_us : float;
-      (** CPU cost per read-index guard message (unleased strong reads) *)
-  read_lsn_wait : Sim.Sim_time.span;
-      (** follower staleness bound for token timeline reads before
-          redirecting the client to the leader *)
-  txn_sweep_period : Sim.Sim_time.span;
-      (** leader scan period for in-doubt intents (presumed-abort recovery) *)
-  txn_indoubt_after : Sim.Sim_time.span;
-      (** unresolved-intent age at which the sweep escalates it *)
-  txn_snap_retries : int;
-      (** snapshot-read retries against an unresolved intent before the
-          transaction aborts *)
   seed : int;
 }
 
 val default : t
 
-val with_nodes : int -> t -> t
+val replication : int
+(** N, the cohort size: 3 throughout the paper. *)
 
-val with_disk : Sim.Disk_model.kind -> t -> t
-
-val with_commit_period : Sim.Sim_time.span -> t -> t
-
-val majority : t -> int
+val majority : int
 (** Quorum size: [replication / 2 + 1]. *)
+
+val read_service_us : float
+(** CPU cost, in µs, to serve a read that misses the row cache. *)
+
+val write_service_us : float
+(** Leader CPU cost, in µs, to process a write. *)

@@ -49,10 +49,6 @@ let reply t ~client ~request_id reply =
   in
   send t ~trace_id ~dst:client (Message.Reply { request_id; reply })
 
-(* The session-renewal path wants to reconcile the layout, but the membership
-   machinery is defined after the reconnect loop; tied together below. *)
-let on_session_renewed : (t -> unit) ref = ref (fun _ -> ())
-
 let rec zk_exn t =
   match t.zk with
   | Some zk when Coord.Zk_client.alive zk -> zk
@@ -107,7 +103,7 @@ and reconnect_zk t =
           (Printf.sprintf "n%d session renewed" t.id);
         (* Catch up on layout changes missed while disconnected, then let
            every cohort fall back in line under the current layout. *)
-        !on_session_renewed t;
+        refresh_layout t;
         List.iter (fun (_, c) -> Cohort.zk_session_renewed c) t.cohorts
       end
       else ignore (Sim.Engine.schedule t.engine ~after:retry_after attempt)
@@ -116,18 +112,10 @@ and reconnect_zk t =
   in
   ignore (Sim.Engine.schedule t.engine ~after:retry_after attempt)
 
-let set_zk_reachable t r =
-  if t.zk_reachable <> r then begin
-    t.zk_reachable <- r;
-    Sim.Trace.event t.trace ~node:t.id ~tag:"zk_link"
-      (Printf.sprintf "n%d coordination link %s" t.id (if r then "healed" else "cut"));
-    match t.zk with Some zk -> Coord.Zk_client.set_reachable zk r | None -> ()
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Cohort construction and the live-membership machinery (§10).        *)
 
-let rec make_cohort_with_store t range store =
+and make_cohort_with_store t range store =
   let ctx : Cohort.ctx =
     {
       engine = t.engine;
@@ -160,8 +148,6 @@ let rec make_cohort_with_store t range store =
 and make_cohort t range =
   let store =
     Storage.Store.create ~cohort:range ~wal:t.wal ~flush_bytes:t.config.Config.flush_bytes
-      ~compaction_fanin:t.config.Config.compaction_fanin
-      ~max_sstables:t.config.Config.max_sstables
       ~cache_capacity:t.config.Config.row_cache_capacity ()
   in
   (match Partition.range_bounds t.partition ~range with
@@ -341,17 +327,25 @@ and arm_layout_watch t =
         end)
   end
 
-let () =
-  on_session_renewed :=
-    fun t ->
-      Coord.Zk_client.get_data (zk_exn t) ~path:"/layout" (fun r ->
-          if t.alive then begin
-            (match r with
-            | Ok data -> ignore (Partition.update_from_string t.partition data)
-            | Error _ -> ());
-            reconcile_layout t;
-            arm_layout_watch t
-          end)
+(* Session renewed: re-read /layout for changes missed while disconnected,
+   reconcile against it and re-arm the watch. *)
+and refresh_layout t =
+  Coord.Zk_client.get_data (zk_exn t) ~path:"/layout" (fun r ->
+      if t.alive then begin
+        (match r with
+        | Ok data -> ignore (Partition.update_from_string t.partition data)
+        | Error _ -> ());
+        reconcile_layout t;
+        arm_layout_watch t
+      end)
+
+let set_zk_reachable t r =
+  if t.zk_reachable <> r then begin
+    t.zk_reachable <- r;
+    Sim.Trace.event t.trace ~node:t.id ~tag:"zk_link"
+      (Printf.sprintf "n%d coordination link %s" t.id (if r then "healed" else "cut"));
+    match t.zk with Some zk -> Coord.Zk_client.set_reachable zk r | None -> ()
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch.                                                           *)

@@ -13,11 +13,10 @@ type outcome =
 type t = {
   client : Client.t;
   engine : Sim.Engine.t;
-  config : Config.t;
   mutable next : int;
 }
 
-let manager ~engine ~config client = { client; engine; config; next = 0 }
+let manager ~engine ~config:(_ : Config.t) client = { client; engine; next = 0 }
 
 let fresh_id t =
   let n = t.next in
@@ -43,6 +42,10 @@ let fence_keys t keys k =
   in
   go [] keys
 
+(* How many times a snapshot reader retries a [Snap_blocked] read (an
+   unresolved intent at or below its fence) before aborting the transaction. *)
+let snap_retries = 8
+
 (* One MVCC read at (the key range's fence LSN, the snapshot's global
    timestamp). An unresolved intent at or below the fence blocks the read —
    its owner may yet commit inside our snapshot — so back off and retry a
@@ -52,7 +55,7 @@ let rec snap_read t ~fences ~b_ts ~attempts (key, col) k =
   Client.snap_get t.client key col ~fence ~fence_ts:b_ts (function
     | Ok (Client.Snap_value v) -> k (Ok (v.Client.value, v.Client.version))
     | Ok (Client.Snap_intent blocker) ->
-      if attempts >= t.config.Config.txn_snap_retries then
+      if attempts >= snap_retries then
         k (Error (Printf.sprintf "read %s blocked by %s" key blocker))
       else
         ignore

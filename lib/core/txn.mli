@@ -45,6 +45,8 @@ type t
     runs the protocol through the client's retry/routing machinery. *)
 
 val manager : engine:Sim.Engine.t -> config:Config.t -> Client.t -> t
+(** [config] is accepted for existing callers; no transaction tunable is
+    read from it. *)
 
 val run :
   t ->

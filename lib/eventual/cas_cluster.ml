@@ -13,7 +13,7 @@ type t = {
 
 let create engine ?anti_entropy_period config =
   let partition =
-    Partition.create ~nodes:config.Config.nodes ~replication:config.Config.replication
+    Partition.create ~nodes:config.Config.nodes ~replication:Config.replication
       ~key_space:config.Config.key_space
   in
   let net = Sim.Network.create engine () in

@@ -31,7 +31,6 @@ type t = {
   engine : Sim.Engine.t;
   net : Cas_message.t Sim.Network.t;
   partition : Partition.t;
-  config : Config.t;
   trace : Sim.Trace.t;
   anti_entropy_period : Sim.Sim_time.span option;
   cpu : Sim.Resource.t;
@@ -65,8 +64,6 @@ let create ~engine ~net ~partition ~config ~trace ~anti_entropy_period ~id =
         ( range,
           Store.create ~cohort:range ~wal ~newer:Row.newer_by_timestamp
             ~flush_bytes:config.Config.flush_bytes
-            ~compaction_fanin:config.Config.compaction_fanin
-            ~max_sstables:config.Config.max_sstables
             ~cache_capacity:config.Config.row_cache_capacity () ))
       (Partition.ranges_of_node partition ~node:id)
   in
@@ -77,7 +74,6 @@ let create ~engine ~net ~partition ~config ~trace ~anti_entropy_period ~id =
     engine;
     net;
     partition;
-    config;
     trace;
     anti_entropy_period;
     cpu;
@@ -121,11 +117,14 @@ let replicas_of t key =
 
 (* --- replica side ---------------------------------------------------- *)
 
+(* Replica CPU cost, in µs, to apply one replicated write. *)
+let replica_write_service_us = 30.0
+
 (* Apply a replicated cell locally: log it, force, apply to the memtable,
    then ack if the coordinator asked for one. Last-writer-wins: the store's
    [newer_by_timestamp] keeps the newest cell on overlap. *)
 let replica_apply t ~req ~coord ~(cell : Row.cell) ~reply_to =
-  let service = Sim.Sim_time.of_us_f t.config.Config.follower_write_service_us in
+  let service = Sim.Sim_time.of_us_f replica_write_service_us in
   Sim.Resource.submit t.cpu ~service
     (guard t (fun () ->
          let range = Partition.route t.partition (fst coord) in
@@ -151,7 +150,7 @@ let replica_apply t ~req ~coord ~(cell : Row.cell) ~reply_to =
                   | None -> ()))))
 
 let replica_read t ~req ~coord ~reply_to =
-  let service = Sim.Sim_time.of_us_f t.config.Config.read_service_us in
+  let service = Sim.Sim_time.of_us_f Config.read_service_us in
   Sim.Resource.submit t.cpu ~service
     (guard t (fun () ->
          let cell = read_local t coord in
@@ -160,7 +159,7 @@ let replica_read t ~req ~coord ~reply_to =
 (* --- coordinator side ------------------------------------------------ *)
 
 let coordinate_write t ~client ~request_id ~key ~col ~value ~level =
-  let service = Sim.Sim_time.of_us_f t.config.Config.write_service_us in
+  let service = Sim.Sim_time.of_us_f Config.write_service_us in
   Sim.Resource.submit t.cpu ~service
     (guard t (fun () ->
          let _, replicas = replicas_of t key in
@@ -226,14 +225,14 @@ let coordinate_read t ~client ~request_id ~key ~col ~level =
   | Cas_message.One ->
     (* A weak read accesses just one replica (§9) — the coordinator itself,
        since clients route to a replica of the key. *)
-    let service = Sim.Sim_time.of_us_f t.config.Config.read_service_us in
+    let service = Sim.Sim_time.of_us_f Config.read_service_us in
     Sim.Resource.submit t.cpu ~service
       (guard t (fun () ->
            let cell = read_local t (key, col) in
            send t ~dst:client (Cas_message.Read_reply { request_id; cell })))
   | Cas_message.Quorum ->
     (* A quorum read accesses two replicas and checks for conflicts (§9). *)
-    let service = Sim.Sim_time.of_us_f (t.config.Config.read_service_us /. 2.0) in
+    let service = Sim.Sim_time.of_us_f (Config.read_service_us /. 2.0) in
     Sim.Resource.submit t.cpu ~service
       (guard t (fun () ->
            let _, replicas = replicas_of t key in

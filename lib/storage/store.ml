@@ -34,7 +34,6 @@ type t = {
   flush_bytes : int;
   compaction_fanin : int;
   max_sstables : int;
-  tier_growth : float;
   cache_capacity : int;
   cache : Row.cell option Cache.t option;
   mutable bounds : (Row.key * Row.key) option;
@@ -73,8 +72,7 @@ type t = {
 }
 
 let create ~cohort ~wal ?(newer = Row.newer_by_lsn) ?(flush_bytes = 4 * 1024 * 1024)
-    ?(compaction_fanin = 4) ?(max_sstables = 16) ?(tier_growth = Compaction.default_growth)
-    ?(cache_capacity = 0) ?(mvcc_depth = 64) () =
+    ?(compaction_fanin = 4) ?(max_sstables = 16) ?(cache_capacity = 0) ?(mvcc_depth = 64) () =
   if mvcc_depth < 1 then invalid_arg "Store.create: mvcc_depth must be positive";
   {
     cohort;
@@ -84,7 +82,6 @@ let create ~cohort ~wal ?(newer = Row.newer_by_lsn) ?(flush_bytes = 4 * 1024 * 1
     flush_bytes;
     compaction_fanin;
     max_sstables;
-    tier_growth;
     cache_capacity;
     cache = (if cache_capacity > 0 then Some (Cache.create ~capacity:cache_capacity ()) else None);
     bounds = None;
@@ -186,10 +183,7 @@ let split_run tables ~start ~length =
   go 0 [] tables
 
 let rec maybe_compact t =
-  match
-    Compaction.plan ~fanin:t.compaction_fanin ~max_tables:t.max_sstables
-      ~growth:t.tier_growth t.sstables
-  with
+  match Compaction.plan ~fanin:t.compaction_fanin ~max_tables:t.max_sstables t.sstables with
   | None -> ()
   | Some Compaction.All ->
     (* Safety valve: the tiers failed to keep the fan-in down (or a caller
@@ -845,7 +839,7 @@ let split_child parent ~cohort ~lo ~hi =
   let child =
     create ~cohort ~wal:parent.wal ~newer:parent.newer ~flush_bytes:parent.flush_bytes
       ~compaction_fanin:parent.compaction_fanin ~max_sstables:parent.max_sstables
-      ~tier_growth:parent.tier_growth ~cache_capacity:parent.cache_capacity ()
+      ~cache_capacity:parent.cache_capacity ~mvcc_depth:parent.mvcc_depth ()
   in
   child.bounds <- Some (lo, hi);
   child.sstables <- parent.sstables;

@@ -30,7 +30,6 @@ val create :
   ?flush_bytes:int ->
   ?compaction_fanin:int ->
   ?max_sstables:int ->
-  ?tier_growth:float ->
   ?cache_capacity:int ->
   ?mvcc_depth:int ->
   unit ->
@@ -40,7 +39,7 @@ val create :
     {!Row.newer_by_timestamp}. [flush_bytes] (default 4 MiB) triggers
     memtable flush. [compaction_fanin] (default 4) is the tier width: a
     merge starts once that many adjacent similar-sized tables exist
-    (similarity factor [tier_growth], default {!Compaction.default_growth}).
+    (similarity factor {!Compaction.default_growth}).
     [max_sstables] (default 16) forces a full merge with tombstone GC.
     [cache_capacity] (default 0 = disabled) bounds the LRU row cache in
     entries. [mvcc_depth] (default 64, at least 1) bounds each coordinate's
@@ -78,7 +77,8 @@ val split_child : t -> cohort:int -> lo:Row.key -> hi:Row.key -> t
 (** A new store for the child range [[lo, hi)] sharing this store's
     (immutable) SSTables — no data copied or rewritten; the sibling's cells
     are dropped lazily by the child's own compactions. The parent's memtable
-    must be flushed first. The child's flush horizon and [inherited_upto]
+    must be flushed first. The child keeps every {!create} option of the
+    parent, [mvcc_depth] included. Its flush horizon and [inherited_upto]
     are the shared tables' max LSN. *)
 
 val skipped : t -> Skipped_lsns.t

@@ -171,7 +171,7 @@ let test_committed_write_on_quorum () =
   check_bool
     (Printf.sprintf "forced on %d/3 logs" (List.length holders))
     true
-    (List.length holders >= Config.majority test_config)
+    (List.length holders >= Config.majority)
 
 let prop_random_failover_schedules_preserve_acked_writes =
   QCheck.Test.make ~name:"random failover schedules never lose acked writes" ~count:8

@@ -22,5 +22,4 @@ let () =
       ("observability", Test_observability.suite);
       ("workload", Test_workload.suite);
       ("scaleout", Test_scaleout.suite);
-      ("sync-api", Test_sync.suite);
     ]

@@ -195,6 +195,31 @@ let prop_ring_matches_list_chain ~depth =
       List.iter (fun i -> check (coord_of i)) (List.init ring_coords Fun.id);
       true)
 
+(* --- a split child keeps the parent's chain depth --------------------- *)
+
+(* [Store.split_child] must carry every [create] option over, [mvcc_depth]
+   included: a child that silently fell back to the default depth would
+   answer snapshot reads the parent's own replica could not. *)
+let test_split_child_keeps_depth () =
+  let _, wal = make_wal () in
+  let parent = Store.create ~cohort:0 ~wal ~mvcc_depth:1 () in
+  Store.flush parent;
+  let child = Store.split_child parent ~cohort:1 ~lo:"k" ~hi:"l" in
+  let coord = ("k1", "c") in
+  List.iter
+    (fun (seq, value) ->
+      let op = Log_record.Put { key = fst coord; col = snd coord; value; version = seq } in
+      Store.apply parent ~lsn:(lsn seq) ~timestamp:seq op;
+      Store.apply child ~lsn:(lsn seq) ~timestamp:seq op)
+    [ (2, "a"); (3, "b"); (4, "c") ];
+  for seq = 1 to 4 do
+    let fence = lsn seq and fence_ts = seq in
+    let want = Store.snapshot_get parent coord ~fence ~fence_ts in
+    let got = Store.snapshot_get child coord ~fence ~fence_ts in
+    if not (same_snap got want) then
+      Alcotest.failf "fence %d: parent %s, child %s" seq (pp_snap want) (pp_snap got)
+  done
+
 (* --- staged recovery vs per-cell replay ------------------------------ *)
 
 type record =
@@ -436,4 +461,8 @@ let suite =
         ~all:true;
       prop_recovery "recover_all: staged == per-cell replay (timestamp order)"
         ~newer:Row.newer_by_timestamp ~all:true;
+    ]
+  @ [
+      Alcotest.test_case "split child keeps the parent's mvcc depth" `Quick
+        test_split_child_keeps_depth;
     ]

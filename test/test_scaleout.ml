@@ -412,7 +412,7 @@ let test_migration_end_to_end () =
   let members = Partition.cohort partition ~range in
   check_bool "joiner swapped in" true (List.mem joiner members);
   check_bool "donor swapped out" false (List.mem donor members);
-  check_int "cohort back at replication size" test_config.Config.replication
+  check_int "cohort back at replication size" Config.replication
     (List.length members);
   (* The donor learns of the committed change and drops the replica. *)
   check_bool "donor retires its replica" true
@@ -739,7 +739,7 @@ let run_chaos_seed seed =
     true
     (List.for_all
        (fun range ->
-         List.length (Partition.cohort partition ~range) = test_config.Config.replication)
+         List.length (Partition.cohort partition ~range) = Config.replication)
        (Partition.range_ids partition));
   (* Final strong reads close the history and pin the per-key version. *)
   let final_client = Cluster.new_client cluster in
