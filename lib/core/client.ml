@@ -58,6 +58,9 @@ type t = {
           the sweep reaches them; fire times of real timeouts are exact. *)
   mutable timeout_armed : bool;
   mutable next_request : int;
+  mutable floor : int;
+      (** completion floor: every id below it has settled (answered or given
+          up), so cohorts may forget those outcomes; sent in every request *)
   mutable rr : int;
   mutable retries : int;
 }
@@ -97,6 +100,7 @@ let reply_name = function
   | Message.Snap_blocked _ -> "snap_blocked"
   | Message.Txn_conflict -> "txn_conflict"
   | Message.Txn_decided _ -> "txn_decided"
+  | Message.Stale_request -> "stale_request"
 
 (* Close the request's [client.request] span with its final outcome, then
    offer the completed request to the flight recorder — the note must come
@@ -144,6 +148,13 @@ let pending_find t rid =
   if t.pending_rid.(i) = rid then t.pending_slot.(i) else None
 
 let pending_mem t rid = t.pending_rid.(rid land (Array.length t.pending_rid - 1)) = rid
+
+(* Raise the floor past settled ids. Ids leave the pending table and never
+   return, so the floor only rises and each id is stepped over once. *)
+let advance_floor t =
+  while t.floor < t.next_request && not (pending_mem t t.floor) do
+    t.floor <- t.floor + 1
+  done
 
 let pending_remove t rid =
   let i = rid land (Array.length t.pending_rid - 1) in
@@ -236,7 +247,8 @@ let strong_route op =
 
 let rec dispatch t request_id p =
   let dst = target_for t ~strong:(strong_route p.op || p.to_leader) p.op in
-  let msg = Message.Request { client = t.id; request_id; op = p.op } in
+  advance_floor t;
+  let msg = Message.Request { client = t.id; request_id; floor = t.floor; op = p.op } in
   Sim.Network.send t.net ~src:t.id ~dst ~size:(Message.size msg) ~trace_id:p.trace_id msg;
   let deadline = Sim.Sim_time.add (Sim.Engine.now t.engine) t.config.Config.client_timeout in
   p.deadline <- deadline;
@@ -380,6 +392,7 @@ let create ~engine ~net ~partition ~config ~id ?trace ?flight ~lookup_leader
       timeouts = Queue.create ();
       timeout_armed = false;
       next_request = 0;
+      floor = 0;
       rr = 0;
       retries = 0;
     }

@@ -86,10 +86,24 @@ type read_stats = {
   mutable token_redirects : int;  (** parked reads that hit the staleness bound *)
 }
 
-(* Outcome of a client write, remembered per (client, request id) so a
-   duplicated or retried request is answered idempotently instead of being
-   applied a second time (clients retry under loss and leader changes). *)
+(* Outcome of a client write, remembered per request so a duplicated or
+   retried request is answered idempotently instead of being applied a
+   second time (clients retry under loss and leader changes). *)
 type dedup_state = In_flight | Done of Message.client_reply
+
+(* One client's reply cache, RIFL's completion record: [floor] is the highest
+   completion floor the client has reported, by a request or through a log
+   origin, and [outcomes] (newest first) holds only ids at or above it. The
+   client has settled every id below the floor, so a copy of one arriving
+   now is a late duplicate. *)
+type replies = { mutable floor : int; mutable outcomes : (int * dedup_state) list }
+
+module Client_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash c = c land max_int
+end)
 
 (* Per leader-tracked write (keyed by its last LSN): the append instant for
    the phase histograms plus the request's trace id and open replication
@@ -129,7 +143,7 @@ type t = {
       (** the takeover has its follower quorum but the re-proposed (cmt, lst]
           tail is not yet committed; [try_commit] opens the cohort once it is *)
   mutable waiting : waiting_write list;  (** writes queued while closed/blocked, newest first *)
-  mutable unproposed : (Lsn.t * Storage.Log_record.op * int * (int * int) option) list;
+  mutable unproposed : (Lsn.t * Storage.Log_record.op * int * Log_record.origin option) list;
       (** newest first: appended+forced locally but held back because the
           replication pipeline window ([Config.pipeline_depth]) is full;
           shipped as one batched Propose when a slot frees *)
@@ -137,8 +151,9 @@ type t = {
       (** highest LSN of each outstanding Propose batch; a batch retires
           when cmt reaches it *)
   mutable commit_timer_armed : bool;
-  dedup : (int * int, dedup_state) Hashtbl.t;
-      (** (client, request id) -> write outcome, for duplicate suppression *)
+  dedup : replies Client_tbl.t;
+      (** client id -> its floor and write outcomes, for duplicate
+          suppression *)
   mutable migration : migration option;  (** leader-side migration in flight *)
   mutable splitting : bool;  (** a range split is being logged; writes block *)
   (* follower state *)
@@ -260,7 +275,7 @@ let create ctx =
     unproposed = [];
     inflight_props = Queue.create ();
     commit_timer_armed = false;
-    dedup = Hashtbl.create 64;
+    dedup = Client_tbl.create 64;
     migration = None;
     splitting = false;
     catching_up = false;
@@ -305,7 +320,7 @@ let cmt t = t.cmt
 let lst t = t.lst
 let is_open t = t.role = Leader && t.open_for_writes
 let pending_writes t = Commit_queue.length t.queue
-let reply_cache_size t = Hashtbl.length t.dedup
+let reply_cache_size t = Client_tbl.fold (fun _ r n -> n + List.length r.outcomes) t.dedup 0
 let store t = t.ctx.store
 let is_learner t = t.learner
 let migrating t = Option.is_some t.migration
@@ -359,7 +374,7 @@ let propose_trace_id t writes =
         (fun acc (_, _, _, origin) -> match origin with Some _ -> origin | None -> acc)
         None writes
     with
-    | Some (client, request_id) -> Sim.Trace.request_trace_id ~client ~request_id
+    | Some { Log_record.client; request_id; _ } -> Sim.Trace.request_trace_id ~client ~request_id
     | None -> -1
   else -1
 
@@ -383,24 +398,67 @@ let trigger_resync : (t -> unit) ref = ref (fun _ -> ())
 (* ------------------------------------------------------------------ *)
 (* Duplicate suppression: retried writes must be acked idempotently.    *)
 
-(* Request ids are per-client monotonic and retries only ever target recent
-   ids, so a sliding window per client bounds the cache. *)
-let dedup_window = 128
+let replies_of t client =
+  match Client_tbl.find_opt t.dedup client with
+  | Some r -> r
+  | None ->
+    let r = { floor = 0; outcomes = [] } in
+    Client_tbl.add t.dedup client r;
+    r
+
+let raise_floor r floor =
+  if floor > r.floor then begin
+    r.floor <- floor;
+    r.outcomes <- List.filter (fun (id, _) -> id >= floor) r.outcomes
+  end
+
+let rec outcome_in request_id = function
+  | [] -> None
+  | (id, state) :: rest -> if id = request_id then Some state else outcome_in request_id rest
+
+let without request_id outcomes = List.filter (fun (id, _) -> id <> request_id) outcomes
+
+let remember r request_id state =
+  if request_id >= r.floor then r.outcomes <- (request_id, state) :: without request_id r.outcomes
 
 let cache_outcome t origin reply =
   match origin with
   | None -> ()
-  | Some (client, request_id) ->
-    Hashtbl.replace t.dedup (client, request_id) (Done reply);
-    Hashtbl.remove t.dedup (client, request_id - dedup_window)
+  | Some { Log_record.client; request_id; floor } ->
+    let r = replies_of t client in
+    raise_floor r floor;
+    remember r request_id (Done reply)
 
 let reply_write t ~client ~request_id reply =
-  cache_outcome t (Some (client, request_id)) reply;
+  remember (replies_of t client) request_id (Done reply);
   t.ctx.reply ~client ~request_id reply
 
+(* The settled part of the cache, shipped with catch-up: cells carry no
+   origins, so this is how a caught-up replica learns the outcomes (and
+   floors) of the writes it receives as cells. *)
+let settled_replies t =
+  Client_tbl.fold
+    (fun client r acc ->
+      let settled =
+        List.filter_map
+          (function id, Done reply -> Some (id, reply) | _, In_flight -> None)
+          r.outcomes
+      in
+      (client, r.floor, settled) :: acc)
+    t.dedup []
+
+let adopt_replies t replies =
+  List.iter
+    (fun (client, floor, settled) ->
+      let r = replies_of t client in
+      raise_floor r floor;
+      List.iter (fun (request_id, reply) -> remember r request_id (Done reply)) settled)
+    replies
+
 let clear_in_flight t ~client ~request_id =
-  match Hashtbl.find_opt t.dedup (client, request_id) with
-  | Some In_flight -> Hashtbl.remove t.dedup (client, request_id)
+  match Client_tbl.find_opt t.dedup client with
+  | Some r when outcome_in request_id r.outcomes = Some In_flight ->
+    r.outcomes <- without request_id r.outcomes
   | _ -> ()
 
 (* The settled-outcome reply for a committed record: a 2PC decision answers
@@ -578,7 +636,7 @@ let rec try_commit t =
            closure but may carry an origin: answer the (possibly still
            retrying) client and remember the outcome. *)
         (match e.origin with
-        | Some (client, request_id) ->
+        | Some { Log_record.client; request_id; _ } ->
           reply_write t ~client ~request_id (reply_for_record e.op ~lsn:e.lsn)
         | None -> ()));
       txn_applied t e.op;
@@ -765,23 +823,33 @@ and drain_waiting t =
    and in parallel appends the write to the commit queue and proposes it
    to the followers; it commits after its own force plus one ack.        *)
 
-and handle_write t ~client ~request_id op =
+and handle_write t ~client ~request_id ~floor op =
   if t.role <> Leader then
     t.ctx.reply ~client ~request_id (Message.Not_leader { hint = t.leader })
   else begin
-    match Hashtbl.find_opt t.dedup (client, request_id) with
-    | Some (Done reply) ->
-      (* A retry of a write that already settled (its reply was lost, or the
-         retry raced the reply): resend the original outcome verbatim rather
-         than applying the write twice. *)
-      t.ctx.reply ~client ~request_id reply
-    | Some In_flight ->
-      (* The original is still working through the pipeline; its own reply —
-         or the client's next retry once this one settles — answers. *)
-      ()
-    | None ->
-      Hashtbl.replace t.dedup (client, request_id) In_flight;
-      enqueue_write t ~client ~request_id op
+    let r = replies_of t client in
+    raise_floor r floor;
+    if request_id < r.floor then
+      (* The client settled this id before it sent a request carrying the
+         higher floor, so this is a late duplicate. Its outcome may be gone,
+         and executing it again could apply the write twice. *)
+      t.ctx.reply ~client ~request_id Message.Stale_request
+    else begin
+      match outcome_in request_id r.outcomes with
+      | Some (Done reply) ->
+        (* A retry of a write that already settled (its reply was lost, or
+           the retry raced the reply): resend the original outcome verbatim
+           rather than applying the write twice. *)
+        t.ctx.reply ~client ~request_id reply
+      | Some In_flight ->
+        (* The original is still working through the pipeline; its own
+           reply — or the client's next retry once this one settles —
+           answers. *)
+        ()
+      | None ->
+        r.outcomes <- (request_id, In_flight) :: r.outcomes;
+        enqueue_write t ~client ~request_id op
+    end
   end
 
 and enqueue_write t ~client ~request_id op =
@@ -1017,12 +1085,14 @@ and perform_write_routed t ~arrived ~client ~request_id op =
     in
     let last_lsn = fst (List.nth lsns (List.length lsns - 1)) in
     (* Only the last record of a multi-column transaction carries the client
-       reply and the originating (client, request id); the whole batch
-       commits together, so the last record settling settles the request. *)
+       reply and the origin; the whole batch commits together, so the last
+       record settling settles the request. The origin's floor is the
+       highest the client has reported here, so replicas trim on apply. *)
+    let last_origin = Some { Log_record.client; request_id; floor = (replies_of t client).floor } in
     let writes =
       List.map
         (fun (lsn, op) ->
-          let origin = if Lsn.equal lsn last_lsn then Some (client, request_id) else None in
+          let origin = if Lsn.equal lsn last_lsn then last_origin else None in
           (lsn, op, ts, origin))
         lsns
     in
@@ -1404,7 +1474,7 @@ and handle_snap_get t ~client ~request_id ~key ~col ~fence ~fence_ts =
   in
   gate_read t ~client ~request_id ~consistent:false ~token:fence ~trace_id ~finish ~submit
 
-and handle_client t ~client ~request_id op =
+and handle_client t ~client ~request_id ~floor op =
   match op with
   | Message.Get { key; col; consistent; token } ->
     handle_read t ~client ~request_id ~consistent ~token ~key ~cols:[ col ] ~single:true
@@ -1415,7 +1485,7 @@ and handle_client t ~client ~request_id op =
   | Message.Fence _ -> handle_fence t ~client ~request_id
   | Message.Snap_get { key; col; fence; fence_ts } ->
     handle_snap_get t ~client ~request_id ~key ~col ~fence ~fence_ts
-  | _ -> handle_write t ~client ~request_id op
+  | _ -> handle_write t ~client ~request_id ~floor op
 
 (* ------------------------------------------------------------------ *)
 (* Follower side of Figure 4.                                           *)
@@ -1539,7 +1609,7 @@ let handle_propose t ~src ~sent_at ~epoch ~writes ~piggyback_cmt =
       writes;
     let force_tid =
       match !newest_origin with
-      | Some (client, request_id) when tracing t ->
+      | Some { Log_record.client; request_id; _ } when tracing t ->
         Sim.Trace.request_trace_id ~client ~request_id
       | _ -> -1
     in
@@ -1578,7 +1648,8 @@ let handle_propose t ~src ~sent_at ~epoch ~writes ~piggyback_cmt =
         let trace_id =
           if tracing t then
             match Commit_queue.origin_at t.queue upto with
-            | Some (client, request_id) -> Sim.Trace.request_trace_id ~client ~request_id
+            | Some { Log_record.client; request_id; _ } ->
+              Sim.Trace.request_trace_id ~client ~request_id
             | None -> -1
           else -1
         in
@@ -1687,7 +1758,14 @@ let leader_run_catchup t ~follower ~f_cmt =
          (Lsn.to_string t.cmt));
     t.ctx.send ~dst:follower
       (Message.Catchup_data
-         { range = t.ctx.range; epoch = t.epoch; cells; upto = t.cmt; final = true });
+         {
+           range = t.ctx.range;
+           epoch = t.epoch;
+           cells;
+           upto = t.cmt;
+           final = true;
+           replies = settled_replies t;
+         });
     (* If the follower dies mid-round its Catchup_done never arrives; unblock
        after a grace period so the cohort does not stall. *)
     after t (Sim.Sim_time.ms 2000) (fun () ->
@@ -1762,7 +1840,7 @@ let leader_catchup_done t ~follower ~upto =
 (* ------------------------------------------------------------------ *)
 (* Catch-up: follower side (§6.1).                                      *)
 
-let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~final =
+let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~final ~replies =
   if epoch >= t.epoch && t.role <> Offline && t.role <> Leader then begin
     accept_leader t ~src ~epoch;
     let old_cmt = t.cmt in
@@ -1810,7 +1888,7 @@ let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~final =
     List.iter
       (fun (e : Commit_queue.entry) ->
         match e.Commit_queue.origin with
-        | Some (client, request_id) -> clear_in_flight t ~client ~request_id
+        | Some { Log_record.client; request_id; _ } -> clear_in_flight t ~client ~request_id
         | None -> ())
       (Commit_queue.drop_above t.queue upto);
     List.iter
@@ -1832,6 +1910,7 @@ let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~final =
        truncated); re-learn their outcomes from our own log so duplicate
        retries stay suppressed if this node is later elected leader. *)
     recache_outcomes_from_log t ~above:old_cmt ~upto:t.cmt;
+    adopt_replies t replies;
     flush_parked_reads t;
     let finish =
       guard t (fun () ->
@@ -2185,7 +2264,7 @@ let start_takeover t =
   List.iter
     (fun (e : Commit_queue.entry) ->
       match e.Commit_queue.origin with
-      | Some (client, request_id) -> clear_in_flight t ~client ~request_id
+      | Some { Log_record.client; request_id; _ } -> clear_in_flight t ~client ~request_id
       | None -> ())
     (Commit_queue.drop_above t.queue t.lst);
   let orphans =
@@ -2201,12 +2280,28 @@ let start_takeover t =
   (* Pending entries' originating requests are in flight again: a client
      retry arriving mid-takeover must wait for the re-proposed original to
      commit, not enqueue a second copy behind it. *)
+  let pending = Commit_queue.to_list t.queue in
   List.iter
     (fun (e : Commit_queue.entry) ->
       match e.Commit_queue.origin with
-      | Some key -> if not (Hashtbl.mem t.dedup key) then Hashtbl.replace t.dedup key In_flight
+      | Some { Log_record.client; request_id; _ } ->
+        let r = replies_of t client in
+        if outcome_in request_id r.outcomes = None then remember r request_id In_flight
       | None -> ())
-    (Commit_queue.to_list t.queue);
+    pending;
+  (* A retry that reached us between winning the election and this rebuild
+     passed the duplicate gate before the markers above existed and is
+     parked in [waiting]. If its original is pending here, it is a
+     duplicate: the re-proposed original answers it when it commits. *)
+  let is_pending (w : waiting_write) =
+    List.exists
+      (fun (e : Commit_queue.entry) ->
+        match e.Commit_queue.origin with
+        | Some o -> o.Log_record.client = w.client && o.request_id = w.request_id
+        | None -> false)
+      pending
+  in
+  t.waiting <- List.filter (fun w -> not (is_pending w)) t.waiting;
   (* Ask each follower for its last committed LSN (Figure 6 lines 3-4). *)
   List.iter
     (fun f -> t.ctx.send ~dst:f (Message.Takeover_query { range = t.ctx.range; epoch = t.epoch }))
@@ -2554,10 +2649,9 @@ let crash t =
   t.takeover_commit_wait <- false;
   t.waiting <- [];
   t.commit_timer_armed <- false;
-  (* [clear], not [reset]: recovery re-learns about as many outcomes from
-     the log as the table held, so keeping its buckets spares the regrowth.
-     Nothing iterates the table, so its layout is unobservable. *)
-  Hashtbl.clear t.dedup;
+  (* [clear], not [reset]: recovery re-learns about as many clients from the
+     log as the table held, so keeping its buckets spares the regrowth. *)
+  Client_tbl.clear t.dedup;
   t.migration <- None;
   t.splitting <- false;
   t.catching_up <- false;
@@ -2720,8 +2814,8 @@ let handle_peer t ~src ~sent_at msg =
     if t.role = Leader then leader_run_catchup t ~follower:from ~f_cmt:cmt
   | Message.Catchup_request { from; cmt; _ } ->
     if t.role = Leader then leader_run_catchup t ~follower:from ~f_cmt:cmt
-  | Message.Catchup_data { epoch; cells; upto; final; _ } ->
-    follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~final
+  | Message.Catchup_data { epoch; cells; upto; final; replies; _ } ->
+    follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~final ~replies
   | Message.Catchup_done { from; upto; _ } -> leader_catchup_done t ~follower:from ~upto
   | Message.Snapshot_chunk { epoch; seq; cells; upto; final; _ } ->
     handle_snapshot_chunk t ~src ~epoch ~seq ~cells ~upto ~final

@@ -82,7 +82,10 @@ val pending_writes : t -> int
 (** Commit-queue length. *)
 
 val reply_cache_size : t -> int
-(** Entries in the duplicate-suppression reply cache. *)
+(** Outcomes ([In_flight] markers and settled replies) held in the
+    duplicate-suppression reply cache, over all clients. Each client keeps
+    only outcomes at or above its completion floor, so the count is bounded
+    by the clients' unsettled requests, not by how many writes ran. *)
 
 val store : t -> Storage.Store.t
 (** The replica's storage engine (gauge registration and inspection). *)
@@ -202,7 +205,9 @@ val write_phases : t -> Sim.Metrics.Write_phases.t
 
 (** {2 Event handling} (called by the node's dispatcher) *)
 
-val handle_client : t -> client:int -> request_id:int -> Message.client_op -> unit
+val handle_client :
+  t -> client:int -> request_id:int -> floor:int -> Message.client_op -> unit
+(** [floor] is the client's completion floor ({!Message.t.Request}). *)
 
 val handle_peer : t -> src:int -> sent_at:Sim.Sim_time.t -> Message.t -> unit
 (** [sent_at] is the envelope's send instant ({!Sim.Network.envelope}); the

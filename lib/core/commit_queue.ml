@@ -2,7 +2,7 @@ type entry = {
   lsn : Storage.Lsn.t;
   op : Storage.Log_record.op;
   timestamp : int;
-  origin : (int * int) option;
+  origin : Storage.Log_record.origin option;
   mutable forced : bool;
   mutable ackers : int list;
   reply : (unit -> unit) option;

@@ -10,8 +10,8 @@ type entry = {
   lsn : Storage.Lsn.t;
   op : Storage.Log_record.op;
   timestamp : int;
-  origin : (int * int) option;
-      (** issuing (client, request id), for duplicate suppression *)
+  origin : Storage.Log_record.origin option;
+      (** issuing request and its client's floor, for duplicate suppression *)
   mutable forced : bool;  (** local log record forced to disk *)
   mutable ackers : int list;  (** follower node ids that acked *)
   reply : (unit -> unit) option;
@@ -25,7 +25,7 @@ val create : unit -> t
 
 val add :
   t -> lsn:Storage.Lsn.t -> op:Storage.Log_record.op -> timestamp:int ->
-  ?origin:int * int -> ?reply:(unit -> unit) -> unit -> unit
+  ?origin:Storage.Log_record.origin -> ?reply:(unit -> unit) -> unit -> unit
 
 val mem : t -> Storage.Lsn.t -> bool
 
@@ -47,8 +47,8 @@ val mark_forced_upto : t -> Storage.Lsn.t -> unit
 val mark_forced : t -> Storage.Lsn.t -> unit
 (** Mark a single entry's log record as forced. *)
 
-val origin_at : t -> Storage.Lsn.t -> (int * int) option
-(** Issuing (client, request id) of the entry at the given LSN, when it is
+val origin_at : t -> Storage.Lsn.t -> Storage.Log_record.origin option
+(** Origin of the entry at the given LSN, when it is
     still queued and carried one — lets a follower tag its cumulative Ack
     with the trace of the newest write the Ack covers. *)
 

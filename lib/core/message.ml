@@ -86,17 +86,21 @@ type client_reply =
           a foreign intent, or a pending write on a touched coordinate *)
   | Txn_decided of { committed : bool; ts : int }
       (** the coordinator's durable decision (and its commit timestamp) *)
+  | Stale_request
+      (** the write's id is below the client's completion floor and its
+          outcome is gone: a late duplicate, never executed *)
 
 type t =
-  | Request of { client : int; request_id : int; op : client_op }
+  | Request of { client : int; request_id : int; floor : int; op : client_op }
   | Reply of { request_id : int; reply : client_reply }
   | Propose of {
       range : int;
       epoch : int;
-      writes : (Storage.Lsn.t * Storage.Log_record.op * int * (int * int) option) list;
-          (** (lsn, op, timestamp, origin); origin is the issuing
-              (client, request id) when known, carried so followers can
-              answer duplicate retries after a leader change *)
+      writes :
+        (Storage.Lsn.t * Storage.Log_record.op * int * Storage.Log_record.origin option) list;
+          (** (lsn, op, timestamp, origin); origin is the issuing request and
+              its client's floor when known, carried so followers can answer
+              duplicate retries after a leader change *)
       piggyback_cmt : Storage.Lsn.t option;
     }
   | Ack of { range : int; from : int; upto : Storage.Lsn.t }
@@ -114,6 +118,8 @@ type t =
       cells : (Storage.Row.coord * Storage.Row.cell) list;
       upto : Storage.Lsn.t;
       final : bool;
+      replies : (int * int * (int * client_reply) list) list;
+          (** the leader's settled reply cache: (client, floor, outcomes) *)
     }
   | Catchup_done of { range : int; from : int; upto : Storage.Lsn.t }
   | Snapshot_chunk of {
@@ -206,7 +212,7 @@ let size_of_reply = function
           cols)
       8 rows
   | Written _ | Version_mismatch _ | Not_leader _ | Wrong_range _ | Unavailable | Cross_range
-  | Fenced _ | Txn_conflict | Txn_decided _ ->
+  | Fenced _ | Txn_conflict | Txn_decided _ | Stale_request ->
     16
   | Snap_blocked { txn } -> String.length txn + 16
 
@@ -218,24 +224,15 @@ let size_of_cell ((key, col), (cell : Storage.Row.cell)) =
 let size_of_write (_, op, _, _) =
   List.fold_left
     (fun acc op ->
-      acc
-      +
-      match op with
-      | Storage.Log_record.Put { key; col; value; _ } ->
-        String.length key + String.length col + String.length value
-      | Storage.Log_record.Delete { key; col; _ } -> String.length key + String.length col
-      | (Storage.Log_record.Txn_prepare _ | Storage.Log_record.Txn_decision _
-        | Storage.Log_record.Txn_resolve _ | Storage.Log_record.Install_cell _) as op ->
-        (* Approximate by the cells the record installs on apply. *)
-        List.fold_left
-          (fun a ((key, col), (cell : Storage.Row.cell)) ->
-            a + String.length key + String.length col
-            + (match cell.value with Some v -> String.length v | None -> 0))
+      (* Transactional and install records also pay 8 bytes of framing. *)
+      let framing =
+        match op with
+        | Storage.Log_record.Txn_prepare _ | Storage.Log_record.Txn_decision _
+        | Storage.Log_record.Txn_resolve _ | Storage.Log_record.Install_cell _ ->
           8
-          (Storage.Log_record.cells_of_write op ~lsn:Storage.Lsn.zero ~timestamp:0)
-      | Storage.Log_record.Batch _ | Storage.Log_record.Cohort_change _
-      | Storage.Log_record.Split _ ->
-        0)
+        | _ -> 0
+      in
+      acc + framing + Storage.Log_record.cell_bytes op)
     24
     (Storage.Log_record.flatten op)
 
@@ -250,7 +247,7 @@ let size = function
     List.fold_left (fun a c -> a + size_of_cell c) 48 cells
 
 let pp ppf = function
-  | Request { client; request_id; op } ->
+  | Request { client; request_id; op; _ } ->
     Format.fprintf ppf "request#%d from c%d key=%s%s" request_id client (key_of_op op)
       (if is_write op then " (write)" else "")
   | Reply { request_id; _ } -> Format.fprintf ppf "reply#%d" request_id

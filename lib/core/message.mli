@@ -123,18 +123,26 @@ type client_reply =
           touched coordinate *)
   | Txn_decided of { committed : bool; ts : int }
       (** the coordinator's durable decision and its commit timestamp *)
+  | Stale_request
+      (** the write's id is below the client's completion floor and its
+          outcome is gone: the client already settled it, so this copy is a
+          late duplicate and is never executed *)
 
 type t =
-  | Request of { client : int; request_id : int; op : client_op }
+  | Request of { client : int; request_id : int; floor : int; op : client_op }
+      (** [floor]: the lowest request id the client is still waiting on. It
+          has settled every id below, so replicas may forget their outcomes;
+          not counted by {!size}. *)
   | Reply of { request_id : int; reply : client_reply }
   (* --- replication (Figure 4) --- *)
   | Propose of {
       range : int;
       epoch : int;  (** sender's leadership epoch; stale epochs are rejected *)
-      writes : (Storage.Lsn.t * Storage.Log_record.op * int * (int * int) option) list;
+      writes :
+        (Storage.Lsn.t * Storage.Log_record.op * int * Storage.Log_record.origin option) list;
           (** (lsn, op, timestamp, origin); >1 entry for multi-column
-              transactions. The origin — the issuing (client, request id),
-              when known — travels with the write so every replica can
+              transactions. The origin — the issuing request and its client's
+              floor, when known — travels with the write so every replica can
               recognise a duplicate retry even after a leader change. *)
       piggyback_cmt : Storage.Lsn.t option;
     }
@@ -157,6 +165,12 @@ type t =
       cells : (Storage.Row.coord * Storage.Row.cell) list;  (** ascending LSN *)
       upto : Storage.Lsn.t;
       final : bool;  (** leader blocked writes; follower is fully caught up after this *)
+      replies : (int * int * (int * client_reply) list) list;
+          (** the leader's settled reply cache: per client, its floor and
+              its outcomes (request id, reply) at or above it. Cells carry
+              no origins, so without these a caught-up replica that is later
+              elected would re-execute retries of the writes it received as
+              cells. Not counted by {!size}. *)
     }
   | Catchup_done of { range : int; from : int; upto : Storage.Lsn.t }
   (* --- replica migration (§10) --- *)

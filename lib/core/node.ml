@@ -353,10 +353,10 @@ let set_zk_reachable t r =
 let handle t (env : Message.t Sim.Network.envelope) =
   if t.alive then begin
     match env.payload with
-    | Message.Request { client; request_id; op } -> (
+    | Message.Request { client; request_id; floor; op } -> (
       let range = Partition.route t.partition (Message.key_of_op op) in
       match cohort t ~range with
-      | Some c -> Cohort.handle_client c ~client ~request_id op
+      | Some c -> Cohort.handle_client c ~client ~request_id ~floor op
       | None ->
         (* This node does not serve the key's range under the current layout
            (a split or migration may have moved it): tell the client to

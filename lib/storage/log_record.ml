@@ -19,8 +19,10 @@ type op =
     }
   | Install_cell of { coord : Row.coord; cell : Row.cell }
 
+type origin = { client : int; request_id : int; floor : int }
+
 type entry =
-  | Write of { lsn : Lsn.t; op : op; timestamp : int; origin : (int * int) option }
+  | Write of { lsn : Lsn.t; op : op; timestamp : int; origin : origin option }
   | Commit_upto of Lsn.t
   | Checkpoint of Lsn.t
 
@@ -134,6 +136,33 @@ let cells_of_write op ~lsn ~timestamp =
        trip exactly — including crash-recovery replay on the receiver. *)
     [ (coord, cell) ]
   | _ -> List.map (fun o -> (op_coord o, cell_of_write o ~lsn ~timestamp)) (flatten op)
+
+let rec cell_bytes op =
+  let value_bytes = function Some v -> String.length v | None -> 0 in
+  match op with
+  | Put { key; col; value; _ } -> String.length key + String.length col + String.length value
+  | Delete { key; col; _ } -> String.length key + String.length col
+  | Batch ops -> List.fold_left (fun a op -> a + cell_bytes op) 0 ops
+  | Cohort_change _ | Split _ -> 0
+  | Txn_prepare { txn; anchor; fence; writes } ->
+    List.fold_left
+      (fun a (key, col, value) ->
+        let intent = { Row.i_txn = txn; i_anchor = anchor; i_fence = fence; i_value = value } in
+        a + String.length key + Row.system_prefix_length + String.length col
+        + Row.intent_length intent)
+      0 writes
+  | Txn_decision { txn; anchor; ts; _ } ->
+    String.length anchor + Row.system_prefix_length + String.length txn
+    + Row.decision_length ~ts
+  | Txn_resolve { commit; writes; _ } ->
+    List.fold_left
+      (fun a (key, col, value, _) ->
+        let intent = String.length key + Row.system_prefix_length + String.length col in
+        a + intent
+        + if commit then String.length key + String.length col + value_bytes value else 0)
+      0 writes
+  | Install_cell { coord = key, col; cell } ->
+    String.length key + String.length col + value_bytes cell.Row.value
 
 let approx_bytes t =
   match t.entry with

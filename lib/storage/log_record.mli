@@ -55,23 +55,33 @@ type op =
           classification and a caught-up replica's snapshot reads would
           degrade to plain LSN visibility — exposing half a transaction. *)
 
+type origin = {
+  client : int;
+  request_id : int;  (** the issuing request *)
+  floor : int;
+      (** the highest completion floor the leader had seen from the client
+          when it logged the write: a lowest request id the client was still
+          waiting on. Every id below it is settled, so a replica applying the
+          record drops the client's cached outcomes below it. *)
+}
+
 type entry =
   | Write of {
       lsn : Lsn.t;
       op : op;
       timestamp : int;
-      origin : (int * int) option;
-          (** the (client, request id) that issued the write, when known —
-              lets a replica rebuild its duplicate-suppression cache from the
-              durable log, so a retried write is acked idempotently even
-              across leader failover and restart *)
+      origin : origin option;
+          (** the request that issued the write, when known — lets a replica
+              rebuild its reply cache (outcomes and floors) from the durable
+              log, so a retried write is acked idempotently even across
+              leader failover and restart *)
     }
   | Commit_upto of Lsn.t  (** last committed LSN; non-forced log write (§5) *)
   | Checkpoint of Lsn.t  (** memtable flushed up to this LSN; log rolled over *)
 
 type t = { cohort : int; entry : entry }
 
-val write : cohort:int -> lsn:Lsn.t -> timestamp:int -> ?origin:int * int -> op -> t
+val write : cohort:int -> lsn:Lsn.t -> timestamp:int -> ?origin:origin -> op -> t
 
 val commit_upto : cohort:int -> Lsn.t -> t
 
@@ -95,6 +105,11 @@ val cell_of_write : op -> lsn:Lsn.t -> timestamp:int -> Row.cell
 
 val cells_of_write : op -> lsn:Lsn.t -> timestamp:int -> (Row.coord * Row.cell) list
 (** Every cell the op produces (one per primitive write, in order). *)
+
+val cell_bytes : op -> int
+(** Key, column and value bytes of every cell the op installs: the sum over
+    {!cells_of_write}, computed from the op's fields without building the
+    cells or their encoded payloads. *)
 
 val approx_bytes : t -> int
 (** Serialised size estimate, for log-force accounting. *)

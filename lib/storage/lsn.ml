@@ -30,7 +30,7 @@ let diff_sorted a b =
 let next t = { t with seq = t.seq + 1 }
 let with_epoch ~epoch t = { t with epoch }
 let pp ppf t = Format.fprintf ppf "%d.%d" t.epoch t.seq
-let to_string t = Printf.sprintf "%d.%d" t.epoch t.seq
+let to_string t = String.concat "." [ string_of_int t.epoch; string_of_int t.seq ]
 
 let of_string s =
   match String.index_opt s '.' with

@@ -37,6 +37,7 @@ let newer_by_timestamp a b =
 let system_byte = '\x00'
 let is_system_col col = String.length col > 0 && col.[0] = system_byte
 let intent_prefix = "\x00i:"
+let system_prefix_length = String.length intent_prefix
 let intent_col col = intent_prefix ^ col
 
 let is_intent_col col =
@@ -55,9 +56,29 @@ type intent = { i_txn : string; i_anchor : key; i_fence : Lsn.t; i_value : strin
 
 let sep = '\x01'
 
+let sep_string = String.make 1 sep
+
+(* Payloads are built on every apply on every replica, so they are
+   concatenated directly rather than formatted. *)
 let encode_intent { i_txn; i_anchor; i_fence; i_value } =
-  Printf.sprintf "%s%c%s%c%s%c%s" i_txn sep i_anchor sep (Lsn.to_string i_fence) sep
-    (match i_value with Some v -> "v" ^ v | None -> "d")
+  String.concat sep_string
+    [
+      i_txn;
+      i_anchor;
+      Lsn.to_string i_fence;
+      (match i_value with Some v -> "v" ^ v | None -> "d");
+    ]
+
+(* Characters in [string_of_int n]. *)
+let decimal_length n =
+  let rec go n acc = if n > -10 && n < 10 then acc else go (n / 10) (acc + 1) in
+  go n (if n < 0 then 2 else 1)
+
+let lsn_length (l : Lsn.t) = decimal_length l.epoch + 1 + decimal_length l.seq
+
+let intent_length { i_txn; i_anchor; i_fence; i_value } =
+  String.length i_txn + String.length i_anchor + lsn_length i_fence + 3
+  + match i_value with Some v -> 1 + String.length v | None -> 1
 
 let decode_intent s =
   (* The proposed value is the last field and may itself contain the
@@ -88,7 +109,10 @@ let decode_intent s =
               i_value = value;
             })))
 
-let encode_decision ~commit ~ts = Printf.sprintf "%c%c%d" (if commit then 'c' else 'a') sep ts
+let encode_decision ~commit ~ts =
+  String.concat sep_string [ (if commit then "c" else "a"); string_of_int ts ]
+
+let decision_length ~ts = 2 + decimal_length ts
 
 let decode_decision s =
   match String.split_on_char sep s with

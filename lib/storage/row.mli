@@ -54,6 +54,9 @@ val newer_by_timestamp : cell -> cell -> bool
 
 val is_system_col : column -> bool
 
+val system_prefix_length : int
+(** Bytes {!intent_col} and {!decision_col} prepend to their argument. *)
+
 val intent_col : column -> column
 (** The system column holding a write intent for user column [col]. *)
 
@@ -79,11 +82,17 @@ type intent = {
 
 val encode_intent : intent -> string
 
+val intent_length : intent -> int
+(** [String.length (encode_intent i)], without building the string. *)
+
 val decode_intent : string -> intent option
 
 val encode_decision : commit:bool -> ts:int -> string
 (** Payload of a decision cell: the verdict plus the commit timestamp that
     orders the transaction in the global MVCC timeline. *)
+
+val decision_length : ts:int -> int
+(** [String.length (encode_decision ~commit ~ts)], without building it. *)
 
 val decode_decision : string -> (bool * int) option
 

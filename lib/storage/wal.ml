@@ -24,7 +24,7 @@ end)
 type write_slot = {
   op : Log_record.op;
   timestamp : int;
-  origin : (int * int) option;
+  origin : Log_record.origin option;
   gseqs : int list;  (** durable-order stamps, oldest first; >1 means duplicate copies *)
 }
 

@@ -70,12 +70,12 @@ val last_checkpoint : t -> cohort:int -> Lsn.t
 (** Largest durable [Checkpoint] value for the cohort. *)
 
 val durable_writes_in : t -> cohort:int -> above:Lsn.t -> upto:Lsn.t ->
-  (Lsn.t * Log_record.op * int * (int * int) option) list
+  (Lsn.t * Log_record.op * int * Log_record.origin option) list
 (** Durable [Write] records with LSN in (above, upto], ascending; the [int]
-    is the record's timestamp, the option its (client, request id) origin. *)
+    is the record's timestamp, the option its origin. *)
 
 val iter_durable_writes_in : t -> cohort:int -> above:Lsn.t -> upto:Lsn.t ->
-  (Lsn.t -> Log_record.op -> int -> (int * int) option -> unit) -> unit
+  (Lsn.t -> Log_record.op -> int -> Log_record.origin option -> unit) -> unit
 (** {!durable_writes_in} streamed: the callback sees each record in
     ascending LSN order without the list being built. The slice is taken
     when the walk starts. *)

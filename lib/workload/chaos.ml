@@ -293,20 +293,24 @@ let check_no_double_commit cluster flag =
             if not (skipped lsn) then
               match origin with
               | None -> ()
-              | Some o -> (
-                match Hashtbl.find_opt seen o with
+              | Some { Storage.Log_record.client; request_id; _ } -> (
+                match Hashtbl.find_opt seen (client, request_id) with
                 | Some prev when not (Storage.Lsn.equal prev lsn) ->
                   flag "double-apply"
                     (Printf.sprintf "range %d origin (c%d,#%d) committed twice (lsn %s and %s)"
-                       range (fst o) (snd o) (Storage.Lsn.to_string prev)
+                       range client request_id (Storage.Lsn.to_string prev)
                        (Storage.Lsn.to_string lsn))
-                | _ -> Hashtbl.replace seen o lsn))
+                | _ -> Hashtbl.replace seen (client, request_id) lsn))
           (Storage.Wal.durable_writes_in (Node.wal node) ~cohort:range
              ~above:Storage.Lsn.zero ~upto:(Cohort.cmt c)))
   done
 
+(* The shared-client variant's keys: enough serial writers that a client's
+   retry can trail its original by hundreds of ids. *)
+let shared_keys = 1024
+
 let run_spinnaker ?(config = default_config) ?(profile = Mixed) ?schedule
-    ?(planted_hole_ack_bug = false) ?(chaos_for = Sim.Sim_time.sec 10)
+    ?(planted_hole_ack_bug = false) ?shared_clients ?(chaos_for = Sim.Sim_time.sec 10)
     ?(quiesce_for = Sim.Sim_time.sec 10) ~seed () =
   Cohort.chaos_ack_past_holes := planted_hole_ack_bug;
   Fun.protect ~finally:(fun () -> Cohort.chaos_ack_past_holes := false)
@@ -353,21 +357,36 @@ let run_spinnaker ?(config = default_config) ?(profile = Mixed) ?schedule
        registry, sampled alongside the storage gauges. *)
     Failure.attach_metrics failure (Cluster.metrics cluster);
     let history = History.create () in
-    let keys = List.map (Partition.key_of_int partition) [ 3; 47; 91 ] in
+    (* One client per key keeps each client's id stream slow. The shared
+       variant runs [shared_keys] serial writers through a few clients, so
+       each client issues hundreds of ids a second across every range. *)
+    let keys, writer, period =
+      match shared_clients with
+      | None ->
+        ( List.map (Partition.key_of_int partition) [ 3; 47; 91 ],
+          (fun _ -> Cluster.new_client cluster),
+          Sim.Sim_time.ms 60 )
+      | Some n ->
+        let clients = Array.init n (fun _ -> Cluster.new_client cluster) in
+        let stride = Partition.key_space partition / shared_keys in
+        ( List.init shared_keys (fun i -> Partition.key_of_int partition (i * stride)),
+          (fun i -> clients.(i mod n)),
+          Sim.Sim_time.ms 500 )
+    in
     let outcomes = Hashtbl.create 8 in
     List.iter
       (fun key -> Hashtbl.replace outcomes key { acked = 0; indeterminate = 0 })
       keys;
     let running = ref true in
-    List.iter
-      (fun key ->
-        spawn_probe_writer engine (Cluster.new_client cluster) history outcomes
-          running ~key ~period:(Sim.Sim_time.ms 60))
+    List.iteri
+      (fun i key ->
+        spawn_probe_writer engine (writer i) history outcomes running ~key ~period)
       keys;
-    List.iter
-      (fun key ->
-        spawn_probe_reader engine (Cluster.new_client cluster) history running ~key
-          ~period:(Sim.Sim_time.ms 45))
+    List.iteri
+      (fun i key ->
+        if i < 3 then
+          spawn_probe_reader engine (Cluster.new_client cluster) history running ~key
+            ~period:(Sim.Sim_time.ms 45))
       keys;
     let until = Sim.Sim_time.add (Sim.Engine.now engine) chaos_for in
     (match schedule with

@@ -54,12 +54,17 @@ val run_spinnaker :
   ?profile:profile ->
   ?schedule:Sim.Failure.schedule ->
   ?planted_hole_ack_bug:bool ->
+  ?shared_clients:int ->
   ?chaos_for:Sim.Sim_time.span ->
   ?quiesce_for:Sim.Sim_time.span ->
   seed:int ->
   unit ->
   verdict
-(** One gauntlet run. With [?schedule], the seed-driven generators are
+(** One gauntlet run. By default three keys each have their own serial
+    writer client. [?shared_clients:n] instead writes 1,024 keys, each
+    serially every 500 ms, through [n] shared clients, so each client issues
+    hundreds of ids a second across all ranges; the same version-count and
+    log-level exactly-once checks apply. With [?schedule], the seed-driven generators are
     skipped and the explicit schedule replays against a pre-registered
     universe of every crash target and fault toggle the generators could
     have drawn — the replayed run's injection log equals its input.

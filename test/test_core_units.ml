@@ -303,13 +303,88 @@ let test_batch_op_helpers () =
     (List.for_all (fun (_, (c : Storage.Row.cell)) -> Lsn.equal c.lsn (lsn 1 9)) cells)
 
 let test_message_sizes_scale () =
-  let small = Message.size (Message.Request { client = 1; request_id = 1; op = Message.Put { key = "k"; col = "c"; value = "x" } }) in
-  let big =
-    Message.size
-      (Message.Request
-         { client = 1; request_id = 1; op = Message.Put { key = "k"; col = "c"; value = String.make 4096 'x' } })
+  let request value =
+    Message.Request
+      { client = 1; request_id = 1; floor = 1; op = Message.Put { key = "k"; col = "c"; value } }
   in
+  let small = Message.size (request "x") in
+  let big = Message.size (request (String.make 4096 'x')) in
   check_bool "4KB put is ~4KB bigger" true (big - small > 4000)
+
+(* A Propose's size as it was computed when transactional records were
+   sized by building their cells: 8 bytes plus the key, column and value
+   bytes of every cell the record installs. *)
+let size_of_write_via_cells op =
+  List.fold_left
+    (fun acc op ->
+      acc
+      +
+      match op with
+      | Storage.Log_record.Put { key; col; value; _ } ->
+        String.length key + String.length col + String.length value
+      | Storage.Log_record.Delete { key; col; _ } -> String.length key + String.length col
+      | Storage.Log_record.Txn_prepare _ | Storage.Log_record.Txn_decision _
+      | Storage.Log_record.Txn_resolve _ | Storage.Log_record.Install_cell _ ->
+        List.fold_left
+          (fun a ((key, col), (cell : Storage.Row.cell)) ->
+            a + String.length key + String.length col
+            + (match cell.value with Some v -> String.length v | None -> 0))
+          8
+          (Storage.Log_record.cells_of_write op ~lsn:Lsn.zero ~timestamp:0)
+      | Storage.Log_record.Batch _ | Storage.Log_record.Cohort_change _
+      | Storage.Log_record.Split _ ->
+        0)
+    24
+    (Storage.Log_record.flatten op)
+
+let log_op_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_bound 5) in
+  let fence = map2 (fun epoch seq -> Lsn.make ~epoch ~seq) nat nat in
+  let prim =
+    oneof
+      [
+        map3
+          (fun key col value -> Storage.Log_record.Put { key; col; value; version = 1 })
+          str str str;
+        map2 (fun key col -> Storage.Log_record.Delete { key; col; version = 1 }) str str;
+      ]
+  in
+  oneof
+    [
+      prim;
+      map (fun ops -> Storage.Log_record.Batch ops) (list_size (int_bound 4) prim);
+      map2
+        (fun (txn, anchor, fence) writes ->
+          Storage.Log_record.Txn_prepare { txn; anchor; fence; writes })
+        (triple str str fence)
+        (list_size (int_bound 4) (triple str str (opt str)));
+      map3
+        (fun (txn, anchor) commit ts -> Storage.Log_record.Txn_decision { txn; anchor; commit; ts })
+        (pair str str) bool int;
+      map3
+        (fun txn commit writes -> Storage.Log_record.Txn_resolve { txn; commit; ts = 7; writes })
+        str bool
+        (list_size (int_bound 4) (quad str str (opt str) nat));
+      map3
+        (fun key col value ->
+          Storage.Log_record.Install_cell
+            {
+              coord = (key, col);
+              cell =
+                { Storage.Row.value; version = 2; lsn = lsn 1 1; timestamp = 0; txn_ts = None };
+            })
+        str str (opt str);
+      return (Storage.Log_record.Cohort_change { add = Some 1; remove = None });
+      map (fun at -> Storage.Log_record.Split { at; new_range = 3 }) str;
+    ]
+
+let prop_propose_size_matches_cells =
+  QCheck.Test.make ~name:"message: propose size = the cell-built formula" ~count:500
+    (QCheck.make log_op_gen) (fun op ->
+      let writes = [ (lsn 1 1, op, 0, None) ] in
+      Message.size (Message.Propose { range = 0; epoch = 1; writes; piggyback_cmt = None })
+      = 32 + size_of_write_via_cells op)
 
 let suite =
   [
@@ -332,6 +407,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lsn_diff_sorted;
     Alcotest.test_case "message: read/write classification" `Quick test_message_classification;
     Alcotest.test_case "message: size accounting" `Quick test_message_sizes_scale;
+    QCheck_alcotest.to_alcotest prop_propose_size_matches_cells;
     Alcotest.test_case "message: txn/scan classification" `Quick test_message_new_ops_classified;
     Alcotest.test_case "log record: batch helpers" `Quick test_batch_op_helpers;
   ]

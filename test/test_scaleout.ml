@@ -577,12 +577,12 @@ let test_epoch_change_exactly_once () =
           if not (List.exists (Lsn.equal lsn) skipped) then
             match origin with
             | None -> ()
-            | Some o -> (
-              match Hashtbl.find_opt seen o with
+            | Some { Log_record.client; request_id; _ } -> (
+              match Hashtbl.find_opt seen (client, request_id) with
               | Some prev when not (Lsn.equal prev lsn) ->
-                Alcotest.failf "origin (c%d,#%d) committed twice (lsn %s and %s)" (fst o)
-                  (snd o) (Lsn.to_string prev) (Lsn.to_string lsn)
-              | _ -> Hashtbl.replace seen o lsn))
+                Alcotest.failf "origin (c%d,#%d) committed twice (lsn %s and %s)" client
+                  request_id (Lsn.to_string prev) (Lsn.to_string lsn)
+              | _ -> Hashtbl.replace seen (client, request_id) lsn))
         (Storage.Wal.durable_writes_in (Node.wal node) ~cohort:owner ~above:Lsn.zero
            ~upto:(Cohort.cmt c)))
 
@@ -797,14 +797,14 @@ let run_chaos_seed seed =
               if not (List.exists (Lsn.equal lsn) skipped) then
                 match origin with
                 | None -> ()
-                | Some o -> (
-                  match Hashtbl.find_opt seen o with
+                | Some { Log_record.client; request_id; _ } -> (
+                  match Hashtbl.find_opt seen (client, request_id) with
                   | Some prev when not (Lsn.equal prev lsn) ->
                     dump_injections ~cluster seed failure;
                     Alcotest.failf
                       "seed %d: range %d origin (c%d,#%d) committed twice (lsn %s and %s)"
-                      seed range (fst o) (snd o) (Lsn.to_string prev) (Lsn.to_string lsn)
-                  | _ -> Hashtbl.replace seen o lsn))
+                      seed range client request_id (Lsn.to_string prev) (Lsn.to_string lsn)
+                  | _ -> Hashtbl.replace seen (client, request_id) lsn))
             (Storage.Wal.durable_writes_in (Node.wal node) ~cohort:range ~above:Lsn.zero
                ~upto:(Cohort.cmt c))))
     (Partition.range_ids partition);

@@ -503,6 +503,7 @@ let test_offline_replica_answers_unavailable () =
        {
          client = probe_id;
          request_id = 1;
+         floor = 1;
          op = Message.Get { key; col = "c"; consistent = false; token = Storage.Lsn.zero };
        });
   (match await engine ~timeout:(Sim.Sim_time.sec 2) got with
@@ -803,6 +804,178 @@ let test_rolling_upgrade_stays_available () =
     true
     (!ok > 200 && !failed = 0)
 
+(* --- exactly-once: the reply cache and the completion floor ---------------------- *)
+
+(* [n] distinct keys that all route to [range]. *)
+let keys_in_range cluster ~range n =
+  let partition = Cluster.partition cluster in
+  let rec go i acc =
+    if List.length acc = n then List.rev acc
+    else
+      let key = key_for cluster i in
+      go (i + 1) (if Partition.route partition key = range then key :: acc else acc)
+  in
+  go 0 []
+
+(* 200 writes from one client, all outstanding at once on one range, whose
+   replies are all lost; the leader then crashes and every write is retried
+   at the new leader, which rebuilt its reply cache from its log. Each must
+   apply exactly once. A fixed 128-id window forgot the oldest outcomes and
+   re-executed their retries. *)
+let test_outstanding_writes_apply_once_across_crash () =
+  let engine, cluster = boot () in
+  let client = Cluster.new_client cluster in
+  let range = 0 in
+  let keys = keys_in_range cluster ~range 200 in
+  let leader = Option.get (Cluster.leader_of cluster ~range) in
+  let net = Cluster.net cluster in
+  Sim.Network.partition_oneway net ~src:leader ~dst:(Client.id client);
+  let settled = ref 0 and acked = ref 0 in
+  List.iter
+    (fun key ->
+      Client.put client key "c" ~value:"v" (fun r ->
+          incr settled;
+          if Result.is_ok r then incr acked))
+    keys;
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 300);
+  check_int "no reply reached the client" 0 !settled;
+  Cluster.crash_node cluster leader;
+  Sim.Network.heal_oneway net ~src:leader ~dst:(Client.id client);
+  let all_settled = ref None in
+  let rec wait () =
+    if !settled = 200 then all_settled := Some ()
+    else ignore (Sim.Engine.schedule engine ~after:(Sim.Sim_time.ms 5) wait)
+  in
+  wait ();
+  await engine all_settled;
+  check_int "every write acked" 200 !acked;
+  check_bool "leader changed" true (Cluster.leader_of cluster ~range <> Some leader);
+  let twice =
+    List.filter (fun key -> version_of (get_sync engine client key "c") <> 1) keys
+  in
+  Alcotest.(check (list string)) "keys not applied exactly once" [] twice
+
+(* A raw client: sends requests under its own id and collects the replies. *)
+let probe_client cluster id =
+  let replies = Hashtbl.create 8 in
+  Sim.Network.register (Cluster.net cluster) ~node:id (fun env ->
+      match env.Sim.Network.payload with
+      | Message.Reply { request_id; reply } -> Hashtbl.replace replies request_id reply
+      | _ -> ());
+  let send ~dst ~request_id ~floor op =
+    Hashtbl.remove replies request_id;
+    Sim.Network.send (Cluster.net cluster) ~src:id ~dst
+      (Message.Request { client = id; request_id; floor; op })
+  in
+  (send, replies)
+
+let await_reply engine replies request_id =
+  let cell = ref None in
+  let rec poll () =
+    match Hashtbl.find_opt replies request_id with
+    | Some r -> cell := Some r
+    | None -> ignore (Sim.Engine.schedule engine ~after:(Sim.Sim_time.ms 1) poll)
+  in
+  poll ();
+  await engine cell
+
+(* Once a request's floor passes an id, a late duplicate of that id is
+   refused with [Stale_request] and never executed again, and the leader
+   keeps no outcome below the floor. *)
+let test_duplicate_below_floor_is_stale () =
+  let engine, cluster = boot () in
+  let range = 0 in
+  let key, other =
+    match keys_in_range cluster ~range 2 with [ a; b ] -> (a, b) | _ -> assert false
+  in
+  let leader = Option.get (Cluster.leader_of cluster ~range) in
+  let cohort = Option.get (Node.cohort (Cluster.node cluster leader) ~range) in
+  let send, replies = probe_client cluster 99_998 in
+  let put key = Message.Put { key; col = "c"; value = "v" } in
+  send ~dst:leader ~request_id:0 ~floor:0 (put key);
+  (match await_reply engine replies 0 with
+  | Message.Written _ -> ()
+  | _ -> Alcotest.fail "first write not acked");
+  send ~dst:leader ~request_id:1 ~floor:1 (put other);
+  (match await_reply engine replies 1 with
+  | Message.Written _ -> ()
+  | _ -> Alcotest.fail "second write not acked");
+  check_int "only the outcome at the floor is kept" 1 (Cohort.reply_cache_size cohort);
+  send ~dst:leader ~request_id:0 ~floor:0 (put key);
+  (match await_reply engine replies 0 with
+  | Message.Stale_request -> ()
+  | _ -> Alcotest.fail "duplicate below the floor not answered Stale_request");
+  Sim.Engine.run_for engine (Sim.Sim_time.sec 1);
+  let client = Cluster.new_client cluster in
+  check_int "the duplicate did not apply" 1 (version_of (get_sync engine client key "c"))
+
+(* Catch-up ships cells, which carry no origins, so it also ships the
+   leader's settled reply cache: a replica that missed writes while down
+   learns their outcomes, and would answer their retries if elected. *)
+let test_catchup_carries_reply_cache () =
+  let engine, cluster = boot () in
+  let range = 0 in
+  let leader = Option.get (Cluster.leader_of cluster ~range) in
+  let follower =
+    List.find (fun n -> n <> leader) (Partition.cohort (Cluster.partition cluster) ~range)
+  in
+  Cluster.crash_node cluster follower;
+  let send, replies = probe_client cluster 99_997 in
+  List.iteri
+    (fun request_id key ->
+      send ~dst:leader ~request_id ~floor:0 (Message.Put { key; col = "c"; value = "v" });
+      match await_reply engine replies request_id with
+      | Message.Written _ -> ()
+      | _ -> Alcotest.fail "write not acked")
+    (keys_in_range cluster ~range 5);
+  Cluster.restart_node cluster follower;
+  Sim.Engine.run_for engine (Sim.Sim_time.sec 3);
+  let cohort = Option.get (Node.cohort (Cluster.node cluster follower) ~range) in
+  check_bool "caught up as a follower" true (Cohort.role cohort = Cohort.Follower);
+  check_int "the missed writes' outcomes" 5 (Cohort.reply_cache_size cohort)
+
+(* Reply-cache memory is bounded by unsettled requests, not by writes run:
+   32 closed-loop clients writing uniformly over 10 ranges for 20 simulated
+   seconds never leave a cohort holding more than two outcomes per client. *)
+let test_reply_cache_bounded_by_clients () =
+  let engine, cluster = boot ~config:Config.default () in
+  let clients = 32 in
+  let partition = Cluster.partition cluster in
+  check_int "ten ranges" 10 (Partition.ranges partition);
+  let rng = Random.State.make [| 7 |] in
+  let writes = ref 0 in
+  let running = ref true in
+  for _ = 1 to clients do
+    let client = Cluster.new_client cluster in
+    let rec loop () =
+      if !running then begin
+        let key = key_for cluster (Random.State.int rng (Partition.key_space partition)) in
+        Client.put client key "c" ~value:"v" (fun _ ->
+            incr writes;
+            loop ())
+      end
+    in
+    loop ()
+  done;
+  let worst = ref 0 in
+  for _ = 1 to 200 do
+    Sim.Engine.run_for engine (Sim.Sim_time.ms 100);
+    Array.iter
+      (fun node ->
+        for range = 0 to Partition.ranges partition - 1 do
+          match Node.cohort node ~range with
+          | Some c -> worst := max !worst (Cohort.reply_cache_size c)
+          | None -> ()
+        done)
+      (Cluster.nodes cluster)
+  done;
+  running := false;
+  check_bool (Printf.sprintf "writes ran (%d)" !writes) true (!writes > 10 * clients);
+  check_bool
+    (Printf.sprintf "largest reply cache %d <= %d" !worst (2 * clients))
+    true
+    (!worst <= 2 * clients)
+
 (* --- chaos ------------------------------------------------------------------------ *)
 
 let test_chaos_no_acked_write_lost () =
@@ -888,5 +1061,12 @@ let suite =
       test_piggybacked_commits_reduce_staleness;
     Alcotest.test_case "rolling upgrade stays available" `Slow
       test_rolling_upgrade_stays_available;
+    Alcotest.test_case "exactly-once: 200 outstanding writes across a crash" `Quick
+      test_outstanding_writes_apply_once_across_crash;
+    Alcotest.test_case "exactly-once: duplicate below the floor is stale" `Quick
+      test_duplicate_below_floor_is_stale;
+    Alcotest.test_case "exactly-once: catch-up carries the reply cache" `Quick
+      test_catchup_carries_reply_cache;
+    Alcotest.test_case "reply cache bounded by clients" `Quick test_reply_cache_bounded_by_clients;
     Alcotest.test_case "chaos: no acked write lost" `Slow test_chaos_no_acked_write_lost;
   ]

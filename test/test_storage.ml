@@ -43,6 +43,32 @@ let prop_lsn_compare_total_order =
       else if e1 > e2 then c > 0
       else compare s1 s2 = compare c 0 || c = compare s1 s2 || compare c 0 = compare s1 s2)
 
+(* --- transaction payloads ------------------------------------------------ *)
+
+(* The encoders' formats as they were written with Printf: stored cells and
+   the decoders depend on them byte for byte. *)
+let printf_lsn (l : Lsn.t) = Printf.sprintf "%d.%d" l.epoch l.seq
+
+let printf_intent (i : Row.intent) =
+  Printf.sprintf "%s%c%s%c%s%c%s" i.i_txn '\x01' i.i_anchor '\x01' (printf_lsn i.i_fence) '\x01'
+    (match i.i_value with Some v -> "v" ^ v | None -> "d")
+
+let printf_decision ~commit ~ts = Printf.sprintf "%c%c%d" (if commit then 'c' else 'a') '\x01' ts
+
+let prop_payloads_match_printf =
+  QCheck.Test.make ~name:"row: intent and decision payloads = their printf formats" ~count:500
+    QCheck.(quad (pair string string) (pair int int) (option string) (pair bool int))
+    (fun ((txn, anchor), (epoch, seq), value, (commit, ts)) ->
+      let i =
+        { Row.i_txn = txn; i_anchor = anchor; i_fence = lsn epoch seq; i_value = value }
+      in
+      let intent = printf_intent i and decision = printf_decision ~commit ~ts in
+      String.equal (Lsn.to_string i.i_fence) (printf_lsn i.i_fence)
+      && String.equal (Row.encode_intent i) intent
+      && Row.intent_length i = String.length intent
+      && String.equal (Row.encode_decision ~commit ~ts) decision
+      && Row.decision_length ~ts = String.length decision)
+
 (* --- memtable ------------------------------------------------------------ *)
 
 let test_memtable_put_get () =
@@ -1015,6 +1041,7 @@ let suite =
     Alcotest.test_case "lsn: ordering" `Quick test_lsn_ordering;
     Alcotest.test_case "lsn: next/epoch/pp" `Quick test_lsn_next_and_epoch;
     QCheck_alcotest.to_alcotest prop_lsn_compare_total_order;
+    QCheck_alcotest.to_alcotest prop_payloads_match_printf;
     Alcotest.test_case "memtable: put/get" `Quick test_memtable_put_get;
     Alcotest.test_case "memtable: default overwrite" `Quick test_memtable_overwrite_default;
     Alcotest.test_case "memtable: newer guard" `Quick test_memtable_newer_guard;
