@@ -54,6 +54,7 @@ let register_node_gauges metrics node =
       | None -> ()
       | Some c ->
         let g fmt read = gauge (Printf.sprintf fmt range) read in
+        g "r%d_log_records" (fun () -> Storage.Wal.durable_writes (Node.wal node) ~cohort:range);
         g "r%d_memtable_bytes" (fun () -> Storage.Store.memtable_bytes (Cohort.store c));
         g "r%d_sstable_count" (fun () -> Storage.Store.sstable_count (Cohort.store c));
         g "r%d_commit_queue_depth" (fun () -> Cohort.pending_writes c);

@@ -39,8 +39,8 @@ val flight : t -> Sim.Trace.Flight.t
 val metrics : t -> Sim.Metrics.Registry.t
 (** The cluster metrics registry. [create] registers the cluster-wide
     [trace_dropped] gauge (ring-buffer evictions) and per-node gauges
-    ([wal_volatile_bytes] and, per hosted range [r<N>],
-    [r<N>_memtable_bytes], [r<N>_sstable_count], [r<N>_commit_queue_depth],
+    ([wal_volatile_bytes] and, per hosted range [r<N>], [r<N>_log_records]
+    (durable [Write] records the log retains), [r<N>_memtable_bytes], [r<N>_sstable_count], [r<N>_commit_queue_depth],
     [r<N>_reply_cache_size], [r<N>_cache_hits], [r<N>_cache_misses],
     [r<N>_cache_evictions]); {!start} begins sampling them every
     [Config.metrics_sample_period]. *)

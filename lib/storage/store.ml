@@ -803,8 +803,10 @@ let committed_cells_in t ~above ~upto =
   end
 
 let durable_write_lsns_in t ~above ~upto =
-  Wal.durable_writes_in t.wal ~cohort:t.cohort ~above ~upto
-  |> List.map (fun (lsn, _, _, _) -> lsn)
+  let acc = ref [] in
+  Wal.iter_durable_writes_in t.wal ~cohort:t.cohort ~above ~upto (fun lsn _ _ _ ->
+      acc := lsn :: !acc);
+  List.rev !acc
 
 (* ------------------------------------------------------------------ *)
 (* Range split (§10): both children serve before any data is rewritten.  *)

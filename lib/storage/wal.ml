@@ -1,12 +1,20 @@
 (* Indexed write-ahead log.
 
    The durable portion of the log is held as a per-cohort index rather than
-   one flat list: each cohort keeps its durable [Write] records in an
-   LSN-keyed map (duplicate retransmissions collapse into one slot that
-   remembers every copy), its marker records ([Commit_upto]/[Checkpoint]) as
-   small newest-first lists, and its marker maxima incrementally. Recovery,
-   catch-up, and takeover queries therefore cost O(log n + answer) instead of
-   O(total log), and [gc_cohort] touches only the cohort being rolled over.
+   one flat list. Each cohort keeps its durable [Write] records in parallel
+   arrays sorted by (LSN, durable order), live in [lo, hi): an LSN, op,
+   timestamp, origin and durable-order stamp per record, so a record costs
+   five array slots instead of a tree node and a slot record of its own, and
+   indexing it path-copies nothing. Duplicate retransmissions
+   sit next to the first copy and carry its payload; walks report only the
+   first copy. Indexing a record is an O(1) append in the common case (its
+   LSN is at least the last one) and a binary-search insert otherwise; range
+   walks binary-search their start and scan forward; the first and last LSN
+   are O(1). [gc_cohort] binary-searches its cut, advances [lo] and clears
+   the dropped slots, and shrinks the arrays once fewer than a quarter of the
+   slots are live, so a rolled-over log releases its ops. Marker records
+   ([Commit_upto]/[Checkpoint]) are small newest-first lists with their
+   maxima kept incrementally.
 
    The volatile tail is a FIFO queue with incremental byte accounting, so a
    group-commit force pays O(batch) to assemble its batch instead of
@@ -15,22 +23,14 @@
    the durable structures when it completes; a crash in between loses it,
    exactly as it loses the rest of the volatile tail. *)
 
-module Lsn_map = Map.Make (struct
-  type t = Lsn.t
-
-  let compare = Lsn.compare
-end)
-
-type write_slot = {
-  op : Log_record.op;
-  timestamp : int;
-  origin : Log_record.origin option;
-  gseqs : int list;  (** durable-order stamps, oldest first; >1 means duplicate copies *)
-}
-
 type cohort_index = {
-  mutable writes : write_slot Lsn_map.t;
-  mutable write_records : int;  (** durable [Write] records, duplicate copies included *)
+  mutable lsns : Lsn.t array;
+  mutable ops : Log_record.op array;
+  mutable stamps : int array;  (** record timestamps *)
+  mutable origins : Log_record.origin option array;
+  mutable gseqs : int array;  (** durable-order stamps *)
+  mutable lo : int;  (** live [Write] records are the slots [lo, hi) *)
+  mutable hi : int;
   mutable commits : (Lsn.t * int) list;  (** durable [Commit_upto] records, newest first *)
   mutable ckpts : (Lsn.t * int) list;  (** durable [Checkpoint] records, newest first *)
   mutable last_commit : Lsn.t;  (** max over [commits]; maintained incrementally *)
@@ -90,8 +90,13 @@ let cidx t cohort =
   | None ->
     let c =
       {
-        writes = Lsn_map.empty;
-        write_records = 0;
+        lsns = [||];
+        ops = [||];
+        stamps = [||];
+        origins = [||];
+        gseqs = [||];
+        lo = 0;
+        hi = 0;
         commits = [];
         ckpts = [];
         last_commit = Lsn.zero;
@@ -107,6 +112,90 @@ let append t record =
   t.volatile_bytes <- t.volatile_bytes + Log_record.approx_bytes record;
   t.appended_total <- t.appended_total + 1
 
+(* What a cleared or spare slot holds: nothing a dropped record kept alive. *)
+let no_op = Log_record.Batch []
+
+let clear c ~from ~until =
+  let n = until - from in
+  Array.fill c.lsns from n Lsn.zero;
+  Array.fill c.ops from n no_op;
+  Array.fill c.origins from n None
+
+(* Move the live slots to the front of fresh arrays of [cap] slots. *)
+let resize c cap =
+  let live = c.hi - c.lo in
+  let move a fill =
+    let b = Array.make cap fill in
+    Array.blit a c.lo b 0 live;
+    b
+  in
+  c.lsns <- move c.lsns Lsn.zero;
+  c.ops <- move c.ops no_op;
+  c.stamps <- move c.stamps 0;
+  c.origins <- move c.origins None;
+  c.gseqs <- move c.gseqs 0;
+  c.lo <- 0;
+  c.hi <- live
+
+(* Make room for one more slot at [hi]: shift the live slots down when at
+   least half the arrays lie free below [lo], else double them. *)
+let ensure_room c =
+  let cap = Array.length c.ops in
+  if c.hi = cap then begin
+    let live = c.hi - c.lo in
+    if cap > 0 && 2 * live <= cap then begin
+      let down a = Array.blit a c.lo a 0 live in
+      down c.lsns;
+      down c.ops;
+      down c.stamps;
+      down c.origins;
+      down c.gseqs;
+      clear c ~from:live ~until:c.hi;
+      c.lo <- 0;
+      c.hi <- live
+    end
+    else resize c (Stdlib.max 16 (2 * cap))
+  end
+
+(* The first live slot whose LSN is above [lsn], or [hi]. *)
+let upper_bound c lsn =
+  let lo = ref c.lo and hi = ref c.hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Lsn.compare c.lsns.(mid) lsn <= 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let set c at ~gseq lsn op timestamp origin =
+  c.lsns.(at) <- lsn;
+  c.ops.(at) <- op;
+  c.stamps.(at) <- timestamp;
+  c.origins.(at) <- origin;
+  c.gseqs.(at) <- gseq
+
+(* Records arrive in LSN order but for retransmissions and re-proposals,
+   so the insert is an append unless the LSN is below the last one. A
+   duplicate copy lands after the earlier ones and shares the first copy's
+   payload. *)
+let index_write c ~gseq lsn op timestamp origin =
+  ensure_room c;
+  let at =
+    if c.hi = c.lo || Lsn.compare c.lsns.(c.hi - 1) lsn <= 0 then c.hi else upper_bound c lsn
+  in
+  if at < c.hi then begin
+    let up a = Array.blit a at a (at + 1) (c.hi - at) in
+    up c.lsns;
+    up c.ops;
+    up c.stamps;
+    up c.origins;
+    up c.gseqs
+  end;
+  let p = at - 1 in
+  if at > c.lo && Lsn.equal c.lsns.(p) lsn then
+    set c at ~gseq c.lsns.(p) c.ops.(p) c.stamps.(p) c.origins.(p)
+  else set c at ~gseq lsn op timestamp origin;
+  c.hi <- c.hi + 1
+
 (* Index one record that just became durable. *)
 let index_durable t (r : Log_record.t) =
   let c = cidx t r.cohort in
@@ -114,13 +203,7 @@ let index_durable t (r : Log_record.t) =
   t.durable_count <- t.durable_count + 1;
   match r.entry with
   | Log_record.Write { lsn; op; timestamp; origin } ->
-    c.write_records <- c.write_records + 1;
-    let slot =
-      match Lsn_map.find_opt lsn c.writes with
-      | Some slot -> { slot with gseqs = slot.gseqs @ [ t.gseq ] }
-      | None -> { op; timestamp; origin; gseqs = [ t.gseq ] }
-    in
-    c.writes <- Lsn_map.add lsn slot c.writes
+    index_write c ~gseq:t.gseq lsn op timestamp origin
   | Log_record.Commit_upto lsn ->
     c.commits <- (lsn, t.gseq) :: c.commits;
     c.last_commit <- Lsn.max c.last_commit lsn
@@ -199,17 +282,13 @@ let durable_records t =
   let all = ref [] in
   Hashtbl.iter
     (fun cohort c ->
-      Lsn_map.iter
-        (fun lsn slot ->
-          List.iter
-            (fun g ->
-              all :=
-                ( g,
-                  Log_record.write ~cohort ~lsn ~timestamp:slot.timestamp ?origin:slot.origin
-                    slot.op )
-                :: !all)
-            slot.gseqs)
-        c.writes;
+      for i = c.lo to c.hi - 1 do
+        all :=
+          ( c.gseqs.(i),
+            Log_record.write ~cohort ~lsn:c.lsns.(i) ~timestamp:c.stamps.(i)
+              ?origin:c.origins.(i) c.ops.(i) )
+          :: !all
+      done;
       List.iter (fun (lsn, g) -> all := (g, Log_record.commit_upto ~cohort lsn) :: !all) c.commits;
       List.iter (fun (lsn, g) -> all := (g, Log_record.checkpoint ~cohort lsn) :: !all) c.ckpts)
     t.cohorts;
@@ -219,11 +298,13 @@ let durable_count t = t.durable_count
 let forces_issued t = t.forces_issued
 let volatile_bytes t = t.volatile_bytes
 
+let durable_writes t ~cohort =
+  match Hashtbl.find_opt t.cohorts cohort with None -> 0 | Some c -> c.hi - c.lo
+
 let last_write_lsn t ~cohort =
   match Hashtbl.find_opt t.cohorts cohort with
-  | None -> Lsn.zero
-  | Some c -> (
-    match Lsn_map.max_binding_opt c.writes with Some (lsn, _) -> lsn | None -> Lsn.zero)
+  | Some c when c.hi > c.lo -> c.lsns.(c.hi - 1)
+  | _ -> Lsn.zero
 
 let last_commit_marker t ~cohort =
   match Hashtbl.find_opt t.cohorts cohort with None -> Lsn.zero | Some c -> c.last_commit
@@ -234,18 +315,21 @@ let last_checkpoint t ~cohort =
 let iter_durable_writes_in t ~cohort ~above ~upto f =
   match Hashtbl.find_opt t.cohorts cohort with
   | None -> ()
-  | Some c -> (
-    (* Cut the LSN index at [above] in O(log n), then walk the rest in order
-       without allocating, until an LSN passes [upto]. *)
-    let exception Past_upto in
-    let _, _, above_only = Lsn_map.split above c.writes in
-    try
-      Lsn_map.iter
-        (fun lsn slot ->
-          if Lsn.(lsn > upto) then raise_notrace Past_upto;
-          f lsn slot.op slot.timestamp slot.origin)
-        above_only
-    with Past_upto -> ())
+  | Some c ->
+    (* Binary-search the first LSN above [above], then scan forward without
+       allocating until an LSN passes [upto], reporting each LSN's first
+       copy. *)
+    let { lsns; ops; stamps; origins; hi; _ } = c in
+    let i = ref (upper_bound c above) in
+    while !i < hi && Lsn.(lsns.(!i) <= upto) do
+      let first = !i in
+      let lsn = lsns.(first) in
+      incr i;
+      while !i < hi && Lsn.equal lsns.(!i) lsn do
+        incr i
+      done;
+      f lsn ops.(first) stamps.(first) origins.(first)
+    done
 
 let durable_writes_in t ~cohort ~above ~upto =
   let acc = ref [] in
@@ -257,11 +341,14 @@ let gc_cohort t ~cohort ~upto =
   match Hashtbl.find_opt t.cohorts cohort with
   | None -> ()
   | Some c ->
-    let keep, dropped = Lsn_map.partition (fun lsn _ -> Lsn.(lsn > upto)) c.writes in
-    let removed = Lsn_map.fold (fun _ slot acc -> acc + List.length slot.gseqs) dropped 0 in
-    c.writes <- keep;
-    c.write_records <- c.write_records - removed;
-    t.durable_count <- t.durable_count - removed;
+    (* Cut at the first LSN above [upto]. Dropped slots are cleared, or the
+       live ones move to arrays twice their count once they fill less than
+       a quarter of the slots, so the log keeps no dropped op alive. *)
+    let cut = upper_bound c upto and first = c.lo in
+    t.durable_count <- t.durable_count - (cut - first);
+    c.lo <- cut;
+    if 4 * (c.hi - cut) < Array.length c.ops then resize c (2 * (c.hi - cut))
+    else clear c ~from:first ~until:cut;
     (* Markers: keep only the newest record carrying the max value. *)
     let prune records last =
       match List.find_opt (fun (lsn, _) -> Lsn.equal lsn last) records with
@@ -284,7 +371,7 @@ let drop_cohort t ~cohort =
   | None -> ()
   | Some c ->
     t.durable_count <-
-      t.durable_count - c.write_records - List.length c.commits - List.length c.ckpts;
+      t.durable_count - (c.hi - c.lo) - List.length c.commits - List.length c.ckpts;
     Hashtbl.remove t.cohorts cohort);
   (* Volatile records for the cohort must not resurrect markers after the
      drop: filter them out of the tail (the in-flight batch, if any, is
@@ -304,6 +391,5 @@ let drop_cohort t ~cohort =
 
 let min_available_write_lsn t ~cohort =
   match Hashtbl.find_opt t.cohorts cohort with
-  | None -> None
-  | Some c -> (
-    match Lsn_map.min_binding_opt c.writes with Some (lsn, _) -> Some lsn | None -> None)
+  | Some c when c.hi > c.lo -> Some c.lsns.(c.lo)
+  | _ -> None

@@ -13,9 +13,11 @@
     [gc_cohort] drops them from the log; catch-up requests that reach below
     the GC horizon must then be served from SSTables.
 
-    The durable log is stored as a per-cohort LSN index, so the marker and
-    range queries below cost O(log n + answer) rather than a scan of the
-    whole log, and [gc_cohort] touches only the cohort being rolled over. *)
+    The durable log is stored per cohort as arrays sorted by LSN: indexing a
+    record is an O(1) append unless its LSN is below the cohort's last one,
+    the first and last LSN cost O(1), a range walk costs O(log n + answer)
+    rather than a scan of the whole log, and [gc_cohort] touches only the
+    cohort being rolled over. *)
 
 type t
 
@@ -49,7 +51,9 @@ val wipe : t -> unit
 (** Lose the entire log (disk failure). *)
 
 val durable_records : t -> Log_record.t list
-(** Oldest first. What recovery reads after a crash. *)
+(** Every durable record, oldest first, duplicate copies included: the whole
+    log as one sequence, for checking the index against a list model.
+    Recovery reads the per-cohort queries below instead. *)
 
 val durable_count : t -> int
 
@@ -59,6 +63,10 @@ val forces_issued : t -> int
 val volatile_bytes : t -> int
 (** Bytes buffered in the volatile tail, maintained incrementally (never
     recounted); exposed for group-commit accounting tests. *)
+
+val durable_writes : t -> cohort:int -> int
+(** Durable [Write] records the log retains for the cohort, duplicate
+    copies included: what the cohort's next rollover can release. *)
 
 val last_write_lsn : t -> cohort:int -> Lsn.t
 (** Largest durable [Write] LSN for the cohort — f.lst after a restart. *)
@@ -77,8 +85,8 @@ val durable_writes_in : t -> cohort:int -> above:Lsn.t -> upto:Lsn.t ->
 val iter_durable_writes_in : t -> cohort:int -> above:Lsn.t -> upto:Lsn.t ->
   (Lsn.t -> Log_record.op -> int -> Log_record.origin option -> unit) -> unit
 (** {!durable_writes_in} streamed: the callback sees each record in
-    ascending LSN order without the list being built. The slice is taken
-    when the walk starts. *)
+    ascending LSN order without the list being built. The callback must not
+    roll over, drop or wipe the cohort's log. *)
 
 val gc_cohort : t -> cohort:int -> upto:Lsn.t -> unit
 (** Roll over: drop the cohort's durable [Write] records with LSN [<= upto]

@@ -199,6 +199,32 @@ let test_perfetto_roundtrip () =
       | _ -> Alcotest.fail "retained_events missing")
     | None -> Alcotest.fail "otherData missing")
 
+(* The log's growth is visible in the registry: each acknowledged write is
+   durable in the log of at least a majority of its cohort, and nothing
+   rolls the log over before a memtable flush. *)
+let test_log_records_gauge () =
+  let engine, cluster = boot () in
+  let log_records () =
+    List.fold_left
+      (fun acc g ->
+        if String.ends_with ~suffix:"_log_records" (Sim.Metrics.Gauge.name g) then
+          acc + Sim.Metrics.Gauge.read g
+        else acc)
+      0
+      (Sim.Metrics.Registry.gauges (Cluster.metrics cluster))
+  in
+  let before = log_records () in
+  let client = Cluster.new_client cluster in
+  let writes = 10 in
+  for i = 0 to writes - 1 do
+    let key = Partition.key_of_int (Cluster.partition cluster) (100 + i) in
+    match put_sync engine client key "c" (Printf.sprintf "v%d" i) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "put %d failed: %a" i Client.pp_error e
+  done;
+  check_bool "two durable copies per acknowledged write" true
+    (log_records () - before >= 2 * writes)
+
 (* --- causal span coverage of the write path ---------------------------------- *)
 
 (* Every committed client write must carry all four leader phases (Figure 4:
@@ -523,6 +549,8 @@ let suite =
     Alcotest.test_case "metrics: percentile cache invalidated by record" `Quick
       test_histogram_percentile_cache;
     Alcotest.test_case "export: Perfetto JSON round-trips" `Quick test_perfetto_roundtrip;
+    Alcotest.test_case "metrics: log-records gauges count retained writes" `Quick
+      test_log_records_gauge;
     Alcotest.test_case "spans: every committed write covers all four phases" `Slow
       test_write_path_span_coverage;
     Alcotest.test_case "flight: pins survive ring eviction" `Quick

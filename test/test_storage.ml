@@ -358,6 +358,49 @@ let test_wal_gc_rolls_over () =
   check_bool "cohort 1 untouched" true
     (Lsn.equal (Wal.last_write_lsn wal ~cohort:1) (lsn 1 3))
 
+(* Rollover must release what it drops: an index that kept dropped ops in
+   its slots, or its grown arrays once empty, would hold a rolled-over
+   cohort's history in the heap. Each op is fresh and registered in a weak
+   array, so after a major collection a full slot means something still
+   reaches that op. *)
+let test_wal_gc_releases_dropped_ops () =
+  let n = 4000 in
+  let engine, wal = make_wal ~max_batch:64 () in
+  let fresh_words = Obj.reachable_words (Obj.repr wal) in
+  let ops = Weak.create n in
+  let index_all () =
+    for i = 1 to n do
+      let op =
+        Log_record.Put { key = Printf.sprintf "k%d" i; col = "c"; value = "v"; version = i }
+      in
+      Weak.set ops (i - 1) (Some op);
+      Wal.append wal (Log_record.write ~cohort:0 ~lsn:(lsn 1 i) ~timestamp:0 op)
+    done;
+    Wal.force wal (fun () -> ());
+    Sim.Engine.run engine
+  in
+  index_all ();
+  check_int "all indexed" n (Wal.durable_writes wal ~cohort:0);
+  let reachable () =
+    Gc.full_major ();
+    List.filter (Weak.check ops) (List.init n Fun.id)
+  in
+  let expect what ~from =
+    Alcotest.(check (list int)) what (List.init (n - from) (fun i -> from + i)) (reachable ())
+  in
+  (* Fewer than a quarter of the slots stay live: the survivors move. *)
+  Wal.gc_cohort wal ~cohort:0 ~upto:(lsn 1 (n - 100));
+  expect "only the 100 kept ops after a deep cut" ~from:(n - 100);
+  (* Most stay live: the dropped slots are cleared in place. *)
+  Wal.gc_cohort wal ~cohort:0 ~upto:(lsn 1 (n - 90));
+  expect "only the 90 kept ops after a shallow cut" ~from:(n - 90);
+  Wal.gc_cohort wal ~cohort:0 ~upto:(lsn 1 n);
+  expect "no op after rolling over everything" ~from:n;
+  check_int "nothing retained" 0 (Wal.durable_writes wal ~cohort:0);
+  (* The 4000 records needed arrays of 4096 slots: about 20k words. *)
+  check_bool "the emptied log is back near its fresh size" true
+    (Obj.reachable_words (Obj.repr wal) < fresh_words + 1000)
+
 let test_wal_writes_in_range_sorted_dedup () =
   let engine, wal = make_wal () in
   Wal.append wal (put_record ~cohort:0 ~l:(lsn 1 2) "b");
@@ -1067,6 +1110,7 @@ let suite =
     Alcotest.test_case "wal: per-cohort accounting" `Quick test_wal_per_cohort_accounting;
     Alcotest.test_case "wal: gc rolls over" `Quick test_wal_gc_rolls_over;
     Alcotest.test_case "wal: range queries sorted+dedup" `Quick test_wal_writes_in_range_sorted_dedup;
+    Alcotest.test_case "wal: gc releases dropped ops" `Quick test_wal_gc_releases_dropped_ops;
     Alcotest.test_case "wal: wipe" `Quick test_wal_wipe_loses_everything;
     Alcotest.test_case "wal: batch service scales with bytes" `Quick
       test_wal_batch_service_scales_with_bytes;
