@@ -312,12 +312,10 @@ let create ctx =
   }
 
 let role t = t.role
-let leader_id t = t.leader
 let read_stats t = t.reads
 let set_lease_disabled t v = t.lease_disabled <- v
 let epoch t = t.epoch
 let cmt t = t.cmt
-let lst t = t.lst
 let is_open t = t.role = Leader && t.open_for_writes
 let pending_writes t = Commit_queue.length t.queue
 let reply_cache_size t = Client_tbl.fold (fun _ r n -> n + List.length r.outcomes) t.dedup 0
@@ -326,6 +324,12 @@ let is_learner t = t.learner
 let migrating t = Option.is_some t.migration
 
 let others t = List.filter (fun m -> m <> t.ctx.node_id) (t.ctx.members ())
+
+let role_name = function
+  | Leader -> "leader"
+  | Follower -> "follower"
+  | Candidate -> "candidate"
+  | Offline -> "offline"
 
 (* Cohort events are structured instants carrying node and cohort fields;
    the "r%d n%d" detail prefix is kept for log readability and for existing
@@ -384,16 +388,6 @@ let propose_trace_id t writes =
 let record_transit t ~sent_at =
   Sim.Metrics.Histogram.record_span t.phases.transit
     (Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) sent_at)
-
-(* Forward reference: every path that makes this replica a follower must arm
-   the leader-liveness watch, but the watch function lives in the election
-   recursion (it triggers elections). Tied after that definition below. *)
-let arm_leader_watch : (t -> unit) ref = ref (fun _ -> ())
-
-(* Likewise for the follower re-sync machinery (it calls into the catch-up
-   request path, which lives in the same recursion). *)
-let arm_resync : (t -> unit) ref = ref (fun _ -> ())
-let trigger_resync : (t -> unit) ref = ref (fun _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Duplicate suppression: retried writes must be acked idempotently.    *)
@@ -512,6 +506,22 @@ let lease_valid t =
    or its lease lapsed. *)
 let strong_serve_ok t = t.role = Leader && ((not (leases_enabled t)) || lease_valid t)
 
+(* Open a read request's [phase.read] span (its detail is "c<client>#<id>"
+   plus [kind]); returns the request's trace id and the [finish] that closes
+   the span and sends the reply. *)
+let read_frame t ~client ~request_id kind =
+  let trace_id = if tracing t then Sim.Trace.request_trace_id ~client ~request_id else -1 in
+  let read_span =
+    if tracing t then
+      span_start t ~trace_id ~tag:"phase.read" (Printf.sprintf "c%d#%d%s" client request_id kind)
+    else 0
+  in
+  let finish reply =
+    span_end t ~span:read_span ~trace_id ~tag:"phase.read" "replied";
+    t.ctx.reply ~client ~request_id reply
+  in
+  (trace_id, finish)
+
 (* Serve every parked token read whose fence the applied commit point has
    reached; called wherever cmt advances (commit, catch-up, snapshot). *)
 let flush_parked_reads t =
@@ -565,40 +575,397 @@ let existing_decision t ~anchor ~txn =
     | Some { Row.value = Some payload; _ } -> Row.decode_decision payload
     | _ -> None)
 
-(* Wrap a shipped cell for WAL append + apply on the receiving replica.
-   The cell goes in verbatim — reconstructing a Put/Delete would drop its
-   transactional commit-timestamp classification ([Row.cell.txn_ts]) and a
-   caught-up replica's snapshot reads could then expose half a transaction. *)
-let op_of_cell coord (cell : Row.cell) : Log_record.op =
-  Log_record.Install_cell { coord; cell }
+(* ------------------------------------------------------------------ *)
+(* Recovery steps shared by takeover, catch-up, stepdown and teardown.  *)
 
-(* Fold an LSN-sorted shipped-cell list into ONE install op per LSN. The
-   WAL's LSN index treats a second record at an existing LSN as an
-   idempotent re-force and keeps the first record's op, so appending two
-   [Install_cell] records at one LSN (e.g. a Txn_resolve's data cell plus
-   its intent tombstone) would silently drop all but the first cell from
-   crash-recovery replay. *)
-let install_ops_by_lsn (cells : (Row.coord * Row.cell) list) :
-    (Lsn.t * int * Log_record.op) list =
-  let groups =
-    List.fold_left
-      (fun acc ((_, (cell : Row.cell)) as item) ->
-        match acc with
-        | (lsn, items) :: rest when Lsn.equal lsn cell.lsn -> (lsn, item :: items) :: rest
-        | _ -> (cell.Row.lsn, [ item ]) :: acc)
-      [] cells
+(* Close the cohort to writes and end any takeover in progress. *)
+let close_cohort t =
+  t.open_for_writes <- false;
+  t.takeover_pending <- false;
+  t.takeover_commit_wait <- false
+
+(* Answer every write parked while the cohort was closed with [Unavailable],
+   releasing its in-flight marker so the client's retry is not swallowed. *)
+let fail_waiting t =
+  let waiting = t.waiting in
+  t.waiting <- [];
+  List.iter
+    (fun w ->
+      clear_in_flight t ~client:w.client ~request_id:w.request_id;
+      t.ctx.reply ~client:w.client ~request_id:w.request_id Message.Unavailable)
+    waiting
+
+(* Logical truncation (§6.1.1): durable log records that never committed are
+   put on the skipped-LSN list so local recovery does not re-apply them. *)
+let truncate_logically t lsns =
+  if lsns <> [] then begin
+    Skipped_lsns.add (Store.skipped t.ctx.store) lsns;
+    trace t "logical_truncation" (String.concat "," (List.map Lsn.to_string lsns))
+  end
+
+(* Drop the commit-queue entries above [lsn] and release their in-flight
+   duplicate markers, so a client retry is not silently swallowed if this
+   node is later elected. *)
+let drop_queue_above t lsn =
+  List.iter
+    (fun (e : Commit_queue.entry) ->
+      match e.Commit_queue.origin with
+      | Some { Log_record.client; request_id; _ } -> clear_in_flight t ~client ~request_id
+      | None -> ())
+    (Commit_queue.drop_above t.queue lsn)
+
+(* The commit queue's pending entries as Propose writes, for re-proposal. *)
+let queued_writes t =
+  List.map
+    (fun (e : Commit_queue.entry) -> (e.Commit_queue.lsn, e.op, e.timestamp, e.origin))
+    (Commit_queue.to_list t.queue)
+
+(* ------------------------------------------------------------------ *)
+(* Leader takeover (Figure 6).                                          *)
+
+let start_takeover t =
+  trace t "takeover_start"
+    (Printf.sprintf "epoch=%d cmt=%s lst=%s" t.epoch (Lsn.to_string t.cmt)
+       (Lsn.to_string t.lst));
+  t.takeover_pending <- true;
+  t.takeover_open_at <- t.lst;
+  t.takeover_commit_wait <- false;
+  t.open_for_writes <- false;
+  t.active_followers <- [];
+  (* Rebuild the commit queue with the unresolved writes in (l.cmt, l.lst]
+     from the durable log (they may not be in memory if we just restarted).
+     They are already forced locally; they commit once a follower acks. *)
+  List.iter
+    (fun (lsn, op, timestamp, origin) ->
+      if not (Commit_queue.mem t.queue lsn) then
+        Commit_queue.add t.queue ~lsn ~op ~timestamp ?origin ())
+    (Wal.durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above:t.cmt ~upto:t.lst);
+  Commit_queue.mark_forced_upto t.queue t.lst;
+  (* Nothing above the contiguous prefix lst was ever committed — a
+     committed record up there would have out-bid us in the max-lst
+     election — so records beyond it (appends stranded past a loss-induced
+     hole, or a deposed epoch's tail) are dead: purge them from the queue
+     and logically truncate the log records so neither re-proposal nor local
+     recovery can resurrect them under the new epoch. *)
+  drop_queue_above t t.lst;
+  truncate_logically t
+    (List.filter
+       (fun l -> not (Skipped_lsns.mem (Store.skipped t.ctx.store) l))
+       (Store.durable_write_lsns_in t.ctx.store ~above:t.lst
+          ~upto:(Wal.last_write_lsn t.ctx.wal ~cohort:t.ctx.range)));
+  (* Pending entries' originating requests are in flight again: a client
+     retry arriving mid-takeover must wait for the re-proposed original to
+     commit, not enqueue a second copy behind it. *)
+  let pending = Commit_queue.to_list t.queue in
+  List.iter
+    (fun (e : Commit_queue.entry) ->
+      match e.Commit_queue.origin with
+      | Some { Log_record.client; request_id; _ } ->
+        let r = replies_of t client in
+        if outcome_in request_id r.outcomes = None then remember r request_id In_flight
+      | None -> ())
+    pending;
+  (* A retry that reached us between winning the election and this rebuild
+     passed the duplicate gate before the markers above existed and is
+     parked in [waiting]. If its original is pending here, it is a
+     duplicate: the re-proposed original answers it when it commits. *)
+  let is_pending (w : waiting_write) =
+    List.exists
+      (fun (e : Commit_queue.entry) ->
+        match e.Commit_queue.origin with
+        | Some o -> o.Log_record.client = w.client && o.request_id = w.request_id
+        | None -> false)
+      pending
   in
-  List.rev_map
-    (fun (lsn, rev_items) ->
-      let items = List.rev rev_items in
-      let timestamp = match items with (_, (c : Row.cell)) :: _ -> c.timestamp | [] -> 0 in
-      let op =
-        match items with
-        | [ (coord, cell) ] -> op_of_cell coord cell
-        | _ -> Log_record.Batch (List.map (fun (coord, cell) -> op_of_cell coord cell) items)
-      in
-      (lsn, timestamp, op))
-    groups
+  t.waiting <- List.filter (fun w -> not (is_pending w)) t.waiting;
+  (* Ask each follower for its last committed LSN (Figure 6 lines 3-4). *)
+  List.iter
+    (fun f -> t.ctx.send ~dst:f (Message.Takeover_query { range = t.ctx.range; epoch = t.epoch }))
+    (others t);
+  (* Followers may be down; retry the query until a quorum forms. *)
+  let rec retry () =
+    if t.role = Leader && t.takeover_pending then begin
+      List.iter
+        (fun f ->
+          if not (List.mem f t.active_followers) then
+            t.ctx.send ~dst:f (Message.Takeover_query { range = t.ctx.range; epoch = t.epoch }))
+        (others t);
+      after t (Sim.Sim_time.ms 1000) retry
+    end
+  in
+  after t (Sim.Sim_time.ms 1000) retry
+
+(* ------------------------------------------------------------------ *)
+(* Leader election (Figure 7).                                          *)
+
+let candidate_data t = Printf.sprintf "%s;%d" (Lsn.to_string t.lst) t.ctx.node_id
+
+let parse_candidate data =
+  match String.split_on_char ';' data with
+  | [ lsn_s; node_s ] -> (
+    match (String.split_on_char '.' lsn_s, int_of_string_opt node_s) with
+    | [ e; s ], Some node -> (
+      match (int_of_string_opt e, int_of_string_opt s) with
+      | Some epoch, Some seq -> Some (Lsn.make ~epoch ~seq, node)
+      | _ -> None)
+    | _ -> None)
+  | _ -> None
+
+let rec become_follower t ~leader ~catchup =
+  t.role <- Follower;
+  t.leader <- Some leader;
+  t.election_running <- false;
+  (* Leader-side pipeline state is meaningless once we step down. *)
+  t.unproposed <- [];
+  Queue.clear t.inflight_props;
+  t.last_leader_msg <- Sim.Engine.now t.ctx.engine;
+  trace t "follower" (Printf.sprintf "leader=n%d" leader);
+  watch_leader_liveness t;
+  arm_resync_timer t;
+  if catchup then begin
+    t.catching_up <- true;
+    request_catchup t
+  end
+
+(* A rejoining follower advertises f.cmt to the leader (§6.1); retried until
+   the leader answers (it may itself still be coming up). *)
+and request_catchup t =
+  match t.leader with
+  | Some leader when t.role = Follower && t.catching_up ->
+    t.ctx.send ~dst:leader
+      (Message.Catchup_request { range = t.ctx.range; from = t.ctx.node_id; cmt = t.cmt });
+    after t (Sim.Sim_time.ms 1000) (fun () -> if t.catching_up then request_catchup t)
+  | _ -> ()
+
+(* A follower whose propose stream has a hole (a lost message) cannot make
+   commit progress on its own; an explicit catch-up from the leader closes
+   the gap. *)
+and start_resync t =
+  if t.role = Follower && not t.catching_up then begin
+    t.catching_up <- true;
+    request_catchup t
+  end
+
+(* Strand detection: the leader heartbeats every commit period (commit
+   messages are sent even when idle), so a follower that has heard nothing
+   for several periods is cut off — by loss, a one-way partition, or a
+   silent leader change — and proactively re-syncs rather than serving ever
+   staler timeline reads and holding a stale commit queue. *)
+and arm_resync_timer t =
+  if not t.resync_armed then begin
+    t.resync_armed <- true;
+    let period = t.ctx.config.Config.commit_period in
+    let rec check () =
+      if t.role = Follower || t.role = Candidate then begin
+        (if t.role = Follower && (not t.catching_up) && t.leader <> None then begin
+           let silent = Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) t.last_leader_msg in
+           if Sim.Sim_time.span_compare silent (Sim.Sim_time.span_scale period 3.0) > 0 then begin
+             trace t "resync"
+               (Printf.sprintf "leader silent for %.0fms" (Sim.Sim_time.to_ms_f silent));
+             start_resync t
+           end
+         end);
+        after t period check
+      end
+      else t.resync_armed <- false
+    in
+    after t period check
+  end
+
+and watch_leader_liveness t =
+  if not t.leader_watch_armed then begin
+    t.leader_watch_armed <- true;
+    let zk = t.ctx.zk () in
+    Coord.Zk_client.watch_node zk ~path:(zk_leader t)
+      (guard t (fun () ->
+           t.leader_watch_armed <- false;
+           Coord.Zk_client.get_data zk ~path:(zk_leader t)
+             (guard t (function
+               | Ok _ -> watch_leader_liveness t
+               | Error _ ->
+                 (* The leader's ephemeral znode vanished: its session
+                    expired. Elect a new leader (§7). *)
+                 t.leader <- None;
+                 start_election t))))
+  end
+
+and become_leader t =
+  t.election_running <- false;
+  t.leader <- Some t.ctx.node_id;
+  t.role <- Leader;
+  t.catching_up <- false;
+  (* Fresh leadership stint: no outstanding Propose batches yet, and any
+     coalesced ack we owed the previous leader is moot. *)
+  t.unproposed <- [];
+  Queue.clear t.inflight_props;
+  t.ack_pending <- None;
+  trace t "leader_elected" (Printf.sprintf "lst=%s" (Lsn.to_string t.lst));
+  watch_leader_liveness t;
+  let zk = t.ctx.zk () in
+  (* A new epoch number is stored in Zookeeper before the leader accepts any
+     new writes (Appendix B), making new LSNs greater than any previously
+     used in the cohort. *)
+  Coord.Zk_client.incr_counter zk ~path:(zk_epoch t)
+    (guard t (fun epoch ->
+         if t.role = Leader then begin
+           t.epoch <- Stdlib.max t.epoch epoch;
+           (* Clean up the finished election's candidate znodes (the
+              directory itself stays, so sequence numbers never clash with
+              paths peers still remember). *)
+           Coord.Zk_client.children zk ~path:(zk_candidates t) (fun result ->
+               match result with
+               | Ok kids ->
+                 List.iter
+                   (fun (name, _) ->
+                     Coord.Zk_client.delete_node zk
+                       ~path:(zk_candidates t ^ "/" ^ name)
+                       (fun _ -> ()))
+                   kids
+               | Error _ -> ());
+           t.own_candidate <- None;
+           start_takeover t
+         end))
+
+and read_leader_then_follow t =
+  let zk = t.ctx.zk () in
+  Coord.Zk_client.get_data zk ~path:(zk_leader t)
+    (guard t (function
+      | Ok data -> (
+        match int_of_string_opt data with
+        | Some leader when leader = t.ctx.node_id ->
+          if t.role = Leader then
+            (* We already held leadership (e.g. spurious election). *)
+            t.election_running <- false
+          else begin
+            (* The /leader znode carries our id but we do not hold the role:
+               it is a stale ephemeral from our own previous session (we
+               crashed and came back within the session timeout). Nobody
+               else can win while it exists, and we must not claim
+               leadership off a dying session — wait for the old session to
+               expire (deleting the znode) and re-run the election. *)
+            t.election_running <- false;
+            trace t "stale_leader_znode" "own id from a previous session";
+            Coord.Zk_client.watch_node zk ~path:(zk_leader t)
+              (guard t (fun () -> if t.role <> Leader then start_election t))
+          end
+        | Some leader -> become_follower t ~leader ~catchup:true
+        | None -> t.election_running <- false)
+      | Error _ ->
+        (* Not written yet: learn it when the winner writes it (Fig 7 l.11). *)
+        Coord.Zk_client.watch_node zk ~path:(zk_leader t)
+          (guard t (fun () -> read_leader_then_follow t))))
+
+and evaluate_candidates t kids =
+  (* The new leader is the candidate with the max n.lst (Figure 7 line 6).
+     Ties prefer the earliest node in the cohort's chained-declustering
+     order — keeping leadership balanced across the cluster (the primary
+     leads its base range when logs are equal) — then znode sequence. *)
+  let position node =
+    let rec find i = function
+      | [] -> max_int
+      | m :: rest -> if m = node then i else find (i + 1) rest
+    in
+    find 0 (t.ctx.members ())
+  in
+  let parsed =
+    List.filter_map
+      (fun (name, data) -> Option.map (fun (lsn, node) -> (name, lsn, node)) (parse_candidate data))
+      kids
+  in
+  match parsed with
+  | [] -> ()
+  | (name0, lsn0, node0) :: rest ->
+    let _, _, winner =
+      List.fold_left
+        (fun (bn, bl, bw) (name, lsn, node) ->
+          let beats =
+            if not (Lsn.equal lsn bl) then Lsn.(lsn > bl)
+            else if position node <> position bw then position node < position bw
+            else String.compare name bn < 0
+          in
+          if beats then (name, lsn, node) else (bn, bl, bw))
+        (name0, lsn0, node0) rest
+    in
+    trace t "election_eval" (Printf.sprintf "winner=n%d of %d candidates" winner (List.length kids));
+    if winner = t.ctx.node_id then begin
+      let zk = t.ctx.zk () in
+      Coord.Zk_client.create_node zk ~path:(zk_leader t)
+        ~data:(string_of_int t.ctx.node_id) ~ephemeral:true
+        (guard t (function
+          | Ok _ -> become_leader t
+          | Error _ ->
+            (* Someone else won the race to /r/leader; follow them. *)
+            read_leader_then_follow t))
+    end
+    else read_leader_then_follow t
+
+and announce_candidacy t =
+  if t.election_running then begin
+    let zk = t.ctx.zk () in
+    (* Announce candidacy: a sequential ephemeral znode holding n.lst
+       (Figure 7 line 4). *)
+    Coord.Zk_client.create_node zk
+      ~path:(zk_candidates t ^ "/c-")
+      ~data:(candidate_data t) ~ephemeral:true ~sequential:true
+      (guard t (function
+        | Ok path ->
+          trace t "candidate" path;
+          t.own_candidate <- Some path;
+          await_candidates t
+        | Error e ->
+          trace t "candidate_error" (Format.asprintf "%a" Coord.Ztree.pp_error e);
+          t.election_running <- false;
+          after t (Sim.Sim_time.ms 100) (fun () -> start_election t)))
+  end
+
+and await_candidates t =
+  if t.election_running then begin
+    let zk = t.ctx.zk () in
+    (* Arm the watch before reading, so no change is missed (Fig 7 line 5). *)
+    Coord.Zk_client.watch_children zk ~path:(zk_candidates t)
+      (guard t (fun () -> await_candidates t));
+    Coord.Zk_client.children zk ~path:(zk_candidates t)
+      (guard t (fun result ->
+           if t.election_running then
+             match result with
+             | Ok kids ->
+               (* Our own candidacy can be swept away by a previous winner's
+                  cleanup racing this election: re-announce rather than wait
+                  on a znode that no longer exists. *)
+               let own_present =
+                 match t.own_candidate with
+                 | Some path ->
+                   List.exists (fun (name, _) -> zk_candidates t ^ "/" ^ name = path) kids
+                 | None -> false
+               in
+               if not own_present then announce_candidacy t
+               else if List.length kids >= Config.majority then
+                 evaluate_candidates t kids
+             | Error _ -> ()))
+  end
+
+and start_election t =
+  (* Learners and replicas no longer in the membership must not vote: a
+     learner's log is a partial snapshot (its lst is not comparable under the
+     max-lst rule), and a migrated-away replica claiming leadership would
+     resurrect the old configuration. *)
+  if
+    t.role <> Offline && (not t.election_running) && (not t.learner)
+    && List.mem t.ctx.node_id (t.ctx.members ())
+  then begin
+    t.election_running <- true;
+    t.role <- Candidate;
+    t.leader <- None;
+    close_cohort t;
+    trace t "election_start" (Printf.sprintf "lst=%s" (Lsn.to_string t.lst));
+    let zk = t.ctx.zk () in
+    (* Clean up our stale state from a previous round (Figure 7 line 1). *)
+    match t.own_candidate with
+    | Some path ->
+      t.own_candidate <- None;
+      Coord.Zk_client.delete_node zk ~path (guard t (fun _ -> announce_candidacy t))
+    | None -> announce_candidacy t
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Commit path (leader side of Figure 4).                               *)
@@ -721,19 +1088,14 @@ and send_commit_msgs t =
   (* Re-propose still-uncommitted entries: under loss a propose (or its ack)
      may have vanished, and re-proposal is deduplicated by LSN at the
      follower. The queue is empty or tiny at each tick in steady state. *)
-  let pending = Commit_queue.to_list t.queue in
-  if pending <> [] then begin
-    let writes =
-      List.map
-        (fun (e : Commit_queue.entry) -> (e.Commit_queue.lsn, e.op, e.timestamp, e.origin))
-        pending
-    in
+  (match queued_writes t with
+  | [] -> ()
+  | writes ->
     let msg =
       Message.Propose { range = t.ctx.range; epoch = t.epoch; writes; piggyback_cmt = None }
     in
     let trace_id = propose_trace_id t writes in
-    List.iter (fun f -> t.ctx.send ~trace_id ~dst:f msg) t.active_followers
-  end;
+    List.iter (fun f -> t.ctx.send ~trace_id ~dst:f msg) t.active_followers);
   if Lsn.(t.cmt > Lsn.zero) then
     (* The leader saves its last committed LSN with a non-forced log write,
        for its own recovery (§5). *)
@@ -1314,16 +1676,8 @@ and handle_read t ~client ~request_id ~consistent ~token ~key ~cols ~single =
          Config.read_service_us +. (float_of_int probed *. read_probe_service_us));
     value
   in
-  let trace_id = if tracing t then Sim.Trace.request_trace_id ~client ~request_id else -1 in
-  let read_span =
-    if tracing t then
-      span_start t ~trace_id ~tag:"phase.read"
-        (Printf.sprintf "c%d#%d%s" client request_id (if consistent then " strong" else ""))
-    else 0
-  in
-  let finish reply =
-    span_end t ~span:read_span ~trace_id ~tag:"phase.read" "replied";
-    t.ctx.reply ~client ~request_id reply
+  let trace_id, finish =
+    read_frame t ~client ~request_id (if consistent then " strong" else "")
   in
   let serve_reply reply =
     guard t (fun () ->
@@ -1357,16 +1711,7 @@ and handle_read t ~client ~request_id ~consistent ~token ~key ~cols ~single =
    range-partitioned precisely so scans stay local to consecutive cohorts;
    the client stitches ranges together). Same consistency gating as reads. *)
 and handle_scan t ~client ~request_id ~start_key ~end_key ~limit ~consistent ~token =
-  let trace_id = if tracing t then Sim.Trace.request_trace_id ~client ~request_id else -1 in
-  let read_span =
-    if tracing t then
-      span_start t ~trace_id ~tag:"phase.read" (Printf.sprintf "c%d#%d scan" client request_id)
-    else 0
-  in
-  let finish reply =
-    span_end t ~span:read_span ~trace_id ~tag:"phase.read" "replied";
-    t.ctx.reply ~client ~request_id reply
-  in
+  let trace_id, finish = read_frame t ~client ~request_id " scan" in
   let serve =
     guard t (fun () ->
         if consistent && not (strong_serve_ok t) then
@@ -1407,16 +1752,7 @@ and handle_scan t ~client ~request_id ~start_key ~end_key ~limit ~consistent ~to
    before its decision was timestamped), so its intent or final cell is at or
    below the fence. *)
 and handle_fence t ~client ~request_id =
-  let trace_id = if tracing t then Sim.Trace.request_trace_id ~client ~request_id else -1 in
-  let read_span =
-    if tracing t then
-      span_start t ~trace_id ~tag:"phase.read" (Printf.sprintf "c%d#%d fence" client request_id)
-    else 0
-  in
-  let finish reply =
-    span_end t ~span:read_span ~trace_id ~tag:"phase.read" "replied";
-    t.ctx.reply ~client ~request_id reply
-  in
+  let trace_id, finish = read_frame t ~client ~request_id " fence" in
   let submit () =
     let service = Sim.Sim_time.of_us_f read_cache_hit_service_us in
     Sim.Resource.submit t.ctx.cpu ~service
@@ -1435,16 +1771,7 @@ and handle_fence t ~client ~request_id =
    covers the fence, interval visibility against (fence, fence_ts) is
    well-defined locally. *)
 and handle_snap_get t ~client ~request_id ~key ~col ~fence ~fence_ts =
-  let trace_id = if tracing t then Sim.Trace.request_trace_id ~client ~request_id else -1 in
-  let read_span =
-    if tracing t then
-      span_start t ~trace_id ~tag:"phase.read" (Printf.sprintf "c%d#%d snap" client request_id)
-    else 0
-  in
-  let finish reply =
-    span_end t ~span:read_span ~trace_id ~tag:"phase.read" "replied";
-    t.ctx.reply ~client ~request_id reply
-  in
+  let trace_id, finish = read_frame t ~client ~request_id " snap" in
   let submit () =
     let service = Sim.Sim_time.of_us_f Config.read_service_us in
     Sim.Resource.submit t.ctx.cpu ~service
@@ -1500,8 +1827,8 @@ let accept_leader t ~src ~epoch =
   end;
   t.leader <- Some src;
   t.last_leader_msg <- Sim.Engine.now t.ctx.engine;
-  !arm_leader_watch t;
-  !arm_resync t
+  watch_leader_liveness t;
+  arm_resync_timer t
 
 (* Apply the committed prefix. The network can lose proposes, so only the
    seq-contiguous prefix of the queue may be applied; a hole means a propose
@@ -1533,18 +1860,14 @@ let apply_commits t ~upto =
       let applied = List.map (fun (e : Commit_queue.entry) -> e.Commit_queue.lsn) entries in
       let own = Store.durable_write_lsns_in t.ctx.store ~above:old_cmt ~upto:t.cmt in
       (* Both lists ascend by LSN. *)
-      let stale = Lsn.diff_sorted own applied in
-      if stale <> [] then begin
-        Skipped_lsns.add (Store.skipped t.ctx.store) stale;
-        trace t "logical_truncation" (String.concat "," (List.map Lsn.to_string stale))
-      end;
+      truncate_logically t (Lsn.diff_sorted own applied);
       Wal.append t.ctx.wal (Log_record.commit_upto ~cohort:t.ctx.range t.cmt)
     end;
     flush_parked_reads t;
     if Lsn.(t.cmt < upto) then begin
       trace t "commit_gap"
         (Printf.sprintf "cmt=%s committed=%s" (Lsn.to_string t.cmt) (Lsn.to_string upto));
-      !trigger_resync t
+      start_resync t
     end
   end
 
@@ -1763,7 +2086,6 @@ let leader_run_catchup t ~follower ~f_cmt =
            epoch = t.epoch;
            cells;
            upto = t.cmt;
-           final = true;
            replies = settled_replies t;
          });
     (* If the follower dies mid-round its Catchup_done never arrives; unblock
@@ -1798,17 +2120,12 @@ let leader_catchup_done t ~follower ~upto =
         trace t "migration_change" (Printf.sprintf "joiner=n%d caught up" m.joiner);
         enqueue_meta t (Log_record.Cohort_change { add = Some m.joiner; remove = m.remove })
       | _ -> ());
-      let pending = Commit_queue.to_list t.queue in
-      if pending <> [] then begin
-        let writes =
-          List.map
-            (fun (e : Commit_queue.entry) -> (e.Commit_queue.lsn, e.op, e.timestamp, e.origin))
-            pending
-        in
+      (match queued_writes t with
+      | [] -> ()
+      | writes ->
         t.ctx.send ~dst:follower
           (Message.Propose
-             { range = t.ctx.range; epoch = t.epoch; writes; piggyback_cmt = None })
-      end;
+             { range = t.ctx.range; epoch = t.epoch; writes; piggyback_cmt = None }));
       (* Attributed to the follower's track: "this follower is caught up and
          active" is a statement about the follower, and the timeline analyzer
          matches it by (node = restarted replica, cohort). *)
@@ -1840,15 +2157,14 @@ let leader_catchup_done t ~follower ~upto =
 (* ------------------------------------------------------------------ *)
 (* Catch-up: follower side (§6.1).                                      *)
 
-let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~final ~replies =
+let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~replies =
   if epoch >= t.epoch && t.role <> Offline && t.role <> Leader then begin
     accept_leader t ~src ~epoch;
     let old_cmt = t.cmt in
     let catchup_span =
       span_start t ~lsn:(Lsn.to_string upto) ~tag:"recovery.catchup"
-        (Printf.sprintf "from n%d: %d cells, %s -> %s%s" src (List.length cells)
-           (Lsn.to_string old_cmt) (Lsn.to_string upto)
-           (if final then " (final)" else ""))
+        (Printf.sprintf "from n%d: %d cells, %s -> %s" src (List.length cells)
+           (Lsn.to_string old_cmt) (Lsn.to_string upto))
     in
     (* Logical truncation (§6.1.1): LSNs in our log after f.cmt that the
        leader does not vouch for were discarded by a leader change and must
@@ -1867,37 +2183,18 @@ let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~final ~replies =
     let own =
       Store.durable_write_lsns_in t.ctx.store ~above:old_cmt ~upto:(Lsn.max t.lst upto)
     in
-    let stale =
-      List.filter
-        (fun lsn -> Lsn.(lsn <= upto) && not (List.exists (Lsn.equal lsn) vouched))
-        own
-    in
-    if stale <> [] then begin
-      Skipped_lsns.add (Store.skipped t.ctx.store) stale;
-      trace t "logical_truncation"
-        (String.concat "," (List.map Lsn.to_string stale))
-    end;
+    truncate_logically t
+      (List.filter
+         (fun lsn -> Lsn.(lsn <= upto) && not (List.exists (Lsn.equal lsn) vouched))
+         own);
     (* Entries at or below the catch-up point are superseded by the cells;
        anything above it that is still valid will be re-proposed (the leader
        re-proposes its pending queue right after this round and on every
        commit tick), so the queue is cleared outright — stale entries from a
-       deposed leader must not linger and apply later. In-flight duplicate
-       markers for dropped entries are released so a client retry is not
-       silently swallowed if this node is later elected. *)
+       deposed leader must not linger and apply later. *)
     ignore (Commit_queue.pop_upto t.queue upto);
-    List.iter
-      (fun (e : Commit_queue.entry) ->
-        match e.Commit_queue.origin with
-        | Some { Log_record.client; request_id; _ } -> clear_in_flight t ~client ~request_id
-        | None -> ())
-      (Commit_queue.drop_above t.queue upto);
-    List.iter
-      (fun (lsn, timestamp, op) ->
-        let already = List.exists (Lsn.equal lsn) own in
-        if not already then
-          Wal.append t.ctx.wal (Log_record.write ~cohort:t.ctx.range ~lsn ~timestamp op);
-        Store.apply t.ctx.store ~lsn ~timestamp op)
-      (install_ops_by_lsn cells);
+    drop_queue_above t upto;
+    Store.install_cells t.ctx.store ~own cells;
     t.cmt <- Lsn.max t.cmt upto;
     (* Everything above the catch-up point was dropped from the queue, so our
        vouched contiguous prefix ends exactly at cmt; that is the honest lst
@@ -1917,9 +2214,8 @@ let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~final ~replies =
           span_end t ~span:catchup_span ~lsn:(Lsn.to_string t.cmt) ~tag:"recovery.catchup"
             "caught-up batch durable";
           t.catching_up <- false;
-          if final then
-            t.ctx.send ~dst:src
-              (Message.Catchup_done { range = t.ctx.range; from = t.ctx.node_id; upto = t.cmt }))
+          t.ctx.send ~dst:src
+            (Message.Catchup_done { range = t.ctx.range; from = t.ctx.node_id; upto = t.cmt }))
     in
     Wal.force t.ctx.wal finish
   end
@@ -1936,20 +2232,8 @@ let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~final ~replies =
 let retire t =
   if t.role <> Offline then begin
     trace t "retire"
-      (Printf.sprintf "role=%s%s"
-         (match t.role with
-         | Leader -> "leader"
-         | Follower -> "follower"
-         | Candidate -> "candidate"
-         | Offline -> "offline")
-         (if t.learner then " (learner)" else ""));
-    let waiting = t.waiting in
-    t.waiting <- [];
-    List.iter
-      (fun w ->
-        clear_in_flight t ~client:w.client ~request_id:w.request_id;
-        t.ctx.reply ~client:w.client ~request_id:w.request_id Message.Unavailable)
-      waiting;
+      (Printf.sprintf "role=%s%s" (role_name t.role) (if t.learner then " (learner)" else ""));
+    fail_waiting t;
     fail_guards t;
     let parked = List.rev t.parked_reads in
     t.parked_reads <- [];
@@ -1967,9 +2251,7 @@ let retire t =
     if t.role = Leader then Coord.Zk_client.delete_node zk ~path:(zk_leader t) (fun _ -> ());
     t.role <- Offline;
     t.leader <- None;
-    t.open_for_writes <- false;
-    t.takeover_pending <- false;
-    t.takeover_commit_wait <- false;
+    close_cohort t;
     t.migration <- None;
     t.splitting <- false;
     t.learner <- false;
@@ -2003,7 +2285,6 @@ let rec migration_send_chunk t =
             range = t.ctx.range;
             epoch = t.epoch;
             seq;
-            total = Array.length m.chunks;
             cells = m.chunks.(seq);
             upto = m.upto;
             final = seq = Array.length m.chunks - 1;
@@ -2155,16 +2436,12 @@ let handle_snapshot_chunk t ~src ~epoch ~seq ~cells ~upto ~final =
     else if seq > t.snapshot_next then ()
     else begin
       t.snapshot_next <- seq + 1;
-      (* WAL-append then apply, like catch-up install: the snapshot cells
-         become this replica's durable prefix, so local recovery and later
-         catch-up serving work unchanged. Idempotent under retransmission. *)
-      let own = Store.durable_write_lsns_in t.ctx.store ~above:Lsn.zero ~upto in
-      List.iter
-        (fun (lsn, timestamp, op) ->
-          if not (List.exists (Lsn.equal lsn) own) then
-            Wal.append t.ctx.wal (Log_record.write ~cohort:t.ctx.range ~lsn ~timestamp op);
-          Store.apply t.ctx.store ~lsn ~timestamp op)
-        (install_ops_by_lsn cells);
+      (* Installed like catch-up cells: the snapshot becomes this replica's
+         durable prefix, so local recovery and later catch-up serving work
+         unchanged. Idempotent under retransmission. *)
+      Store.install_cells t.ctx.store
+        ~own:(Store.durable_write_lsns_in t.ctx.store ~above:Lsn.zero ~upto)
+        cells;
       if final then begin
         (* The snapshot horizon is our commit point: every committed write at
            or below it is covered by the installed cells. *)
@@ -2235,402 +2512,36 @@ let request_split t =
   else false
 
 (* ------------------------------------------------------------------ *)
-(* Leader takeover (Figure 6).                                          *)
+(* Leader takeover: follower side (Figure 6 lines 3-4).                 *)
 
-let start_takeover t =
-  trace t "takeover_start"
-    (Printf.sprintf "epoch=%d cmt=%s lst=%s" t.epoch (Lsn.to_string t.cmt)
-       (Lsn.to_string t.lst));
-  t.takeover_pending <- true;
-  t.takeover_open_at <- t.lst;
-  t.takeover_commit_wait <- false;
-  t.open_for_writes <- false;
-  t.active_followers <- [];
-  (* Rebuild the commit queue with the unresolved writes in (l.cmt, l.lst]
-     from the durable log (they may not be in memory if we just restarted).
-     They are already forced locally; they commit once a follower acks. *)
-  List.iter
-    (fun (lsn, op, timestamp, origin) ->
-      if not (Commit_queue.mem t.queue lsn) then
-        Commit_queue.add t.queue ~lsn ~op ~timestamp ?origin ())
-    (Wal.durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above:t.cmt ~upto:t.lst);
-  Commit_queue.mark_forced_upto t.queue t.lst;
-  (* Nothing above the contiguous prefix lst was ever committed — a
-     committed record up there would have out-bid us in the max-lst
-     election — so records beyond it (appends stranded past a loss-induced
-     hole, or a deposed epoch's tail) are dead: purge them from the queue
-     and logically truncate the log records so neither re-proposal nor local
-     recovery can resurrect them under the new epoch. *)
-  List.iter
-    (fun (e : Commit_queue.entry) ->
-      match e.Commit_queue.origin with
-      | Some { Log_record.client; request_id; _ } -> clear_in_flight t ~client ~request_id
-      | None -> ())
-    (Commit_queue.drop_above t.queue t.lst);
-  let orphans =
-    List.filter
-      (fun l -> not (Skipped_lsns.mem (Store.skipped t.ctx.store) l))
-      (Store.durable_write_lsns_in t.ctx.store ~above:t.lst
-         ~upto:(Wal.last_write_lsn t.ctx.wal ~cohort:t.ctx.range))
-  in
-  if orphans <> [] then begin
-    Skipped_lsns.add (Store.skipped t.ctx.store) orphans;
-    trace t "logical_truncation" (String.concat "," (List.map Lsn.to_string orphans))
-  end;
-  (* Pending entries' originating requests are in flight again: a client
-     retry arriving mid-takeover must wait for the re-proposed original to
-     commit, not enqueue a second copy behind it. *)
-  let pending = Commit_queue.to_list t.queue in
-  List.iter
-    (fun (e : Commit_queue.entry) ->
-      match e.Commit_queue.origin with
-      | Some { Log_record.client; request_id; _ } ->
-        let r = replies_of t client in
-        if outcome_in request_id r.outcomes = None then remember r request_id In_flight
-      | None -> ())
-    pending;
-  (* A retry that reached us between winning the election and this rebuild
-     passed the duplicate gate before the markers above existed and is
-     parked in [waiting]. If its original is pending here, it is a
-     duplicate: the re-proposed original answers it when it commits. *)
-  let is_pending (w : waiting_write) =
-    List.exists
-      (fun (e : Commit_queue.entry) ->
-        match e.Commit_queue.origin with
-        | Some o -> o.Log_record.client = w.client && o.request_id = w.request_id
-        | None -> false)
-      pending
-  in
-  t.waiting <- List.filter (fun w -> not (is_pending w)) t.waiting;
-  (* Ask each follower for its last committed LSN (Figure 6 lines 3-4). *)
-  List.iter
-    (fun f -> t.ctx.send ~dst:f (Message.Takeover_query { range = t.ctx.range; epoch = t.epoch }))
-    (others t);
-  (* Followers may be down; retry the query until a quorum forms. *)
-  let rec retry () =
-    if t.role = Leader && t.takeover_pending then begin
-      List.iter
-        (fun f ->
-          if not (List.mem f t.active_followers) then
-            t.ctx.send ~dst:f (Message.Takeover_query { range = t.ctx.range; epoch = t.epoch }))
-        (others t);
-      after t (Sim.Sim_time.ms 1000) retry
-    end
-  in
-  after t (Sim.Sim_time.ms 1000) retry
-
+(* Answer the new leader's query with our last committed LSN, as a catch-up
+   request: the leader catches us up to its cmt like any rejoining
+   follower. *)
 let handle_takeover_query t ~src ~epoch =
   if t.role <> Offline && epoch >= t.epoch then begin
     if epoch > t.epoch then t.epoch <- epoch;
     (* A deposed leader rejoins the cohort as a follower (§6.2). *)
     if t.role = Leader then begin
       trace t "stepdown" (Printf.sprintf "new_epoch=%d" epoch);
-      t.open_for_writes <- false;
-      t.takeover_pending <- false;
-      t.takeover_commit_wait <- false;
+      close_cohort t;
       fail_guards t;
       (* A deposed leader's in-flight migration or split dies with its term;
          if the metadata record was already logged the new leader's takeover
          resolves it like any other write. *)
       abort_migration t "leader deposed";
       t.splitting <- false;
-      let waiting = t.waiting in
-      t.waiting <- [];
-      List.iter
-        (fun w ->
-          clear_in_flight t ~client:w.client ~request_id:w.request_id;
-          t.ctx.reply ~client:w.client ~request_id:w.request_id Message.Unavailable)
-        waiting
+      fail_waiting t
     end;
     t.role <- Follower;
     t.election_running <- false;
     t.leader <- Some src;
     t.last_leader_msg <- Sim.Engine.now t.ctx.engine;
-    !arm_leader_watch t;
-    !arm_resync t;
+    watch_leader_liveness t;
+    arm_resync_timer t;
     t.catching_up <- true;
     t.ctx.send ~dst:src
-      (Message.Takeover_info
-         { range = t.ctx.range; from = t.ctx.node_id; cmt = t.cmt; lst = t.lst })
+      (Message.Catchup_request { range = t.ctx.range; from = t.ctx.node_id; cmt = t.cmt })
   end
-
-(* ------------------------------------------------------------------ *)
-(* Leader election (Figure 7).                                          *)
-
-let candidate_data t = Printf.sprintf "%s;%d" (Lsn.to_string t.lst) t.ctx.node_id
-
-let parse_candidate data =
-  match String.split_on_char ';' data with
-  | [ lsn_s; node_s ] -> (
-    match (String.split_on_char '.' lsn_s, int_of_string_opt node_s) with
-    | [ e; s ], Some node -> (
-      match (int_of_string_opt e, int_of_string_opt s) with
-      | Some epoch, Some seq -> Some (Lsn.make ~epoch ~seq, node)
-      | _ -> None)
-    | _ -> None)
-  | _ -> None
-
-let rec become_follower t ~leader ~catchup =
-  t.role <- Follower;
-  t.leader <- Some leader;
-  t.election_running <- false;
-  (* Leader-side pipeline state is meaningless once we step down. *)
-  t.unproposed <- [];
-  Queue.clear t.inflight_props;
-  t.last_leader_msg <- Sim.Engine.now t.ctx.engine;
-  trace t "follower" (Printf.sprintf "leader=n%d" leader);
-  watch_leader_liveness t;
-  arm_resync_timer t;
-  if catchup then begin
-    t.catching_up <- true;
-    request_catchup t
-  end
-
-(* A rejoining follower advertises f.cmt to the leader (§6.1); retried until
-   the leader answers (it may itself still be coming up). *)
-and request_catchup t =
-  match t.leader with
-  | Some leader when t.role = Follower && t.catching_up ->
-    t.ctx.send ~dst:leader
-      (Message.Catchup_request { range = t.ctx.range; from = t.ctx.node_id; cmt = t.cmt });
-    after t (Sim.Sim_time.ms 1000) (fun () -> if t.catching_up then request_catchup t)
-  | _ -> ()
-
-(* A follower whose propose stream has a hole (a lost message) cannot make
-   commit progress on its own; an explicit catch-up from the leader closes
-   the gap. *)
-and start_resync t =
-  if t.role = Follower && not t.catching_up then begin
-    t.catching_up <- true;
-    request_catchup t
-  end
-
-(* Strand detection: the leader heartbeats every commit period (commit
-   messages are sent even when idle), so a follower that has heard nothing
-   for several periods is cut off — by loss, a one-way partition, or a
-   silent leader change — and proactively re-syncs rather than serving ever
-   staler timeline reads and holding a stale commit queue. *)
-and arm_resync_timer t =
-  if not t.resync_armed then begin
-    t.resync_armed <- true;
-    let period = t.ctx.config.Config.commit_period in
-    let rec check () =
-      if t.role = Follower || t.role = Candidate then begin
-        (if t.role = Follower && (not t.catching_up) && t.leader <> None then begin
-           let silent = Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) t.last_leader_msg in
-           if Sim.Sim_time.span_compare silent (Sim.Sim_time.span_scale period 3.0) > 0 then begin
-             trace t "resync"
-               (Printf.sprintf "leader silent for %.0fms" (Sim.Sim_time.to_ms_f silent));
-             start_resync t
-           end
-         end);
-        after t period check
-      end
-      else t.resync_armed <- false
-    in
-    after t period check
-  end
-
-and watch_leader_liveness t =
-  if not t.leader_watch_armed then begin
-    t.leader_watch_armed <- true;
-    let zk = t.ctx.zk () in
-    Coord.Zk_client.watch_node zk ~path:(zk_leader t)
-      (guard t (fun () ->
-           t.leader_watch_armed <- false;
-           Coord.Zk_client.get_data zk ~path:(zk_leader t)
-             (guard t (function
-               | Ok _ -> watch_leader_liveness t
-               | Error _ ->
-                 (* The leader's ephemeral znode vanished: its session
-                    expired. Elect a new leader (§7). *)
-                 t.leader <- None;
-                 start_election t))))
-  end
-
-and become_leader t =
-  t.election_running <- false;
-  t.leader <- Some t.ctx.node_id;
-  t.role <- Leader;
-  t.catching_up <- false;
-  (* Fresh leadership stint: no outstanding Propose batches yet, and any
-     coalesced ack we owed the previous leader is moot. *)
-  t.unproposed <- [];
-  Queue.clear t.inflight_props;
-  t.ack_pending <- None;
-  trace t "leader_elected" (Printf.sprintf "lst=%s" (Lsn.to_string t.lst));
-  watch_leader_liveness t;
-  let zk = t.ctx.zk () in
-  (* A new epoch number is stored in Zookeeper before the leader accepts any
-     new writes (Appendix B), making new LSNs greater than any previously
-     used in the cohort. *)
-  Coord.Zk_client.incr_counter zk ~path:(zk_epoch t)
-    (guard t (fun epoch ->
-         if t.role = Leader then begin
-           t.epoch <- Stdlib.max t.epoch epoch;
-           (* Clean up the finished election's candidate znodes (the
-              directory itself stays, so sequence numbers never clash with
-              paths peers still remember). *)
-           Coord.Zk_client.children zk ~path:(zk_candidates t) (fun result ->
-               match result with
-               | Ok kids ->
-                 List.iter
-                   (fun (name, _) ->
-                     Coord.Zk_client.delete_node zk
-                       ~path:(zk_candidates t ^ "/" ^ name)
-                       (fun _ -> ()))
-                   kids
-               | Error _ -> ());
-           t.own_candidate <- None;
-           start_takeover t
-         end))
-
-and read_leader_then_follow t =
-  let zk = t.ctx.zk () in
-  Coord.Zk_client.get_data zk ~path:(zk_leader t)
-    (guard t (function
-      | Ok data -> (
-        match int_of_string_opt data with
-        | Some leader when leader = t.ctx.node_id ->
-          if t.role = Leader then
-            (* We already held leadership (e.g. spurious election). *)
-            t.election_running <- false
-          else begin
-            (* The /leader znode carries our id but we do not hold the role:
-               it is a stale ephemeral from our own previous session (we
-               crashed and came back within the session timeout). Nobody
-               else can win while it exists, and we must not claim
-               leadership off a dying session — wait for the old session to
-               expire (deleting the znode) and re-run the election. *)
-            t.election_running <- false;
-            trace t "stale_leader_znode" "own id from a previous session";
-            Coord.Zk_client.watch_node zk ~path:(zk_leader t)
-              (guard t (fun () -> if t.role <> Leader then start_election t))
-          end
-        | Some leader -> become_follower t ~leader ~catchup:true
-        | None -> t.election_running <- false)
-      | Error _ ->
-        (* Not written yet: learn it when the winner writes it (Fig 7 l.11). *)
-        Coord.Zk_client.watch_node zk ~path:(zk_leader t)
-          (guard t (fun () -> read_leader_then_follow t))))
-
-and evaluate_candidates t kids =
-  (* The new leader is the candidate with the max n.lst (Figure 7 line 6).
-     Ties prefer the earliest node in the cohort's chained-declustering
-     order — keeping leadership balanced across the cluster (the primary
-     leads its base range when logs are equal) — then znode sequence. *)
-  let position node =
-    let rec find i = function
-      | [] -> max_int
-      | m :: rest -> if m = node then i else find (i + 1) rest
-    in
-    find 0 (t.ctx.members ())
-  in
-  let parsed =
-    List.filter_map
-      (fun (name, data) -> Option.map (fun (lsn, node) -> (name, lsn, node)) (parse_candidate data))
-      kids
-  in
-  match parsed with
-  | [] -> ()
-  | (name0, lsn0, node0) :: rest ->
-    let _, _, winner =
-      List.fold_left
-        (fun (bn, bl, bw) (name, lsn, node) ->
-          let beats =
-            if not (Lsn.equal lsn bl) then Lsn.(lsn > bl)
-            else if position node <> position bw then position node < position bw
-            else String.compare name bn < 0
-          in
-          if beats then (name, lsn, node) else (bn, bl, bw))
-        (name0, lsn0, node0) rest
-    in
-    trace t "election_eval" (Printf.sprintf "winner=n%d of %d candidates" winner (List.length kids));
-    if winner = t.ctx.node_id then begin
-      let zk = t.ctx.zk () in
-      Coord.Zk_client.create_node zk ~path:(zk_leader t)
-        ~data:(string_of_int t.ctx.node_id) ~ephemeral:true
-        (guard t (function
-          | Ok _ -> become_leader t
-          | Error _ ->
-            (* Someone else won the race to /r/leader; follow them. *)
-            read_leader_then_follow t))
-    end
-    else read_leader_then_follow t
-
-and announce_candidacy t =
-  if t.election_running then begin
-    let zk = t.ctx.zk () in
-    (* Announce candidacy: a sequential ephemeral znode holding n.lst
-       (Figure 7 line 4). *)
-    Coord.Zk_client.create_node zk
-      ~path:(zk_candidates t ^ "/c-")
-      ~data:(candidate_data t) ~ephemeral:true ~sequential:true
-      (guard t (function
-        | Ok path ->
-          trace t "candidate" path;
-          t.own_candidate <- Some path;
-          await_candidates t
-        | Error e ->
-          trace t "candidate_error" (Format.asprintf "%a" Coord.Ztree.pp_error e);
-          t.election_running <- false;
-          after t (Sim.Sim_time.ms 100) (fun () -> start_election t)))
-  end
-
-and await_candidates t =
-  if t.election_running then begin
-    let zk = t.ctx.zk () in
-    (* Arm the watch before reading, so no change is missed (Fig 7 line 5). *)
-    Coord.Zk_client.watch_children zk ~path:(zk_candidates t)
-      (guard t (fun () -> await_candidates t));
-    Coord.Zk_client.children zk ~path:(zk_candidates t)
-      (guard t (fun result ->
-           if t.election_running then
-             match result with
-             | Ok kids ->
-               (* Our own candidacy can be swept away by a previous winner's
-                  cleanup racing this election: re-announce rather than wait
-                  on a znode that no longer exists. *)
-               let own_present =
-                 match t.own_candidate with
-                 | Some path ->
-                   List.exists (fun (name, _) -> zk_candidates t ^ "/" ^ name = path) kids
-                 | None -> false
-               in
-               if not own_present then announce_candidacy t
-               else if List.length kids >= Config.majority then
-                 evaluate_candidates t kids
-             | Error _ -> ()))
-  end
-
-and start_election t =
-  (* Learners and replicas no longer in the membership must not vote: a
-     learner's log is a partial snapshot (its lst is not comparable under the
-     max-lst rule), and a migrated-away replica claiming leadership would
-     resurrect the old configuration. *)
-  if
-    t.role <> Offline && (not t.election_running) && (not t.learner)
-    && List.mem t.ctx.node_id (t.ctx.members ())
-  then begin
-    t.election_running <- true;
-    t.role <- Candidate;
-    t.leader <- None;
-    t.open_for_writes <- false;
-    t.takeover_pending <- false;
-    t.takeover_commit_wait <- false;
-    trace t "election_start" (Printf.sprintf "lst=%s" (Lsn.to_string t.lst));
-    let zk = t.ctx.zk () in
-    (* Clean up our stale state from a previous round (Figure 7 line 1). *)
-    match t.own_candidate with
-    | Some path ->
-      t.own_candidate <- None;
-      Coord.Zk_client.delete_node zk ~path (guard t (fun _ -> announce_candidacy t))
-    | None -> announce_candidacy t
-  end
-
-let () = arm_leader_watch := watch_leader_liveness
-let () = arm_resync := arm_resync_timer
-let () = trigger_resync := start_resync
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle.                                                           *)
@@ -2642,11 +2553,9 @@ let crash t =
   t.lst <- Lsn.zero;
   ignore (Commit_queue.drop_above t.queue Lsn.zero);
   t.leader <- None;
-  t.open_for_writes <- false;
+  close_cohort t;
   t.active_followers <- [];
   t.pending_final <- [];
-  t.takeover_pending <- false;
-  t.takeover_commit_wait <- false;
   t.waiting <- [];
   t.commit_timer_armed <- false;
   (* [clear], not [reset]: recovery re-learns about as many clients from the
@@ -2738,30 +2647,16 @@ let rejoin t =
    re-reads the leader and falls back in line. *)
 let zk_session_expired t =
   if t.role <> Offline then begin
-    trace t "zk_session_expired"
-      (Printf.sprintf "role=%s"
-         (match t.role with
-         | Leader -> "leader"
-         | Follower -> "follower"
-         | Candidate -> "candidate"
-         | Offline -> "offline"));
+    trace t "zk_session_expired" ("role=" ^ role_name t.role);
     if t.role = Leader then begin
-      let waiting = t.waiting in
-      t.waiting <- [];
-      List.iter
-        (fun w ->
-          clear_in_flight t ~client:w.client ~request_id:w.request_id;
-          t.ctx.reply ~client:w.client ~request_id:w.request_id Message.Unavailable)
-        waiting;
+      fail_waiting t;
       (* The session is gone, so the lease is too; in-flight guard rounds can
          never complete under an epoch a new leader may already have beaten. *)
       fail_guards t
     end;
     t.role <- if t.learner then Follower else Candidate;
     t.leader <- None;
-    t.open_for_writes <- false;
-    t.takeover_pending <- false;
-    t.takeover_commit_wait <- false;
+    close_cohort t;
     t.pending_final <- [];
     t.active_followers <- [];
     t.migration <- None;
@@ -2778,12 +2673,6 @@ let zk_session_expired t =
   end
 
 let zk_session_renewed t = if t.role <> Offline && not t.learner then join_cohort t
-
-(* Fresh boot is the restart path: local recovery (a no-op on an empty log)
-   followed by election or follower catch-up (§7: "leader election is
-   triggered whenever a cohort's leader has failed or following local
-   recovery after a system restart"). *)
-let startup = rejoin
 
 let read_local t coord = Store.read t.ctx.store coord
 let write_phases t = t.phases
@@ -2810,12 +2699,10 @@ let handle_peer t ~src ~sent_at msg =
   | Message.Read_guard { epoch; seq; _ } -> handle_guard t ~src ~epoch ~seq
   | Message.Read_guard_ack { from; seq; _ } -> handle_guard_ack t ~from ~seq
   | Message.Takeover_query { epoch; _ } -> handle_takeover_query t ~src ~epoch
-  | Message.Takeover_info { from; cmt; _ } ->
-    if t.role = Leader then leader_run_catchup t ~follower:from ~f_cmt:cmt
   | Message.Catchup_request { from; cmt; _ } ->
     if t.role = Leader then leader_run_catchup t ~follower:from ~f_cmt:cmt
-  | Message.Catchup_data { epoch; cells; upto; final; replies; _ } ->
-    follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~final ~replies
+  | Message.Catchup_data { epoch; cells; upto; replies; _ } ->
+    follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~replies
   | Message.Catchup_done { from; upto; _ } -> leader_catchup_done t ~follower:from ~upto
   | Message.Snapshot_chunk { epoch; seq; cells; upto; final; _ } ->
     handle_snapshot_chunk t ~src ~epoch ~seq ~cells ~upto ~final

@@ -64,16 +64,10 @@ val create : ctx -> t
 
 val role : t -> role
 
-val leader_id : t -> int option
-(** Current leader as known to this replica. *)
-
 val epoch : t -> int
 
 val cmt : t -> Storage.Lsn.t
 (** Last committed LSN. *)
-
-val lst : t -> Storage.Lsn.t
-(** Last LSN in the log. *)
 
 val is_open : t -> bool
 (** Leader-side: accepting writes (post-takeover). *)
@@ -125,13 +119,6 @@ val set_lease_disabled : t -> bool -> unit
     bench's leased-vs-unleased A/B switch, flippable at runtime without
     rebuilding the cluster. *)
 
-val lease_valid : t -> bool
-(** Whether this replica currently holds a live leader lease: its ZK session
-    is alive and the last successful contact is fresher than 0.4 of
-    [Config.session_timeout]; the fraction must stay below 0.5, where the ZK
-    client declares its own session dead. Meaningful on a leader;
-    tests use it to probe the fencing window. *)
-
 (** {2 Membership change and splits (§10)} *)
 
 val request_join : t -> joiner:int -> ?remove:int -> unit -> bool
@@ -163,9 +150,6 @@ val retire : t -> unit
 
 (** {2 Lifecycle} *)
 
-val startup : t -> unit
-(** Fresh boot: run leader election (Figure 7). *)
-
 val crash : t -> unit
 
 val wipe_storage : t -> unit
@@ -173,8 +157,10 @@ val wipe_storage : t -> unit
     {!rejoin} recovers entirely from the leader's catch-up (§6.1). *)
 
 val rejoin : t -> unit
-(** After node restart: local recovery, then either catch up with the
-    current leader or trigger an election. *)
+(** Boot or restart: local recovery (a no-op on an empty log), then either
+    catch up with the current leader or run an election (§7: "leader
+    election is triggered whenever a cohort's leader has failed or following
+    local recovery after a system restart"). *)
 
 val zk_session_expired : t -> unit
 (** The node's coordination-service session expired (§7): a leader steps

@@ -110,14 +110,12 @@ type t =
           by collecting a majority of acks for this guard before answering *)
   | Read_guard_ack of { range : int; from : int; seq : int }
   | Takeover_query of { range : int; epoch : int }
-  | Takeover_info of { range : int; from : int; cmt : Storage.Lsn.t; lst : Storage.Lsn.t }
   | Catchup_request of { range : int; from : int; cmt : Storage.Lsn.t }
   | Catchup_data of {
       range : int;
       epoch : int;
       cells : (Storage.Row.coord * Storage.Row.cell) list;
       upto : Storage.Lsn.t;
-      final : bool;
       replies : (int * int * (int * client_reply) list) list;
           (** the leader's settled reply cache: (client, floor, outcomes) *)
     }
@@ -126,7 +124,6 @@ type t =
       range : int;
       epoch : int;
       seq : int;
-      total : int;
       cells : (Storage.Row.coord * Storage.Row.cell) list;
       upto : Storage.Lsn.t;
       final : bool;
@@ -240,40 +237,8 @@ let size = function
   | Request { op; _ } -> size_of_op op + 16
   | Reply { reply; _ } -> size_of_reply reply + 8
   | Propose { writes; _ } -> List.fold_left (fun a w -> a + size_of_write w) 32 writes
-  | Ack _ | Commit _ | Read_guard _ | Read_guard_ack _ | Takeover_query _ | Takeover_info _
-  | Catchup_request _ | Catchup_done _ | Snapshot_ack _ ->
+  | Ack _ | Commit _ | Read_guard _ | Read_guard_ack _ | Takeover_query _ | Catchup_request _
+  | Catchup_done _ | Snapshot_ack _ ->
     48
   | Catchup_data { cells; _ } | Snapshot_chunk { cells; _ } ->
     List.fold_left (fun a c -> a + size_of_cell c) 48 cells
-
-let pp ppf = function
-  | Request { client; request_id; op; _ } ->
-    Format.fprintf ppf "request#%d from c%d key=%s%s" request_id client (key_of_op op)
-      (if is_write op then " (write)" else "")
-  | Reply { request_id; _ } -> Format.fprintf ppf "reply#%d" request_id
-  | Propose { range; epoch; writes; _ } ->
-    Format.fprintf ppf "propose r%d e%d (%d writes)" range epoch (List.length writes)
-  | Ack { range; from; upto } ->
-    Format.fprintf ppf "ack r%d from n%d upto %a" range from Storage.Lsn.pp upto
-  | Commit { range; upto; _ } -> Format.fprintf ppf "commit r%d upto %a" range Storage.Lsn.pp upto
-  | Read_guard { range; epoch; seq } ->
-    Format.fprintf ppf "read-guard r%d e%d #%d" range epoch seq
-  | Read_guard_ack { range; from; seq } ->
-    Format.fprintf ppf "read-guard-ack r%d n%d #%d" range from seq
-  | Takeover_query { range; epoch } -> Format.fprintf ppf "takeover-query r%d e%d" range epoch
-  | Takeover_info { range; from; cmt; lst } ->
-    Format.fprintf ppf "takeover-info r%d n%d cmt=%a lst=%a" range from Storage.Lsn.pp cmt
-      Storage.Lsn.pp lst
-  | Catchup_request { range; from; cmt } ->
-    Format.fprintf ppf "catchup-request r%d n%d cmt=%a" range from Storage.Lsn.pp cmt
-  | Catchup_data { range; cells; final; _ } ->
-    Format.fprintf ppf "catchup-data r%d (%d cells%s)" range (List.length cells)
-      (if final then ", final" else "")
-  | Catchup_done { range; from; upto } ->
-    Format.fprintf ppf "catchup-done r%d n%d upto %a" range from Storage.Lsn.pp upto
-  | Snapshot_chunk { range; seq; total; cells; final; _ } ->
-    Format.fprintf ppf "snapshot-chunk r%d %d/%d (%d cells%s)" range seq total
-      (List.length cells)
-      (if final then ", final" else "")
-  | Snapshot_ack { range; from; seq } ->
-    Format.fprintf ppf "snapshot-ack r%d n%d #%d" range from seq

@@ -155,16 +155,18 @@ type t =
   | Read_guard_ack of { range : int; from : int; seq : int }
   (* --- recovery (§6) --- *)
   | Takeover_query of { range : int; epoch : int }
-      (** new leader asks a follower for its last committed LSN (Fig 6 l.4) *)
-  | Takeover_info of { range : int; from : int; cmt : Storage.Lsn.t; lst : Storage.Lsn.t }
+      (** new leader asks a follower for its last committed LSN (Fig 6 l.4);
+          the follower steps under the new epoch and answers with a
+          [Catchup_request] *)
   | Catchup_request of { range : int; from : int; cmt : Storage.Lsn.t }
-      (** recovering follower advertises f.cmt to the leader (§6.1) *)
+      (** a follower advertises f.cmt to the leader and is caught up from
+          it: after local recovery (§6.1), after a gap in its propose
+          stream, and in answer to a [Takeover_query] *)
   | Catchup_data of {
       range : int;
       epoch : int;
       cells : (Storage.Row.coord * Storage.Row.cell) list;  (** ascending LSN *)
       upto : Storage.Lsn.t;
-      final : bool;  (** leader blocked writes; follower is fully caught up after this *)
       replies : (int * int * (int * client_reply) list) list;
           (** the leader's settled reply cache: per client, its floor and
               its outcomes (request id, reply) at or above it. Cells carry
@@ -172,16 +174,21 @@ type t =
               elected would re-execute retries of the writes it received as
               cells. Not counted by {!size}. *)
     }
+      (** the leader's answer to a [Catchup_request]: its committed cells in
+          (f.cmt, [upto]]. The leader holds new writes until the follower's
+          [Catchup_done], so the follower is fully caught up after this. *)
   | Catchup_done of { range : int; from : int; upto : Storage.Lsn.t }
+      (** the caught-up cells are durable at the follower; the leader
+          activates it and re-proposes its pending writes (for a takeover,
+          Figure 6 line 9) *)
   (* --- replica migration (§10) --- *)
   | Snapshot_chunk of {
       range : int;
       epoch : int;
       seq : int;  (** chunk number, 0-based; shipped stop-and-wait *)
-      total : int;  (** total chunks in this snapshot (>= 1, even if empty) *)
       cells : (Storage.Row.coord * Storage.Row.cell) list;
       upto : Storage.Lsn.t;  (** snapshot commit horizon; catch-up resumes here *)
-      final : bool;
+      final : bool;  (** the snapshot's last chunk (there is always one) *)
     }
       (** one bandwidth-modelled chunk of the SSTable snapshot a cohort
           ships to a joining learner replica *)
@@ -191,11 +198,5 @@ val is_write : client_op -> bool
 
 val key_of_op : client_op -> Storage.Row.key
 
-val size_of_op : client_op -> int
-(** Wire-size estimate in bytes, for network accounting. *)
-
-val size_of_reply : client_reply -> int
-
 val size : t -> int
-
-val pp : Format.formatter -> t -> unit
+(** Wire-size estimate in bytes, for network accounting. *)

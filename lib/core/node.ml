@@ -235,7 +235,7 @@ and apply_meta t ~range ~op ~leader =
         t.cohorts <- t.cohorts @ [ (new_range, c) ];
         Sim.Trace.event t.trace ~node:t.id ~cohort:new_range ~tag:"split_child"
           (Printf.sprintf "r%d n%d from r%d at %s" new_range t.id range at);
-        Cohort.startup c
+        Cohort.rejoin c
       end;
       Storage.Store.set_bounds pstore ~lo ~hi:at;
       if leader then publish_layout t
@@ -278,7 +278,7 @@ and reconcile_layout t =
                   t.cohorts <- t.cohorts @ [ (d.id, child) ];
                   Sim.Trace.event t.trace ~node:t.id ~cohort:d.id ~tag:"split_child"
                     (Printf.sprintf "r%d n%d reconciled from r%d" d.id t.id range);
-                  Cohort.startup child
+                  Cohort.rejoin child
                 end)
               (Partition.descs t.partition);
             Storage.Store.set_bounds store ~lo:slo ~hi:phi
@@ -293,7 +293,7 @@ and reconcile_layout t =
           t.cohorts <- t.cohorts @ [ (d.id, c) ];
           Sim.Trace.event t.trace ~node:t.id ~cohort:d.id ~tag:"range_adopted"
             (Printf.sprintf "r%d n%d" d.id t.id);
-          Cohort.startup c
+          Cohort.rejoin c
         end)
       (Partition.descs t.partition);
     List.iter
@@ -374,7 +374,6 @@ let handle t (env : Message.t Sim.Network.envelope) =
     | Message.Read_guard { range; _ }
     | Message.Read_guard_ack { range; _ }
     | Message.Takeover_query { range; _ }
-    | Message.Takeover_info { range; _ }
     | Message.Catchup_request { range; _ }
     | Message.Catchup_data { range; _ }
     | Message.Catchup_done { range; _ }
@@ -432,7 +431,7 @@ let start t =
   (* A node added after cluster bootstrap starts with no hosted ranges until
      a migration targets it; reconcile adopts anything it already owns. *)
   reconcile_layout t;
-  List.iter (fun (_, c) -> if Cohort.role c = Cohort.Offline then Cohort.startup c) t.cohorts;
+  List.iter (fun (_, c) -> if Cohort.role c = Cohort.Offline then Cohort.rejoin c) t.cohorts;
   arm_layout_watch t
 
 let crash t =

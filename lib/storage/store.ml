@@ -808,6 +808,45 @@ let durable_write_lsns_in t ~above ~upto =
       acc := lsn :: !acc);
   List.rev !acc
 
+(* Fold an LSN-sorted shipped-cell list into ONE install op per LSN. The
+   WAL's LSN index treats a second record at an existing LSN as an
+   idempotent re-force and keeps the first record's op, so appending two
+   [Install_cell] records at one LSN (e.g. a Txn_resolve's data cell plus
+   its intent tombstone) would silently drop all but the first cell from
+   crash-recovery replay. Each cell goes in verbatim: reconstructing a
+   Put/Delete would drop its transactional commit-timestamp classification
+   ([Row.cell.txn_ts]), and the receiver's snapshot reads could then expose
+   half a transaction. *)
+let install_ops_by_lsn (cells : (Row.coord * Row.cell) list) =
+  let groups =
+    List.fold_left
+      (fun acc ((_, (cell : Row.cell)) as item) ->
+        match acc with
+        | (lsn, items) :: rest when Lsn.equal lsn cell.lsn -> (lsn, item :: items) :: rest
+        | _ -> (cell.Row.lsn, [ item ]) :: acc)
+      [] cells
+  in
+  let op_of_cell (coord, cell) = Log_record.Install_cell { coord; cell } in
+  List.rev_map
+    (fun (lsn, rev_items) ->
+      let items = List.rev rev_items in
+      let timestamp = match items with (_, (c : Row.cell)) :: _ -> c.timestamp | [] -> 0 in
+      let op =
+        match items with
+        | [ item ] -> op_of_cell item
+        | _ -> Log_record.Batch (List.map op_of_cell items)
+      in
+      (lsn, timestamp, op))
+    groups
+
+let install_cells t ~own cells =
+  List.iter
+    (fun (lsn, timestamp, op) ->
+      if not (List.exists (Lsn.equal lsn) own) then
+        Wal.append t.wal (Log_record.write ~cohort:t.cohort ~lsn ~timestamp op);
+      apply t ~lsn ~timestamp op)
+    (install_ops_by_lsn cells)
+
 (* ------------------------------------------------------------------ *)
 (* Range split (§10): both children serve before any data is rewritten.  *)
 

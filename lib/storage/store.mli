@@ -223,6 +223,14 @@ val durable_write_lsns_in : t -> above:Lsn.t -> upto:Lsn.t -> Lsn.t list
 (** LSNs of this cohort's durable log records in (above, upto] — the
     follower's side of logical-truncation bookkeeping. *)
 
+val install_cells : t -> own:Lsn.t list -> (Row.coord * Row.cell) list -> unit
+(** Install cells shipped by another replica — a leader's catch-up or a
+    migration snapshot chunk — given ascending by LSN, so that they become
+    this replica's durable prefix: one log record per LSN (the LSN's cells
+    verbatim, as [Install_cell] ops), appended unless the LSN is in [own]
+    (already durable here, e.g. from an earlier attempt), then applied. The
+    caller forces the log. *)
+
 val served_from_sstables : t -> int
 (** How many catch-up requests could not be served from the log alone. *)
 

@@ -208,22 +208,10 @@ let replica_apply engine (wal, store) i op =
   | None -> Store.flush store);
   Sim.Engine.run engine
 
-let op_of_cell ((key, col) : Row.coord) (cell : Row.cell) =
-  match cell.Row.value with
-  | Some value -> Log_record.Put { key; col; value; version = cell.version }
-  | None -> Log_record.Delete { key; col; version = cell.version }
-
-(* Mirror of the learner's chunk install: WAL-append (unless the LSN is
-   already durable from a previous attempt) then apply, force, ack. *)
+(* The learner's chunk install (skipping LSNs already durable from a
+   previous attempt), then the force its ack waits for. *)
 let install_cells engine (wal, store) cells ~upto =
-  let own = Store.durable_write_lsns_in store ~above:Lsn.zero ~upto in
-  List.iter
-    (fun ((coord, (cell : Row.cell)) : Row.coord * Row.cell) ->
-      let op = op_of_cell coord cell in
-      if not (List.exists (Lsn.equal cell.Row.lsn) own) then
-        Wal.append wal (Log_record.write ~cohort:0 ~lsn:cell.Row.lsn ~timestamp:cell.Row.timestamp op);
-      Store.apply store ~lsn:cell.Row.lsn ~timestamp:cell.Row.timestamp op)
-    cells;
+  Store.install_cells store ~own:(Store.durable_write_lsns_in store ~above:Lsn.zero ~upto) cells;
   Wal.force wal (fun () -> ());
   Sim.Engine.run engine
 

@@ -225,25 +225,37 @@ let test_schedule_replay_determinism () =
    compaction) was required to preserve the exact (time, seq) pop order, and
    these values prove it did. If a future change is *meant* to alter the
    schedule (say, a different tie-break), re-capture deliberately:
-     Workload.Chaos.run_spinnaker ~profile ~seed () |> fun r -> r.fingerprint *)
+     Workload.Chaos.run_spinnaker ~profile ~seed () |> fun r -> r.fingerprint
+   The Lossy, Partitions, shared-client and transaction rows reach the
+   catch-up, re-sync, stepdown and 2PC recovery paths that the Mixed and
+   Crashes rows reach less often. *)
+let spinnaker ?shared_clients profile seed () =
+  Chaos.run_spinnaker ?shared_clients ~profile ~seed ()
+
 let golden_fingerprints =
   [
-    (Chaos.Mixed, 1, "3113716eb69147387f1d7a0687675a6e");
-    (Chaos.Mixed, 7, "865eb4c1bf0c6e1876b31ee7bd551323");
-    (Chaos.Mixed, 42, "0502470f22b0ef05fa514e42f5199031");
-    (Chaos.Crashes, 1, "270faf241bbc2ebd7e6fd3e76150006c");
-    (Chaos.Crashes, 7, "e3b8912fc2059946a7532f4ced23ceeb");
-    (Chaos.Crashes, 42, "2b895e0e7b387cadcfc13b54c4fbb5f4");
+    ("mixed 1", spinnaker Chaos.Mixed 1, "3113716eb69147387f1d7a0687675a6e");
+    ("mixed 7", spinnaker Chaos.Mixed 7, "865eb4c1bf0c6e1876b31ee7bd551323");
+    ("mixed 42", spinnaker Chaos.Mixed 42, "0502470f22b0ef05fa514e42f5199031");
+    ("crashes 1", spinnaker Chaos.Crashes 1, "270faf241bbc2ebd7e6fd3e76150006c");
+    ("crashes 7", spinnaker Chaos.Crashes 7, "e3b8912fc2059946a7532f4ced23ceeb");
+    ("crashes 42", spinnaker Chaos.Crashes 42, "2b895e0e7b387cadcfc13b54c4fbb5f4");
+    ("lossy 1", spinnaker Chaos.Lossy 1, "1b9f5b2587567ba092bd414d37b5b300");
+    ("partitions 7", spinnaker Chaos.Partitions 7, "70a53ab733d0b390a1eefe8248ce3e08");
+    ( "shared-client mixed 5",
+      spinnaker ~shared_clients:4 Chaos.Mixed 5,
+      "aa055b0c35d81edc3b7d3cef5ba02cd8" );
+    ( "txn-bank 7001",
+      (fun () -> Chaos.run_txn_bank ~seed:7001 ()),
+      "46c079df4112c4f1ac78092cf3220acc" );
   ]
 
 let test_golden_fingerprints () =
   List.iter
-    (fun (profile, seed, expected) ->
-      let r = Chaos.run_spinnaker ~profile ~seed () in
-      check_bool (Printf.sprintf "seed %d run is clean" seed) false (Chaos.failed r);
-      check_string
-        (Printf.sprintf "seed %d fingerprint" seed)
-        expected r.Chaos.fingerprint)
+    (fun (name, run, expected) ->
+      let r = run () in
+      check_bool (Printf.sprintf "%s run is clean" name) false (Chaos.failed r);
+      check_string (Printf.sprintf "%s fingerprint" name) expected r.Chaos.fingerprint)
     golden_fingerprints
 
 (* --- the planted-bug fixture ---------------------------------------------- *)
