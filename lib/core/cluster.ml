@@ -9,6 +9,7 @@ type t = {
   flight : Sim.Trace.Flight.t;
   metrics : Sim.Metrics.Registry.t;
   mutable next_client : int;
+  planted_hole_ack_bug : bool;  (** fault plant handed to every node *)
 }
 
 let bootstrap_zk zk_server partition =
@@ -64,7 +65,7 @@ let register_node_gauges metrics node =
         g "r%d_cache_evictions" (fun () -> Storage.Store.cache_evictions (Cohort.store c)))
     (Node.ranges node)
 
-let create engine config =
+let create ?(planted_hole_ack_bug = false) engine config =
   let partition =
     Partition.create ~nodes:config.Config.nodes ~replication:Config.replication
       ~key_space:config.Config.key_space
@@ -88,13 +89,13 @@ let create engine config =
          Sim.Trace.dropped trace));
   let nodes =
     Array.init config.Config.nodes (fun id ->
-        Node.create ~engine ~net ~zk_server ~partition ~config ~trace ~id)
+        Node.create ~engine ~net ~zk_server ~partition ~config ~trace ~planted_hole_ack_bug ~id)
   in
   (* Resource gauges, one series per node (and per cohort where the resource
      is per-range); sampled by the registry ticker once the cluster starts. *)
   Array.iter (register_node_gauges metrics) nodes;
   { engine; config; partition; net; zk_server; nodes; trace; flight; metrics;
-    next_client = 10_000 }
+    next_client = 10_000; planted_hole_ack_bug }
 
 let new_client t =
   let id = t.next_client in
@@ -167,7 +168,7 @@ let add_node t =
   let id = Array.length t.nodes in
   let node =
     Node.create ~engine:t.engine ~net:t.net ~zk_server:t.zk_server ~partition:t.partition
-      ~config:t.config ~trace:t.trace ~id
+      ~config:t.config ~trace:t.trace ~planted_hole_ack_bug:t.planted_hole_ack_bug ~id
   in
   t.nodes <- Array.append t.nodes [| node |];
   register_node_gauges t.metrics node;

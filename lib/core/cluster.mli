@@ -3,9 +3,12 @@
 
 type t
 
-val create : Sim.Engine.t -> Config.t -> t
+val create : ?planted_hole_ack_bug:bool -> Sim.Engine.t -> Config.t -> t
 (** Builds (but does not start) the cluster: creates the coordination
-    service, bootstraps its range directories, and instantiates the nodes. *)
+    service, bootstraps its range directories, and instantiates the nodes.
+    [?planted_hole_ack_bug] (default [false]) is a fault plant for chaos
+    fixtures: every follower acks past loss-induced log holes, the bug the
+    hole-aware ack fixed ({!Cohort.ctx}). *)
 
 val start : t -> unit
 (** Boot every node; leader elections begin immediately. *)

@@ -43,6 +43,12 @@ type ctx = {
       (** node-level escalation for the presumed-abort sweep: query the
           coordinator cohort owning [anchor] for [txn]'s outcome and resolve
           the in-doubt intents at [key]'s range (a no-op outside a cluster) *)
+  planted_hole_ack_bug : bool;
+      (** fault plant for chaos fixtures: followers ack (and advance [lst]
+          over) every LSN they appended, including writes beyond a
+          loss-induced hole — the exact bug the hole-aware ack fixed — so the
+          shrinker tests have a reproducible lost-acked-write failure to cut
+          down. Set only through {!Cluster.create}'s argument. *)
 }
 
 type waiting_write = { client : int; request_id : int; op : Message.client_op }
@@ -242,14 +248,6 @@ let snapshot_chunk_bytes = 512 * 1024
    a live coordinator client would have resolved it already. *)
 let txn_sweep_period = Sim.Sim_time.sec 2
 let txn_indoubt_after = Sim.Sim_time.sec 4
-
-(* Test-only fault plant: when set, followers ack (and advance lst over)
-   every LSN they appended, including writes sitting beyond a loss-induced
-   hole — the exact bug the hole-aware ack fixed. The shrinker test flips it
-   on to manufacture reproducible lost-acked-write failures and verify a
-   long chaos schedule shrinks to the few injections that matter. Never set
-   outside tests. *)
-let chaos_ack_past_holes = ref false
 
 let zk_prefix t = Printf.sprintf "/ranges/%d" t.ctx.range
 let zk_candidates t = zk_prefix t ^ "/candidates"
@@ -594,6 +592,31 @@ let fail_waiting t =
       clear_in_flight t ~client:w.client ~request_id:w.request_id;
       t.ctx.reply ~client:w.client ~request_id:w.request_id Message.Unavailable)
     waiting
+
+let abort_migration t reason =
+  match t.migration with
+  | None -> ()
+  | Some m ->
+    (* Clean abort: the membership change was never logged, so the layout is
+       untouched; the stranded learner retires itself on its own timeout. *)
+    trace t "migration_abort" (Printf.sprintf "joiner=n%d %s" m.joiner reason);
+    t.migration <- None
+
+(* End this replica's leadership term, whichever path ends it: stepdown,
+   session expiry, retirement or a lost /leader znode. The cohort closes,
+   parked writes and read-index rounds are answered [Unavailable] so their
+   clients fail over at once, and what only this term's leader could finish
+   dies with it: an in-flight migration or split, and the blocked final
+   catch-up list. If a split or membership record was already logged, the
+   next leader's takeover resolves it like any other write. A no-op on a
+   replica that was not leading. *)
+let end_leader_term t reason =
+  close_cohort t;
+  fail_guards t;
+  abort_migration t reason;
+  t.splitting <- false;
+  t.pending_final <- [];
+  fail_waiting t
 
 (* Logical truncation (§6.1.1): durable log records that never committed are
    put on the skipped-LSN list so local recovery does not re-apply them. *)
@@ -954,9 +977,10 @@ and start_election t =
     && List.mem t.ctx.node_id (t.ctx.members ())
   then begin
     t.election_running <- true;
+    (* A leader gets here when its own /leader znode vanished. *)
+    end_leader_term t "leader znode lost";
     t.role <- Candidate;
     t.leader <- None;
-    close_cohort t;
     trace t "election_start" (Printf.sprintf "lst=%s" (Lsn.to_string t.lst));
     let zk = t.ctx.zk () in
     (* Clean up our stale state from a previous round (Figure 7 line 1). *)
@@ -1949,9 +1973,9 @@ let handle_propose t ~src ~sent_at ~epoch ~writes ~piggyback_cmt =
          hole would let the leader count durability we do not have. *)
       List.iter (fun lsn -> Commit_queue.mark_forced t.queue lsn) !appended;
       let upto =
-        if !chaos_ack_past_holes then
-          (* Planted bug (see the flag's comment): claim everything appended,
-             holes and all. *)
+        if t.ctx.planted_hole_ack_bug then
+          (* Planted bug (see the field's comment): claim everything
+             appended, holes and all. *)
           List.fold_left Lsn.max t.cmt !appended
         else
           match Commit_queue.contiguous_forced_upto t.queue ~from:t.cmt with
@@ -2233,8 +2257,7 @@ let retire t =
   if t.role <> Offline then begin
     trace t "retire"
       (Printf.sprintf "role=%s%s" (role_name t.role) (if t.learner then " (learner)" else ""));
-    fail_waiting t;
-    fail_guards t;
+    end_leader_term t "replica retired";
     let parked = List.rev t.parked_reads in
     t.parked_reads <- [];
     List.iter
@@ -2251,23 +2274,11 @@ let retire t =
     if t.role = Leader then Coord.Zk_client.delete_node zk ~path:(zk_leader t) (fun _ -> ());
     t.role <- Offline;
     t.leader <- None;
-    close_cohort t;
-    t.migration <- None;
-    t.splitting <- false;
     t.learner <- false;
     t.snapshot_next <- 0;
     t.election_running <- false;
     t.own_candidate <- None
   end
-
-let abort_migration t reason =
-  match t.migration with
-  | None -> ()
-  | Some m ->
-    (* Clean abort: the membership change was never logged, so the layout is
-       untouched; the stranded learner retires itself on its own timeout. *)
-    trace t "migration_abort" (Printf.sprintf "joiner=n%d %s" m.joiner reason);
-    t.migration <- None
 
 (* Ship the current chunk through the node's bulk-transfer link (bandwidth-
    modelled), then retransmit every 500ms until the joiner acks it. *)
@@ -2495,15 +2506,16 @@ let request_split t =
                            (* New writes are parked by [t.splitting]; wait for
                               the in-flight tail to commit, then flush so the
                               shared SSTables hold everything up to the split
-                              record, and log it. *)
+                              record, and log it. The split dies with the term
+                              ([end_leader_term] clears the flag). *)
                            let rec drain () =
-                             if t.role <> Leader then t.splitting <- false
-                             else if Commit_queue.length t.queue > 0 then
-                               after t (Sim.Sim_time.ms 50) drain
-                             else begin
-                               Store.flush t.ctx.store;
-                               enqueue_meta t (Log_record.Split { at; new_range })
-                             end
+                             if t.role = Leader && t.splitting then
+                               if Commit_queue.length t.queue > 0 then
+                                 after t (Sim.Sim_time.ms 50) drain
+                               else begin
+                                 Store.flush t.ctx.store;
+                                 enqueue_meta t (Log_record.Split { at; new_range })
+                               end
                            in
                            drain ())))
              end));
@@ -2523,14 +2535,7 @@ let handle_takeover_query t ~src ~epoch =
     (* A deposed leader rejoins the cohort as a follower (§6.2). *)
     if t.role = Leader then begin
       trace t "stepdown" (Printf.sprintf "new_epoch=%d" epoch);
-      close_cohort t;
-      fail_guards t;
-      (* A deposed leader's in-flight migration or split dies with its term;
-         if the metadata record was already logged the new leader's takeover
-         resolves it like any other write. *)
-      abort_migration t "leader deposed";
-      t.splitting <- false;
-      fail_waiting t
+      end_leader_term t "leader deposed"
     end;
     t.role <- Follower;
     t.election_running <- false;
@@ -2648,19 +2653,12 @@ let rejoin t =
 let zk_session_expired t =
   if t.role <> Offline then begin
     trace t "zk_session_expired" ("role=" ^ role_name t.role);
-    if t.role = Leader then begin
-      fail_waiting t;
-      (* The session is gone, so the lease is too; in-flight guard rounds can
-         never complete under an epoch a new leader may already have beaten. *)
-      fail_guards t
-    end;
+    (* The session is gone, so the lease is too; in-flight guard rounds can
+       never complete under an epoch a new leader may already have beaten. *)
+    end_leader_term t "session expired";
     t.role <- if t.learner then Follower else Candidate;
     t.leader <- None;
-    close_cohort t;
-    t.pending_final <- [];
     t.active_followers <- [];
-    t.migration <- None;
-    t.splitting <- false;
     t.catching_up <- false;
     t.election_running <- false;
     t.own_candidate <- None;

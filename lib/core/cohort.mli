@@ -56,6 +56,12 @@ type ctx = {
       (** node-level escalation for the presumed-abort sweep: query the
           coordinator cohort owning [anchor] for [txn]'s outcome and resolve
           the in-doubt intents at [key]'s range (a no-op outside a cluster) *)
+  planted_hole_ack_bug : bool;
+      (** fault plant for chaos fixtures: followers ack (and advance [lst]
+          over) every LSN they appended, including writes beyond a
+          loss-induced hole — the exact bug the hole-aware ack fixed — so the
+          shrinker tests have a reproducible lost-acked-write failure to cut
+          down. Set only through {!Cluster.create}'s argument. *)
 }
 
 type t
@@ -90,12 +96,6 @@ val is_learner : t -> bool
 
 val migrating : t -> bool
 (** Leader-side: a replica migration is in flight on this cohort. *)
-
-val chaos_ack_past_holes : bool ref
-(** Test-only: re-enable the pre-fix follower bug of acking past a
-    loss-induced log hole (and advancing [lst] over it), so chaos harnesses
-    have a reproducible planted lost-acked-write failure to shrink. Never
-    set outside tests. *)
 
 (** {2 Read path: leases and follower reads} *)
 

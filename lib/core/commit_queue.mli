@@ -4,7 +4,20 @@
     On the leader an entry commits once its log record is forced locally and
     at least one follower has acked; commits happen strictly in LSN order. On
     a follower entries wait for the leader's (possibly piggy-backed)
-    asynchronous commit message. *)
+    asynchronous commit message.
+
+    Layout: one array of entries sorted by LSN, live in a window that
+    advances as entries commit, so the queue is a FIFO window over the log.
+    Appending at the tail and popping at the head are O(1); {!mem},
+    {!mark_forced}, {!origin_at} and the start of {!add_ack}'s walk
+    binary-search the window; a back-filled LSN below the tail is inserted
+    by shifting, and {!drop_above} cuts a suffix. Removed entries' slots are
+    cleared, so nothing popped or dropped stays reachable from the queue.
+    Beside the array sit a forced-prefix cursor for {!mark_forced_upto}, a
+    per-coordinate version overlay for {!latest_version_for} (built on the
+    first lookup, so a follower never maintains it), per-follower
+    applied-ack watermarks for {!add_ack}, and the memoized frontier of
+    {!contiguous_forced_upto}. *)
 
 type entry = {
   lsn : Storage.Lsn.t;
@@ -26,6 +39,9 @@ val create : unit -> t
 val add :
   t -> lsn:Storage.Lsn.t -> op:Storage.Log_record.op -> timestamp:int ->
   ?origin:Storage.Log_record.origin -> ?reply:(unit -> unit) -> unit -> unit
+(** Queue a write, unforced and unacked. Re-adding a queued LSN replaces its
+    entry, and a follower whose applied ack covers the LSN is rewound so the
+    new entry's acks are earned afresh. *)
 
 val mem : t -> Storage.Lsn.t -> bool
 

@@ -27,6 +27,7 @@ type t = {
       (** presumed-abort escalation for in-doubt intents found by a leader
           cohort's sweep; the cluster layer installs a client-backed resolver
           (raw-node tests leave it unset — the sweep is then inert) *)
+  planted_hole_ack_bug : bool;  (** fault plant handed to every hosted cohort *)
 }
 
 let id t = t.id
@@ -141,6 +142,7 @@ and make_cohort_with_store t range store =
           match t.txn_escalation with
           | Some f -> f ~txn ~anchor ~key
           | None -> ());
+      planted_hole_ack_bug = t.planted_hole_ack_bug;
     }
   in
   Cohort.create ctx
@@ -383,7 +385,7 @@ let handle t (env : Message.t Sim.Network.envelope) =
       | None -> ())
   end
 
-let create ~engine ~net ~zk_server ~partition ~config ~trace ~id =
+let create ~engine ~net ~zk_server ~partition ~config ~trace ~planted_hole_ack_bug ~id =
   let cpu = Sim.Resource.create engine ~name:(Printf.sprintf "cpu-%d" id) ~servers:4 () in
   let disk = Sim.Resource.create engine ~name:(Printf.sprintf "logdisk-%d" id) () in
   let xfer = Sim.Resource.create engine ~name:(Printf.sprintf "xfer-%d" id) () in
@@ -413,6 +415,7 @@ let create ~engine ~net ~zk_server ~partition ~config ~trace ~id =
       alive = false;
       incarnation = 0;
       txn_escalation = None;
+      planted_hole_ack_bug;
     }
   in
   t.cohorts <-

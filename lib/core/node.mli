@@ -12,8 +12,11 @@ val create :
   partition:Partition.t ->
   config:Config.t ->
   trace:Sim.Trace.t ->
+  planted_hole_ack_bug:bool ->
   id:int ->
   t
+(** [planted_hole_ack_bug] is the fault plant every cohort this node hosts
+    reads ({!Cohort.ctx}). *)
 
 val id : t -> int
 

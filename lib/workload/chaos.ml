@@ -312,11 +312,8 @@ let shared_keys = 1024
 let run_spinnaker ?(config = default_config) ?(profile = Mixed) ?schedule
     ?(planted_hole_ack_bug = false) ?shared_clients ?(chaos_for = Sim.Sim_time.sec 10)
     ?(quiesce_for = Sim.Sim_time.sec 10) ~seed () =
-  Cohort.chaos_ack_past_holes := planted_hole_ack_bug;
-  Fun.protect ~finally:(fun () -> Cohort.chaos_ack_past_holes := false)
-  @@ fun () ->
   let engine = Sim.Engine.create ~seed () in
-  let cluster = Cluster.create engine config in
+  let cluster = Cluster.create ~planted_hole_ack_bug engine config in
   Cluster.start cluster;
   let violations = ref [] in
   let flag invariant detail = violations := (invariant, detail) :: !violations in

@@ -68,9 +68,9 @@ val run_spinnaker :
     skipped and the explicit schedule replays against a pre-registered
     universe of every crash target and fault toggle the generators could
     have drawn — the replayed run's injection log equals its input.
-    [?planted_hole_ack_bug] re-enables the pre-fix follower ack bug
-    ({!Spinnaker.Cohort.chaos_ack_past_holes}) for shrinker fixtures; the
-    flag is always cleared on return. *)
+    [?planted_hole_ack_bug] builds the run's cluster with the pre-fix
+    follower ack bug planted ({!Spinnaker.Cluster.create}) for shrinker
+    fixtures. *)
 
 val shrink :
   ?max_replays:int ->

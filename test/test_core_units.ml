@@ -159,93 +159,377 @@ let prop_queue_commits_exactly_once =
       let second = Commit_queue.pop_committable q ~acks_needed:1 in
       List.length first = n && second = [] && Commit_queue.is_empty q)
 
-(* Differential check of the memoized follower frontier: random programs over
-   the whole queue API, with [contiguous_forced_upto] compared after every
-   step against a naive walk of [to_list]. LSNs span two epochs over a small
-   seq range, so chains, holes, re-adds at or below the frontier and
-   replacements of forced entries all occur. *)
-type queue_cmd =
-  | Add of Lsn.t
-  | Force of Lsn.t
-  | Force_upto of Lsn.t
-  | Ack of int * Lsn.t
-  | Pop_contiguous of Lsn.t
-  | Pop_upto of Lsn.t
-  | Drop_above of Lsn.t
-  | Set_from of Lsn.t
-  | Ask of Lsn.t
+(* The commit queue as two persistent LSN maps (every entry, and the
+   unforced ones), kept as the reference for the array-backed queue. It
+   differs from the map-based queue it was taken from in one place: a
+   re-added LSN also withdraws the replaced entry's version-overlay pairs,
+   which that queue leaked when the new op wrote other coordinates. *)
+module Map_queue = struct
+  module Lsn_map = Map.Make (Lsn)
 
-let pp_queue_cmd = function
-  | Add l -> "add " ^ Lsn.to_string l
-  | Force l -> "force " ^ Lsn.to_string l
-  | Force_upto l -> "force_upto " ^ Lsn.to_string l
-  | Ack (f, l) -> Printf.sprintf "ack %d %s" f (Lsn.to_string l)
-  | Pop_contiguous l -> "pop_contiguous " ^ Lsn.to_string l
-  | Pop_upto l -> "pop_upto " ^ Lsn.to_string l
-  | Drop_above l -> "drop_above " ^ Lsn.to_string l
-  | Set_from l -> "set_from " ^ Lsn.to_string l
-  | Ask l -> "ask " ^ Lsn.to_string l
+  type t = {
+    mutable entries : Commit_queue.entry Lsn_map.t;
+    mutable unforced : Commit_queue.entry Lsn_map.t;
+    versions : (Storage.Row.coord, (Lsn.t * int) list) Hashtbl.t;
+    acked_upto : (int, Lsn.t) Hashtbl.t;
+  }
 
-let arb_queue_program =
+  let create () =
+    {
+      entries = Lsn_map.empty;
+      unforced = Lsn_map.empty;
+      versions = Hashtbl.create 8;
+      acked_upto = Hashtbl.create 8;
+    }
+
+  let rec iter_writes f = function
+    | Storage.Log_record.Put { key; col; version; _ } -> f (key, col) version
+    | Storage.Log_record.Delete { key; col; version } -> f (key, col) version
+    | Storage.Log_record.Batch ops -> List.iter (iter_writes f) ops
+    | _ -> ()
+
+  let index_add t lsn op =
+    iter_writes
+      (fun coord version ->
+        let rec ins = function
+          | [] -> [ (lsn, version) ]
+          | ((l, _) :: _) as rest when Lsn.(l <= lsn) -> (lsn, version) :: rest
+          | hd :: tl -> hd :: ins tl
+        in
+        let cur = Option.value ~default:[] (Hashtbl.find_opt t.versions coord) in
+        Hashtbl.replace t.versions coord (ins cur))
+      op
+
+  let index_remove t (e : Commit_queue.entry) =
+    iter_writes
+      (fun coord _ ->
+        match Hashtbl.find_opt t.versions coord with
+        | None -> ()
+        | Some l -> (
+          match List.filter (fun (l', _) -> not (Lsn.equal l' e.lsn)) l with
+          | [] -> Hashtbl.remove t.versions coord
+          | l -> Hashtbl.replace t.versions coord l))
+      e.op
+
+  let remove_entry t (e : Commit_queue.entry) =
+    t.entries <- Lsn_map.remove e.lsn t.entries;
+    if not e.forced then t.unforced <- Lsn_map.remove e.lsn t.unforced;
+    index_remove t e
+
+  let add t ~lsn ~op ~timestamp ?origin ?reply () =
+    let entry = { Commit_queue.lsn; op; timestamp; origin; forced = false; ackers = []; reply } in
+    Option.iter (index_remove t) (Lsn_map.find_opt lsn t.entries);
+    t.entries <- Lsn_map.add lsn entry t.entries;
+    t.unforced <- Lsn_map.add lsn entry t.unforced;
+    index_add t lsn op;
+    let rewind =
+      Hashtbl.fold (fun from applied acc -> if Lsn.(lsn <= applied) then from :: acc else acc)
+        t.acked_upto []
+    in
+    List.iter (fun from -> Hashtbl.replace t.acked_upto from Lsn.zero) rewind
+
+  let mem t lsn = Lsn_map.mem lsn t.entries
+  let is_empty t = Lsn_map.is_empty t.entries
+  let length t = Lsn_map.cardinal t.entries
+  let min_lsn t = Option.map fst (Lsn_map.min_binding_opt t.entries)
+  let max_lsn t = Option.map fst (Lsn_map.max_binding_opt t.entries)
+
+  let rec mark_forced_upto t upto =
+    match Lsn_map.min_binding_opt t.unforced with
+    | Some (lsn, e) when Lsn.(lsn <= upto) ->
+      e.forced <- true;
+      t.unforced <- Lsn_map.remove lsn t.unforced;
+      mark_forced_upto t upto
+    | _ -> ()
+
+  let mark_forced t lsn =
+    match Lsn_map.find_opt lsn t.entries with
+    | Some e when not e.forced ->
+      e.forced <- true;
+      t.unforced <- Lsn_map.remove lsn t.unforced
+    | _ -> ()
+
+  let origin_at t lsn =
+    match Lsn_map.find_opt lsn t.entries with Some e -> e.origin | None -> None
+
+  let add_ack t ~from ~upto =
+    let applied = Option.value ~default:Lsn.zero (Hashtbl.find_opt t.acked_upto from) in
+    if Lsn.(upto > applied) then begin
+      Lsn_map.iter
+        (fun l (e : Commit_queue.entry) ->
+          if Lsn.(l > applied && l <= upto) && not (List.mem from e.ackers) then
+            e.ackers <- from :: e.ackers)
+        t.entries;
+      Hashtbl.replace t.acked_upto from upto
+    end
+
+  let pop_while t ok =
+    let rec go acc =
+      match Lsn_map.min_binding_opt t.entries with
+      | Some (_, e) when ok e ->
+        remove_entry t e;
+        go (e :: acc)
+      | _ -> List.rev acc
+    in
+    go []
+
+  let pop_committable t ~acks_needed =
+    pop_while t (fun e -> e.forced && List.length e.ackers >= acks_needed)
+
+  let pop_upto t upto = pop_while t (fun e -> Lsn.(e.lsn <= upto))
+
+  let pop_contiguous t ~from ~upto =
+    let prev = ref from.Lsn.seq in
+    pop_while t (fun e ->
+        let ok = Lsn.(e.lsn <= upto) && e.lsn.Lsn.seq = !prev + 1 in
+        if ok then prev := e.lsn.Lsn.seq;
+        ok)
+
+  (* The unmemoized walk: the chain of forced, seq-contiguous entries from
+     the head. *)
+  let contiguous_forced_upto t ~from =
+    let rec go prev best = function
+      | (lsn, (e : Commit_queue.entry)) :: rest when lsn.Lsn.seq = prev + 1 && e.forced ->
+        go lsn.Lsn.seq (Some lsn) rest
+      | _ -> best
+    in
+    go from.Lsn.seq None (Lsn_map.bindings t.entries)
+
+  let drop_above t lsn =
+    let dropped = List.filter (fun (e : Commit_queue.entry) -> Lsn.(e.lsn > lsn))
+        (List.map snd (Lsn_map.bindings t.entries)) in
+    List.iter (remove_entry t) dropped;
+    dropped
+
+  let latest_version_for t coord =
+    match Hashtbl.find_opt t.versions coord with Some ((_, v) :: _) -> Some v | _ -> None
+
+  let to_list t = List.map snd (Lsn_map.bindings t.entries)
+end
+
+(* Differential check of the array-backed queue against [Map_queue]: random
+   programs over the whole API, with every entry, lookup and frontier
+   compared after every step and the version overlay whenever the program
+   asks (its first ask builds the queue's overlay from whatever is queued).
+   Appends at the tail dominate, as on the write path; random LSNs over two
+   epochs and a small seq range add back-fills, re-adds of queued LSNs
+   (which rewind acked followers), holes and replacements of forced
+   entries. *)
+type diff_cmd =
+  | D_append of int  (** the next seq after the queue's last, with a write to key [k] *)
+  | D_add of Lsn.t * int
+  | D_readd of int  (** re-add the n-th queued entry with a different op *)
+  | D_force of Lsn.t
+  | D_force_upto of Lsn.t
+  | D_ack of int * Lsn.t
+  | D_pop_committable of int
+  | D_pop_upto of Lsn.t
+  | D_pop_contiguous of Lsn.t
+  | D_frontier of Lsn.t option  (** [None]: the follower's current [from] *)
+  | D_drop_above of Lsn.t
+  | D_versions  (** the overlay answer for every key; the first builds it *)
+
+let pp_diff_cmd = function
+  | D_append k -> Printf.sprintf "append k%d" k
+  | D_add (l, k) -> Printf.sprintf "add %s k%d" (Lsn.to_string l) k
+  | D_readd n -> Printf.sprintf "readd #%d" n
+  | D_force l -> "force " ^ Lsn.to_string l
+  | D_force_upto l -> "force_upto " ^ Lsn.to_string l
+  | D_ack (f, l) -> Printf.sprintf "ack %d %s" f (Lsn.to_string l)
+  | D_pop_committable n -> Printf.sprintf "pop_committable %d" n
+  | D_pop_upto l -> "pop_upto " ^ Lsn.to_string l
+  | D_pop_contiguous l -> "pop_contiguous " ^ Lsn.to_string l
+  | D_frontier None -> "frontier"
+  | D_frontier (Some l) -> "frontier " ^ Lsn.to_string l
+  | D_drop_above l -> "drop_above " ^ Lsn.to_string l
+  | D_versions -> "versions"
+
+let arb_diff_program =
   let open QCheck.Gen in
-  let l = map2 (fun e s -> lsn e s) (int_range 1 2) (int_range 0 12) in
+  let l = map2 (fun e s -> lsn e s) (int_range 1 2) (int_range 0 14) in
+  let k = int_range 0 3 in
   let cmd =
     frequency
       [
-        (6, map (fun l -> Add l) l);
-        (5, map (fun l -> Force l) l);
-        (1, map (fun l -> Force_upto l) l);
-        (1, map2 (fun f l -> Ack (f, l)) (int_range 1 2) l);
-        (1, map (fun l -> Pop_contiguous l) l);
-        (1, map (fun l -> Pop_upto l) l);
-        (1, map (fun l -> Drop_above l) l);
-        (1, map (fun l -> Set_from l) (oneof [ return Lsn.zero; l ]));
-        (2, map (fun l -> Ask l) (oneof [ return Lsn.zero; l ]));
+        (8, map (fun k -> D_append k) k);
+        (3, map2 (fun l k -> D_add (l, k)) l k);
+        (1, map (fun n -> D_readd n) (int_range 0 8));
+        (4, map (fun l -> D_force l) l);
+        (2, map (fun l -> D_force_upto l) l);
+        (3, map2 (fun f l -> D_ack (f, l)) (int_range 1 2) l);
+        (1, map (fun n -> D_pop_committable n) (int_range 0 2));
+        (1, map (fun l -> D_pop_upto l) l);
+        (1, map (fun l -> D_pop_contiguous l) l);
+        (3, map (fun l -> D_frontier l) (oneof [ return None; map Option.some l ]));
+        (1, map (fun l -> D_drop_above l) l);
+        (2, return D_versions);
       ]
   in
   QCheck.make
-    ~print:(fun cmds -> String.concat "; " (List.map pp_queue_cmd cmds))
+    ~print:(fun cmds -> String.concat "; " (List.map pp_diff_cmd cmds))
     ~shrink:QCheck.Shrink.list
-    (list_size (int_range 1 60) cmd)
+    (list_size (int_range 1 80) cmd)
 
-let naive_frontier q ~from =
-  let rec go prev best = function
-    | (e : Commit_queue.entry) :: rest when e.lsn.Lsn.seq = prev + 1 && e.forced ->
-      go e.lsn.Lsn.seq (Some e.lsn) rest
-    | _ -> best
+(* Key [k] and, for odd seqs, a batch that also writes key [k + 1] twice
+   (a tie the overlay must resolve to the later op); every other op
+   carries an origin. *)
+let diff_op ~seq ~k =
+  let put key version =
+    Storage.Log_record.Put { key = Printf.sprintf "k%d" key; col = "c"; value = "v"; version }
   in
-  go from.Lsn.seq None (Commit_queue.to_list q)
+  if seq mod 2 = 1 then
+    Storage.Log_record.Batch [ put k seq; put (k + 1) (seq + 100); put (k + 1) (seq + 200) ]
+  else if seq mod 3 = 0 then
+    Storage.Log_record.Delete { key = Printf.sprintf "k%d" k; col = "c"; version = seq }
+  else put k seq
 
-let prop_queue_frontier_matches_naive_walk =
-  QCheck.Test.make ~name:"commit queue: memoized frontier matches a naive walk" ~count:500
-    arb_queue_program (fun cmds ->
-      let q = Commit_queue.create () in
+let diff_origin ~seq =
+  if seq mod 2 = 0 then Some { Storage.Log_record.client = seq; request_id = seq; floor = 0 }
+  else None
+
+let prop_queue_matches_map_model =
+  QCheck.Test.make ~name:"commit queue: array queue matches the map model" ~count:500
+    arb_diff_program (fun cmds ->
+      let q = Commit_queue.create () and m = Map_queue.create () in
       let from = ref Lsn.zero in
-      let agrees from =
-        Option.equal Lsn.equal (Commit_queue.contiguous_forced_upto q ~from)
-          (naive_frontier q ~from)
+      let both_add l ~k =
+        let op = diff_op ~seq:l.Lsn.seq ~k and timestamp = l.Lsn.seq * 10 in
+        let origin = diff_origin ~seq:l.Lsn.seq in
+        let reply = if k = 0 then Some (fun () -> ()) else None in
+        Commit_queue.add q ~lsn:l ~op ~timestamp ?origin ?reply ();
+        Map_queue.add m ~lsn:l ~op ~timestamp ?origin ?reply ()
+      in
+      let same_entry (a : Commit_queue.entry) (b : Commit_queue.entry) =
+        Lsn.equal a.lsn b.lsn && a.op = b.op && a.timestamp = b.timestamp
+        && a.origin = b.origin && a.forced = b.forced && a.ackers = b.ackers
+        && Option.equal ( == ) a.reply b.reply
+      in
+      let same_entries a b = List.length a = List.length b && List.for_all2 same_entry a b in
+      let probes = List.concat_map (fun e -> List.init 16 (fun s -> lsn e s)) [ 1; 2 ] in
+      let agrees () =
+        same_entries (Commit_queue.to_list q) (Map_queue.to_list m)
+        && Commit_queue.length q = Map_queue.length m
+        && Commit_queue.is_empty q = Map_queue.is_empty m
+        && Option.equal Lsn.equal (Commit_queue.min_lsn q) (Map_queue.min_lsn m)
+        && Option.equal Lsn.equal (Commit_queue.max_lsn q) (Map_queue.max_lsn m)
+        && List.for_all
+             (fun l ->
+               Commit_queue.mem q l = Map_queue.mem m l
+               && Commit_queue.origin_at q l = Map_queue.origin_at m l)
+             probes
+      in
+      let popped (a, b) =
+        List.iter (fun (e : Commit_queue.entry) -> from := Lsn.max !from e.lsn) a;
+        same_entries a b
       in
       List.for_all
         (fun cmd ->
           let step_ok =
             match cmd with
-            | Add l -> add q ~l (); true
-            | Force l -> Commit_queue.mark_forced q l; true
-            | Force_upto l -> Commit_queue.mark_forced_upto q l; true
-            | Ack (f, l) -> Commit_queue.add_ack q ~from:f ~upto:l; true
-            | Pop_contiguous l ->
-              List.iter
-                (fun (e : Commit_queue.entry) -> from := Lsn.max !from e.lsn)
-                (Commit_queue.pop_contiguous q ~from:!from ~upto:l);
+            | D_append k ->
+              let l = Option.fold ~none:(lsn 1 1) ~some:Lsn.next (Map_queue.max_lsn m) in
+              both_add l ~k;
               true
-            | Pop_upto l -> ignore (Commit_queue.pop_upto q l); true
-            | Drop_above l -> ignore (Commit_queue.drop_above q l); true
-            | Set_from l -> from := l; true
-            | Ask l -> agrees l
+            | D_add (l, k) ->
+              both_add l ~k;
+              true
+            | D_readd n -> (
+              match List.nth_opt (Map_queue.to_list m) n with
+              | Some e ->
+                both_add e.lsn ~k:3;
+                true
+              | None -> true)
+            | D_force l ->
+              Commit_queue.mark_forced q l;
+              Map_queue.mark_forced m l;
+              true
+            | D_force_upto l ->
+              Commit_queue.mark_forced_upto q l;
+              Map_queue.mark_forced_upto m l;
+              true
+            | D_ack (f, l) ->
+              Commit_queue.add_ack q ~from:f ~upto:l;
+              Map_queue.add_ack m ~from:f ~upto:l;
+              true
+            | D_pop_committable n ->
+              popped
+                ( Commit_queue.pop_committable q ~acks_needed:n,
+                  Map_queue.pop_committable m ~acks_needed:n )
+            | D_pop_upto l -> popped (Commit_queue.pop_upto q l, Map_queue.pop_upto m l)
+            | D_pop_contiguous l ->
+              let f = !from in
+              popped
+                ( Commit_queue.pop_contiguous q ~from:f ~upto:l,
+                  Map_queue.pop_contiguous m ~from:f ~upto:l )
+            | D_frontier l ->
+              let f = Option.value ~default:!from l in
+              (* Asked twice: the second resumes from the first's memo. *)
+              List.for_all
+                (fun () ->
+                  Option.equal Lsn.equal
+                    (Commit_queue.contiguous_forced_upto q ~from:f)
+                    (Map_queue.contiguous_forced_upto m ~from:f))
+                [ (); () ]
+            | D_drop_above l ->
+              same_entries (Commit_queue.drop_above q l) (Map_queue.drop_above m l)
+            | D_versions ->
+              List.for_all
+                (fun k ->
+                  let coord = (Printf.sprintf "k%d" k, "c") in
+                  Commit_queue.latest_version_for q coord = Map_queue.latest_version_for m coord)
+                [ 0; 1; 2; 3; 4 ]
           in
-          (* Asked twice: the second ask resumes from the first's memo. *)
-          step_ok && agrees !from && agrees !from)
+          step_ok
+          && agrees ()
+          && Option.equal Lsn.equal
+               (Commit_queue.contiguous_forced_upto q ~from:!from)
+               (Map_queue.contiguous_forced_upto m ~from:!from))
         cmds)
+
+(* Entries leave the queue for good: once popped or dropped, nothing in the
+   queue (a cleared slot, the array's spare tail) keeps their ops alive. *)
+let test_queue_releases_removed_entries () =
+  let n = 1000 in
+  let q = Commit_queue.create () in
+  let ops = Weak.create n in
+  let add_seq i =
+    let op =
+      Storage.Log_record.Put { key = Printf.sprintf "k%d" i; col = "c"; value = "v"; version = i }
+    in
+    Weak.set ops (i - 1) (Some op);
+    Commit_queue.add q ~lsn:(lsn 1 i) ~op ~timestamp:0 ()
+  in
+  let live () =
+    Gc.full_major ();
+    List.filter (Weak.check ops) (List.init n Fun.id)
+  in
+  let expect what ~from ~until =
+    Alcotest.(check (list int)) what (List.init (until - from) (fun i -> from + i)) (live ())
+  in
+  (* Sixteen fill the first array; popping ten and appending one shifts the
+     six survivors down instead of growing, and the slots they left must
+     not keep them alive once they are popped too. *)
+  for i = 1 to 16 do
+    add_seq i
+  done;
+  ignore (Commit_queue.pop_upto q (lsn 1 10));
+  add_seq 17;
+  ignore (Commit_queue.pop_upto q (lsn 1 16));
+  expect "shifted-down entries released" ~from:16 ~until:17;
+  ignore (Commit_queue.pop_upto q (lsn 1 17));
+  for i = 1 to n do
+    add_seq i
+  done;
+  expect "all queued" ~from:0 ~until:n;
+  ignore (Commit_queue.pop_upto q (lsn 1 400));
+  expect "popped head released" ~from:400 ~until:n;
+  ignore (Commit_queue.drop_above q (lsn 1 900));
+  expect "dropped tail released" ~from:400 ~until:900;
+  Commit_queue.mark_forced_upto q (lsn 1 n);
+  Commit_queue.add_ack q ~from:1 ~upto:(lsn 1 n);
+  ignore (Commit_queue.pop_committable q ~acks_needed:1);
+  expect "committed entries released" ~from:0 ~until:0;
+  check_bool "emptied" true (Commit_queue.is_empty q)
 
 (* The logical-truncation scan's merge walk against the quadratic filter it
    replaced, on ascending LSN lists. *)
@@ -403,7 +687,9 @@ let suite =
     Alcotest.test_case "queue: drop_above" `Quick test_queue_drop_above;
     Alcotest.test_case "queue: version overlay" `Quick test_queue_latest_version_overlay;
     QCheck_alcotest.to_alcotest prop_queue_commits_exactly_once;
-    QCheck_alcotest.to_alcotest prop_queue_frontier_matches_naive_walk;
+    QCheck_alcotest.to_alcotest prop_queue_matches_map_model;
+    Alcotest.test_case "queue: removed entries are released" `Quick
+      test_queue_releases_removed_entries;
     QCheck_alcotest.to_alcotest prop_lsn_diff_sorted;
     Alcotest.test_case "message: read/write classification" `Quick test_message_classification;
     Alcotest.test_case "message: size accounting" `Quick test_message_sizes_scale;

@@ -829,6 +829,125 @@ let test_chaos_scaleout () =
     check_bool "some splits completed under chaos" true (!total_splits > 0)
   end
 
+(* ---------------------------------------------------------------------- *)
+(* Leader-term teardown: whichever path ends a leader's term, nothing the   *)
+(* term started outlives it into the next.                                  *)
+
+(* A ready cluster with range 0 seeded, its leader and the leader's replica. *)
+let teardown_cluster ~seed =
+  let engine = Sim.Engine.create ~seed () in
+  let cluster = Cluster.create engine test_config in
+  Cluster.start cluster;
+  check_bool "ready" true (Cluster.run_until_ready cluster);
+  let partition = Cluster.partition cluster in
+  let client = Cluster.new_client cluster in
+  for k = 0 to 19 do
+    let key = Partition.key_of_int partition (k * 500) in
+    check_bool "seed write" true (Result.is_ok (put_sync engine client key "v"))
+  done;
+  let leader = Option.get (Cluster.leader_of cluster ~range:0) in
+  (* The max-lst rule breaks ties by cohort order, so a re-election among
+     caught-up replicas returns the primary. *)
+  check_int "the primary leads" (List.hd (Partition.cohort partition ~range:0)) leader;
+  let cohort = Option.get (Node.cohort (Cluster.node cluster leader) ~range:0) in
+  (engine, cluster, client, leader, cohort)
+
+(* The range's /leader znode vanishes, as when the service loses it; every
+   replica watching it starts an election. *)
+let delete_leader_znode cluster ~range =
+  let zk = Cluster.zk_server cluster in
+  let session = Coord.Zk_server.open_session zk in
+  ignore (Coord.Zk_server.delete_node zk ~session ~path:(Printf.sprintf "/ranges/%d/leader" range));
+  Coord.Zk_server.close_session zk ~session
+
+(* A leader that loses its /leader znode mid-split runs an election and
+   wins it again. The split died with the first term, so the second term's
+   writes must not park behind it. *)
+let test_lost_znode_ends_split () =
+  let engine, cluster, client, leader, cohort = teardown_cluster ~seed:23 in
+  let members = Partition.cohort (Cluster.partition cluster) ~range:0 in
+  (* With the replicas' coordination links cut, the split's first ZK call is
+     never sent and the deletion's watch events wait for the links. *)
+  List.iter (fun n -> Cluster.set_zk_reachable cluster n false) members;
+  check_bool "split starts" true (Cohort.request_split cohort);
+  delete_leader_znode cluster ~range:0;
+  (* The leader hears first and runs its election; the others join it. *)
+  Cluster.set_zk_reachable cluster leader true;
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 20);
+  check_bool "the leader left its term" true (Cohort.role cohort <> Cohort.Leader);
+  List.iter (fun n -> Cluster.set_zk_reachable cluster n true) members;
+  check_bool "re-elected and reopened" true
+    (await engine ~timeout:5.0 (fun () -> Cohort.is_open cohort));
+  check_bool "writes are served in the new term" true
+    (Result.is_ok
+       (put_sync engine client (Partition.key_of_int (Cluster.partition cluster) 7) "after"))
+
+(* A leader holding a follower in its blocked final catch-up round is
+   deposed, then elected again. That round belonged to the old term: the
+   follower is down, so only the old round's 2 s grace timer would ever
+   clear it, and the new term's writes must not wait for it. *)
+let test_stepdown_ends_final_round () =
+  let engine, cluster, client, leader, cohort = teardown_cluster ~seed:24 in
+  let partition = Cluster.partition cluster in
+  let voter, down =
+    match List.filter (fun n -> n <> leader) (Partition.cohort partition ~range:0) with
+    | [ a; b ] -> (a, b)
+    | _ -> Alcotest.fail "range 0 has three replicas"
+  in
+  Cluster.crash_node cluster down;
+  let deposed_at = Sim.Engine.now engine in
+  Cohort.handle_peer cohort ~src:down ~sent_at:deposed_at
+    (Message.Catchup_request { range = 0; from = down; cmt = Lsn.zero });
+  Cohort.handle_peer cohort ~src:voter ~sent_at:deposed_at
+    (Message.Takeover_query { range = 0; epoch = Cohort.epoch cohort + 1 });
+  check_bool "stepped down" true (Cohort.role cohort = Cohort.Follower);
+  delete_leader_znode cluster ~range:0;
+  check_bool "re-elected and reopened" true
+    (await engine ~timeout:1.0 (fun () -> Cohort.is_open cohort));
+  check_bool "a write commits" true
+    (Result.is_ok (put_sync engine client (Partition.key_of_int partition 7) "after"));
+  check_bool "before the old round's grace period lapses" true
+    (Sim.Sim_time.span_compare
+       (Sim.Sim_time.diff (Sim.Engine.now engine) deposed_at)
+       (Sim.Sim_time.sec 1)
+     < 0)
+
+(* Session loss and retirement end an in-flight migration the way a
+   stepdown does: through an abort the trace records, with its reason. *)
+let test_teardown_traces_migration_abort () =
+  let _engine, cluster, _client, leader, cohort = teardown_cluster ~seed:25 in
+  let partition = Cluster.partition cluster in
+  let abort_reasons () =
+    List.map
+      (fun e -> e.Sim.Trace.detail)
+      (Sim.Trace.find (Cluster.trace cluster) ~tag:"migration_abort")
+  in
+  let start_migration range cohort =
+    let members = Partition.cohort partition ~range in
+    let joiner =
+      List.find (fun n -> not (List.mem n members)) (List.init test_config.Config.nodes Fun.id)
+    in
+    let remove = List.find (fun n -> Some n <> Cluster.leader_of cluster ~range) members in
+    check_bool "migration starts" true (Cohort.request_join cohort ~joiner ~remove ());
+    check_bool "migrating" true (Cohort.migrating cohort);
+    joiner
+  in
+  let j0 = start_migration 0 cohort in
+  Cohort.zk_session_expired cohort;
+  check_bool "session loss ends the migration" false (Cohort.migrating cohort);
+  let leader1 = Option.get (Cluster.leader_of cluster ~range:1) in
+  let cohort1 = Option.get (Node.cohort (Cluster.node cluster leader1) ~range:1) in
+  let j1 = start_migration 1 cohort1 in
+  Cohort.retire cohort1;
+  check_bool "retirement ends the migration" false (Cohort.migrating cohort1);
+  Alcotest.(check (list string))
+    "both aborts traced with their reasons"
+    [
+      Printf.sprintf "r0 n%d joiner=n%d session expired" leader j0;
+      Printf.sprintf "r1 n%d joiner=n%d replica retired" leader1 j1;
+    ]
+    (abort_reasons ())
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_routing_invariants;
@@ -842,4 +961,10 @@ let suite =
       test_epoch_change_exactly_once;
     Alcotest.test_case "chaos: crashes + partitions + loss during scale-out" `Slow
       test_chaos_scaleout;
+    Alcotest.test_case "teardown: a lost /leader znode ends the term's split" `Slow
+      test_lost_znode_ends_split;
+    Alcotest.test_case "teardown: stepdown ends the term's final catch-up round" `Slow
+      test_stepdown_ends_final_round;
+    Alcotest.test_case "teardown: session loss and retirement trace migration_abort" `Slow
+      test_teardown_traces_migration_abort;
   ]
