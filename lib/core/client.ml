@@ -72,13 +72,11 @@ let op_name = function
   | Message.Get _ -> "get"
   | Message.Multi_get _ -> "multi_get"
   | Message.Scan _ -> "scan"
-  | Message.Put _ -> "put"
-  | Message.Multi_put _ -> "multi_put"
-  | Message.Delete _ -> "delete"
-  | Message.Conditional_put _ -> "conditional_put"
-  | Message.Conditional_delete _ -> "conditional_delete"
-  | Message.Multi_conditional_put _ -> "multi_conditional_put"
-  | Message.Txn_put _ -> "txn_put"
+  | Message.Write { cells = [ (_, _, Some _, None) ] } -> "put"
+  | Message.Write { cells = [ (_, _, None, None) ] } -> "delete"
+  | Message.Write { cells = [ (_, _, Some _, Some _) ] } -> "conditional_put"
+  | Message.Write { cells = [ (_, _, None, Some _) ] } -> "conditional_delete"
+  | Message.Write _ -> "write"
   | Message.Fence _ -> "fence"
   | Message.Snap_get _ -> "snap_get"
   | Message.Txn_prepare_req _ -> "txn_prepare"
@@ -461,20 +459,23 @@ let multi_get t ?(consistent = true) key cols k =
   let token = read_token t ~consistent key in
   submit t (Message.Multi_get { key; cols; consistent; token }) (multi_read_k k)
 
-let put t key col ~value k = submit t (Message.Put { key; col; value }) (write_k k)
-let multi_put t key cols k = submit t (Message.Multi_put { key; cols }) (write_k k)
-let delete t key col k = submit t (Message.Delete { key; col }) (write_k k)
+let write t cells k = submit t (Message.Write { cells }) (write_k k)
+let put t key col ~value k = write t [ (key, col, Some value, None) ] k
+let delete t key col k = write t [ (key, col, None, None) ] k
+
+let multi_put t key cols k =
+  write t (List.map (fun (col, value) -> (key, col, Some value, None)) cols) k
 
 let conditional_put t key col ~value ~expected k =
-  submit t (Message.Conditional_put { key; col; value; expected }) (write_k k)
+  write t [ (key, col, Some value, Some expected) ] k
 
-let conditional_delete t key col ~expected k =
-  submit t (Message.Conditional_delete { key; col; expected }) (write_k k)
+let conditional_delete t key col ~expected k = write t [ (key, col, None, Some expected) ] k
 
 let multi_conditional_put t key cols k =
-  submit t (Message.Multi_conditional_put { key; cols }) (write_k k)
+  write t (List.map (fun (col, value, expected) -> (key, col, Some value, Some expected)) cols) k
 
-let transact_put t rows k = submit t (Message.Txn_put { rows }) (write_k k)
+let transact_put t rows k =
+  write t (List.map (fun (key, col, value) -> (key, col, Some value, None)) rows) k
 
 (* --- multi-range transactions (MVCC snapshots + 2PC over Paxos) --- *)
 

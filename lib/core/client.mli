@@ -72,6 +72,8 @@ val put :
 val multi_put :
   t -> Storage.Row.key -> (Storage.Row.column * string) list ->
   ((unit, error) result -> unit) -> unit
+(** Several columns of one row, written atomically: like every write call
+    here, one log record at one LSN. *)
 
 val delete :
   t -> Storage.Row.key -> Storage.Row.column -> ((unit, error) result -> unit) -> unit

@@ -50,20 +50,17 @@ let register_node_gauges metrics node =
   let gauge name read = ignore (Sim.Metrics.Registry.register_gauge metrics ~node:id ~name read) in
   gauge "wal_volatile_bytes" (fun () -> Storage.Wal.volatile_bytes (Node.wal node));
   List.iter
-    (fun range ->
-      match Node.cohort node ~range with
-      | None -> ()
-      | Some c ->
-        let g fmt read = gauge (Printf.sprintf fmt range) read in
-        g "r%d_log_records" (fun () -> Storage.Wal.durable_writes (Node.wal node) ~cohort:range);
-        g "r%d_memtable_bytes" (fun () -> Storage.Store.memtable_bytes (Cohort.store c));
-        g "r%d_sstable_count" (fun () -> Storage.Store.sstable_count (Cohort.store c));
-        g "r%d_commit_queue_depth" (fun () -> Cohort.pending_writes c);
-        g "r%d_reply_cache_size" (fun () -> Cohort.reply_cache_size c);
-        g "r%d_cache_hits" (fun () -> Storage.Store.cache_hits (Cohort.store c));
-        g "r%d_cache_misses" (fun () -> Storage.Store.cache_misses (Cohort.store c));
-        g "r%d_cache_evictions" (fun () -> Storage.Store.cache_evictions (Cohort.store c)))
-    (Node.ranges node)
+    (fun (range, c) ->
+      let g fmt read = gauge (Printf.sprintf fmt range) read in
+      g "r%d_log_records" (fun () -> Storage.Wal.durable_writes (Node.wal node) ~cohort:range);
+      g "r%d_memtable_bytes" (fun () -> Storage.Store.memtable_bytes (Cohort.store c));
+      g "r%d_sstable_count" (fun () -> Storage.Store.sstable_count (Cohort.store c));
+      g "r%d_commit_queue_depth" (fun () -> Cohort.pending_writes c);
+      g "r%d_reply_cache_size" (fun () -> Cohort.reply_cache_size c);
+      g "r%d_cache_hits" (fun () -> Storage.Store.cache_hits (Cohort.store c));
+      g "r%d_cache_misses" (fun () -> Storage.Store.cache_misses (Cohort.store c));
+      g "r%d_cache_evictions" (fun () -> Storage.Store.cache_evictions (Cohort.store c)))
+    (Node.cohorts node)
 
 let create ?(planted_hole_ack_bug = false) engine config =
   let partition =
@@ -220,34 +217,31 @@ let read_path_stats t =
     (fun node ->
       let tables = ref [] in
       List.iter
-        (fun range ->
-          match Node.cohort node ~range with
-          | None -> ()
-          | Some c ->
-            let s = Cohort.store c in
-            let acc = !stats in
-            tables := Storage.Store.sstable_count s :: !tables;
-            stats :=
-              {
-                acc with
-                cache_hits = acc.cache_hits + Storage.Store.cache_hits s;
-                cache_misses = acc.cache_misses + Storage.Store.cache_misses s;
-                cache_evictions = acc.cache_evictions + Storage.Store.cache_evictions s;
-                sstables_skipped = acc.sstables_skipped + Storage.Store.sstables_skipped s;
-                sstables_probed = acc.sstables_probed + Storage.Store.sstables_probed s;
-                compactions = acc.compactions + Storage.Store.compactions s;
-                full_compactions = acc.full_compactions + Storage.Store.full_compactions s;
-                max_compaction_input_bytes =
-                  Stdlib.max acc.max_compaction_input_bytes
-                    (Storage.Store.max_compaction_input_bytes s);
-                total_compaction_input_bytes =
-                  acc.total_compaction_input_bytes
-                  + Storage.Store.total_compaction_input_bytes s;
-                max_store_bytes_at_compaction =
-                  Stdlib.max acc.max_store_bytes_at_compaction
-                    (Storage.Store.max_store_bytes_at_compaction s);
-              })
-        (Node.ranges node);
+        (fun (_, c) ->
+          let s = Cohort.store c in
+          let acc = !stats in
+          tables := Storage.Store.sstable_count s :: !tables;
+          stats :=
+            {
+              acc with
+              cache_hits = acc.cache_hits + Storage.Store.cache_hits s;
+              cache_misses = acc.cache_misses + Storage.Store.cache_misses s;
+              cache_evictions = acc.cache_evictions + Storage.Store.cache_evictions s;
+              sstables_skipped = acc.sstables_skipped + Storage.Store.sstables_skipped s;
+              sstables_probed = acc.sstables_probed + Storage.Store.sstables_probed s;
+              compactions = acc.compactions + Storage.Store.compactions s;
+              full_compactions = acc.full_compactions + Storage.Store.full_compactions s;
+              max_compaction_input_bytes =
+                Stdlib.max acc.max_compaction_input_bytes
+                  (Storage.Store.max_compaction_input_bytes s);
+              total_compaction_input_bytes =
+                acc.total_compaction_input_bytes
+                + Storage.Store.total_compaction_input_bytes s;
+              max_store_bytes_at_compaction =
+                Stdlib.max acc.max_store_bytes_at_compaction
+                  (Storage.Store.max_store_bytes_at_compaction s);
+            })
+        (Node.cohorts node);
       stats :=
         { !stats with tables_per_node = (Node.id node, List.rev !tables) :: !stats.tables_per_node })
     t.nodes;
@@ -259,12 +253,7 @@ let read_path_stats t =
 let set_lease_enabled t enabled =
   Array.iter
     (fun node ->
-      List.iter
-        (fun range ->
-          match Node.cohort node ~range with
-          | Some c -> Cohort.set_lease_disabled c (not enabled)
-          | None -> ())
-        (Node.ranges node))
+      List.iter (fun (_, c) -> Cohort.set_lease_disabled c (not enabled)) (Node.cohorts node))
     t.nodes
 
 type read_serve_stats = {
@@ -295,24 +284,21 @@ let read_serve_stats t =
   Array.iter
     (fun node ->
       List.iter
-        (fun range ->
-          match Node.cohort node ~range with
-          | None -> ()
-          | Some c ->
-            let s = Cohort.read_stats c in
-            let a = !acc in
-            acc :=
-              {
-                leased = a.leased + s.Cohort.leased;
-                guarded = a.guarded + s.Cohort.guarded;
-                lease_rejects = a.lease_rejects + s.Cohort.lease_rejects;
-                guard_fails = a.guard_fails + s.Cohort.guard_fails;
-                leader_timeline = a.leader_timeline + s.Cohort.leader_timeline;
-                follower_timeline = a.follower_timeline + s.Cohort.follower_timeline;
-                token_waits = a.token_waits + s.Cohort.token_waits;
-                token_redirects = a.token_redirects + s.Cohort.token_redirects;
-              })
-        (Node.ranges node))
+        (fun (_, c) ->
+          let s = Cohort.read_stats c in
+          let a = !acc in
+          acc :=
+            {
+              leased = a.leased + s.Cohort.leased;
+              guarded = a.guarded + s.Cohort.guarded;
+              lease_rejects = a.lease_rejects + s.Cohort.lease_rejects;
+              guard_fails = a.guard_fails + s.Cohort.guard_fails;
+              leader_timeline = a.leader_timeline + s.Cohort.leader_timeline;
+              follower_timeline = a.follower_timeline + s.Cohort.follower_timeline;
+              token_waits = a.token_waits + s.Cohort.token_waits;
+              token_redirects = a.token_redirects + s.Cohort.token_redirects;
+            })
+        (Node.cohorts node))
     t.nodes;
   !acc
 
@@ -320,11 +306,8 @@ let write_phases t =
   Array.fold_left
     (fun acc node ->
       List.fold_left
-        (fun acc range ->
-          match Node.cohort node ~range with
-          | Some c -> Sim.Metrics.Write_phases.merge acc (Cohort.write_phases c)
-          | None -> acc)
-        acc (Node.ranges node))
+        (fun acc (_, c) -> Sim.Metrics.Write_phases.merge acc (Cohort.write_phases c))
+        acc (Node.cohorts node))
     (Sim.Metrics.Write_phases.create ())
     t.nodes
 
@@ -332,11 +315,8 @@ let migrations_in_flight t =
   Array.fold_left
     (fun acc node ->
       List.fold_left
-        (fun acc range ->
-          match Node.cohort node ~range with
-          | Some c when Cohort.migrating c -> acc + 1
-          | _ -> acc)
-        acc (Node.ranges node))
+        (fun acc (_, c) -> if Cohort.migrating c then acc + 1 else acc)
+        acc (Node.cohorts node))
     0 t.nodes
 
 let is_ready t =

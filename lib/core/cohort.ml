@@ -992,6 +992,169 @@ and start_election t =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Write path, first half: the one log record a write request appends at
+   the leader, or [None] when the request was answered without one (a
+   misrouted, refused or already-settled request).                      *)
+
+let write_record t ~client ~request_id ~ts op : Log_record.op option =
+  if not (t.ctx.routes_here (Message.key_of_op op)) then begin
+    (* The layout moved while this write sat in the queue (a split committed
+       between arrival and service): it belongs to another cohort now, and
+       assigning it an LSN here would misfile it. The client refreshes its
+       routing table and retries at the owner. *)
+    clear_in_flight t ~client ~request_id;
+    t.ctx.reply ~client ~request_id (Message.Wrong_range { hint = None });
+    None
+  end
+  else
+    match op with
+    | Message.Write { cells } ->
+      let locked (key, col, _, _) =
+        Hashtbl.mem t.locks (key, col) || Store.intent_txn_at t.ctx.store (key, col) <> None
+      in
+      if List.exists locked cells then begin
+        (* A plain write racing an unresolved 2PC intent on the same
+           coordinate: refuse rather than interleave with the prepare window
+           (the intent's final version and LSN are not yet fixed). The client
+           backs off and retries once the intent resolves. *)
+        clear_in_flight t ~client ~request_id;
+        t.ctx.reply ~client ~request_id Message.Unavailable;
+        None
+      end
+      else if not (List.for_all (fun (key, _, _, _) -> t.ctx.routes_here key) cells) then begin
+        reply_write t ~client ~request_id Message.Cross_range;
+        None
+      end
+      else begin
+        (* Each cell's current version, read once. An expected version that
+           moved fails the whole write (§5.1); otherwise every cell installs
+           the next version, all under one record, so the write is
+           replicated, committed and recovered all-or-nothing (§8.2). *)
+        let versioned =
+          List.map (fun ((key, col, _, _) as cell) -> (cell, latest_version t (key, col))) cells
+        in
+        let stale ((_, _, _, expected), current) =
+          match expected with Some e -> e <> current | None -> false
+        in
+        match List.find_opt stale versioned with
+        | Some (_, current) ->
+          reply_write t ~client ~request_id (Message.Version_mismatch { current });
+          None
+        | None -> (
+          let record ((key, col, value, _), current) =
+            match value with
+            | Some value -> Log_record.Put { key; col; value; version = current + 1 }
+            | None -> Log_record.Delete { key; col; version = current + 1 }
+          in
+          match versioned with
+          | [ cell ] -> Some (record cell)
+          | _ -> Some (Log_record.Batch (List.map record versioned)))
+      end
+    | Message.Txn_prepare_req { txn; anchor; fence; fence_ts; writes } ->
+      (* 2PC phase one: first-committer-wins conflict checks, then the write
+         intents replicate through this participant's Paxos log. Locks are
+         taken at append so a racing prepare in the same term cannot pass the
+         same checks before this one commits. *)
+      if writes = [] || not (List.for_all (fun (key, _, _) -> t.ctx.routes_here key) writes)
+      then begin
+        reply_write t ~client ~request_id Message.Cross_range;
+        None
+      end
+      else begin
+        let conflicts (key, col, _) =
+          let coord = (key, col) in
+          (match Hashtbl.find_opt t.locks coord with
+          | Some owner -> not (String.equal owner txn)
+          | None -> false)
+          || (match Store.intent_txn_at t.ctx.store coord with
+             | Some owner -> not (String.equal owner txn)
+             | None -> false)
+          (* Any pending queued write on the coordinate will install a
+             version newer than our snapshot — conflict without waiting. *)
+          || Option.is_some (Commit_queue.latest_version_for t.queue coord)
+          || (match Store.head_info t.ctx.store coord with
+             | Some (_, Some committed_ts) -> committed_ts > fence_ts
+             | Some (head_lsn, None) -> Lsn.(head_lsn > fence)
+             | None -> false)
+        in
+        if List.exists conflicts writes then begin
+          if tracing t then
+            trace t "txn.prepare"
+              (Printf.sprintf "%s conflict keys=%s" txn
+                 (String.concat "," (List.map (fun (k, _, _) -> k) writes)));
+          reply_write t ~client ~request_id Message.Txn_conflict;
+          None
+        end
+        else begin
+          if tracing t then
+            trace t "txn.prepare"
+              (Printf.sprintf "%s ok fence=%s fts=%d keys=%s" txn (Lsn.to_string fence) fence_ts
+                 (String.concat "," (List.map (fun (k, _, _) -> k) writes)));
+          List.iter (fun (key, col, _) -> Hashtbl.replace t.locks (key, col) txn) writes;
+          Some (Log_record.Txn_prepare { txn; anchor; fence; writes })
+        end
+      end
+    | Message.Txn_decide_req { txn; anchor; commit } -> (
+      match existing_decision t ~anchor ~txn with
+      | Some (committed, decided_ts) ->
+        (* First decision wins — a presumed-abort may already have beaten a
+           late commit request here; answer with what is on record. *)
+        reply_write t ~client ~request_id (Message.Txn_decided { committed; ts = decided_ts });
+        None
+      | None ->
+        if tracing t then
+          trace t "txn.decide" (Printf.sprintf "%s commit=%b ts=%d" txn commit ts);
+        Hashtbl.replace t.pending_decisions txn (commit, ts);
+        Some (Log_record.Txn_decision { txn; anchor; commit; ts }))
+    | Message.Txn_status_req { txn; anchor } -> (
+      match existing_decision t ~anchor ~txn with
+      | Some (committed, decided_ts) ->
+        reply_write t ~client ~request_id (Message.Txn_decided { committed; ts = decided_ts });
+        None
+      | None ->
+        (* Presumed abort: no decision on record means the coordinator client
+           may have died before asking for one — log an abort so every
+           in-doubt participant converges on it. *)
+        Hashtbl.replace t.pending_decisions txn (false, ts);
+        Some (Log_record.Txn_decision { txn; anchor; commit = false; ts }))
+    | Message.Txn_resolve_req { txn; key = _; commit; ts = decision_ts } ->
+      if Hashtbl.mem t.resolving txn then begin
+        (* A resolve record is already in flight this term; acknowledging is
+           safe — resolution is guaranteed by that record or, should a leader
+           change drop it, by the presumed-abort sweep. *)
+        reply_write t ~client ~request_id (Message.Written { lsn = t.cmt });
+        None
+      end
+      else begin
+        match Store.intents_of t.ctx.store txn with
+        | [] ->
+          (* Already resolved (or the prepare never landed here): idempotent
+             success. *)
+          reply_write t ~client ~request_id (Message.Written { lsn = t.cmt });
+          None
+        | intents ->
+          (* Resolve every intent the transaction holds in this range, not
+             just the addressed key: final cells are materialized here, at
+             append time, with concrete versions — so replicas and recovery
+             apply them like any other write. *)
+          let writes =
+            List.map
+              (fun ((key, col), value) -> (key, col, value, latest_version t (key, col) + 1))
+              intents
+          in
+          if tracing t then
+            trace t "txn.resolve"
+              (Printf.sprintf "%s commit=%b ts=%d keys=%s" txn commit decision_ts
+                 (String.concat "," (List.map (fun (k, _, _, _) -> k) writes)));
+          Hashtbl.replace t.resolving txn ();
+          List.iter (fun (key, col, _, _) -> Hashtbl.remove t.locks (key, col)) writes;
+          Some (Log_record.Txn_resolve { txn; commit; ts = decision_ts; writes })
+      end
+    | Message.Get _ | Message.Multi_get _ | Message.Scan _ | Message.Fence _
+    | Message.Snap_get _ ->
+      invalid_arg "write_record: read operation"
+
+(* ------------------------------------------------------------------ *)
 (* Commit path (leader side of Figure 4).                               *)
 
 let rec try_commit t =
@@ -1001,8 +1164,8 @@ let rec try_commit t =
   List.iter
     (fun (e : Commit_queue.entry) ->
       (* Replication phase ends when the entry becomes commit-eligible; only
-         the last LSN of each leader-tracked request is in the table, so
-         takeover-rebuilt entries and batch prefixes record nothing. *)
+         the client writes this leader appended are in the table, so
+         takeover-rebuilt and meta entries record nothing. *)
       let popped_at = Sim.Engine.now t.ctx.engine in
       let tracked =
         match Hashtbl.find_opt t.inflight_started e.Commit_queue.lsn with
@@ -1267,248 +1430,35 @@ and enqueue_write t ~client ~request_id op =
   end
 
 and perform_write t ~arrived ~client ~request_id op =
-  if not (t.ctx.routes_here (Message.key_of_op op)) then begin
-    (* The layout moved while this write sat in the queue (a split committed
-       between arrival and service): it belongs to another cohort now, and
-       assigning it an LSN here would misfile it. The client refreshes its
-       routing table and retries at the owner. *)
-    clear_in_flight t ~client ~request_id;
-    t.ctx.reply ~client ~request_id (Message.Wrong_range { hint = None })
-  end
-  else perform_write_routed t ~arrived ~client ~request_id op
-
-and perform_write_routed t ~arrived ~client ~request_id op =
   let ts = now_us t in
-  let locked coord =
-    Hashtbl.mem t.locks coord || Store.intent_txn_at t.ctx.store coord <> None
-  in
-  let plain_coords =
-    match op with
-    | Message.Put { key; col; _ }
-    | Message.Delete { key; col }
-    | Message.Conditional_put { key; col; _ }
-    | Message.Conditional_delete { key; col; _ } ->
-      [ (key, col) ]
-    | Message.Multi_put { key; cols } -> List.map (fun (col, _) -> (key, col)) cols
-    | Message.Multi_conditional_put { key; cols } ->
-      List.map (fun (col, _, _) -> (key, col)) cols
-    | Message.Txn_put { rows } -> List.map (fun (key, col, _) -> (key, col)) rows
-    | _ -> []
-  in
-  if List.exists locked plain_coords then begin
-    (* A plain write racing an unresolved 2PC intent on the same coordinate:
-       refuse rather than interleave with the prepare window (the intent's
-       final version and LSN are not yet fixed). The client backs off and
-       retries once the intent resolves. *)
-    clear_in_flight t ~client ~request_id;
-    t.ctx.reply ~client ~request_id Message.Unavailable
-  end
-  else begin
-  let ops_or_error : (Log_record.op list, int) result =
-    match op with
-    | Message.Put { key; col; value } ->
-      Ok [ Log_record.Put { key; col; value; version = latest_version t (key, col) + 1 } ]
-    | Message.Delete { key; col } ->
-      Ok [ Log_record.Delete { key; col; version = latest_version t (key, col) + 1 } ]
-    | Message.Multi_put { key; cols } ->
-      Ok
-        (List.map
-           (fun (col, value) ->
-             Log_record.Put { key; col; value; version = latest_version t (key, col) + 1 })
-           cols)
-    | Message.Conditional_put { key; col; value; expected } ->
-      (* Conditional put: executed only if the current version matches (§5.1). *)
-      let current = latest_version t (key, col) in
-      if current = expected then Ok [ Log_record.Put { key; col; value; version = current + 1 } ]
-      else Error current
-    | Message.Conditional_delete { key; col; expected } ->
-      let current = latest_version t (key, col) in
-      if current = expected then Ok [ Log_record.Delete { key; col; version = current + 1 } ]
-      else Error current
-    | Message.Multi_conditional_put { key; cols } -> (
-      let mismatched =
-        List.find_opt (fun (col, _, expected) -> latest_version t (key, col) <> expected) cols
-      in
-      match mismatched with
-      | Some (col, _, _) -> Error (latest_version t (key, col))
-      | None ->
-        Ok
-          (List.map
-             (fun (col, value, expected) ->
-               Log_record.Put { key; col; value; version = expected + 1 })
-             cols))
-    | Message.Txn_put { rows } ->
-      (* Multi-operation transaction (§8.2): bound to one log record, so the
-         batch is replicated, committed, and recovered all-or-nothing. *)
-      if not (List.for_all (fun (key, _, _) -> t.ctx.routes_here key) rows) then begin
-        reply_write t ~client ~request_id Message.Cross_range;
-        Ok []
-      end
-      else
-        Ok
-          [
-            Log_record.Batch
-              (List.map
-                 (fun (key, col, value) ->
-                   Log_record.Put { key; col; value; version = latest_version t (key, col) + 1 })
-                 rows);
-          ]
-    | Message.Txn_prepare_req { txn; anchor; fence; fence_ts; writes } ->
-      (* 2PC phase one: first-committer-wins conflict checks, then the write
-         intents replicate through this participant's Paxos log. Locks are
-         taken at append so a racing prepare in the same term cannot pass the
-         same checks before this one commits. *)
-      if writes = [] || not (List.for_all (fun (key, _, _) -> t.ctx.routes_here key) writes)
-      then begin
-        reply_write t ~client ~request_id Message.Cross_range;
-        Ok []
-      end
-      else begin
-        let conflicts (key, col, _) =
-          let coord = (key, col) in
-          (match Hashtbl.find_opt t.locks coord with
-          | Some owner -> not (String.equal owner txn)
-          | None -> false)
-          || (match Store.intent_txn_at t.ctx.store coord with
-             | Some owner -> not (String.equal owner txn)
-             | None -> false)
-          (* Any pending queued write on the coordinate will install a
-             version newer than our snapshot — conflict without waiting. *)
-          || Option.is_some (Commit_queue.latest_version_for t.queue coord)
-          || (match Store.head_info t.ctx.store coord with
-             | Some (_, Some committed_ts) -> committed_ts > fence_ts
-             | Some (head_lsn, None) -> Lsn.(head_lsn > fence)
-             | None -> false)
-        in
-        if List.exists conflicts writes then begin
-          if tracing t then
-            trace t "txn.prepare"
-              (Printf.sprintf "%s conflict keys=%s" txn
-                 (String.concat "," (List.map (fun (k, _, _) -> k) writes)));
-          reply_write t ~client ~request_id Message.Txn_conflict;
-          Ok []
-        end
-        else begin
-          if tracing t then
-            trace t "txn.prepare"
-              (Printf.sprintf "%s ok fence=%s fts=%d keys=%s" txn (Lsn.to_string fence) fence_ts
-                 (String.concat "," (List.map (fun (k, _, _) -> k) writes)));
-          List.iter (fun (key, col, _) -> Hashtbl.replace t.locks (key, col) txn) writes;
-          Ok [ Log_record.Txn_prepare { txn; anchor; fence; writes } ]
-        end
-      end
-    | Message.Txn_decide_req { txn; anchor; commit } -> (
-      match existing_decision t ~anchor ~txn with
-      | Some (committed, decided_ts) ->
-        (* First decision wins — a presumed-abort may already have beaten a
-           late commit request here; answer with what is on record. *)
-        reply_write t ~client ~request_id (Message.Txn_decided { committed; ts = decided_ts });
-        Ok []
-      | None ->
-        if tracing t then
-          trace t "txn.decide" (Printf.sprintf "%s commit=%b ts=%d" txn commit ts);
-        Hashtbl.replace t.pending_decisions txn (commit, ts);
-        Ok [ Log_record.Txn_decision { txn; anchor; commit; ts } ])
-    | Message.Txn_status_req { txn; anchor } -> (
-      match existing_decision t ~anchor ~txn with
-      | Some (committed, decided_ts) ->
-        reply_write t ~client ~request_id (Message.Txn_decided { committed; ts = decided_ts });
-        Ok []
-      | None ->
-        (* Presumed abort: no decision on record means the coordinator client
-           may have died before asking for one — log an abort so every
-           in-doubt participant converges on it. *)
-        Hashtbl.replace t.pending_decisions txn (false, ts);
-        Ok [ Log_record.Txn_decision { txn; anchor; commit = false; ts } ])
-    | Message.Txn_resolve_req { txn; key = _; commit; ts = decision_ts } ->
-      if Hashtbl.mem t.resolving txn then begin
-        (* A resolve record is already in flight this term; acknowledging is
-           safe — resolution is guaranteed by that record or, should a leader
-           change drop it, by the presumed-abort sweep. *)
-        reply_write t ~client ~request_id (Message.Written { lsn = t.cmt });
-        Ok []
-      end
-      else begin
-        match Store.intents_of t.ctx.store txn with
-        | [] ->
-          (* Already resolved (or the prepare never landed here): idempotent
-             success. *)
-          reply_write t ~client ~request_id (Message.Written { lsn = t.cmt });
-          Ok []
-        | intents ->
-          (* Resolve every intent the transaction holds in this range, not
-             just the addressed key: final cells are materialized here, at
-             append time, with concrete versions — so replicas and recovery
-             apply them like any other write. *)
-          let writes =
-            List.map
-              (fun ((key, col), value) -> (key, col, value, latest_version t (key, col) + 1))
-              intents
-          in
-          if tracing t then
-            trace t "txn.resolve"
-              (Printf.sprintf "%s commit=%b ts=%d keys=%s" txn commit decision_ts
-                 (String.concat "," (List.map (fun (k, _, _, _) -> k) writes)));
-          Hashtbl.replace t.resolving txn ();
-          List.iter (fun (key, col, _, _) -> Hashtbl.remove t.locks (key, col)) writes;
-          Ok [ Log_record.Txn_resolve { txn; commit; ts = decision_ts; writes } ]
-      end
-    | Message.Get _ | Message.Multi_get _ | Message.Scan _ | Message.Fence _
-    | Message.Snap_get _ ->
-      invalid_arg "perform_write: read operation"
-  in
-  match ops_or_error with
-  | Error current -> reply_write t ~client ~request_id (Message.Version_mismatch { current })
-  | Ok [] -> ()
-  | Ok ops ->
-    let lsns =
-      List.map
-        (fun op ->
-          let lsn = Lsn.make ~epoch:t.epoch ~seq:(t.lst.Lsn.seq + 1) in
-          t.lst <- lsn;
-          (lsn, op))
-        ops
-    in
-    let last_lsn = fst (List.nth lsns (List.length lsns - 1)) in
-    (* Only the last record of a multi-column transaction carries the client
-       reply and the origin; the whole batch commits together, so the last
-       record settling settles the request. The origin's floor is the
-       highest the client has reported here, so replicas trim on apply. *)
-    let last_origin = Some { Log_record.client; request_id; floor = (replies_of t client).floor } in
-    let writes =
-      List.map
-        (fun (lsn, op) ->
-          let origin = if Lsn.equal lsn last_lsn then last_origin else None in
-          (lsn, op, ts, origin))
-        lsns
-    in
-    List.iter
-      (fun (lsn, op, timestamp, origin) ->
-        let reply =
-          if Lsn.equal lsn last_lsn then
-            Some (fun () -> reply_write t ~client ~request_id (reply_for_record op ~lsn))
-          else None
-        in
-        Commit_queue.add t.queue ~lsn ~op ~timestamp ?origin ?reply ();
-        Wal.append t.ctx.wal (Log_record.write ~cohort:t.ctx.range ~lsn ~timestamp ?origin op))
-      writes;
+  match write_record t ~client ~request_id ~ts op with
+  | None -> ()
+  | Some op ->
+    let lsn = Lsn.make ~epoch:t.epoch ~seq:(t.lst.Lsn.seq + 1) in
+    t.lst <- lsn;
+    (* The record carries the client reply and the origin. The origin's
+       floor is the highest the client has reported here, so replicas trim
+       on apply. *)
+    let origin = Some { Log_record.client; request_id; floor = (replies_of t client).floor } in
+    let reply () = reply_write t ~client ~request_id (reply_for_record op ~lsn) in
+    Commit_queue.add t.queue ~lsn ~op ~timestamp:ts ?origin ~reply ();
+    Wal.append t.ctx.wal (Log_record.write ~cohort:t.ctx.range ~lsn ~timestamp:ts ?origin op);
     let started = Sim.Engine.now t.ctx.engine in
     Sim.Metrics.Histogram.record_span t.phases.queue (Sim.Sim_time.diff started arrived);
     let trace_id = Sim.Trace.request_trace_id ~client ~request_id in
-    let lsn = if tracing t then Lsn.to_string last_lsn else "" in
-    let force_span = span_start t ~trace_id ~lsn ~tag:"phase.force" "" in
-    let repl_span = span_start t ~trace_id ~lsn ~tag:"phase.replication" "" in
-    Hashtbl.replace t.inflight_started last_lsn { started; trace_id; repl_span };
+    let lsn_s = if tracing t then Lsn.to_string lsn else "" in
+    let force_span = span_start t ~trace_id ~lsn:lsn_s ~tag:"phase.force" "" in
+    let repl_span = span_start t ~trace_id ~lsn:lsn_s ~tag:"phase.replication" "" in
+    Hashtbl.replace t.inflight_started lsn { started; trace_id; repl_span };
     (* Log force and propose happen in parallel (Figure 4). *)
     Wal.force t.ctx.wal
       (guard t (fun () ->
            Sim.Metrics.Histogram.record_span t.phases.force
              (Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) started);
-           span_end t ~span:force_span ~trace_id ~lsn ~tag:"phase.force" "locally durable";
-           Commit_queue.mark_forced_upto t.queue last_lsn;
+           span_end t ~span:force_span ~trace_id ~lsn:lsn_s ~tag:"phase.force" "locally durable";
+           Commit_queue.mark_forced_upto t.queue lsn;
            try_commit t));
-    propose t writes
-  end
+    propose t [ (lsn, op, ts, origin) ]
 
 and propose_now t writes =
   let piggyback_cmt =
@@ -1569,7 +1519,7 @@ and retire_proposals t =
 (* Shared consistency gate for point reads and scans. [submit] serves the
    request (probing storage and paying the CPU cost); [finish] answers with
    a refusal reply, closing the request's [phase.read] span either way. *)
-and gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit =
+let gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit =
   if consistent then begin
     if t.role <> Leader then finish (Message.Not_leader { hint = t.leader })
     else if not t.open_for_writes then finish Message.Unavailable
@@ -1678,7 +1628,7 @@ and gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit
    read thus linearizes at its probe instant, inside the request window
    (arrival for leased and timeline reads, quorum confirmation for guarded
    ones, token arrival for parked ones). *)
-and handle_read t ~client ~request_id ~consistent ~token ~key ~cols ~single =
+let handle_read t ~client ~request_id ~consistent ~token ~key ~cols ~single =
   let probe_cost = ref 0.0 in
   (* Probes one column; the service charge accumulates in [probe_cost] so the
      single-column path (every point read) builds no intermediate pairs. *)
@@ -1734,7 +1684,7 @@ and handle_read t ~client ~request_id ~consistent ~token ~key ~cols ~single =
 (* Range scan over this cohort's slice of the window (§3's data model is
    range-partitioned precisely so scans stay local to consecutive cohorts;
    the client stitches ranges together). Same consistency gating as reads. *)
-and handle_scan t ~client ~request_id ~start_key ~end_key ~limit ~consistent ~token =
+let handle_scan t ~client ~request_id ~start_key ~end_key ~limit ~consistent ~token =
   let trace_id, finish = read_frame t ~client ~request_id " scan" in
   let serve =
     guard t (fun () ->
@@ -1775,7 +1725,7 @@ and handle_scan t ~client ~request_id ~start_key ~end_key ~limit ~consistent ~to
    [commit_ts <= ts] prepared here before this instant (its prepare committed
    before its decision was timestamped), so its intent or final cell is at or
    below the fence. *)
-and handle_fence t ~client ~request_id =
+let handle_fence t ~client ~request_id =
   let trace_id, finish = read_frame t ~client ~request_id " fence" in
   let submit () =
     let service = Sim.Sim_time.of_us_f read_cache_hit_service_us in
@@ -1794,7 +1744,7 @@ and handle_fence t ~client ~request_id =
    the fence LSN as its read-your-writes token — once the applied prefix
    covers the fence, interval visibility against (fence, fence_ts) is
    well-defined locally. *)
-and handle_snap_get t ~client ~request_id ~key ~col ~fence ~fence_ts =
+let handle_snap_get t ~client ~request_id ~key ~col ~fence ~fence_ts =
   let trace_id, finish = read_frame t ~client ~request_id " snap" in
   let submit () =
     let service = Sim.Sim_time.of_us_f Config.read_service_us in
@@ -1825,7 +1775,7 @@ and handle_snap_get t ~client ~request_id ~key ~col ~fence ~fence_ts =
   in
   gate_read t ~client ~request_id ~consistent:false ~token:fence ~trace_id ~finish ~submit
 
-and handle_client t ~client ~request_id ~floor op =
+let handle_client t ~client ~request_id ~floor op =
   match op with
   | Message.Get { key; col; consistent; token } ->
     handle_read t ~client ~request_id ~consistent ~token ~key ~cols:[ col ] ~single:true
@@ -2489,16 +2439,21 @@ let request_split t =
     | Some at ->
       t.splitting <- true;
       trace t "split_start" (Printf.sprintf "at=%s" at);
+      (* The split belongs to this term. Every election raises the epoch,
+         so a chain that outlives its term stops at its next step, even if
+         this replica leads again and has started another split. *)
+      let epoch = t.epoch in
+      let live () = t.role = Leader && t.splitting && t.epoch = epoch in
       let zk = t.ctx.zk () in
       Coord.Zk_client.incr_counter zk ~path:"/next_range"
         (guard t (fun new_range ->
-             if t.role = Leader && t.splitting then begin
+             if live () then begin
                let prefix = Printf.sprintf "/ranges/%d" new_range in
                let create path k =
                  (* Already-exists errors are fine: a previous leader's split
                     attempt may have created the znodes before dying. *)
-                 Coord.Zk_client.create_node zk ~path
-                   ~data:(string_of_int t.epoch) (guard t (fun _ -> k ()))
+                 Coord.Zk_client.create_node zk ~path ~data:(string_of_int epoch)
+                   (guard t (fun _ -> if live () then k ()))
                in
                create prefix (fun () ->
                    create (prefix ^ "/candidates") (fun () ->
@@ -2506,10 +2461,11 @@ let request_split t =
                            (* New writes are parked by [t.splitting]; wait for
                               the in-flight tail to commit, then flush so the
                               shared SSTables hold everything up to the split
-                              record, and log it. The split dies with the term
-                              ([end_leader_term] clears the flag). *)
+                              record, and log it. The split dies with the term:
+                              [end_leader_term] clears the flag, and [live]
+                              checks the epoch. *)
                            let rec drain () =
-                             if t.role = Leader && t.splitting then
+                             if live () then
                                if Commit_queue.length t.queue > 0 then
                                  after t (Sim.Sim_time.ms 50) drain
                                else begin

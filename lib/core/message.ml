@@ -1,3 +1,6 @@
+type write_cell =
+  Storage.Row.key * Storage.Row.column * string option * int option
+
 type client_op =
   | Get of {
       key : Storage.Row.key;
@@ -11,21 +14,7 @@ type client_op =
       consistent : bool;
       token : Storage.Lsn.t;
     }
-  | Put of { key : Storage.Row.key; col : Storage.Row.column; value : string }
-  | Multi_put of { key : Storage.Row.key; cols : (Storage.Row.column * string) list }
-  | Delete of { key : Storage.Row.key; col : Storage.Row.column }
-  | Conditional_put of {
-      key : Storage.Row.key;
-      col : Storage.Row.column;
-      value : string;
-      expected : int;
-    }
-  | Conditional_delete of { key : Storage.Row.key; col : Storage.Row.column; expected : int }
-  | Multi_conditional_put of {
-      key : Storage.Row.key;
-      cols : (Storage.Row.column * string * int) list;
-    }
-  | Txn_put of { rows : (Storage.Row.key * Storage.Row.column * string) list }
+  | Write of { cells : write_cell list }
   | Scan of {
       start_key : Storage.Row.key;
       end_key : Storage.Row.key;
@@ -135,25 +124,13 @@ type t =
 
 let is_write = function
   | Get _ | Multi_get _ | Scan _ | Fence _ | Snap_get _ -> false
-  | Put _ | Multi_put _ | Delete _ | Conditional_put _ | Conditional_delete _
-  | Multi_conditional_put _ | Txn_put _ | Txn_prepare_req _ | Txn_decide_req _
-  | Txn_status_req _ | Txn_resolve_req _ ->
-    true
+  | Write _ | Txn_prepare_req _ | Txn_decide_req _ | Txn_status_req _ | Txn_resolve_req _ -> true
 
 let key_of_op = function
-  | Get { key; _ }
-  | Multi_get { key; _ }
-  | Put { key; _ }
-  | Multi_put { key; _ }
-  | Delete { key; _ }
-  | Conditional_put { key; _ }
-  | Conditional_delete { key; _ }
-  | Multi_conditional_put { key; _ }
-  | Fence { key }
-  | Snap_get { key; _ }
+  | Get { key; _ } | Multi_get { key; _ } | Fence { key } | Snap_get { key; _ }
   | Txn_resolve_req { key; _ } ->
     key
-  | Txn_put { rows } -> ( match rows with (key, _, _) :: _ -> key | [] -> "")
+  | Write { cells } -> ( match cells with (key, _, _, _) :: _ -> key | [] -> "")
   | Txn_prepare_req { writes; anchor; _ } -> (
     match writes with (key, _, _) :: _ -> key | [] -> anchor)
   | Txn_decide_req { anchor; _ } | Txn_status_req { anchor; _ } -> anchor
@@ -163,21 +140,13 @@ let size_of_op = function
   | Get { key; col; _ } -> String.length key + String.length col + 16
   | Multi_get { key; cols; _ } ->
     String.length key + List.fold_left (fun a c -> a + String.length c) 16 cols
-  | Put { key; col; value } -> String.length key + String.length col + String.length value + 16
-  | Multi_put { key; cols } ->
-    String.length key
-    + List.fold_left (fun a (c, v) -> a + String.length c + String.length v) 16 cols
-  | Delete { key; col } -> String.length key + String.length col + 16
-  | Conditional_put { key; col; value; _ } ->
-    String.length key + String.length col + String.length value + 24
-  | Conditional_delete { key; col; _ } -> String.length key + String.length col + 24
-  | Multi_conditional_put { key; cols } ->
-    String.length key
-    + List.fold_left (fun a (c, v, _) -> a + String.length c + String.length v + 8) 16 cols
-  | Txn_put { rows } ->
+  | Write { cells } ->
     List.fold_left
-      (fun a (k, c, v) -> a + String.length k + String.length c + String.length v + 8)
-      16 rows
+      (fun a (k, c, v, e) ->
+        a + String.length k + String.length c
+        + (match v with Some v -> String.length v | None -> 0)
+        + match e with Some _ -> 8 | None -> 0)
+      16 cells
   | Scan { start_key; end_key; _ } -> String.length start_key + String.length end_key + 24
   | Fence { key } -> String.length key + 16
   | Snap_get { key; col; _ } -> String.length key + String.length col + 32

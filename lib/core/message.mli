@@ -4,6 +4,12 @@
     Everything exchanged over the simulated network is one [t], so a node has
     a single typed inbox. *)
 
+type write_cell =
+  Storage.Row.key * Storage.Row.column * string option * int option
+(** (key, col, value, expected): [None] as the value deletes the cell; [Some
+    v] as the expected version requires the cell to be at version [v], the
+    version the caller read (optimistic concurrency). *)
+
 type client_op =
   | Get of {
       key : Storage.Row.key;
@@ -21,25 +27,14 @@ type client_op =
       consistent : bool;
       token : Storage.Lsn.t;
     }
-  | Put of { key : Storage.Row.key; col : Storage.Row.column; value : string }
-  | Multi_put of { key : Storage.Row.key; cols : (Storage.Row.column * string) list }
-      (** multiple columns of one row, one single-operation transaction *)
-  | Delete of { key : Storage.Row.key; col : Storage.Row.column }
-  | Conditional_put of {
-      key : Storage.Row.key;
-      col : Storage.Row.column;
-      value : string;
-      expected : int;  (** version the caller read; optimistic concurrency *)
-    }
-  | Conditional_delete of { key : Storage.Row.key; col : Storage.Row.column; expected : int }
-  | Multi_conditional_put of {
-      key : Storage.Row.key;
-      cols : (Storage.Row.column * string * int) list;  (** (col, value, expected) *)
-    }
-  | Txn_put of { rows : (Storage.Row.key * Storage.Row.column * string) list }
-      (** Multi-operation transaction (§8.2): several rows written atomically.
-          All keys must fall in one key range — the transaction is replicated
-          as a single log record by that range's cohort. *)
+  | Write of { cells : write_cell list }
+      (** Every client write (§3's put, delete and their conditional and
+          multi-column forms, and §8.2's multi-operation transaction): the
+          cells are written atomically as one log record at one LSN, so
+          the write is as durable and as replicated as any single cell. All
+          keys must fall in one key range ([Cross_range] otherwise). A cell
+          with an expected version makes the whole write conditional on it
+          ([Version_mismatch] carries the first stale cell's version). *)
   | Scan of {
       start_key : Storage.Row.key;  (** inclusive *)
       end_key : Storage.Row.key;  (** exclusive *)
@@ -140,10 +135,11 @@ type t =
       epoch : int;  (** sender's leadership epoch; stale epochs are rejected *)
       writes :
         (Storage.Lsn.t * Storage.Log_record.op * int * Storage.Log_record.origin option) list;
-          (** (lsn, op, timestamp, origin); >1 entry for multi-column
-              transactions. The origin — the issuing request and its client's
-              floor, when known — travels with the write so every replica can
-              recognise a duplicate retry even after a leader change. *)
+          (** (lsn, op, timestamp, origin); >1 entry when a pipelined window
+              or a re-propose ships several writes. The origin — the issuing
+              request and its client's floor, when known — travels with the
+              write so every replica can recognise a duplicate retry even
+              after a leader change. *)
       piggyback_cmt : Storage.Lsn.t option;
     }
   | Ack of { range : int; from : int; upto : Storage.Lsn.t }

@@ -34,7 +34,7 @@ let id t = t.id
 let alive t = t.alive
 let incarnation t = t.incarnation
 let wal t = t.wal
-let ranges t = List.map fst t.cohorts
+let cohorts t = t.cohorts
 let cohort t ~range = List.assoc_opt range t.cohorts
 
 let send t ?(trace_id = -1) ~dst msg =

@@ -52,9 +52,9 @@ val set_zk_reachable : t -> bool -> unit
 
 val cohort : t -> range:int -> Cohort.t option
 
-val ranges : t -> int list
-(** The ranges this node currently hosts a replica of — changes at runtime
-    as migrations and splits commit (§10). *)
+val cohorts : t -> (int * Cohort.t) list
+(** The replicas this node currently hosts, keyed by range — changes at
+    runtime as migrations and splits commit (§10). *)
 
 val reconcile_layout : t -> unit
 (** Bring the hosted-replica set in line with the current routing table:

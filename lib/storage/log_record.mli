@@ -11,8 +11,9 @@ type op =
   | Put of { key : Row.key; col : Row.column; value : string; version : int }
   | Delete of { key : Row.key; col : Row.column; version : int }
   | Batch of op list
-      (** A multi-operation transaction (§8.2): several cell writes bound to
-          one log record and one LSN, so the whole batch is exactly as
+      (** A client write of several cells (a multi-column put, or a
+          multi-operation transaction, §8.2): the cell writes bound to one
+          log record and one LSN, so the whole batch is exactly as
           durable and as replicated as any single write — all-or-nothing
           across crashes by construction. Batches are not nested. *)
   | Cohort_change of { add : int option; remove : int option }

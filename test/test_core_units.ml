@@ -550,19 +550,19 @@ let prop_lsn_diff_sorted =
 let test_message_classification () =
   check_bool "get is read" false
     (Message.is_write (Message.Get { key = "k"; col = "c"; consistent = true; token = Lsn.zero }));
-  check_bool "put is write" true (Message.is_write (Message.Put { key = "k"; col = "c"; value = "v" }));
+  check_bool "put is write" true
+    (Message.is_write (Message.Write { cells = [ ("k", "c", Some "v", None) ] }));
   check_bool "cond delete is write" true
-    (Message.is_write (Message.Conditional_delete { key = "k"; col = "c"; expected = 1 }))
+    (Message.is_write (Message.Write { cells = [ ("k", "c", None, Some 1) ] }))
 
 let test_message_new_ops_classified () =
   check_bool "scan is read" false
     (Message.is_write
        (Message.Scan
           { start_key = "a"; end_key = "b"; limit = 10; consistent = true; token = Lsn.zero }));
-  check_bool "txn is write" true (Message.is_write (Message.Txn_put { rows = [ ("k", "c", "v") ] }));
-  Alcotest.(check string)
-    "txn routes by first key" "k"
-    (Message.key_of_op (Message.Txn_put { rows = [ ("k", "c", "v"); ("k2", "c", "v") ] }));
+  let txn = Message.Write { cells = [ ("k", "c", Some "v", None); ("k2", "c", Some "v", None) ] } in
+  check_bool "txn is write" true (Message.is_write txn);
+  Alcotest.(check string) "txn routes by first key" "k" (Message.key_of_op txn);
   Alcotest.(check string)
     "scan routes by start key" "s"
     (Message.key_of_op
@@ -589,7 +589,12 @@ let test_batch_op_helpers () =
 let test_message_sizes_scale () =
   let request value =
     Message.Request
-      { client = 1; request_id = 1; floor = 1; op = Message.Put { key = "k"; col = "c"; value } }
+      {
+        client = 1;
+        request_id = 1;
+        floor = 1;
+        op = Message.Write { cells = [ ("k", "c", Some value, None) ] };
+      }
   in
   let small = Message.size (request "x") in
   let big = Message.size (request (String.make 4096 'x')) in
@@ -670,6 +675,46 @@ let prop_propose_size_matches_cells =
       Message.size (Message.Propose { range = 0; epoch = 1; writes; piggyback_cmt = None })
       = 32 + size_of_write_via_cells op)
 
+(* The request sizes of the four single-cell writes as they were computed
+   when each had its own [client_op] variant: 16 bytes of framing, plus 8
+   for the expected version of a conditional one. *)
+type single_write =
+  | Put of string * string * string
+  | Delete of string * string
+  | Conditional_put of string * string * string * int
+  | Conditional_delete of string * string * int
+
+let per_variant_size = function
+  | Put (key, col, value) -> String.length key + String.length col + String.length value + 16
+  | Delete (key, col) -> String.length key + String.length col + 16
+  | Conditional_put (key, col, value, _) ->
+    String.length key + String.length col + String.length value + 24
+  | Conditional_delete (key, col, _) -> String.length key + String.length col + 24
+
+let single_write_cell = function
+  | Put (key, col, value) -> (key, col, Some value, None)
+  | Delete (key, col) -> (key, col, None, None)
+  | Conditional_put (key, col, value, expected) -> (key, col, Some value, Some expected)
+  | Conditional_delete (key, col, expected) -> (key, col, None, Some expected)
+
+let prop_write_size_matches_variants =
+  let gen =
+    let open QCheck.Gen in
+    let str = string_size ~gen:char (int_bound 12) in
+    oneof
+      [
+        map3 (fun k c v -> Put (k, c, v)) str str str;
+        map2 (fun k c -> Delete (k, c)) str str;
+        map3 (fun (k, c) v e -> Conditional_put (k, c, v, e)) (pair str str) str nat;
+        map3 (fun k c e -> Conditional_delete (k, c, e)) str str nat;
+      ]
+  in
+  QCheck.Test.make ~name:"message: write size = the per-variant formula" ~count:500
+    (QCheck.make gen) (fun w ->
+      let request op = Message.Request { client = 1; request_id = 1; floor = 0; op } in
+      Message.size (request (Message.Write { cells = [ single_write_cell w ] }))
+      = per_variant_size w + 16)
+
 let suite =
   [
     Alcotest.test_case "partition: shape" `Quick test_partition_shape;
@@ -694,6 +739,7 @@ let suite =
     Alcotest.test_case "message: read/write classification" `Quick test_message_classification;
     Alcotest.test_case "message: size accounting" `Quick test_message_sizes_scale;
     QCheck_alcotest.to_alcotest prop_propose_size_matches_cells;
+    QCheck_alcotest.to_alcotest prop_write_size_matches_variants;
     Alcotest.test_case "message: txn/scan classification" `Quick test_message_new_ops_classified;
     Alcotest.test_case "log record: batch helpers" `Quick test_batch_op_helpers;
   ]

@@ -882,6 +882,63 @@ let test_lost_znode_ends_split () =
     (Result.is_ok
        (put_sync engine client (Partition.key_of_int (Cluster.partition cluster) 7) "after"))
 
+(* A split's drain outlives a term. The leader starts a split while a write
+   it cannot commit (its followers' acks are cut) holds the split in its
+   drain. It steps down, wins the election at once, and starts a second
+   split just before the first split's next drain poll. Only the live
+   term's split may log a [Split] record: the first split's range id and
+   split point were taken in the ended term, and the point predates the
+   write. *)
+let test_split_of_ended_term_logs_nothing () =
+  let engine, cluster, client, leader, cohort = teardown_cluster ~seed:23 in
+  let partition = Cluster.partition cluster in
+  let net = Cluster.net cluster in
+  let zk = Cluster.zk_server cluster in
+  let followers = List.filter (fun n -> n <> leader) (Partition.cohort partition ~range:0) in
+  List.iter (fun f -> Sim.Network.partition_oneway net ~src:f ~dst:leader) followers;
+  Client.put client (Partition.key_of_int partition 3) "c" ~value:"held" (fun _ -> ());
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 2);
+  let first_child = Partition.ranges partition in
+  check_bool "first split starts" true (Cohort.request_split cohort);
+  (* Its last znode is created: its drain starts one reply hop later and
+     polls every 50 ms while the held write is queued. *)
+  let rec await_znode () =
+    if not (Coord.Zk_server.exists zk ~path:(Printf.sprintf "/ranges/%d/epoch" first_child))
+    then begin
+      Sim.Engine.run_for engine (Sim.Sim_time.us 20);
+      await_znode ()
+    end
+  in
+  await_znode ();
+  let drain_started = Sim.Engine.now engine in
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 5);
+  Cohort.handle_peer cohort ~src:(List.hd followers) ~sent_at:(Sim.Engine.now engine)
+    (Message.Takeover_query { range = 0; epoch = Cohort.epoch cohort + 1 });
+  check_bool "stepped down" true (Cohort.role cohort = Cohort.Follower);
+  List.iter (fun f -> Sim.Network.heal_oneway net ~src:f ~dst:leader) followers;
+  delete_leader_znode cluster ~range:0;
+  check_bool "re-elected and reopened" true
+    (await engine ~timeout:0.04 (fun () -> Cohort.is_open cohort));
+  Sim.Engine.run_for engine
+    (Sim.Sim_time.diff
+       (Sim.Sim_time.add drain_started (Sim.Sim_time.ms 49))
+       (Sim.Engine.now engine));
+  check_bool "second split starts" true (Cohort.request_split cohort);
+  Sim.Engine.run_for engine (Sim.Sim_time.sec 3);
+  let splits =
+    List.filter_map
+      (fun (r : Storage.Log_record.t) ->
+        match r.entry with
+        | Storage.Log_record.Write { op = Storage.Log_record.Split { new_range; _ }; _ }
+          when r.cohort = 0 ->
+          Some new_range
+        | _ -> None)
+      (Storage.Wal.durable_records (Node.wal (Cluster.node cluster leader)))
+  in
+  Alcotest.(check (list int)) "one split, the live term's" [ first_child + 1 ] splits;
+  check_bool "writes are served" true
+    (Result.is_ok (put_sync engine client (Partition.key_of_int partition 7) "after"))
+
 (* A leader holding a follower in its blocked final catch-up round is
    deposed, then elected again. That round belonged to the old term: the
    follower is down, so only the old round's 2 s grace timer would ever
@@ -963,6 +1020,8 @@ let suite =
       test_chaos_scaleout;
     Alcotest.test_case "teardown: a lost /leader znode ends the term's split" `Slow
       test_lost_znode_ends_split;
+    Alcotest.test_case "teardown: a split started in an ended term logs nothing" `Slow
+      test_split_of_ended_term_logs_nothing;
     Alcotest.test_case "teardown: stepdown ends the term's final catch-up round" `Slow
       test_stepdown_ends_final_round;
     Alcotest.test_case "teardown: session loss and retirement trace migration_abort" `Slow

@@ -176,6 +176,36 @@ let test_multi_conditional_put () =
   check_bool "any stale version fails" true (Result.is_error (await engine r3));
   Alcotest.(check (option string)) "a kept" (Some "10") (value_of (get_sync engine client key "a"))
 
+(* Every client write is one log record: a three-column put and a
+   three-column conditional put each leave all their cells on one LSN and
+   add one durable [Write] record to the leader's log. *)
+let test_multi_column_write_is_one_record () =
+  let engine, cluster = boot () in
+  let client = Cluster.new_client cluster in
+  let key = key_for cluster 13 in
+  let range = Partition.route (Cluster.partition cluster) key in
+  let leader = Option.get (Cluster.leader_of cluster ~range) in
+  let wal = Node.wal (Cluster.node cluster leader) in
+  let cohort = Option.get (Node.cohort (Cluster.node cluster leader) ~range) in
+  let check_one_record name write =
+    let before = Storage.Wal.durable_writes wal ~cohort:range in
+    let r = ref None in
+    write (fun x -> r := Some x);
+    check_bool (name ^ " ok") true (Result.is_ok (await engine r));
+    check_int (name ^ ": one durable record") (before + 1)
+      (Storage.Wal.durable_writes wal ~cohort:range);
+    let lsns =
+      List.map
+        (fun col -> (Option.get (Cohort.read_local cohort (key, col))).Storage.Row.lsn)
+        [ "a"; "b"; "c" ]
+    in
+    check_int (name ^ ": one LSN") 1 (List.length (List.sort_uniq Storage.Lsn.compare lsns))
+  in
+  check_one_record "multi_put"
+    (Client.multi_put client key [ ("a", "1"); ("b", "2"); ("c", "3") ]);
+  check_one_record "multi_conditional_put"
+    (Client.multi_conditional_put client key [ ("a", "10", 1); ("b", "20", 1); ("c", "30", 1) ])
+
 (* --- multi-operation transactions (§8.2 extension) ----------------------------- *)
 
 let test_transaction_commits_atomically () =
@@ -226,47 +256,60 @@ let test_transaction_versions_assigned () =
   check_int "new row at 1" 1 (version_of (get_sync engine client (key_for cluster 5) "c"))
 
 let test_transaction_atomic_across_failover () =
-  (* Fire transactions continuously, kill the leader mid-stream, and verify
-     afterwards that every transaction is all-or-nothing: the single-log-
-     record design makes partial commits impossible even across crashes. *)
+  (* Fire transactions and multi-column puts continuously, kill the leader
+     mid-stream, and verify afterwards that every write is all-or-nothing:
+     the single-log-record design makes partial commits impossible even
+     across crashes. *)
   let engine, cluster = boot ~seed:21 () in
   let client = Cluster.new_client cluster in
-  let rows_per_txn = 4 in
-  let issued = ref 0 in
-  let spawn_txn i =
-    let rows =
-      List.init rows_per_txn (fun j ->
-          (key_for cluster ((i * rows_per_txn) + j), "c", Printf.sprintf "t%d" i))
-    in
-    Client.transact_put client rows (fun _ -> ())
+  let cells_per_write = 4 in
+  (* Each input: the cells of write [i], and how to issue them. *)
+  let inputs =
+    [
+      ( "txn",
+        (fun i ->
+          List.init cells_per_write (fun j -> (key_for cluster ((i * cells_per_write) + j), "c"))),
+        fun rows -> Client.transact_put client rows (fun _ -> ()) );
+      ( "multi_put",
+        (fun i -> List.init cells_per_write (fun j -> (key_for cluster i, Printf.sprintf "m%d" j))),
+        fun rows ->
+          let key, _, _ = List.hd rows in
+          Client.multi_put client key (List.map (fun (_, col, v) -> (col, v)) rows) (fun _ -> ()) );
+    ]
   in
+  let issued = ref 0 in
   let rec stream i =
     if i < 40 then begin
-      spawn_txn i;
+      List.iter
+        (fun (_, cells, issue) ->
+          issue (List.map (fun (key, col) -> (key, col, Printf.sprintf "t%d" i)) (cells i)))
+        inputs;
       issued := i + 1;
       ignore (Sim.Engine.schedule engine ~after:(Sim.Sim_time.ms 20) (fun () -> stream (i + 1)))
     end
   in
   stream 0;
-  (* Kill the range-0 leader while transactions are in flight. *)
+  (* Kill the range-0 leader while writes are in flight. *)
   Sim.Engine.run_for engine (Sim.Sim_time.ms 330);
   (match Cluster.leader_of cluster ~range:0 with
   | Some leader -> Cluster.crash_node cluster leader
   | None -> ());
   Sim.Engine.run_for engine (Sim.Sim_time.sec 10);
   for i = 0 to !issued - 1 do
-    let present =
-      List.filter
-        (fun j ->
-          value_of (get_sync engine client (key_for cluster ((i * rows_per_txn) + j)) "c")
-          = Some (Printf.sprintf "t%d" i))
-        (List.init rows_per_txn Fun.id)
-    in
-    let n = List.length present in
-    check_bool
-      (Printf.sprintf "txn %d all-or-nothing (%d/%d rows)" i n rows_per_txn)
-      true
-      (n = 0 || n = rows_per_txn)
+    List.iter
+      (fun (name, cells, _) ->
+        let present =
+          List.filter
+            (fun (key, col) ->
+              value_of (get_sync engine client key col) = Some (Printf.sprintf "t%d" i))
+            (cells i)
+        in
+        let n = List.length present in
+        check_bool
+          (Printf.sprintf "%s %d all-or-nothing (%d/%d cells)" name i n cells_per_write)
+          true
+          (n = 0 || n = cells_per_write))
+      inputs
   done
 
 let test_conditional_delete () =
@@ -891,7 +934,7 @@ let test_duplicate_below_floor_is_stale () =
   let leader = Option.get (Cluster.leader_of cluster ~range) in
   let cohort = Option.get (Node.cohort (Cluster.node cluster leader) ~range) in
   let send, replies = probe_client cluster 99_998 in
-  let put key = Message.Put { key; col = "c"; value = "v" } in
+  let put key = Message.Write { cells = [ (key, "c", Some "v", None) ] } in
   send ~dst:leader ~request_id:0 ~floor:0 (put key);
   (match await_reply engine replies 0 with
   | Message.Written _ -> ()
@@ -923,7 +966,8 @@ let test_catchup_carries_reply_cache () =
   let send, replies = probe_client cluster 99_997 in
   List.iteri
     (fun request_id key ->
-      send ~dst:leader ~request_id ~floor:0 (Message.Put { key; col = "c"; value = "v" });
+      send ~dst:leader ~request_id ~floor:0
+        (Message.Write { cells = [ (key, "c", Some "v", None) ] });
       match await_reply engine replies request_id with
       | Message.Written _ -> ()
       | _ -> Alcotest.fail "write not acked")
@@ -1069,4 +1113,6 @@ let suite =
       test_catchup_carries_reply_cache;
     Alcotest.test_case "reply cache bounded by clients" `Quick test_reply_cache_bounded_by_clients;
     Alcotest.test_case "chaos: no acked write lost" `Slow test_chaos_no_acked_write_lost;
+    Alcotest.test_case "multi-column writes are one log record" `Quick
+      test_multi_column_write_is_one_record;
   ]
