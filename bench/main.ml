@@ -1400,8 +1400,9 @@ let scaleout () =
    and the experiment fails otherwise; the non-empty [violations] list marks
    the cell that found a safety bug together with the fault schedule that
    fired.
-   Quick mode trims the sweep to uniform keys, two fault profiles, and one
-   cluster size (the acceptance floor: 3 backends x 2 profiles x 2 mixes). *)
+   Quick mode trims the sweep to uniform keys and one cluster size but keeps
+   every fault profile, so each backend's fault generators are pinned by the
+   baseline (3 backends x 4 profiles x 2 mixes). *)
 let audit () =
   header "Audit: operation mix x key skew x fault profile x backend";
   let mixes =
@@ -1417,14 +1418,12 @@ let audit () =
      else [ ("hotspot", Workload.Generator.Hotspot { fraction_hot = 0.9; hot_keys = 512 }) ])
   in
   let profiles =
-    if !quick then [ Workload.Chaos.Steady; Workload.Chaos.Crashes ]
-    else
-      [
-        Workload.Chaos.Steady;
-        Workload.Chaos.Crashes;
-        Workload.Chaos.Partitions;
-        Workload.Chaos.Lossy;
-      ]
+    [
+      Workload.Chaos.Steady;
+      Workload.Chaos.Crashes;
+      Workload.Chaos.Partitions;
+      Workload.Chaos.Lossy;
+    ]
   in
   let sizes = if !quick then [ 5 ] else [ 5; 10 ] in
   let total_violations = ref 0 in
