@@ -179,4 +179,3 @@ let add_watch table path w =
 
 let watch_node t ~path w = add_watch t.node_watches path w
 let watch_children t ~path w = add_watch t.child_watches path w
-let expire_sessions_now t = sweep t

@@ -68,6 +68,3 @@ val watch_node : t -> path:string -> (unit -> unit) -> unit
 
 val watch_children : t -> path:string -> (unit -> unit) -> unit
 (** Fires when a child is created or deleted under [path]. *)
-
-val expire_sessions_now : t -> unit
-(** Test hook: run the expiry sweep immediately. *)

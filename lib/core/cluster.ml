@@ -311,14 +311,6 @@ let write_phases t =
     (Sim.Metrics.Write_phases.create ())
     t.nodes
 
-let migrations_in_flight t =
-  Array.fold_left
-    (fun acc node ->
-      List.fold_left
-        (fun acc (_, c) -> if Cohort.migrating c then acc + 1 else acc)
-        acc (Node.cohorts node))
-    0 t.nodes
-
 let is_ready t =
   List.for_all (fun r -> leader_of t ~range:r <> None) (Partition.range_ids t.partition)
 

@@ -77,11 +77,6 @@ val leader_of : t -> range:int -> int option
 
 val is_ready : t -> bool
 
-val migrations_in_flight : t -> int
-(** Cohorts with a replica migration currently in flight — a live hazard
-    signal for conditional failure multipliers (crash probability spiking
-    while data is on the move). *)
-
 type read_path_stats = {
   cache_hits : int;
   cache_misses : int;

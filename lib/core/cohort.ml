@@ -657,10 +657,13 @@ let start_takeover t =
   t.active_followers <- [];
   (* Rebuild the commit queue with the unresolved writes in (l.cmt, l.lst]
      from the durable log (they may not be in memory if we just restarted).
-     They are already forced locally; they commit once a follower acks. *)
+     They are already forced locally; they commit once a follower acks. A
+     record an earlier takeover truncated logically is dead, not
+     unresolved: re-queued, it would hold the commit point below it. *)
+  let skipped = Store.skipped t.ctx.store in
   List.iter
     (fun (lsn, op, timestamp, origin) ->
-      if not (Commit_queue.mem t.queue lsn) then
+      if not (Commit_queue.mem t.queue lsn || Skipped_lsns.mem skipped lsn) then
         Commit_queue.add t.queue ~lsn ~op ~timestamp ?origin ())
     (Wal.durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above:t.cmt ~upto:t.lst);
   Commit_queue.mark_forced_upto t.queue t.lst;
@@ -673,7 +676,7 @@ let start_takeover t =
   drop_queue_above t t.lst;
   truncate_logically t
     (List.filter
-       (fun l -> not (Skipped_lsns.mem (Store.skipped t.ctx.store) l))
+       (fun l -> not (Skipped_lsns.mem skipped l))
        (Store.durable_write_lsns_in t.ctx.store ~above:t.lst
           ~upto:(Wal.last_write_lsn t.ctx.wal ~cohort:t.ctx.range)));
   (* Pending entries' originating requests are in flight again: a client
@@ -2443,7 +2446,19 @@ let request_split t =
          so a chain that outlives its term stops at its next step, even if
          this replica leads again and has started another split. *)
       let epoch = t.epoch in
-      let live () = t.role = Leader && t.splitting && t.epoch = epoch in
+      let aborted = ref false and draining = ref false in
+      let live () = t.role = Leader && t.splitting && t.epoch = epoch && not !aborted in
+      (* A coordination call made while the link is cut never calls back, so
+         the chain gets the membership watchdog's deadline. Until its drain
+         starts, a split that misses it is abandoned and the writes it parked
+         go on; once draining, the split only ends with the term. *)
+      after t t.ctx.config.Config.migration_timeout (fun () ->
+          if live () && not !draining then begin
+            aborted := true;
+            t.splitting <- false;
+            trace t "split_abort" "coordination chain timed out";
+            drain_waiting t
+          end);
       let zk = t.ctx.zk () in
       Coord.Zk_client.incr_counter zk ~path:"/next_range"
         (guard t (fun new_range ->
@@ -2473,6 +2488,7 @@ let request_split t =
                                  enqueue_meta t (Log_record.Split { at; new_range })
                                end
                            in
+                           draining := true;
                            drain ())))
              end));
       true

@@ -35,7 +35,8 @@ type t = {
   outlier_top_k : int;
       (** flight recorder: slowest requests pinned per 1 s window (0 disables) *)
   migration_timeout : Sim.Sim_time.span;
-      (** leader-side watchdog: abort a migration stuck in catch-up *)
+      (** leader-side watchdog: abort a migration stuck in catch-up, or a
+          split whose coordination chain has not reached its drain *)
   seed : int;
 }
 

@@ -55,7 +55,3 @@ let size = function
     List.fold_left (fun a c -> a + coord_size c) 24 coords
   | Tree_cells { cells; _ } ->
     List.fold_left (fun a (c, cell) -> a + coord_size c + cell_size cell) 24 cells
-
-let pp_level ppf = function
-  | One -> Format.pp_print_string ppf "ONE"
-  | Quorum -> Format.pp_print_string ppf "QUORUM"

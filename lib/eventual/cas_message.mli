@@ -42,5 +42,3 @@ type t =
 val acks_needed : level -> int
 
 val size : t -> int
-
-val pp_level : Format.formatter -> level -> unit

@@ -42,7 +42,6 @@ type t = {
   pending_reads : (int, pending_read) Hashtbl.t;
   pending_hints : (int, int * Row.coord * Row.cell) Hashtbl.t;  (** req -> (dst, ...) *)
   mutable next_req : int;
-  mutable repairs : int;
   mutable alive : bool;
   mutable incarnation : int;
 }
@@ -50,7 +49,6 @@ type t = {
 let id t = t.id
 let alive t = t.alive
 let hints_queued t = Hashtbl.length t.pending_hints
-let repairs_sent t = t.repairs
 
 let create ~engine ~net ~partition ~config ~trace ~anti_entropy_period ~id =
   let cpu = Sim.Resource.create engine ~name:(Printf.sprintf "cas-cpu-%d" id) ~servers:4 () in
@@ -85,7 +83,6 @@ let create ~engine ~net ~partition ~config ~trace ~anti_entropy_period ~id =
     pending_reads = Hashtbl.create 64;
     pending_hints = Hashtbl.create 16;
     next_req = 0;
-    repairs = 0;
     alive = false;
     incarnation = 0;
   }
@@ -285,12 +282,10 @@ let read_reply t ~req ~from ~cell =
           let stale =
             match c with Some c -> Row.newer_by_timestamp best c | None -> true
           in
-          if stale then begin
-            t.repairs <- t.repairs + 1;
+          if stale then
             send t ~dst:r
               (Cas_message.Replica_write
-                 { req = None; coord = p.r_coord; cell = best; reply_to = t.id })
-          end)
+                 { req = None; coord = p.r_coord; cell = best; reply_to = t.id }))
         p.replies
     | None -> ());
     if List.length p.replies >= 3 then Hashtbl.remove t.pending_reads req

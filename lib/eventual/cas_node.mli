@@ -36,7 +36,4 @@ val read_local : t -> Storage.Row.coord -> Storage.Row.cell option
 
 val hints_queued : t -> int
 
-val repairs_sent : t -> int
-(** Read-repair writes issued by this coordinator. *)
-
 val failure_target : t -> Sim.Failure.target

@@ -4,7 +4,6 @@ type t = {
   hashes : int array;  (** combined hash per bucket; 0 = empty bucket *)
   members : Storage.Row.coord list array;  (** bucket coordinates, descending *)
   root : int;
-  leaves : int;
 }
 
 let bucket_of coord = Hashtbl.hash coord land (nbuckets - 1)
@@ -15,15 +14,13 @@ let cell_hash (cell : Storage.Row.cell) =
 let build entries =
   let hashes = Array.make nbuckets 0 in
   let members = Array.make nbuckets [] in
-  let leaves = ref 0 in
   (* Entries arrive sorted by coordinate, so each bucket's hash chain is
      deterministic regardless of which replica builds the tree. *)
   List.iter
     (fun ((coord, cell) : Storage.Row.coord * Storage.Row.cell) ->
       let b = bucket_of coord in
       hashes.(b) <- Hashtbl.hash (hashes.(b), coord, cell_hash cell);
-      members.(b) <- coord :: members.(b);
-      incr leaves)
+      members.(b) <- coord :: members.(b))
     entries;
   (* Combine bucket hashes pairwise up to a root (the tree the wire protocol
      would actually ship level by level). *)
@@ -36,11 +33,9 @@ let build entries =
     done;
     level := next
   done;
-  { hashes; members; root = (!level).(0); leaves = !leaves }
+  { hashes; members; root = (!level).(0) }
 
-let root_hash t = t.root
 let equal a b = a.root = b.root
-let leaf_count t = t.leaves
 
 let depth _ =
   let rec log2 n acc = if n <= 1 then acc else log2 (n / 2) (acc + 1) in

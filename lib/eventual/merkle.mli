@@ -14,8 +14,6 @@ type t
 val build : (Storage.Row.coord * Storage.Row.cell) list -> t
 (** Input must be sorted ascending by coordinate (duplicates not allowed). *)
 
-val root_hash : t -> int
-
 val equal : t -> t -> bool
 (** Root hashes match (identical content with overwhelming probability). *)
 
@@ -23,9 +21,6 @@ val diff : t -> t -> Storage.Row.coord list
 (** Union of both sides' coordinates in differing buckets, ascending.
     Complete: contains every coordinate whose cell differs (or exists on
     only one side). Empty iff the trees are equal. *)
-
-val leaf_count : t -> int
-(** Number of coordinates covered. *)
 
 val depth : t -> int
 (** Depth of the implied binary tree over buckets (message-size model). *)

@@ -331,19 +331,6 @@ let record attribution r =
     r.segments;
   Metrics.Attribution.record_total attribution r.total_us
 
-let request_to_json r =
-  Json.Obj
-    [
-      ("trace_id", Json.Int r.trace_id);
-      ("client", Json.Int r.client);
-      ("leader", Json.Int r.leader);
-      ("total_us", Json.Float r.total_us);
-      ("dominant", Json.String (segment_name r.dominant));
-      ("incomplete", Json.Bool r.incomplete);
-      ( "segments",
-        Json.Obj (List.map (fun (s, v) -> (segment_name s, Json.Float v)) r.segments) );
-    ]
-
 let to_json a =
   let max_err =
     List.fold_left (fun m r -> Stdlib.max m (conservation_error r)) 0.0 a.requests

@@ -88,10 +88,6 @@ val record : Metrics.Attribution.t -> request -> unit
 (** Feed one request's segments (and its total) into per-segment attribution
     histograms. *)
 
-val request_to_json : request -> Json.t
-(** [{trace_id, client, leader, total_us, dominant, incomplete,
-    segments: {<name>: µs}}]. *)
-
 val to_json : analysis -> Json.t
 (** Summary: [{requests, skipped, dropped_events, incomplete,
     max_conservation_error}]. *)

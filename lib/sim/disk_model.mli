@@ -20,11 +20,6 @@ val force_service : t -> Distribution.t
 (** Service-time distribution of one log force (group commit batches share a
     single force). *)
 
-val read_service : t -> Distribution.t
-(** Service time of reading a page (SSTable access during catch-up). *)
-
 val write_bandwidth_bytes_per_sec : t -> float
 (** Sequential write bandwidth; a group-commit batch additionally pays
     [bytes / bandwidth] on top of the per-force cost. *)
-
-val pp_kind : Format.formatter -> kind -> unit

@@ -159,5 +159,3 @@ let pop t =
     Some (time, take t)
   end
   else None
-
-let peek_time t = if normalize t then Some (next_time t) else None

@@ -32,9 +32,6 @@ val is_cancelled : handle -> bool
 val pop : 'a t -> (Sim_time.t * 'a) option
 (** Removes and returns the earliest live entry. *)
 
-val peek_time : 'a t -> Sim_time.t option
-(** Timestamp of the earliest live entry without removing it. *)
-
 (** {2 Zero-allocation pop}
 
     The engine's event loop runs hundreds of millions of pops per bench; the

@@ -141,8 +141,6 @@ let exposure t =
     ("zk_cuts", t.zk_cuts);
   ]
 
-let json_of_exposure t = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (exposure t))
-
 let attach_metrics t registry =
   List.iter
     (fun (name, _) ->
@@ -325,25 +323,6 @@ let hazard_crash_chaos t ~period ~p_per_tick ?(multiplier = fun () -> 1.0)
 (* Ready-made network scenarios. *)
 
 let group_label g = "[" ^ String.concat "," (List.map string_of_int g) ^ "]"
-
-let partition_toggle ?label net group_a group_b =
-  let label =
-    match label with
-    | Some l -> l
-    | None -> Printf.sprintf "partition %s|%s" (group_label group_a) (group_label group_b)
-  in
-  toggle ~label
-    ~engage:(fun () -> Network.partition net group_a group_b)
-    ~disengage:(fun () -> Network.unpartition net group_a group_b)
-
-let isolate_toggle ?label net ~node ~peers =
-  let peers = List.filter (fun p -> p <> node) peers in
-  let label =
-    match label with
-    | Some l -> l
-    | None -> Printf.sprintf "isolate n%d from %s" node (group_label peers)
-  in
-  partition_toggle ~label net [ node ] peers
 
 let pair_partition_toggle net a b =
   (* Canonical order, so the label is the same whichever way the pair was

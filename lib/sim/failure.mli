@@ -89,8 +89,6 @@ val exposure : t -> (string * int) list
     [engages], [disengages], plus [zk_cuts] (engages of toggles labelled for
     the coordination service). How much chaos the run actually absorbed. *)
 
-val json_of_exposure : t -> Json.t
-
 val attach_metrics : t -> Metrics.Registry.t -> unit
 (** Register one [nemesis_<kind>] gauge per exposure counter (node [-1],
     cluster-wide) so the periodic sampler time-lines the chaos dose. *)
@@ -164,13 +162,6 @@ val toggle_chaos :
     nemesis (both draw from the same logged, seeded stream). *)
 
 (** {2 Ready-made network scenarios} *)
-
-val partition_toggle : ?label:string -> 'msg Network.t -> int list -> int list -> toggle
-(** Symmetric group split, e.g. majority|minority. *)
-
-val isolate_toggle : ?label:string -> 'msg Network.t -> node:int -> peers:int list -> toggle
-(** Cut one node off from all [peers] (both directions) — "isolate the
-    leader" when [node] is the current leader. *)
 
 val pair_partition_toggle : 'msg Network.t -> int -> int -> toggle
 (** Symmetric two-node split, labelled ["pair-partition a<->b"] with the

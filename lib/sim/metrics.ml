@@ -36,69 +36,20 @@ module Histogram = struct
       !sum /. float_of_int t.len
     end
 
-  (* Monomorphic in-place quicksort: [Array.sort Float.compare] pays a
-     closure call plus two float boxings per comparison, which dominates
-     stats extraction on multi-million-sample histograms. Samples are finite
-     latencies (never NaN), so plain [<] is a total order here. *)
-  let sort_floats (a : float array) =
-    let swap i j =
-      let tmp = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- tmp
-    in
-    let insertion lo hi =
-      for i = lo + 1 to hi do
-        let v = a.(i) in
-        let j = ref (i - 1) in
-        while !j >= lo && a.(!j) > v do
-          a.(!j + 1) <- a.(!j);
-          decr j
-        done;
-        a.(!j + 1) <- v
-      done
-    in
-    let rec qsort lo hi =
-      if hi - lo < 16 then insertion lo hi
-      else begin
-        let mid = lo + ((hi - lo) / 2) in
-        if a.(mid) < a.(lo) then swap mid lo;
-        if a.(hi) < a.(lo) then swap hi lo;
-        if a.(hi) < a.(mid) then swap hi mid;
-        let pivot = a.(mid) in
-        let i = ref lo and j = ref hi in
-        while !i <= !j do
-          while a.(!i) < pivot do
-            incr i
-          done;
-          while a.(!j) > pivot do
-            decr j
-          done;
-          if !i <= !j then begin
-            swap !i !j;
-            incr i;
-            decr j
-          end
-        done;
-        qsort lo !j;
-        qsort !i hi
-      end
-    in
-    if Array.length a > 1 then qsort 0 (Array.length a - 1)
-
   (* LSD radix sort on the IEEE-754 bit patterns. Non-negative finite floats
      order identically to their bit patterns, and a positive pattern fits the
      63-bit native int exactly, so byte-wise counting passes sort without any
      comparisons. Latency samples are integral microseconds, which leaves the
      low mantissa bytes constant — those passes are detected (single occupied
      bucket) and skipped, so a multi-million-sample histogram sorts in ~4
-     linear passes. Falls back to quicksort if any sample is negative. *)
+     linear passes. Falls back to [Array.sort] if any sample is negative. *)
   let radix_sort (a : float array) =
     let n = Array.length a in
     let neg = ref false in
     for i = 0 to n - 1 do
       if Array.unsafe_get a i < 0.0 then neg := true
     done;
-    if !neg then sort_floats a
+    if !neg then Array.sort Float.compare a
     else begin
       let keys = Array.init n (fun i -> Int64.to_int (Int64.bits_of_float a.(i))) in
       let tmp = Array.make n 0 in
@@ -561,11 +512,3 @@ let json_of_net_stats s =
       ("duplicated", Json.Int s.net_duplicated);
       ("bytes", Json.Int s.net_bytes);
     ]
-
-let pp_net_stats ppf s =
-  Format.fprintf ppf
-    "%d delivered, %d dropped (down %d / partitioned %d / lost %d), %d duplicated, %d bytes"
-    s.net_delivered
-    (s.net_dropped_down + s.net_dropped_partitioned + s.net_dropped_lost)
-    s.net_dropped_down s.net_dropped_partitioned s.net_dropped_lost s.net_duplicated
-    s.net_bytes

@@ -236,5 +236,3 @@ val json_of_net_stats : net_stats -> Json.t
 (** [{delivered, dropped_down, dropped_partitioned, dropped_lost,
     duplicated, bytes}] — the per-cause drop breakdown audit reports pair
     with the nemesis exposure counters. *)
-
-val pp_net_stats : Format.formatter -> net_stats -> unit

@@ -37,7 +37,6 @@ type 'msg t = {
   blocked : (int * int, int) Hashtbl.t;  (* directed (src, dst) -> refcount *)
   mutable cuts : cut list;  (* active group partitions *)
   link_faults : (int * int, faults) Hashtbl.t;  (* directed overrides *)
-  mutable default_faults : faults option;
   mutable trace : Trace.t option;
   mutable delivered : int;
   mutable dropped_down : int;
@@ -59,7 +58,6 @@ let create engine ?(latency = default_latency) ?(bandwidth_bps = 1_000_000_000) 
     blocked = Hashtbl.create 16;
     cuts = [];
     link_faults = Hashtbl.create 16;
-    default_faults = None;
     trace = None;
     delivered = 0;
     dropped_down = 0;
@@ -116,7 +114,6 @@ let register t ~node handler =
   e.up <- true
 
 let set_up t node up = (endpoint t node).up <- up
-let is_up t node = (endpoint t node).up
 
 (* Partitions are directed and reference-counted so overlapping fault
    schedules (two nemesis toggles covering the same link) compose: a link
@@ -152,11 +149,8 @@ let transfer_span t size =
   Sim_time.of_us_f (float_of_int (size * 8) /. float_of_int t.bandwidth_bps *. 1e6)
 
 let faults_for t src dst =
-  if Hashtbl.length t.link_faults = 0 then t.default_faults
-  else
-    match Hashtbl.find_opt t.link_faults (src, dst) with
-    | Some f -> Some f
-    | None -> t.default_faults
+  if Hashtbl.length t.link_faults = 0 then None
+  else Hashtbl.find_opt t.link_faults (src, dst)
 
 (* Transit spans make the trace a causal graph: the span starts on the
    sender's track (node = src) when the message is handed to the NIC and
@@ -324,24 +318,7 @@ let clear_link_faults t ~src ~dst =
   Hashtbl.remove t.link_faults (src, dst);
   emit t "link-faults-clear %d->%d" src dst
 
-let set_default_faults t ?(loss = 0.0) ?(duplicate = 0.0) ?jitter () =
-  t.default_faults <- Some { loss; duplicate; jitter };
-  emit t "default-faults loss=%.3f dup=%.3f" loss duplicate
-
-let clear_default_faults t =
-  t.default_faults <- None;
-  emit t "default-faults-clear"
-
-let messages_delivered t = t.delivered
 let messages_dropped t = t.dropped_down + t.dropped_partitioned + t.dropped_lost
-
-let dropped_by_cause t = function
-  | Down -> t.dropped_down
-  | Partitioned -> t.dropped_partitioned
-  | Lost -> t.dropped_lost
-
-let messages_duplicated t = t.duplicated
-let bytes_sent t = t.bytes
 
 let stats t : Metrics.net_stats =
   {

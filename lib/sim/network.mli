@@ -26,11 +26,6 @@ type 'msg envelope = {
   payload : 'msg;
 }
 
-type drop_cause =
-  | Down  (** sender or receiver process is down *)
-  | Partitioned  (** directed link blocked by a partition *)
-  | Lost  (** random in-flight loss on a faulty link *)
-
 val create :
   Engine.t ->
   ?latency:Distribution.t ->
@@ -67,8 +62,6 @@ val send : 'msg t -> src:int -> dst:int -> ?size:int -> ?trace_id:int -> 'msg ->
 val set_up : 'msg t -> int -> bool -> unit
 (** Mark a node up/down. Down nodes neither send nor receive. *)
 
-val is_up : 'msg t -> int -> bool
-
 (** {2 Partitions}
 
     Blocks are directed and reference-counted: overlapping fault schedules
@@ -100,9 +93,9 @@ val reachable : 'msg t -> int -> int -> bool
 
 (** {2 Link faults}
 
-    A per-link setting overrides the default; absent both, the link is
-    perfect. Loss and duplication are per-message probabilities; [jitter] is
-    sampled and added to the propagation latency of each delivery. *)
+    A link without a setting is perfect. Loss and duplication are
+    per-message probabilities; [jitter] is sampled and added to the
+    propagation latency of each delivery. *)
 
 val set_link_faults :
   'msg t -> src:int -> dst:int ->
@@ -110,23 +103,10 @@ val set_link_faults :
 
 val clear_link_faults : 'msg t -> src:int -> dst:int -> unit
 
-val set_default_faults :
-  'msg t -> ?loss:float -> ?duplicate:float -> ?jitter:Distribution.t -> unit -> unit
-
-val clear_default_faults : 'msg t -> unit
-
 (** {2 Counters} *)
 
-val messages_delivered : 'msg t -> int
-
 val messages_dropped : 'msg t -> int
-(** Total across all causes; see {!dropped_by_cause} for the breakdown. *)
-
-val dropped_by_cause : 'msg t -> drop_cause -> int
-
-val messages_duplicated : 'msg t -> int
-
-val bytes_sent : 'msg t -> int
+(** Total across all causes; {!stats} has the breakdown. *)
 
 val stats : 'msg t -> Metrics.net_stats
 (** Snapshot of the delivery/drop/duplication counters for reporting. *)

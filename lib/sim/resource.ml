@@ -54,9 +54,3 @@ let reset t =
 
 let jobs_completed t = t.jobs_completed
 let busy_time t = t.busy_time
-
-let queue_delay_estimate t =
-  let now = Engine.now t.engine in
-  let i = earliest_server t in
-  if Sim_time.(t.free_at.(i) <= now) then Sim_time.span_zero
-  else Sim_time.diff t.free_at.(i) now

@@ -34,6 +34,3 @@ val jobs_completed : t -> int
 
 val busy_time : t -> Sim_time.span
 (** Total service time of submitted jobs (for utilisation accounting). *)
-
-val queue_delay_estimate : t -> Sim_time.span
-(** How long a job submitted now would wait before service begins. *)

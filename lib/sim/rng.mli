@@ -31,6 +31,3 @@ val exponential : t -> float -> float
 
 val gaussian : t -> float
 (** Standard normal via Box-Muller. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

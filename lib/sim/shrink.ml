@@ -1,13 +1,8 @@
 type stats = {
   replays : int;
-  reproduced : int;
   initial_injections : int;
   final_injections : int;
 }
-
-let pp_stats ppf s =
-  Format.fprintf ppf "%d -> %d injections in %d replays (%d reproduced)"
-    s.initial_injections s.final_injections s.replays s.reproduced
 
 (* [complement schedule ~start ~len] is the schedule with the chunk
    [start, start+len) removed. *)
@@ -15,12 +10,10 @@ let complement schedule ~start ~len =
   List.filteri (fun i _ -> i < start || i >= start + len) schedule
 
 let ddmin ?(max_replays = 2000) ~replay schedule =
-  let replays = ref 0 and reproduced = ref 0 in
+  let replays = ref 0 in
   let try_schedule candidate =
     incr replays;
-    let fails = replay candidate in
-    if fails then incr reproduced;
-    fails
+    replay candidate
   in
   let budget () = !replays < max_replays in
   (* Zeller-Hildebrandt ddmin, removal-only: try dropping each of [n]
@@ -78,7 +71,6 @@ let ddmin ?(max_replays = 2000) ~replay schedule =
   ( minimal,
     {
       replays = !replays;
-      reproduced = !reproduced;
       initial_injections = initial;
       final_injections = List.length minimal;
     } )

@@ -16,12 +16,9 @@
 
 type stats = {
   replays : int;  (** candidate schedules executed *)
-  reproduced : int;  (** candidates that still failed *)
   initial_injections : int;
   final_injections : int;
 }
-
-val pp_stats : Format.formatter -> stats -> unit
 
 val ddmin :
   ?max_replays:int ->

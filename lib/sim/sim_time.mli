@@ -38,8 +38,6 @@ val span_zero : span
 
 val span_add : span -> span -> span
 
-val span_sub : span -> span -> span
-
 val span_compare : span -> span -> int
 
 val span_scale : span -> float -> span
@@ -54,8 +52,6 @@ val ms : int -> span
 val sec : int -> span
 
 val of_sec_f : float -> span
-
-val of_ms_f : float -> span
 
 val of_us_f : float -> span
 
@@ -73,5 +69,3 @@ val time_to_us : t -> int
 val time_to_sec_f : t -> float
 
 val pp : Format.formatter -> t -> unit
-
-val pp_span : Format.formatter -> span -> unit

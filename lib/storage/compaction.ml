@@ -63,5 +63,3 @@ let plan ~fanin ~max_tables ?(growth = default_growth) tables =
       done;
       Some (Run { start; length = !length })
   end
-
-let should_compact tables ~threshold = List.length tables >= threshold

@@ -41,7 +41,3 @@ val plan : fanin:int -> max_tables:int -> ?growth:float -> Sstable.t list -> pla
     once [max_tables] is reached; otherwise the cheapest (fewest total bytes)
     window of [fanin] adjacent similar-sized tables, extended over the rest
     of its tier up to [2 × fanin] tables; [None] when no tier is full. *)
-
-val should_compact : Sstable.t list -> threshold:int -> bool
-(** True once the read fan-in ([List.length]) reaches [threshold]. Legacy
-    trigger retained for the pre-tiered semantics used in tests. *)

@@ -47,11 +47,6 @@ let base_of_intent_col col = String.sub col 3 (String.length col - 3)
 let decision_prefix = "\x00d:"
 let decision_col txn = decision_prefix ^ txn
 
-let is_decision_col col =
-  String.length col >= 3 && String.equal (String.sub col 0 3) decision_prefix
-
-let txn_of_decision_col col = String.sub col 3 (String.length col - 3)
-
 type intent = { i_txn : string; i_anchor : key; i_fence : Lsn.t; i_value : string option }
 
 let sep = '\x01'

@@ -69,10 +69,6 @@ val decision_col : string -> column
 (** The system column on the coordinator's anchor row holding transaction
     [txn]'s commit/abort decision. *)
 
-val is_decision_col : column -> bool
-
-val txn_of_decision_col : column -> string
-
 type intent = {
   i_txn : string;  (** owning transaction id *)
   i_anchor : key;  (** coordinator anchor key (where the decision record lives) *)

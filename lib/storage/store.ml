@@ -538,9 +538,6 @@ let intents_of t txn =
   | Some i -> List.sort (fun (a, _) (b, _) -> Row.compare_coord a b) i.ii_writes
   | None -> []
 
-let intent_anchor t txn =
-  match Hashtbl.find_opt t.intents txn with Some i -> Some i.ii_anchor | None -> None
-
 let live_intents t =
   Hashtbl.fold (fun txn i acc -> (txn, i.ii_anchor, List.map fst i.ii_writes) :: acc) t.intents []
   |> List.sort compare

@@ -136,9 +136,6 @@ val intents_of : t -> string -> (Row.coord * string option) list
     with proposed values ([None] = proposed delete), ascending by
     coordinate. Empty once resolved. *)
 
-val intent_anchor : t -> string -> Row.key option
-(** The coordinator anchor key recorded in the transaction's intents. *)
-
 val live_intents : t -> (string * Row.key * Row.coord list) list
 (** Every unresolved transaction in this store: (txn, anchor, coords). The
     orphaned-intent audit's input; sorted for determinism. *)

@@ -5,20 +5,88 @@
     (no lost acked write, no double apply, linearizable strong reads, a
     coherent layout after heal). Instead of asserting, a run returns a
     {!verdict} so the same harness serves the nemesis tests, the ddmin
-    shrinker's replay oracle, and the `bench audit` battery. *)
+    shrinker's replay oracle, and the `bench audit` battery. The probes,
+    fault generators, heal and checks are exported, so a gauntlet with its
+    own fault mix (the scale-out battery) is built from the same parts. *)
 
 type profile = Steady | Crashes | Partitions | Lossy | Mixed
-(** [Mixed] composes crash chaos, randomized pair partitions, lossy links,
-    coordination-service cuts, and a hazard crash process whose per-tick
-    probability spikes while a replica migration is in flight. *)
+(** [Mixed] composes crash chaos on two nodes, randomized pair partitions,
+    lossy links, coordination-service cuts on the last node, and a hazard
+    crash process (a 2% chance per 250 ms tick) on a third node. The
+    gauntlet never migrates or splits a range. *)
 
 val profile_name : profile -> string
-
-val profile_of_string : string -> profile option
 
 val default_config : Spinnaker.Config.t
 (** 5 nodes, SSDs, 200 ms commit period, 500 ms sessions — the nemesis
     suite's configuration. *)
+
+(** {2 Building blocks}
+
+    Each fault generator holds its kind's parameters; every gauntlet and
+    audit cell calls these. *)
+
+val crash_chaos : Sim.Failure.t -> until:Sim.Sim_time.t -> Sim.Failure.target list -> unit
+(** Independent crash/restart processes: mean 3 s to failure, 1.5 s to
+    repair. *)
+
+val partition_chaos :
+  Sim.Failure.t -> 'msg Sim.Network.t -> nodes:int list -> until:Sim.Sim_time.t -> unit
+(** Random pair partitions, symmetric or one-way: mean 1.5 s apart, 0.7 s
+    long. *)
+
+val lossy_chaos :
+  ?rate:float ->
+  Sim.Failure.t ->
+  'msg Sim.Network.t ->
+  nodes:int list ->
+  until:Sim.Sim_time.t ->
+  unit
+(** Episodes (mean 0.9 s on, 0.9 s off) of loss and duplication at [rate]
+    each (default 0.08) plus 0–400 µs jitter on every link among [nodes]. *)
+
+val heal : Spinnaker.Cluster.t -> unit
+(** Lift every partition and link fault, reconnect every node to the
+    coordination service, and restart every crashed node. *)
+
+val drive :
+  Sim.Engine.t -> ?every:Sim.Sim_time.span -> polls:int -> (unit -> 'a option) -> 'a option
+(** Run the engine [every] (default 10 ms) until [poll] answers, at most
+    [polls] times; [None] if it never does. *)
+
+type probes
+(** A serial writer and, on the first three keys, a strong reader per key,
+    recording into one {!History}. *)
+
+val start_probes :
+  ?writer:(int -> Spinnaker.Client.t) ->
+  Spinnaker.Cluster.t ->
+  keys:string list ->
+  write_period:Sim.Sim_time.span ->
+  read_period:Sim.Sim_time.span ->
+  probes
+(** Each key's writer puts sequence numbers 1, 2, ... one at a time through
+    [writer i] (the [i]th key; default a new client per key). *)
+
+val stop_probes : probes -> unit
+
+val history : probes -> History.t
+
+val acked : probes -> int
+(** Acknowledged probe writes, over all keys. *)
+
+val check : Spinnaker.Cluster.t -> probes -> (string -> string -> unit) -> unit
+(** Run the check set after heal and quiesce, calling [flag invariant
+    detail] for each violation:
+    - a final strong read per key closes the history: [lost-acked-write]
+      below the acked count, [double-apply] above acked + indeterminate,
+      [unavailable-after-heal] if it fails;
+    - over every range in {!Spinnaker.Partition.range_ids}: a leader per
+      range ([unavailable-after-heal]), no origin committed under two LSNs
+      ([double-apply]), no intent left on any replica ([orphaned-intent]),
+      [Config.replication] members ([layout-incoherence]);
+    - every dropped message has a cause ([net-accounting]);
+    - per-key [linearizability] of the history. *)
 
 type verdict = {
   seed : int;
@@ -36,6 +104,7 @@ type verdict = {
       (** flight-recorder dump ({!Sim.Trace_export.outliers_to_json}) of the
           run's slowest pinned requests, captured when [violations] is
           non-empty — write it next to the failing schedule artifact *)
+  net : Sim.Metrics.net_stats;  (** the network's counters at the end of the run *)
 }
 
 val failed : verdict -> bool

@@ -2,15 +2,17 @@
    partition/heal schedules composed with crash chaos, duplicated deliveries,
    and coordination-service cuts.
 
-   The chaos property drives every seed through the same gauntlet and then
-   asserts the paper's §1.1 claims the hard way:
+   The chaos property drives every seed through {!Workload.Chaos}'s [Mixed]
+   gauntlet and fails on any violation of its check set, which asserts the
+   paper's §1.1 claims the hard way:
 
    - no acked write is ever lost (final version >= acked count per key);
    - no write — acked or retried — is applied twice (final version <= acked +
      indeterminate, and no origin appears twice in the committed log);
    - strong reads stay linearizable throughout (history checker).
 
-   A failing seed prints its injection log and is reproducible alone with
+   A failing seed prints its violations, shrinks its schedule to a minimal
+   reproduction, and is reproducible alone with
    e.g. [NEMESIS_SEEDS=7 dune exec test/test_main.exe -- test nemesis]. To
    replay an explicit fault schedule instead of a seed — a shrunk
    MINIMAL_SCHEDULE artifact, say — point [NEMESIS_SCHEDULE] at the JSON
@@ -19,21 +21,11 @@
    {!Workload.Chaos} harness and fails with the verdict's violations. *)
 
 open Spinnaker
-module History = Workload.History
 module Lsn = Storage.Lsn
 
 let check_bool = Alcotest.(check bool)
 
-let test_config =
-  {
-    Config.default with
-    Config.nodes = 5;
-    disk = Sim.Disk_model.Ssd;
-    commit_period = Sim.Sim_time.ms 200;
-    session_timeout = Sim.Sim_time.ms 500;
-  }
-
-let all_nodes = [ 0; 1; 2; 3; 4 ]
+let test_config = Workload.Chaos.default_config
 
 (* --- satellite: exponential chaos samples are clamped to >= 1 µs ---------- *)
 
@@ -93,15 +85,10 @@ let test_zk_cut_leader_steps_down () =
   let key = Partition.key_of_int (Cluster.partition cluster) 1 in
   let r = ref None in
   Client.put client key "c" ~value:"during-cut" (fun x -> r := Some x);
-  let rec drive n =
-    match !r with
-    | Some v -> v
-    | None when n = 0 -> Error Client.Timed_out
-    | None ->
-      Sim.Engine.run_for engine (Sim.Sim_time.ms 10);
-      drive (n - 1)
-  in
-  check_bool "write succeeds under the cut" true (Result.is_ok (drive 500));
+  check_bool "write succeeds under the cut" true
+    (match Workload.Chaos.drive engine ~polls:500 (fun () -> !r) with
+    | Some (Ok ()) -> true
+    | _ -> false);
   (* Heal (toggle_for disengages at 3.1 s): the old leader reconnects with a
      fresh session and falls back in line as a follower. *)
   Sim.Engine.run_for engine (Sim.Sim_time.sec 4);
@@ -156,16 +143,10 @@ let run_lease_fence_seed seed =
   let acked = ref (-1) in
   let r0 = ref None in
   Client.put client key "c" ~value:"0" (fun x -> r0 := Some x);
-  let rec settle n =
-    match !r0 with
-    | Some (Ok ()) -> acked := 0
-    | Some (Error e) -> Alcotest.failf "seed %d: seed write failed: %a" seed Client.pp_error e
-    | None when n = 0 -> Alcotest.failf "seed %d: seed write never settled" seed
-    | None ->
-      Sim.Engine.run_for engine (Sim.Sim_time.ms 10);
-      settle (n - 1)
-  in
-  settle 500;
+  (match Workload.Chaos.drive engine ~polls:500 (fun () -> !r0) with
+  | Some (Ok ()) -> acked := 0
+  | Some (Error e) -> Alcotest.failf "seed %d: seed write failed: %a" seed Client.pp_error e
+  | None -> Alcotest.failf "seed %d: seed write never settled" seed);
   (* Writer: one outstanding put at a time; acked only counts clean acks
      (a timed-out put is indeterminate and must not raise the floor). *)
   let next = ref 0 in
@@ -258,23 +239,31 @@ let test_lease_fencing () =
 
 (* --- the chaos property --------------------------------------------------- *)
 
-type outcome = { mutable acked : int; mutable indeterminate : int }
-
-let dump_injections ?cluster seed failure =
-  Format.printf "@.nemesis seed %d injection log:@.%a@." seed Sim.Failure.pp_injections
-    failure;
-  match cluster with
-  | Some c ->
-    Format.printf "%a@." Cluster.pp_status c;
-    (* Ship the failure with its latency evidence: the flight recorder's
-       pinned outlier traces, openable in Perfetto next to the schedule. *)
-    let flight = Cluster.flight c in
-    if Sim.Trace.Flight.pinned flight > 0 then begin
-      let path = Printf.sprintf "TRACE_outliers_nemesis_seed%d.json" seed in
-      Sim.Trace_export.outliers_to_file flight path;
-      Format.printf "outlier flight-recorder traces dumped to %s@." path
-    end
-  | None -> ()
+(* A failing gauntlet seed prints its violations, dumps its flight-recorder
+   outliers, and ddmins its schedule to a minimal reproduction artifact. *)
+let fail_verdict ~what ~shrink (v : Workload.Chaos.verdict) =
+  let seed = v.Workload.Chaos.seed in
+  Format.printf "@.%s seed %d violations:@." what seed;
+  List.iter
+    (fun (invariant, detail) -> Format.printf "  %s: %s@." invariant detail)
+    v.Workload.Chaos.violations;
+  (match v.Workload.Chaos.outliers with
+  | Some json ->
+    let path = Printf.sprintf "TRACE_outliers_%s_seed%d.json" what seed in
+    Sim.Json.to_file path json;
+    Format.printf "outlier flight-recorder traces dumped to %s@." path
+  | None -> ());
+  (match shrink () with
+  | Some (minimal_verdict, minimal, stats) ->
+    let path = Printf.sprintf "MINIMAL_SCHEDULE_%s_seed%d.json" what seed in
+    Sim.Json.to_file path
+      (Workload.Chaos.json_of_verdict { minimal_verdict with schedule = minimal });
+    Format.printf "ddmin: %d -> %d injections in %d replays; artifact: %s@."
+      stats.Sim.Shrink.initial_injections stats.Sim.Shrink.final_injections
+      stats.Sim.Shrink.replays path
+  | None -> Format.printf "violation did not survive schedule replay (flaky exposure)@.");
+  Alcotest.failf "%s seed %d: %d invariant violation(s)" what seed
+    (List.length v.Workload.Chaos.violations)
 
 (* Aggregated across seeds so the per-cause drop counters can be asserted
    meaningfully (one seed's schedule might not engage every fault kind). *)
@@ -283,208 +272,33 @@ let total_partitioned = ref 0
 let total_duplicated = ref 0
 
 let run_chaos_seed seed =
-  let engine = Sim.Engine.create ~seed () in
-  let cluster = Cluster.create engine test_config in
-  Cluster.start cluster;
-  if not (Cluster.run_until_ready cluster) then
-    Alcotest.failf "seed %d: cluster never became ready" seed;
-  let net = Cluster.net cluster in
-  let partition = Cluster.partition cluster in
-  let failure = Sim.Failure.create engine in
-  let history = History.create () in
-  let keys = List.map (Partition.key_of_int partition) [ 3; 47; 91 ] in
-  let outcomes = Hashtbl.create 8 in
-  List.iter (fun key -> Hashtbl.replace outcomes key { acked = 0; indeterminate = 0 }) keys;
-  let running = ref true in
-  (* One serial writer per key: values are the write sequence number, so the
-     store's version counter must end up exactly at the number of writes that
-     actually applied. *)
-  List.iter
-    (fun key ->
-      let client = Cluster.new_client cluster in
-      let seq = ref 0 in
-      let rec write_loop () =
-        if !running then begin
-          incr seq;
-          let this = !seq in
-          let invoked = Sim.Engine.now engine in
-          Client.put client key "c" ~value:(string_of_int this) (fun result ->
-              let o = Hashtbl.find outcomes key in
-              if Result.is_ok result then o.acked <- o.acked + 1
-              else o.indeterminate <- o.indeterminate + 1;
-              History.record_write history ~key ~seq:this ~invoked
-                ~completed:(Sim.Engine.now engine)
-                ~acked:(Result.is_ok result);
-              ignore (Sim.Engine.schedule engine ~after:(Sim.Sim_time.ms 60) write_loop))
-        end
-      in
-      write_loop ())
-    keys;
-  (* Concurrent strong readers feeding the linearizability checker. *)
-  List.iter
-    (fun key ->
-      let client = Cluster.new_client cluster in
-      let rec read_loop () =
-        if !running then begin
-          let invoked = Sim.Engine.now engine in
-          Client.get client key "c" (fun result ->
-              (match result with
-              | Ok Client.{ value; _ } ->
-                History.record_read history ~key
-                  ~observed:(Option.map int_of_string value)
-                  ~invoked
-                  ~completed:(Sim.Engine.now engine)
-              | Error _ -> ());
-              ignore (Sim.Engine.schedule engine ~after:(Sim.Sim_time.ms 45) read_loop))
-        end
-      in
-      read_loop ())
-    keys;
-  (* The gauntlet: crash/restart chaos on two nodes, randomized symmetric and
-     one-way pair partitions over the whole cluster, and episodes of message
-     loss + duplication + delay jitter on every link — all at once. *)
-  let until = Sim.Sim_time.at_us 10_000_000 in
-  Sim.Failure.chaos failure
-    ~mean_time_to_failure:(Sim.Sim_time.sec 3)
-    ~mean_time_to_repair:(Sim.Sim_time.ms 1500)
-    ~until
-    (List.filteri (fun i _ -> i < 2) (Cluster.failure_targets cluster));
-  Sim.Failure.random_pair_partition_chaos failure net ~nodes:all_nodes
-    ~mean_time_to_fault:(Sim.Sim_time.ms 1500)
-    ~mean_time_to_heal:(Sim.Sim_time.ms 700)
-    ~until;
-  let lossy =
-    Sim.Failure.link_faults_toggle net ~loss:0.08 ~duplicate:0.08
-      ~jitter:(Sim.Distribution.Uniform (0.0, 400.0))
-      all_nodes
-  in
-  Sim.Failure.toggle_chaos failure
-    ~mean_time_to_fault:(Sim.Sim_time.ms 900)
-    ~mean_time_to_heal:(Sim.Sim_time.ms 900)
-    ~until [ lossy ];
-  Sim.Engine.run_for engine (Sim.Sim_time.sec 11);
-  (* Stop the load, heal everything the chaos may have left engaged, and let
-     the cluster quiesce: restarts, takeovers, catch-ups, retries. *)
-  running := false;
-  let stats = Sim.Network.stats net in
-  total_lost := !total_lost + stats.Sim.Metrics.net_dropped_lost;
-  total_partitioned := !total_partitioned + stats.Sim.Metrics.net_dropped_partitioned;
-  total_duplicated := !total_duplicated + stats.Sim.Metrics.net_duplicated;
-  if
-    Sim.Network.messages_dropped net
-    <> stats.Sim.Metrics.net_dropped_down + stats.Sim.Metrics.net_dropped_partitioned
-       + stats.Sim.Metrics.net_dropped_lost
-  then begin
-    dump_injections ~cluster seed failure;
-    Alcotest.failf "seed %d: drop counters do not decompose by cause" seed
-  end;
-  Sim.Network.heal net;
-  Sim.Network.clear_default_faults net;
-  List.iter
-    (fun s ->
-      List.iter
-        (fun d -> if s <> d then Sim.Network.clear_link_faults net ~src:s ~dst:d)
-        all_nodes)
-    all_nodes;
-  for i = 0 to test_config.Config.nodes - 1 do
-    Cluster.restart_node cluster i (* no-op for nodes that are up *)
-  done;
-  Sim.Engine.run_for engine (Sim.Sim_time.sec 10);
-  (* Final strong reads close the history and pin the per-key version. *)
-  let final_client = Cluster.new_client cluster in
-  List.iter
-    (fun key ->
-      let r = ref None in
-      let invoked = Sim.Engine.now engine in
-      Client.get final_client key "c" (fun x -> r := Some x);
-      let rec drive n =
-        match !r with
-        | Some v -> v
-        | None when n = 0 -> Error Client.Timed_out
-        | None ->
-          Sim.Engine.run_for engine (Sim.Sim_time.ms 10);
-          drive (n - 1)
-      in
-      match drive 3000 with
-      | Ok Client.{ value; version } ->
-        History.record_read history ~key
-          ~observed:(Option.map int_of_string value)
-          ~invoked
-          ~completed:(Sim.Engine.now engine);
-        let o = Hashtbl.find outcomes key in
-        if version < o.acked then begin
-          dump_injections ~cluster seed failure;
-          Alcotest.failf "seed %d: key %s lost acked writes (version %d < %d acked)" seed
-            key version o.acked
-        end;
-        if version > o.acked + o.indeterminate then begin
-          dump_injections ~cluster seed failure;
-          Alcotest.failf
-            "seed %d: key %s applied writes twice (version %d > %d acked + %d indeterminate)"
-            seed key version o.acked o.indeterminate
-        end
-      | _ ->
-        dump_injections ~cluster seed failure;
-        Alcotest.failf "seed %d: final read of %s failed after heal" seed key)
-    keys;
-  (* Exactly-once at the log level: in the committed prefix of the leader's
-     log (minus logically truncated records), no (client, request id) origin
-     may appear under two different LSNs — that would be a duplicated retry
-     applied twice. *)
-  for range = 0 to Partition.ranges partition - 1 do
-    match Cluster.leader_of cluster ~range with
-    | None ->
-      dump_injections ~cluster seed failure;
-      Alcotest.failf "seed %d: range %d has no open leader after heal" seed range
-    | Some l -> (
-      let node = Cluster.node cluster l in
-      match Node.cohort node ~range with
-      | None -> ()
-      | Some c ->
-        let skipped = Cohort.skipped_lsns c in
-        let seen = Hashtbl.create 64 in
-        List.iter
-          (fun (lsn, _, _, origin) ->
-            if not (List.exists (Lsn.equal lsn) skipped) then
-              match origin with
-              | None -> ()
-              | Some { Storage.Log_record.client; request_id; _ } -> (
-                match Hashtbl.find_opt seen (client, request_id) with
-                | Some prev when not (Lsn.equal prev lsn) ->
-                  dump_injections ~cluster seed failure;
-                  Alcotest.failf
-                    "seed %d: range %d origin (c%d,#%d) committed twice (lsn %s and %s)"
-                    seed range client request_id (Lsn.to_string prev) (Lsn.to_string lsn)
-                | _ -> Hashtbl.replace seen (client, request_id) lsn))
-          (Storage.Wal.durable_writes_in (Node.wal node) ~cohort:range ~above:Lsn.zero
-             ~upto:(Cohort.cmt c)))
-  done;
-  let violations = History.check history in
-  if violations <> [] then begin
-    dump_injections ~cluster seed failure;
-    List.iter (fun v -> Format.printf "violation: %a@." History.pp_violation v) violations;
-    Alcotest.failf "seed %d: %d linearizability violations" seed (List.length violations)
-  end;
+  let profile = Workload.Chaos.Mixed in
+  let v = Workload.Chaos.run_spinnaker ~profile ~seed () in
+  if Workload.Chaos.failed v then
+    fail_verdict ~what:"nemesis" v ~shrink:(fun () ->
+        Workload.Chaos.shrink_spinnaker ~profile ~seed ());
+  let net = v.Workload.Chaos.net in
+  total_lost := !total_lost + net.Sim.Metrics.net_dropped_lost;
+  total_partitioned := !total_partitioned + net.Sim.Metrics.net_dropped_partitioned;
+  total_duplicated := !total_duplicated + net.Sim.Metrics.net_duplicated;
   check_bool
     (Printf.sprintf "seed %d: load was substantial" seed)
     true
-    (History.writes history > 100 && History.reads history > 100)
+    (v.Workload.Chaos.n_writes > 100 && v.Workload.Chaos.n_reads > 100)
+
+let load_artifact path =
+  match Result.bind (Sim.Json.of_file path) (fun json ->
+            Result.map (fun s -> (json, s)) (Workload.Chaos.schedule_of_artifact_json json))
+  with
+  | Ok artifact -> artifact
+  | Error e -> Alcotest.failf "%s: %s" path e
 
 (* Replay an explicit injection schedule (NEMESIS_SCHEDULE=<file>). The seed
    still feeds the workload streams — same seed + same schedule is the
    reproduction contract — so a verdict artifact's own [seed] field wins,
    then NEMESIS_SEEDS (first entry), then 1. *)
 let run_schedule_replay path =
-  let json =
-    match Sim.Json.of_file path with
-    | Error e -> Alcotest.failf "NEMESIS_SCHEDULE=%s: %s" path e
-    | Ok json -> json
-  in
-  let schedule =
-    match Workload.Chaos.schedule_of_artifact_json json with
-    | Error e -> Alcotest.failf "NEMESIS_SCHEDULE=%s: %s" path e
-    | Ok s -> s
-  in
+  let json, schedule = load_artifact path in
   let seed =
     match Sim.Json.member "seed" json with
     | Some (Sim.Json.Int s) -> s
@@ -509,6 +323,23 @@ let run_schedule_replay path =
     Alcotest.failf "schedule replay reproduced %d violation(s)"
       (List.length v.Workload.Chaos.violations)
 
+(* Mixed seed 45 at 160 s, shrunk to a schedule on which a takeover
+   re-queued records an earlier takeover had truncated logically: no
+   follower would ever ack them, so the new leader of range 0 waited in
+   [takeover_commit_wait] forever and the range had no open leader after
+   heal. The schedule was kept only while the unfixed takeover failed on it
+   and the fixed one ran clean. *)
+let test_truncated_records_stay_dead () =
+  let path =
+    List.find Sys.file_exists
+      [ "fixtures/takeover_truncated_seed45.json"; "test/fixtures/takeover_truncated_seed45.json" ]
+  in
+  let _, schedule = load_artifact path in
+  let v =
+    Workload.Chaos.run_spinnaker ~schedule ~chaos_for:(Sim.Sim_time.sec 160) ~seed:45 ()
+  in
+  Alcotest.(check (list (pair string string))) "clean verdict" [] v.Workload.Chaos.violations
+
 (* --- the transaction gauntlet: 2PC under failover-mid-commit --------------- *)
 
 (* Twenty seeds of cross-range bank transfers under crash chaos whose hazard
@@ -521,29 +352,8 @@ let run_schedule_replay path =
    outlier traces next to it. *)
 let run_txn_bank_seed seed =
   let v = Workload.Chaos.run_txn_bank ~seed () in
-  if Workload.Chaos.failed v then begin
-    Format.printf "@.txn-bank seed %d violations:@." seed;
-    List.iter
-      (fun (invariant, detail) -> Format.printf "  %s: %s@." invariant detail)
-      v.Workload.Chaos.violations;
-    (match v.Workload.Chaos.outliers with
-    | Some json ->
-      let path = Printf.sprintf "TRACE_outliers_txn_seed%d.json" seed in
-      Sim.Json.to_file path json;
-      Format.printf "outlier flight-recorder traces dumped to %s@." path
-    | None -> ());
-    (match Workload.Chaos.shrink_txn_bank ~seed () with
-    | Some (minimal_verdict, minimal, stats) ->
-      let path = Printf.sprintf "MINIMAL_SCHEDULE_txn_seed%d.json" seed in
-      Sim.Json.to_file path
-        (Workload.Chaos.json_of_verdict { minimal_verdict with schedule = minimal });
-      Format.printf "ddmin: %d -> %d injections in %d replays; artifact: %s@."
-        stats.Sim.Shrink.initial_injections stats.Sim.Shrink.final_injections
-        stats.Sim.Shrink.replays path
-    | None -> Format.printf "violation did not survive schedule replay (flaky exposure)@.");
-    Alcotest.failf "seed %d: %d transaction invariant violation(s)" seed
-      (List.length v.Workload.Chaos.violations)
-  end;
+  if Workload.Chaos.failed v then
+    fail_verdict ~what:"txn" v ~shrink:(fun () -> Workload.Chaos.shrink_txn_bank ~seed ());
   check_bool
     (Printf.sprintf "seed %d: transfers committed under chaos" seed)
     true (v.Workload.Chaos.acked > 0);
@@ -602,4 +412,6 @@ let suite =
       test_chaos_survival;
     Alcotest.test_case "txn chaos: 2PC bank transfers under failover-mid-commit" `Slow
       test_txn_chaos_battery;
+    Alcotest.test_case "replay: a takeover keeps truncated records dead" `Slow
+      test_truncated_records_stay_dead;
   ]

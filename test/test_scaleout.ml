@@ -13,6 +13,7 @@ module Row = Storage.Row
 module Store = Storage.Store
 module Wal = Storage.Wal
 module Log_record = Storage.Log_record
+module Chaos = Workload.Chaos
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -310,39 +311,17 @@ let prop_bootstrap_differential =
 (* ---------------------------------------------------------------------- *)
 (* Cluster-level helpers.                                                  *)
 
-let test_config =
-  {
-    Config.default with
-    Config.nodes = 5;
-    disk = Sim.Disk_model.Ssd;
-    commit_period = Sim.Sim_time.ms 200;
-    session_timeout = Sim.Sim_time.ms 500;
-  }
+let test_config = Chaos.default_config
 
+(* Poll [cond] every 20 ms for up to [timeout] seconds. *)
 let await engine ?(timeout = 30.0) cond =
-  let deadline =
-    Sim.Sim_time.add (Sim.Engine.now engine) (Sim.Sim_time.of_sec_f timeout)
-  in
-  let rec go () =
-    if cond () then true
-    else if Sim.Engine.now engine >= deadline then false
-    else begin
-      Sim.Engine.run_for engine (Sim.Sim_time.ms 20);
-      go ()
-    end
-  in
-  go ()
+  Option.is_some
+    (Chaos.drive engine ~every:(Sim.Sim_time.ms 20)
+       ~polls:(Float.to_int (Float.round (timeout *. 50.0)))
+       (fun () -> if cond () then Some () else None))
 
 let drive engine r =
-  let rec go n =
-    match !r with
-    | Some v -> v
-    | None when n = 0 -> Error Client.Timed_out
-    | None ->
-      Sim.Engine.run_for engine (Sim.Sim_time.ms 10);
-      go (n - 1)
-  in
-  go 2000
+  Option.value ~default:(Error Client.Timed_out) (Chaos.drive engine ~polls:2000 (fun () -> !r))
 
 let put_sync engine client key value =
   let r = ref None in
@@ -509,17 +488,10 @@ let test_epoch_change_exactly_once () =
       (Result.is_ok
          (put_sync engine client (Partition.key_of_int partition (k * 300)) "seed"))
   done;
-  let acked = ref 0 and indeterminate = ref 0 and running = ref true in
-  let seq = ref 0 in
-  let rec write_loop () =
-    if !running then begin
-      incr seq;
-      Client.put client key "c" ~value:(string_of_int !seq) (fun result ->
-          if Result.is_ok result then incr acked else incr indeterminate;
-          ignore (Sim.Engine.schedule engine ~after:(Sim.Sim_time.ms 40) write_loop))
-    end
+  let probes =
+    Chaos.start_probes ~writer:(fun _ -> client) cluster ~keys:[ key ]
+      ~write_period:(Sim.Sim_time.ms 40) ~read_period:(Sim.Sim_time.ms 45)
   in
-  write_loop ();
   Sim.Engine.run_for engine (Sim.Sim_time.ms 500);
   (* Swap a follower out for a fresh node, then split the range — both
      membership changes commit under the live write stream. *)
@@ -533,58 +505,18 @@ let test_epoch_change_exactly_once () =
     (migrate engine cluster ~range ~joiner ~remove:donor);
   check_bool "split under load completes" true (split engine cluster ~range);
   Sim.Engine.run_for engine (Sim.Sim_time.sec 1);
-  running := false;
+  Chaos.stop_probes probes;
   Sim.Engine.run_for engine (Sim.Sim_time.sec 2);
-  check_bool "load spanned the changes" true (!acked > 30);
-  (* The store's version counter counts applied writes exactly. *)
-  (match get_sync engine (Cluster.new_client cluster) key with
-  | Ok Client.{ version; _ } ->
-    check_bool
-      (Printf.sprintf "no lost writes (version %d >= %d acked)" version !acked)
-      true (version >= !acked);
-    check_bool
-      (Printf.sprintf "no double applies (version %d <= %d acked + %d indeterminate)"
-         version !acked !indeterminate)
-      true
-      (version <= !acked + !indeterminate)
-  | Error _ -> Alcotest.fail "final read failed");
-  (* Log-level exactly-once: no (client, request id) origin may be committed
-     under two LSNs in the range that owns the key now. *)
-  let owner = Partition.route partition key in
-  match Cluster.leader_of cluster ~range:owner with
-  | None -> Alcotest.fail "owning range has no leader"
-  | Some l -> (
-    let node = Cluster.node cluster l in
-    match Node.cohort node ~range:owner with
-    | None -> Alcotest.fail "leader hosts no cohort"
-    | Some c ->
-      let skipped = Cohort.skipped_lsns c in
-      let seen = Hashtbl.create 64 in
-      List.iter
-        (fun (lsn, _, _, origin) ->
-          if not (List.exists (Lsn.equal lsn) skipped) then
-            match origin with
-            | None -> ()
-            | Some { Log_record.client; request_id; _ } -> (
-              match Hashtbl.find_opt seen (client, request_id) with
-              | Some prev when not (Lsn.equal prev lsn) ->
-                Alcotest.failf "origin (c%d,#%d) committed twice (lsn %s and %s)" client
-                  request_id (Lsn.to_string prev) (Lsn.to_string lsn)
-              | _ -> Hashtbl.replace seen (client, request_id) lsn))
-        (Storage.Wal.durable_writes_in (Node.wal node) ~cohort:owner ~above:Lsn.zero
-           ~upto:(Cohort.cmt c)))
+  check_bool "load spanned the changes" true (Chaos.acked probes > 30);
+  (* No lost or double-applied write, by the final version and by the
+     committed log of every range, and linearizable strong reads. *)
+  let violations = ref [] in
+  Chaos.check cluster probes (fun invariant detail ->
+      violations := (invariant, detail) :: !violations);
+  Alcotest.(check (list (pair string string))) "no violations" [] (List.rev !violations)
 
 (* ---------------------------------------------------------------------- *)
 (* The chaos battery: scale-out events racing crashes, partitions, loss.    *)
-
-type outcome = { mutable acked : int; mutable indeterminate : int }
-
-let dump_injections ?cluster seed failure =
-  Format.printf "@.scaleout seed %d injection log:@.%a@." seed Sim.Failure.pp_injections
-    failure;
-  match cluster with
-  | Some c -> Format.printf "%a@." Cluster.pp_status c
-  | None -> ()
 
 (* Aggregated across seeds: individual schedules may keep aborting a
    migration, but the battery as a whole must actually exercise completed
@@ -601,51 +533,11 @@ let run_chaos_seed seed =
   let net = Cluster.net cluster in
   let partition = Cluster.partition cluster in
   let failure = Sim.Failure.create engine in
-  let history = History.create () in
   let keys = List.map (Partition.key_of_int partition) [ 3; 5_003; 40_007 ] in
-  let outcomes = Hashtbl.create 8 in
-  List.iter (fun key -> Hashtbl.replace outcomes key { acked = 0; indeterminate = 0 }) keys;
-  let running = ref true in
-  List.iter
-    (fun key ->
-      let client = Cluster.new_client cluster in
-      let seq = ref 0 in
-      let rec write_loop () =
-        if !running then begin
-          incr seq;
-          let this = !seq in
-          let invoked = Sim.Engine.now engine in
-          Client.put client key "c" ~value:(string_of_int this) (fun result ->
-              let o = Hashtbl.find outcomes key in
-              if Result.is_ok result then o.acked <- o.acked + 1
-              else o.indeterminate <- o.indeterminate + 1;
-              History.record_write history ~key ~seq:this ~invoked
-                ~completed:(Sim.Engine.now engine)
-                ~acked:(Result.is_ok result);
-              ignore (Sim.Engine.schedule engine ~after:(Sim.Sim_time.ms 60) write_loop))
-        end
-      in
-      write_loop ())
-    keys;
-  List.iter
-    (fun key ->
-      let client = Cluster.new_client cluster in
-      let rec read_loop () =
-        if !running then begin
-          let invoked = Sim.Engine.now engine in
-          Client.get client key "c" (fun result ->
-              (match result with
-              | Ok Client.{ value; _ } ->
-                History.record_read history ~key
-                  ~observed:(Option.map int_of_string value)
-                  ~invoked
-                  ~completed:(Sim.Engine.now engine)
-              | Error _ -> ());
-              ignore (Sim.Engine.schedule engine ~after:(Sim.Sim_time.ms 45) read_loop))
-        end
-      in
-      read_loop ())
-    keys;
+  let probes =
+    Chaos.start_probes cluster ~keys ~write_period:(Sim.Sim_time.ms 60)
+      ~read_period:(Sim.Sim_time.ms 45)
+  in
   (* The scale-out events under attack. The joiner arrives at 0.5 s; the
      migration (of the range owning the first written key) and a split (of
      the range owning the second) are kicked repeatedly — the crash and
@@ -655,8 +547,9 @@ let run_chaos_seed seed =
   let mig_range = Partition.route partition (List.nth keys 0) in
   let split_range = Partition.route partition (List.nth keys 1) in
   let ranges_before = Partition.ranges partition in
+  let kicking = ref true in
   let rec kick_join () =
-    if !running && not (List.mem joiner (Partition.cohort partition ~range:mig_range))
+    if !kicking && not (List.mem joiner (Partition.cohort partition ~range:mig_range))
     then begin
       let members = Partition.cohort partition ~range:mig_range in
       let leader = Cluster.leader_of cluster ~range:mig_range in
@@ -667,7 +560,7 @@ let run_chaos_seed seed =
     end
   in
   let rec kick_split () =
-    if !running && Partition.ranges partition = ranges_before then begin
+    if !kicking && Partition.ranges partition = ranges_before then begin
       ignore (Cluster.request_split cluster ~range:split_range);
       ignore (Sim.Engine.schedule engine ~after:(Sim.Sim_time.ms 400) kick_split)
     end
@@ -677,131 +570,38 @@ let run_chaos_seed seed =
   (* The gauntlet, aimed at the migration: crash/restart chaos covers the
      joiner plus a rotating pair of original nodes (the migration source and
      the leader are among them across seeds), with randomized pair
-     partitions and lossy/duplicating links over the whole grown cluster. *)
+     partitions and lighter lossy/duplicating links over the whole grown
+     cluster. *)
   let all_nodes = List.init (test_config.Config.nodes + 1) Fun.id in
   let until = Sim.Sim_time.at_us 8_000_000 in
-  let targets = Cluster.failure_targets cluster in
-  let crash_targets =
-    List.filteri
-      (fun i _ -> i = joiner || i = seed mod joiner || i = (seed + 2) mod joiner)
-      targets
-  in
-  Sim.Failure.chaos failure
-    ~mean_time_to_failure:(Sim.Sim_time.sec 3)
-    ~mean_time_to_repair:(Sim.Sim_time.ms 1500)
-    ~until crash_targets;
-  Sim.Failure.random_pair_partition_chaos failure net ~nodes:all_nodes
-    ~mean_time_to_fault:(Sim.Sim_time.ms 1500)
-    ~mean_time_to_heal:(Sim.Sim_time.ms 700)
-    ~until;
-  let lossy =
-    Sim.Failure.link_faults_toggle net ~loss:0.06 ~duplicate:0.06
-      ~jitter:(Sim.Distribution.Uniform (0.0, 400.0))
-      all_nodes
-  in
-  Sim.Failure.toggle_chaos failure
-    ~mean_time_to_fault:(Sim.Sim_time.ms 900)
-    ~mean_time_to_heal:(Sim.Sim_time.ms 900)
-    ~until [ lossy ];
+  Chaos.crash_chaos failure ~until
+    (List.filteri
+       (fun i _ -> i = joiner || i = seed mod joiner || i = (seed + 2) mod joiner)
+       (Cluster.failure_targets cluster));
+  Chaos.partition_chaos failure net ~nodes:all_nodes ~until;
+  Chaos.lossy_chaos ~rate:0.06 failure net ~nodes:all_nodes ~until;
   Sim.Engine.run_for engine (Sim.Sim_time.sec 9);
   (* Stop the load, heal everything, and let the cluster quiesce. *)
-  running := false;
-  Sim.Network.heal net;
-  Sim.Network.clear_default_faults net;
-  List.iter
-    (fun s ->
-      List.iter
-        (fun d -> if s <> d then Sim.Network.clear_link_faults net ~src:s ~dst:d)
-        all_nodes)
-    all_nodes;
-  for i = 0 to Array.length (Cluster.nodes cluster) - 1 do
-    Cluster.restart_node cluster i (* no-op for nodes that are up *)
-  done;
+  kicking := false;
+  Chaos.stop_probes probes;
+  Chaos.heal cluster;
   Sim.Engine.run_for engine (Sim.Sim_time.sec 10);
   if List.mem joiner (Partition.cohort partition ~range:mig_range) then incr total_joins;
   if Partition.ranges partition > ranges_before then incr total_splits;
-  (* Whatever the chaos left of the topology, it must be coherent: tiling
-     intact, cohorts at replication size, a leader per range. *)
-  check_bool
-    (Printf.sprintf "seed %d: layout coherent after chaos" seed)
-    true
-    (List.for_all
-       (fun range ->
-         List.length (Partition.cohort partition ~range) = Config.replication)
-       (Partition.range_ids partition));
-  (* Final strong reads close the history and pin the per-key version. *)
-  let final_client = Cluster.new_client cluster in
-  List.iter
-    (fun key ->
-      let r = ref None in
-      let invoked = Sim.Engine.now engine in
-      Client.get final_client key "c" (fun x -> r := Some x);
-      let rec drive n =
-        match !r with
-        | Some v -> v
-        | None when n = 0 -> Error Client.Timed_out
-        | None ->
-          Sim.Engine.run_for engine (Sim.Sim_time.ms 10);
-          drive (n - 1)
-      in
-      match drive 3000 with
-      | Ok Client.{ value; version } ->
-        History.record_read history ~key
-          ~observed:(Option.map int_of_string value)
-          ~invoked
-          ~completed:(Sim.Engine.now engine);
-        let o = Hashtbl.find outcomes key in
-        if version < o.acked then begin
-          dump_injections ~cluster seed failure;
-          Alcotest.failf "seed %d: key %s lost acked writes (version %d < %d acked)" seed
-            key version o.acked
-        end;
-        if version > o.acked + o.indeterminate then begin
-          dump_injections ~cluster seed failure;
-          Alcotest.failf
-            "seed %d: key %s applied writes twice (version %d > %d acked + %d indeterminate)"
-            seed key version o.acked o.indeterminate
-        end
-      | _ ->
-        dump_injections ~cluster seed failure;
-        Alcotest.failf "seed %d: final read of %s failed after heal" seed key)
-    keys;
-  (* Exactly-once at the log level, over whatever ranges now exist. *)
-  List.iter
-    (fun range ->
-      match Cluster.leader_of cluster ~range with
-      | None ->
-        dump_injections ~cluster seed failure;
-        Alcotest.failf "seed %d: range %d has no open leader after heal" seed range
-      | Some l -> (
-        let node = Cluster.node cluster l in
-        match Node.cohort node ~range with
-        | None -> ()
-        | Some c ->
-          let skipped = Cohort.skipped_lsns c in
-          let seen = Hashtbl.create 64 in
-          List.iter
-            (fun (lsn, _, _, origin) ->
-              if not (List.exists (Lsn.equal lsn) skipped) then
-                match origin with
-                | None -> ()
-                | Some { Log_record.client; request_id; _ } -> (
-                  match Hashtbl.find_opt seen (client, request_id) with
-                  | Some prev when not (Lsn.equal prev lsn) ->
-                    dump_injections ~cluster seed failure;
-                    Alcotest.failf
-                      "seed %d: range %d origin (c%d,#%d) committed twice (lsn %s and %s)"
-                      seed range client request_id (Lsn.to_string prev) (Lsn.to_string lsn)
-                  | _ -> Hashtbl.replace seen (client, request_id) lsn))
-            (Storage.Wal.durable_writes_in (Node.wal node) ~cohort:range ~above:Lsn.zero
-               ~upto:(Cohort.cmt c))))
-    (Partition.range_ids partition);
-  let violations = History.check history in
-  if violations <> [] then begin
-    dump_injections ~cluster seed failure;
-    List.iter (fun v -> Format.printf "violation: %a@." History.pp_violation v) violations;
-    Alcotest.failf "seed %d: %d linearizability violations" seed (List.length violations)
+  (* Whatever the chaos left of the topology, it must be coherent and hold
+     every acked write exactly once, over whatever ranges now exist. *)
+  let violations = ref [] in
+  Chaos.check cluster probes (fun invariant detail ->
+      violations := (invariant, detail) :: !violations);
+  if !violations <> [] then begin
+    Format.printf "@.scaleout seed %d injection log:@.%a@.%a@." seed
+      Sim.Failure.pp_injections failure Cluster.pp_status cluster;
+    List.iter
+      (fun (invariant, detail) -> Format.printf "  %s: %s@." invariant detail)
+      (List.rev !violations);
+    Alcotest.failf "seed %d: %d invariant violation(s)" seed (List.length !violations)
   end;
+  let history = Chaos.history probes in
   check_bool
     (Printf.sprintf "seed %d: load was substantial" seed)
     true
@@ -939,6 +739,32 @@ let test_split_of_ended_term_logs_nothing () =
   check_bool "writes are served" true
     (Result.is_ok (put_sync engine client (Partition.key_of_int partition 7) "after"))
 
+(* A split whose coordination call is lost parks writes only until the
+   membership watchdog's deadline. The leader's link is cut for 100 ms,
+   under half the session timeout, so it keeps its term while the split's
+   first call is dropped; its chain never calls back. *)
+let test_lost_split_call_times_out () =
+  let engine, cluster, client, leader, cohort = teardown_cluster ~seed:26 in
+  let partition = Cluster.partition cluster in
+  Cluster.set_zk_reachable cluster leader false;
+  check_bool "split starts" true (Cohort.request_split cohort);
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 100);
+  Cluster.set_zk_reachable cluster leader true;
+  check_bool "a write to range 0 is acked" true
+    (Result.is_ok (put_sync engine client (Partition.key_of_int partition 7) "after"));
+  check_bool "still the leader" true (Cohort.role cohort = Cohort.Leader);
+  check_bool "a second split starts" true (Cohort.request_split cohort);
+  Sim.Engine.run_for engine (Sim.Sim_time.sec 3);
+  let splits =
+    List.filter
+      (fun (r : Storage.Log_record.t) ->
+        match r.entry with
+        | Storage.Log_record.Write { op = Storage.Log_record.Split _; _ } -> r.cohort = 0
+        | _ -> false)
+      (Storage.Wal.durable_records (Node.wal (Cluster.node cluster leader)))
+  in
+  check_int "one split logged" 1 (List.length splits)
+
 (* A leader holding a follower in its blocked final catch-up round is
    deposed, then elected again. That round belonged to the old term: the
    follower is down, so only the old round's 2 s grace timer would ever
@@ -1026,4 +852,6 @@ let suite =
       test_stepdown_ends_final_round;
     Alcotest.test_case "teardown: session loss and retirement trace migration_abort" `Slow
       test_teardown_traces_migration_abort;
+    Alcotest.test_case "split: a lost coordination call times out" `Slow
+      test_lost_split_call_times_out;
   ]

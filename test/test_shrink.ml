@@ -94,6 +94,7 @@ let synthetic_run schedule =
     n_writes = 0;
     n_reads = 0;
     outliers = None;
+    net = Sim.Network.stats (Sim.Network.create (Sim.Engine.create ~seed:0 ()) ());
   }
 
 let classes schedule = List.map fst (synthetic_run (Some schedule)).Chaos.violations
