@@ -1,10 +1,20 @@
-type t = {
+(* The service link both handle kinds share: one-way latency samples from
+   the handle's own RNG stream, and the FIFO horizon. *)
+type link = {
   server : Zk_server.t;
   engine : Sim.Engine.t;
-  owner : string;
-  session : int;
   latency : Sim.Distribution.t;
   rng : Sim.Rng.t;
+  mutable fifo_horizon : Sim.Sim_time.t;
+      (** server-side execution time of the handle's latest request; later
+          requests may not execute before it (ZooKeeper's FIFO client order,
+          which watch-then-read patterns rely on) *)
+}
+
+type t = {
+  link : link;
+  owner : string;
+  session : int;
   mutable alive : bool;
   mutable reachable : bool;
       (** the owner's link to the coordination service; when cut, calls,
@@ -17,13 +27,34 @@ type t = {
       (** watch events that fired while unreachable, newest first; replayed
           on reconnect (the service tracks watches per session, so a client
           that reconnects within its timeout still learns what changed) *)
-  mutable fifo_horizon : Sim.Sim_time.t;
-      (** server-side execution time of the client's latest request; later
-          requests may not execute before it (ZooKeeper's FIFO client order,
-          which watch-then-read patterns rely on) *)
 }
 
+type reader = link
+
 let default_latency = Sim.Distribution.Shifted_exponential { base = 150.0; mean_extra = 50.0 }
+
+let open_link server latency =
+  let engine = Zk_server.engine server in
+  { server; engine; latency; rng = Sim.Rng.split (Sim.Engine.rng engine);
+    fifo_horizon = Sim.Sim_time.zero }
+
+let delay link = Sim.Distribution.sample_span link.latency link.rng
+
+(* One round trip: the request travels to the service, executes atomically
+   there, and the response travels back. Requests over one link execute in
+   issue order (TCP-like FIFO, as in ZooKeeper — the election's
+   arm-watch-then-read pattern depends on it). *)
+let round_trip link op k =
+  let arrival =
+    Sim.Sim_time.max
+      (Sim.Sim_time.add (Sim.Engine.now link.engine) (delay link))
+      (Sim.Sim_time.add link.fifo_horizon (Sim.Sim_time.us 1))
+  in
+  link.fifo_horizon <- arrival;
+  ignore
+    (Sim.Engine.schedule_at link.engine arrival (fun () ->
+         let result = op () in
+         ignore (Sim.Engine.schedule link.engine ~after:(delay link) (fun () -> k result))))
 
 (* The client declares its own session dead once it has been out of contact
    for over half the timeout — deliberately ahead of the server, which
@@ -39,41 +70,37 @@ let expire t =
   end
 
 let heartbeat_loop t =
-  let timeout_us = Sim.Sim_time.to_us (Zk_server.session_timeout t.server) in
+  let engine = t.link.engine in
+  let timeout_us = Sim.Sim_time.to_us (Zk_server.session_timeout t.link.server) in
   let interval = Sim.Sim_time.us (timeout_us / 4) in
   let rec beat () =
     if t.alive then begin
       if t.reachable then begin
-        Zk_server.heartbeat t.server ~session:t.session;
-        t.last_contact <- Sim.Engine.now t.engine
+        Zk_server.heartbeat t.link.server ~session:t.session;
+        t.last_contact <- Sim.Engine.now engine
       end
       else begin
-        let silent =
-          Sim.Sim_time.to_us (Sim.Sim_time.diff (Sim.Engine.now t.engine) t.last_contact)
-        in
+        let silent = Sim.Sim_time.to_us (Sim.Sim_time.diff (Sim.Engine.now engine) t.last_contact) in
         if silent * 2 > timeout_us then expire t
       end;
-      if t.alive then ignore (Sim.Engine.schedule t.engine ~after:interval beat)
+      if t.alive then ignore (Sim.Engine.schedule engine ~after:interval beat)
     end
   in
-  ignore (Sim.Engine.schedule t.engine ~after:interval beat)
+  ignore (Sim.Engine.schedule engine ~after:interval beat)
 
 let connect server ~owner ?(latency = default_latency) () =
-  let engine = Zk_server.engine server in
+  let session = Zk_server.open_session ~owner server in
+  let link = open_link server latency in
   let t =
     {
-      server;
-      engine;
+      link;
       owner;
-      session = Zk_server.open_session ~owner server;
-      latency;
-      rng = Sim.Rng.split (Sim.Engine.rng engine);
+      session;
       alive = true;
       reachable = true;
-      last_contact = Sim.Engine.now engine;
+      last_contact = Sim.Engine.now link.engine;
       on_session_expiry = None;
       pending_watches = [];
-      fifo_horizon = Sim.Sim_time.zero;
     }
   in
   heartbeat_loop t;
@@ -89,9 +116,7 @@ let crash t = t.alive <- false
 
 let close t =
   t.alive <- false;
-  Zk_server.close_session t.server ~session:t.session
-
-let delay t = Sim.Distribution.sample_span t.latency t.rng
+  Zk_server.close_session t.link.server ~session:t.session
 
 let set_reachable t r =
   if t.reachable <> r then begin
@@ -99,72 +124,59 @@ let set_reachable t r =
     if r && t.alive then begin
       (* Reconnected: the handshake itself is contact, and queued watch
          events are delivered (one service-to-client hop late). *)
-      Zk_server.heartbeat t.server ~session:t.session;
-      t.last_contact <- Sim.Engine.now t.engine;
+      Zk_server.heartbeat t.link.server ~session:t.session;
+      t.last_contact <- Sim.Engine.now t.link.engine;
       let pending = List.rev t.pending_watches in
       t.pending_watches <- [];
       List.iter
         (fun w ->
           ignore
-            (Sim.Engine.schedule t.engine ~after:(delay t) (fun () -> if t.alive then w ())))
+            (Sim.Engine.schedule t.link.engine ~after:(delay t.link) (fun () ->
+                 if t.alive then w ())))
         pending
     end
   end
 
-(* One round trip: request travels to the service, executes atomically there,
-   and the response travels back. Requests from one client execute in issue
-   order (TCP-like FIFO, as in ZooKeeper — the election's arm-watch-then-read
-   pattern depends on it). Both legs are suppressed if the client crashed,
+(* A session's round trip: both legs are suppressed if the owner crashed,
    and nothing is sent (or received) while the service is unreachable —
    callers rely on their own retries or on session expiry. *)
 let call t op k =
-  if t.alive && t.reachable then begin
-    let arrival =
-      Sim.Sim_time.max
-        (Sim.Sim_time.add (Sim.Engine.now t.engine) (delay t))
-        (Sim.Sim_time.add t.fifo_horizon (Sim.Sim_time.us 1))
-    in
-    t.fifo_horizon <- arrival;
-    ignore
-      (Sim.Engine.schedule_at t.engine arrival (fun () ->
-           let result = op () in
-           ignore
-             (Sim.Engine.schedule t.engine ~after:(delay t) (fun () ->
-                  if t.alive && t.reachable then begin
-                    t.last_contact <- Sim.Engine.now t.engine;
-                    k result
-                  end))))
-  end
+  if t.alive && t.reachable then
+    round_trip t.link op (fun result ->
+        if t.alive && t.reachable then begin
+          t.last_contact <- Sim.Engine.now t.link.engine;
+          k result
+        end)
 
 let create_node t ~path ?(data = "") ?(ephemeral = false) ?(sequential = false) k =
   call t
     (fun () ->
-      Zk_server.create_node t.server ~session:t.session ~path ~data ~ephemeral ~sequential)
+      Zk_server.create_node t.link.server ~session:t.session ~path ~data ~ephemeral ~sequential)
     k
 
 let delete_node t ~path k =
-  call t (fun () -> Zk_server.delete_node t.server ~session:t.session ~path) k
+  call t (fun () -> Zk_server.delete_node t.link.server ~session:t.session ~path) k
 
 let delete_recursive t ~path k =
-  call t (fun () -> Zk_server.delete_recursive t.server ~session:t.session ~path) k
+  call t (fun () -> Zk_server.delete_recursive t.link.server ~session:t.session ~path) k
 
-let get_data t ~path k = call t (fun () -> Zk_server.get_data t.server ~path) k
+let get_data t ~path k = call t (fun () -> Zk_server.get_data t.link.server ~path) k
 
 let set_data t ~path ~data k =
-  call t (fun () -> Zk_server.set_data t.server ~session:t.session ~path ~data) k
+  call t (fun () -> Zk_server.set_data t.link.server ~session:t.session ~path ~data) k
 
-let children t ~path k = call t (fun () -> Zk_server.children t.server ~path) k
+let children t ~path k = call t (fun () -> Zk_server.children t.link.server ~path) k
 
 let incr_counter t ~path k =
-  call t (fun () -> Zk_server.incr_counter t.server ~session:t.session ~path) k
+  call t (fun () -> Zk_server.incr_counter t.link.server ~session:t.session ~path) k
 
-let exists t ~path k = call t (fun () -> Zk_server.exists t.server ~path) k
+let exists t ~path k = call t (fun () -> Zk_server.exists t.link.server ~path) k
 
 let wrap_watch t w () =
   if t.alive then begin
     if t.reachable then
       ignore
-        (Sim.Engine.schedule t.engine ~after:(delay t) (fun () ->
+        (Sim.Engine.schedule t.link.engine ~after:(delay t.link) (fun () ->
              if not t.alive then ()
              else if t.reachable then w ()
              else t.pending_watches <- w :: t.pending_watches))
@@ -172,7 +184,10 @@ let wrap_watch t w () =
   end
 
 let watch_node t ~path w =
-  call t (fun () -> Zk_server.watch_node t.server ~path (wrap_watch t w)) (fun () -> ())
+  call t (fun () -> Zk_server.watch_node t.link.server ~path (wrap_watch t w)) (fun () -> ())
 
 let watch_children t ~path w =
-  call t (fun () -> Zk_server.watch_children t.server ~path (wrap_watch t w)) (fun () -> ())
+  call t (fun () -> Zk_server.watch_children t.link.server ~path (wrap_watch t w)) (fun () -> ())
+
+let reader server = open_link server default_latency
+let read r ~path k = round_trip r (fun () -> Zk_server.get_data r.server ~path) k

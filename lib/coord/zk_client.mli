@@ -1,10 +1,21 @@
-(** Client handle to the coordination service.
+(** Handles to the coordination service.
 
-    Each datastore node embeds one (§7.2). Calls pay a round-trip latency to
-    the service; responses and watch notifications are suppressed once the
-    owner crashes (its session then expires and ephemerals disappear). A
-    restarted node connects with a {e new} session. Heartbeats run
-    automatically until [crash] or [close]. *)
+    Two kinds share one link model: every request pays a one-way latency each
+    way, sampled from the handle's own RNG stream, and requests over one
+    handle execute at the service in issue order.
+
+    A {e session handle} ({!t}) is what each datastore node embeds (§7.2):
+    it owns a server session, so it can create ephemerals, arm watches and
+    take part in elections. Responses and watch notifications are
+    suppressed once the owner crashes (its session then expires and
+    ephemerals disappear). A restarted node connects with a {e new}
+    session. Heartbeats run automatically until [crash] or [close].
+
+    A {e reader} ({!reader}) is what each datastore client embeds: it only
+    reads znodes ([/layout], [/ranges/<r>/leader]), so it opens no session
+    and sends no heartbeats. A reader cannot be cut off or crashed (no
+    fault model targets a client's link), so every read gets its
+    response. *)
 
 type t
 
@@ -74,3 +85,15 @@ val watch_node : t -> path:string -> (unit -> unit) -> unit
     dropped if this handle crashed meanwhile. *)
 
 val watch_children : t -> path:string -> (unit -> unit) -> unit
+
+(** {2 Readers} *)
+
+type reader
+
+val reader : Zk_server.t -> reader
+(** A session-less read handle with {!connect}'s default latency. It opens
+    no server session and schedules no event until it is used. *)
+
+val read : reader -> path:string -> ((string, Ztree.error) result -> unit) -> unit
+(** {!get_data} over a reader: one round trip, FIFO with the reader's other
+    reads. *)

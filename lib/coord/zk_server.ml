@@ -20,7 +20,7 @@ let engine t = t.engine
 let session_timeout t = t.session_timeout
 let attach_trace t trace = t.trace <- Some trace
 
-(* Owners follow the "node-%d"/"client-%d" convention; recovering the node id
+(* Datastore nodes own their sessions as "node-%d"; recovering the node id
    lets lifecycle events land on that node's track in the exported trace. *)
 let node_of_owner owner =
   match String.index_opt owner '-' with
@@ -61,12 +61,24 @@ let expire_session t session =
       ephemerals
   end
 
+(* Sessions that fall due in one sweep expire in deadline order (the one
+   heard from least recently first, ties by id). Their watch notifications
+   draw latencies from the watchers' RNG streams in this order, so it must
+   not depend on the session table's layout, which every other session
+   shapes. *)
 let sweep t =
   let now = Sim.Engine.now t.engine in
-  Hashtbl.iter
-    (fun _ s ->
-      if s.live && Sim.Sim_time.(add s.last_seen t.session_timeout < now) then expire_session t s)
-    t.sessions
+  let due =
+    Hashtbl.fold
+      (fun _ s acc ->
+        if s.live && Sim.Sim_time.(add s.last_seen t.session_timeout < now) then s :: acc
+        else acc)
+      t.sessions []
+  in
+  let by_deadline a b =
+    match Sim.Sim_time.compare a.last_seen b.last_seen with 0 -> Int.compare a.id b.id | c -> c
+  in
+  List.iter (expire_session t) (List.sort by_deadline due)
 
 let create engine ?(session_timeout = Sim.Sim_time.sec 2) () =
   let t =

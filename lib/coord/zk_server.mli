@@ -3,6 +3,7 @@
     Holds the znode tree, client sessions, and watches. Sessions are kept
     alive by heartbeats; when one expires, its ephemeral znodes are deleted
     and the relevant watches fire — this is Spinnaker's failure detector.
+    Sessions that fall due together expire in deadline order, ties by id.
     Watches are one-shot, as in Zookeeper.
 
     The service is modelled as a single highly available process: the paper

@@ -97,14 +97,14 @@ let create ?(planted_hole_ack_bug = false) engine config =
 let new_client t =
   let id = t.next_client in
   t.next_client <- id + 1;
-  let zk = Coord.Zk_client.connect t.zk_server ~owner:(Printf.sprintf "client-%d" id) () in
+  let zk = Coord.Zk_client.reader t.zk_server in
   let lookup_leader ~range k =
-    Coord.Zk_client.get_data zk
+    Coord.Zk_client.read zk
       ~path:(Printf.sprintf "/ranges/%d/leader" range)
       (function Ok data -> k (int_of_string_opt data) | Error _ -> k None)
   in
   let fetch_layout k =
-    Coord.Zk_client.get_data zk ~path:"/layout" (function
+    Coord.Zk_client.read zk ~path:"/layout" (function
       | Ok data -> k (Some data)
       | Error _ -> k None)
   in

@@ -1,4 +1,4 @@
-(** Binary min-heap of timestamped events.
+(** 4-ary min-heap of timestamped events.
 
     Events with equal timestamps are ordered by insertion sequence number, so
     the simulation is fully deterministic. Cancellation is lazy: a cancelled

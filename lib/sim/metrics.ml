@@ -494,6 +494,8 @@ let json_of_run_stats s =
     ]
 
 type net_stats = {
+  net_sent : int;
+  net_in_flight : int;
   net_delivered : int;
   net_dropped_down : int;
   net_dropped_partitioned : int;

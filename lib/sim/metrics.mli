@@ -222,6 +222,8 @@ val json_of_run_stats : run_stats -> Json.t
     errors}]. *)
 
 type net_stats = {
+  net_sent : int;  (** [send] calls, whatever became of the message *)
+  net_in_flight : int;  (** copies scheduled for delivery that have not arrived *)
   net_delivered : int;
   net_dropped_down : int;  (** sender or receiver process down *)
   net_dropped_partitioned : int;  (** directed link blocked by a partition *)
@@ -230,9 +232,13 @@ type net_stats = {
   net_bytes : int;
 }
 (** Network delivery counters broken down by drop cause; produced by
-    [Network.stats] so experiments can report loss vs partition drops. *)
+    [Network.stats] so experiments can report loss vs partition drops. Each
+    counter is kept where its event happens, so at every instant
+    [sent + duplicated = delivered + dropped + in_flight], with [dropped]
+    the sum of the three causes. *)
 
 val json_of_net_stats : net_stats -> Json.t
 (** [{delivered, dropped_down, dropped_partitioned, dropped_lost,
     duplicated, bytes}] — the per-cause drop breakdown audit reports pair
-    with the nemesis exposure counters. *)
+    with the nemesis exposure counters. [sent] and [in_flight] only serve
+    the accounting identity and are left out. *)

@@ -38,6 +38,8 @@ type 'msg t = {
   mutable cuts : cut list;  (* active group partitions *)
   link_faults : (int * int, faults) Hashtbl.t;  (* directed overrides *)
   mutable trace : Trace.t option;
+  mutable sent : int;
+  mutable in_flight : int;  (* scheduled deliveries not yet run *)
   mutable delivered : int;
   mutable dropped_down : int;
   mutable dropped_partitioned : int;
@@ -59,6 +61,8 @@ let create engine ?(latency = default_latency) ?(bandwidth_bps = 1_000_000_000) 
     cuts = [];
     link_faults = Hashtbl.create 16;
     trace = None;
+    sent = 0;
+    in_flight = 0;
     delivered = 0;
     dropped_down = 0;
     dropped_partitioned = 0;
@@ -172,6 +176,7 @@ let end_transit t ~span ~trace_id ~dst outcome =
     | None -> ()
 
 let deliver t ?(span = 0) ?(trace_id = -1) env =
+  t.in_flight <- t.in_flight - 1;
   match
     if env.dst >= 0 && env.dst < Array.length t.endpoints then
       Array.unsafe_get t.endpoints env.dst
@@ -197,12 +202,14 @@ let deliver t ?(span = 0) ?(trace_id = -1) env =
 
 let send t ~src ~dst ?(size = 128) ?(trace_id = -1) payload =
   let sender = endpoint t src in
+  t.sent <- t.sent + 1;
   if not sender.up then count_drop t Down
   else begin
     let env = { src; dst; size; sent_at = Engine.now t.engine; payload } in
     t.bytes <- t.bytes + size;
     if src = dst then begin
       let span = start_transit t ~trace_id ~src in
+      t.in_flight <- t.in_flight + 1;
       ignore
         (Engine.schedule t.engine ~after:(Sim_time.us 5) (fun () ->
              deliver t ~span ~trace_id env))
@@ -231,6 +238,7 @@ let send t ~src ~dst ?(size = 128) ?(trace_id = -1) payload =
               Sim_time.span_add latency (Distribution.sample_span j t.rng)
             | _ -> latency
           in
+          t.in_flight <- t.in_flight + 1;
           ignore
             (Engine.schedule_at t.engine (Sim_time.add nic_done latency) (fun () ->
                  deliver t ~span ~trace_id env))
@@ -318,11 +326,11 @@ let clear_link_faults t ~src ~dst =
   Hashtbl.remove t.link_faults (src, dst);
   emit t "link-faults-clear %d->%d" src dst
 
-let messages_dropped t = t.dropped_down + t.dropped_partitioned + t.dropped_lost
-
 let stats t : Metrics.net_stats =
   {
-    Metrics.net_delivered = t.delivered;
+    Metrics.net_sent = t.sent;
+    net_in_flight = t.in_flight;
+    net_delivered = t.delivered;
     net_dropped_down = t.dropped_down;
     net_dropped_partitioned = t.dropped_partitioned;
     net_dropped_lost = t.dropped_lost;

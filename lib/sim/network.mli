@@ -105,8 +105,6 @@ val clear_link_faults : 'msg t -> src:int -> dst:int -> unit
 
 (** {2 Counters} *)
 
-val messages_dropped : 'msg t -> int
-(** Total across all causes; {!stats} has the breakdown. *)
-
 val stats : 'msg t -> Metrics.net_stats
-(** Snapshot of the delivery/drop/duplication counters for reporting. *)
+(** Snapshot of the send/delivery/drop/duplication counters. They obey the
+    accounting identity documented at {!Metrics.net_stats}. *)

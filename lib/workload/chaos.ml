@@ -229,7 +229,8 @@ let indeterminate p = Hashtbl.fold (fun _ o a -> a + o.indeterminate) p.outcomes
    may appear under two LSNs. After heal + quiesce the intent sweep must
    have converged every replica: a write intent with no live transaction is
    an orphan that would block snapshot readers forever. Every range keeps
-   its replication factor, and every dropped message has a cause. *)
+   its replication factor, and every message sent is delivered, dropped or
+   still in flight. *)
 let check_cluster cluster flag =
   let partition = Cluster.partition cluster in
   let ranges = Partition.range_ids partition in
@@ -288,14 +289,12 @@ let check_cluster cluster flag =
         flag "layout-incoherence"
           (Printf.sprintf "range %d has %d members, not %d" range members Config.replication))
     ranges;
-  let net = Cluster.net cluster in
-  let s = Sim.Network.stats net in
-  let causes = s.net_dropped_down + s.net_dropped_partitioned + s.net_dropped_lost in
-  if Sim.Network.messages_dropped net <> causes then
+  let s = Sim.Network.stats (Cluster.net cluster) in
+  let dropped = s.net_dropped_down + s.net_dropped_partitioned + s.net_dropped_lost in
+  if s.net_sent + s.net_duplicated <> s.net_delivered + dropped + s.net_in_flight then
     flag "net-accounting"
-      (Printf.sprintf "%d dropped, but %d down + %d partitioned + %d lost"
-         (Sim.Network.messages_dropped net) s.net_dropped_down s.net_dropped_partitioned
-         s.net_dropped_lost)
+      (Printf.sprintf "%d sent + %d duplicated, but %d delivered + %d dropped + %d in flight"
+         s.net_sent s.net_duplicated s.net_delivered dropped s.net_in_flight)
 
 (* Final strong reads close the history and pin each key's version; then
    the cluster checks and per-key linearizability. *)

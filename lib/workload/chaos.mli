@@ -85,7 +85,8 @@ val check : Spinnaker.Cluster.t -> probes -> (string -> string -> unit) -> unit
       range ([unavailable-after-heal]), no origin committed under two LSNs
       ([double-apply]), no intent left on any replica ([orphaned-intent]),
       [Config.replication] members ([layout-incoherence]);
-    - every dropped message has a cause ([net-accounting]);
+    - every message sent, plus every duplicate, was delivered, dropped or
+      is still in flight ([net-accounting]);
     - per-key [linearizability] of the history. *)
 
 type verdict = {

@@ -241,6 +241,87 @@ let test_client_fifo_order () =
   Sim.Engine.run_for engine (Sim.Sim_time.ms 100);
   check_bool "create visible to read or watch" true (!seen = 1 || !fired)
 
+(* --- reader ----------------------------------------------------------------- *)
+
+(* On a fresh server whose /r counts up by one every simulated microsecond,
+   issue [n] reads of /r back to back through the read function [handle]
+   makes on that server; returns (issue index, completion time, value read)
+   in completion order. *)
+let counting_reads handle n =
+  let engine, server = server () in
+  let session = Coord.Zk_server.open_session server in
+  ignore
+    (Coord.Zk_server.create_node server ~session ~path:"/r" ~data:"0" ~ephemeral:false
+       ~sequential:false);
+  let rec tick v () =
+    ignore (Coord.Zk_server.set_data server ~session ~path:"/r" ~data:(string_of_int v));
+    if v < 5_000 then
+      ignore (Sim.Engine.schedule engine ~after:(Sim.Sim_time.us 1) (tick (v + 1)))
+  in
+  tick 1 ();
+  let read = handle server in
+  let done_ = ref [] in
+  for i = 1 to n do
+    read ~path:"/r" (fun r ->
+        match r with
+        | Ok v ->
+          done_ := (i, Sim.Sim_time.time_to_us (Sim.Engine.now engine), int_of_string v) :: !done_
+        | Error _ -> Alcotest.fail "read failed")
+  done;
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 10);
+  List.rev !done_
+
+(* Reads over a reader execute at the service in issue order, and a reader
+   draws the same latencies as a session handle made at the same point of
+   the same seed: every read completes at the same instant with the same
+   value. *)
+let test_reader_fifo_same_latency () =
+  let n = 40 in
+  let by_reader =
+    counting_reads (fun srv -> Coord.Zk_client.read (Coord.Zk_client.reader srv)) n
+  in
+  let by_session =
+    counting_reads
+      (fun srv -> Coord.Zk_client.get_data (Coord.Zk_client.connect srv ~owner:"t" ()))
+      n
+  in
+  check_int "every read answered" n (List.length by_reader);
+  let values = List.map (fun (_, _, v) -> v) (List.sort compare by_reader) in
+  check_bool "FIFO: values strictly increase in issue order" true
+    (List.for_all2 ( < ) (List.filteri (fun i _ -> i < n - 1) values) (List.tl values));
+  check_bool "same instants and values as a session handle" true (by_reader = by_session)
+
+let test_reader_opens_no_session () =
+  let engine, server = server () in
+  let trace = Sim.Trace.create ~capacity:64 engine in
+  Coord.Zk_server.attach_trace server trace;
+  let pending = Sim.Engine.pending engine in
+  let reader = Coord.Zk_client.reader server in
+  check_int "nothing scheduled" pending (Sim.Engine.pending engine);
+  let got = ref None in
+  Coord.Zk_client.read reader ~path:"/missing" (fun r -> got := Some r);
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 100);
+  check_bool "missing znode reads No_node" true (!got = Some (Error Coord.Ztree.No_node));
+  check_int "no session opened" 0 (Sim.Trace.count trace ~tag:"zk.session_created");
+  check_int "the next session is the first" 1 (Coord.Zk_server.open_session server)
+
+(* Nothing keeps a reader alive, and nothing needs to: a read long after any
+   session would have expired still gets its answer. *)
+let test_reader_outlives_session_timeouts () =
+  let engine, server = server () in
+  let reader = Coord.Zk_client.reader server in
+  let session = Coord.Zk_server.open_session server in
+  ignore
+    (Coord.Zk_server.create_node server ~session ~path:"/layout" ~data:"L" ~ephemeral:false
+       ~sequential:false);
+  Sim.Engine.run_for engine (Sim.Sim_time.span_scale (Coord.Zk_server.session_timeout server) 10.0);
+  check_bool "the writer's session expired meanwhile" false
+    (Coord.Zk_server.session_live server ~session);
+  let got = ref None in
+  Coord.Zk_client.read reader ~path:"/layout" (fun r -> got := Some r);
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 100);
+  check_bool "read answered" true (!got = Some (Ok "L"))
+
 let prop_expired_sessions_leave_no_ephemerals =
   QCheck.Test.make ~name:"zk: expired sessions never leave ephemerals behind" ~count:40
     QCheck.(list_of_size (Gen.int_range 1 10) (pair (int_bound 3) bool))
@@ -367,6 +448,11 @@ let suite =
     Alcotest.test_case "client: crash expires session" `Quick test_client_crash_expires_session;
     Alcotest.test_case "client: watch delivery" `Quick test_client_watch_delivery;
     Alcotest.test_case "client: FIFO request order (regression)" `Quick test_client_fifo_order;
+    Alcotest.test_case "reader: FIFO and a session handle's latency" `Quick
+      test_reader_fifo_same_latency;
+    Alcotest.test_case "reader: opens no session" `Quick test_reader_opens_no_session;
+    Alcotest.test_case "reader: reads after ten session timeouts" `Quick
+      test_reader_outlives_session_timeouts;
     QCheck_alcotest.to_alcotest prop_expired_sessions_leave_no_ephemerals;
     QCheck_alcotest.to_alcotest prop_sequential_znodes_monotone;
   ]

@@ -282,7 +282,57 @@ let test_network_down_node_drops () =
   Sim.Network.send net ~src:1 ~dst:2 "x";
   Sim.Engine.run e;
   check_int "dropped" 0 !got;
-  check_int "counted as dropped" 1 (Sim.Network.messages_dropped net)
+  check_int "counted as dropped" 1 (Sim.Network.stats net).Sim.Metrics.net_dropped_down
+
+(* Every message's fate is counted where it happens, so the identity
+   sent + duplicated = delivered + dropped + in flight holds at every instant,
+   including mid-flight and after each kind of fault. *)
+let test_network_accounting_identity () =
+  let e, net = make_net () in
+  List.iter (fun n -> Sim.Network.register net ~node:n (fun _ -> ())) [ 1; 2; 3 ];
+  let balanced what =
+    let s = Sim.Network.stats net in
+    let dropped =
+      s.Sim.Metrics.net_dropped_down + s.net_dropped_partitioned + s.net_dropped_lost
+    in
+    check_int what (s.net_sent + s.net_duplicated) (s.net_delivered + dropped + s.net_in_flight);
+    s
+  in
+  let burst n = for _ = 1 to n do Sim.Network.send net ~src:1 ~dst:2 "m" done in
+  (* Plain deliveries, checked while still in flight and after. *)
+  burst 5;
+  check_int "in flight before running" 5 (balanced "in flight").Sim.Metrics.net_in_flight;
+  Sim.Engine.run e;
+  check_int "all delivered" 5 (balanced "delivered").Sim.Metrics.net_delivered;
+  (* A downed sender drops at send time. *)
+  Sim.Network.set_up net 1 false;
+  burst 3;
+  Sim.Network.set_up net 1 true;
+  check_int "down sender" 3 (balanced "down sender").Sim.Metrics.net_dropped_down;
+  (* A partition drops at delivery time. *)
+  Sim.Network.partition net [ 1 ] [ 2 ];
+  burst 4;
+  ignore (balanced "partitioned, in flight");
+  Sim.Engine.run e;
+  Sim.Network.heal net;
+  check_int "partitioned" 4 (balanced "partitioned").Sim.Metrics.net_dropped_partitioned;
+  (* A lossy, duplicating link: some copies lost at send, some doubled. *)
+  Sim.Network.set_link_faults net ~src:1 ~dst:2 ~loss:0.3 ~duplicate:0.3 ();
+  burst 200;
+  ignore (balanced "lossy, in flight");
+  Sim.Engine.run e;
+  Sim.Network.clear_link_faults net ~src:1 ~dst:2;
+  let s = balanced "lossy" in
+  check_bool "some lost" true (s.Sim.Metrics.net_dropped_lost > 0);
+  check_bool "some duplicated" true (s.net_duplicated > 0);
+  (* A receiver that crashes while messages are in flight to it. *)
+  for _ = 1 to 6 do Sim.Network.send net ~src:3 ~dst:2 "m" done;
+  let before = s.Sim.Metrics.net_dropped_down in
+  Sim.Network.set_up net 2 false;
+  Sim.Engine.run e;
+  let s = balanced "crashed receiver" in
+  check_int "crashed receiver" 6 (s.Sim.Metrics.net_dropped_down - before);
+  check_int "nothing left in flight" 0 s.net_in_flight
 
 let test_network_partition_and_heal () =
   let e, net = make_net () in
@@ -468,6 +518,8 @@ let suite =
     Alcotest.test_case "network: delivery" `Quick test_network_delivery;
     Alcotest.test_case "network: down node drops" `Quick test_network_down_node_drops;
     Alcotest.test_case "network: partition & heal" `Quick test_network_partition_and_heal;
+    Alcotest.test_case "network: every message's fate is counted" `Quick
+      test_network_accounting_identity;
     Alcotest.test_case "network: in-order per pair" `Quick test_network_in_order_per_pair;
     Alcotest.test_case "network: size-scaled transfer" `Quick test_network_transfer_time_scales_with_size;
     Alcotest.test_case "metrics: histogram stats" `Quick test_histogram_stats;

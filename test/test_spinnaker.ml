@@ -798,6 +798,30 @@ let test_piggybacked_commits_reduce_staleness () =
 
 (* --- group membership (§4.2) -------------------------------------------------------- *)
 
+(* A client reads /layout and /ranges/<r>/leader over a session-less handle,
+   so an idle client schedules nothing: a quiet cluster runs the same number
+   of events with 0 and with 200 clients. A client that routed a write to a
+   leader before it failed routes its next write to the new leader. *)
+let test_idle_clients_schedule_nothing () =
+  let idle_events clients =
+    let engine, cluster = boot () in
+    let made = List.init clients (fun _ -> Cluster.new_client cluster) in
+    let before = Sim.Engine.events_run engine in
+    Sim.Engine.run_for engine (Sim.Sim_time.sec 3);
+    (engine, cluster, made, Sim.Engine.events_run engine - before)
+  in
+  let _, _, _, baseline = idle_events 0 in
+  let engine, cluster, clients, with_clients = idle_events 200 in
+  check_int "events over 3 idle seconds, 0 vs 200 clients" baseline with_clients;
+  let client = List.hd clients and key = key_for cluster 33 in
+  check_bool "write before the failover" true (Result.is_ok (put_sync engine client key "c" "0"));
+  let range, leader = leader_of_key cluster key in
+  let old_leader = Option.get leader in
+  Cluster.crash_node cluster old_leader;
+  check_bool "write after the failover" true (Result.is_ok (put_sync engine client key "c" "1"));
+  let new_leader = Cluster.leader_of cluster ~range in
+  check_bool "served by a new leader" true (new_leader <> None && new_leader <> Some old_leader)
+
 let test_membership_tracks_sessions () =
   let engine, cluster = boot () in
   Sim.Engine.run_for engine (Sim.Sim_time.ms 200);
@@ -1115,4 +1139,5 @@ let suite =
     Alcotest.test_case "chaos: no acked write lost" `Slow test_chaos_no_acked_write_lost;
     Alcotest.test_case "multi-column writes are one log record" `Quick
       test_multi_column_write_is_one_record;
+    Alcotest.test_case "idle clients schedule nothing" `Quick test_idle_clients_schedule_nothing;
   ]
