@@ -882,96 +882,47 @@ let read_exp () =
   if follower_served <= 0 then
     failwith "read: followers served no timeline token reads in the offload run"
 
-(* --- Paxos tuning: group-commit batching x replication pipelining ----------- *)
+(* --- Paxos tuning: group-commit batching ------------------------------------ *)
 
-(* The raw-speed campaign's protocol half: sweep the WAL group-commit bound
-   against the replication pipeline depth on a pure-write workload and emit
-   the full throughput heatmap (plus an ack-coalescing ablation at the best
-   cell), then run a fig11-shaped closed-loop load at 80 nodes with 1e5
-   clients to show the tuned write path at scale. The heatmap optimum must
-   land away from (batch=1, depth=1) — if it does not, batching regressed. *)
+(* The raw-speed campaign's protocol half: sweep the WAL group-commit bound on
+   a pure-write workload, then run a fig11-shaped closed-loop load at 80 nodes
+   with 1e5 clients at the best bound to show the write path at scale. The
+   optimum must land above batch=1 — if it does not, batching regressed. *)
 let paxos_tuning () =
-  header "Paxos tuning: group-commit batch bound x replication pipeline depth";
+  header "Paxos tuning: group-commit batch bound";
   let batches = if !quick then [ 1; 8; 64 ] else [ 1; 4; 16; 64 ] in
-  let depths = if !quick then [ 1; 4; 16 ] else [ 1; 2; 4; 8; 16 ] in
   let threads = 256 in
   let spec = base_spec ~write_fraction:1.0 ~key_mode:consecutive () in
-  let cell config =
-    let points, _ = spin_sweep ~config ~consistent_reads:true ~spec [ threads ] in
-    (List.hd points).Workload.Experiment.outcome.Workload.Experiment.all
+  let best = ref (0.0, 0) in
+  Format.printf "  writes/s at %d closed-loop writers@." threads;
+  Format.printf "  %12s %10s %10s %10s@." "wal_max_batch" "writes/s" "mean(ms)" "p99(ms)";
+  let cells =
+    List.map
+      (fun batch ->
+        let config = { Config.default with Config.wal_max_batch = batch } in
+        let points, _ = spin_sweep ~config ~consistent_reads:true ~spec [ threads ] in
+        let s = (List.hd points).Workload.Experiment.outcome.Workload.Experiment.all in
+        let tp = s.Sim.Metrics.throughput_per_sec in
+        if tp > fst !best then best := (tp, batch);
+        Format.printf "  %12d %10.0f %10.2f %10.2f@." batch tp s.Sim.Metrics.mean_latency_ms
+          s.Sim.Metrics.p99_ms;
+        J.Obj
+          [
+            ("wal_max_batch", J.Int batch);
+            ("throughput_per_sec", J.Float tp);
+            ("mean_latency_ms", J.Float s.Sim.Metrics.mean_latency_ms);
+            ("p99_ms", J.Float s.Sim.Metrics.p99_ms);
+            ("errors", J.Int s.Sim.Metrics.errors);
+          ])
+      batches
   in
-  let cells = ref [] in
-  let best = ref (0.0, (0, 0)) in
-  Format.printf "  writes/s at %d closed-loop writers; rows: wal_max_batch, cols: pipeline_depth@."
-    threads;
-  Format.printf "  %12s" "batch\\depth";
-  List.iter (fun d -> Format.printf "%10d" d) depths;
-  Format.printf "@.";
-  List.iter
-    (fun batch ->
-      Format.printf "  %12d" batch;
-      List.iter
-        (fun depth ->
-          let s =
-            cell { Config.default with Config.wal_max_batch = batch; pipeline_depth = depth }
-          in
-          let tp = s.Sim.Metrics.throughput_per_sec in
-          if tp > fst !best then best := (tp, (batch, depth));
-          Format.printf "%10.0f" tp;
-          cells :=
-            J.Obj
-              [
-                ("wal_max_batch", J.Int batch);
-                ("pipeline_depth", J.Int depth);
-                ("throughput_per_sec", J.Float tp);
-                ("mean_latency_ms", J.Float s.Sim.Metrics.mean_latency_ms);
-                ("p99_ms", J.Float s.Sim.Metrics.p99_ms);
-                ("errors", J.Int s.Sim.Metrics.errors);
-              ]
-            :: !cells)
-        depths;
-      Format.printf "@.")
-    batches;
-  let best_tp, (best_batch, best_depth) = !best in
-  Format.printf "  best cell: batch=%d depth=%d (%.0f writes/s)@." best_batch best_depth best_tp;
-  record_field "heatmap" (J.List (List.rev !cells));
+  let best_tp, best_batch = !best in
+  Format.printf "  best: batch=%d (%.0f writes/s)@." best_batch best_tp;
+  record_field "batches" (J.List cells);
   record_field "best"
-    (J.Obj
-       [
-         ("wal_max_batch", J.Int best_batch);
-         ("pipeline_depth", J.Int best_depth);
-         ("throughput_per_sec", J.Float best_tp);
-       ]);
-  if best_batch <= 1 && best_depth <= 1 then
-    failwith "paxos-tuning: heatmap optimum landed on (batch=1, depth=1) — batching is a no-op";
-  (* Ack coalescing at the best cell: cumulative acks make deferral lossless,
-     so a small window should trade a little latency for fewer messages
-     without hurting throughput. *)
-  Format.printf "  ack coalescing at the best cell:@.";
-  record_field "ack_coalesce"
-    (J.List
-       (List.map
-          (fun window_us ->
-            let s =
-              cell
-                {
-                  Config.default with
-                  Config.wal_max_batch = best_batch;
-                  pipeline_depth = best_depth;
-                  ack_coalesce = Sim.Sim_time.us window_us;
-                }
-            in
-            Format.printf "    window %5d us: %9.0f writes/s, mean %6.2f ms, p99 %6.2f ms@."
-              window_us s.Sim.Metrics.throughput_per_sec s.Sim.Metrics.mean_latency_ms
-              s.Sim.Metrics.p99_ms;
-            J.Obj
-              [
-                ("ack_coalesce_us", J.Int window_us);
-                ("throughput_per_sec", J.Float s.Sim.Metrics.throughput_per_sec);
-                ("mean_latency_ms", J.Float s.Sim.Metrics.mean_latency_ms);
-                ("p99_ms", J.Float s.Sim.Metrics.p99_ms);
-              ])
-          [ 0; 200; 1000 ]));
+    (J.Obj [ ("wal_max_batch", J.Int best_batch); ("throughput_per_sec", J.Float best_tp) ]);
+  if best_batch <= 1 then
+    failwith "paxos-tuning: the sweep's optimum landed on batch=1 — batching is a no-op";
   (* Fig-11 shape at scale: a tuned 80-node cluster under 100k closed-loop
      clients. The client timeout is raised so the (deliberately) saturating
      load queues instead of dissolving into retry storms, and the window is
@@ -985,7 +936,6 @@ let paxos_tuning () =
       Config.default with
       Config.nodes;
       wal_max_batch = best_batch;
-      pipeline_depth = best_depth;
       value_bytes = 256;
       client_timeout = Sim.Sim_time.sec 10;
     }
@@ -1015,7 +965,6 @@ let paxos_tuning () =
          ("nodes", J.Int nodes);
          ("clients", J.Int clients);
          ("wal_max_batch", J.Int best_batch);
-         ("pipeline_depth", J.Int best_depth);
          ("throughput_per_sec", J.Float s.Sim.Metrics.throughput_per_sec);
          ("mean_latency_ms", J.Float s.Sim.Metrics.mean_latency_ms);
          ("p99_ms", J.Float s.Sim.Metrics.p99_ms);

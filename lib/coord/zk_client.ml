@@ -106,17 +106,10 @@ let connect server ~owner ?(latency = default_latency) () =
   heartbeat_loop t;
   t
 
-let owner t = t.owner
-let session t = t.session
 let alive t = t.alive
-let reachable t = t.reachable
 let last_contact t = t.last_contact
 let set_on_session_expiry t f = t.on_session_expiry <- Some f
 let crash t = t.alive <- false
-
-let close t =
-  t.alive <- false;
-  Zk_server.close_session t.link.server ~session:t.session
 
 let set_reachable t r =
   if t.reachable <> r then begin
@@ -157,9 +150,6 @@ let create_node t ~path ?(data = "") ?(ephemeral = false) ?(sequential = false) 
 let delete_node t ~path k =
   call t (fun () -> Zk_server.delete_node t.link.server ~session:t.session ~path) k
 
-let delete_recursive t ~path k =
-  call t (fun () -> Zk_server.delete_recursive t.link.server ~session:t.session ~path) k
-
 let get_data t ~path k = call t (fun () -> Zk_server.get_data t.link.server ~path) k
 
 let set_data t ~path ~data k =
@@ -169,8 +159,6 @@ let children t ~path k = call t (fun () -> Zk_server.children t.link.server ~pat
 
 let incr_counter t ~path k =
   call t (fun () -> Zk_server.incr_counter t.link.server ~session:t.session ~path) k
-
-let exists t ~path k = call t (fun () -> Zk_server.exists t.link.server ~path) k
 
 let wrap_watch t w () =
   if t.alive then begin

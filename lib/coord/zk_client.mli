@@ -9,7 +9,7 @@
     take part in elections. Responses and watch notifications are
     suppressed once the owner crashes (its session then expires and
     ephemerals disappear). A restarted node connects with a {e new}
-    session. Heartbeats run automatically until [crash] or [close].
+    session. Heartbeats run automatically until [crash] or expiry.
 
     A {e reader} ({!reader}) is what each datastore client embeds: it only
     reads znodes ([/layout], [/ranges/<r>/leader]), so it opens no session
@@ -24,13 +24,7 @@ val connect :
 (** [latency] is the one-way client-service delay (default ~200 µs —
     the service sits on the same rack fabric but behind its own switch hop). *)
 
-val owner : t -> string
-
-val session : t -> int
-
 val alive : t -> bool
-
-val reachable : t -> bool
 
 val last_contact : t -> Sim.Sim_time.t
 (** Time of the last successful exchange with the service (heartbeat,
@@ -59,16 +53,11 @@ val crash : t -> unit
 (** Stop heartbeating and drop pending responses; the server will expire the
     session after its timeout, deleting this client's ephemerals. *)
 
-val close : t -> unit
-(** Graceful shutdown: the session closes immediately on the server. *)
-
 val create_node :
   t -> path:string -> ?data:string -> ?ephemeral:bool -> ?sequential:bool ->
   ((string, Ztree.error) result -> unit) -> unit
 
 val delete_node : t -> path:string -> ((unit, Ztree.error) result -> unit) -> unit
-
-val delete_recursive : t -> path:string -> (unit -> unit) -> unit
 
 val get_data : t -> path:string -> ((string, Ztree.error) result -> unit) -> unit
 
@@ -77,8 +66,6 @@ val set_data : t -> path:string -> data:string -> ((unit, Ztree.error) result ->
 val children : t -> path:string -> (((string * string) list, Ztree.error) result -> unit) -> unit
 
 val incr_counter : t -> path:string -> (int -> unit) -> unit
-
-val exists : t -> path:string -> (bool -> unit) -> unit
 
 val watch_node : t -> path:string -> (unit -> unit) -> unit
 (** One-shot; the notification pays the service-to-client latency and is

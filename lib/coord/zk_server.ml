@@ -2,14 +2,13 @@ type session = {
   id : int;
   owner : string;
   mutable last_seen : Sim.Sim_time.t;
-  mutable live : bool;
 }
 
 type t = {
   engine : Sim.Engine.t;
   tree : Ztree.t;
   session_timeout : Sim.Sim_time.span;
-  sessions : (int, session) Hashtbl.t;
+  sessions : (int, session) Hashtbl.t;  (* live sessions only *)
   mutable next_session : int;
   node_watches : (string, (unit -> unit) list) Hashtbl.t;
   child_watches : (string, (unit -> unit) list) Hashtbl.t;
@@ -47,8 +46,8 @@ let notify_created_or_deleted t path =
   fire t.child_watches (Ztree.parent_path path)
 
 let expire_session t session =
-  if session.live then begin
-    session.live <- false;
+  if Hashtbl.mem t.sessions session.id then begin
+    Hashtbl.remove t.sessions session.id;
     lifecycle t ~node:(node_of_owner session.owner) ~tag:"zk.session_expired"
       (Printf.sprintf "session=%d owner=%s" session.id session.owner);
     let ephemerals = Ztree.ephemerals_of_session t.tree ~session:session.id in
@@ -71,7 +70,7 @@ let sweep t =
   let due =
     Hashtbl.fold
       (fun _ s acc ->
-        if s.live && Sim.Sim_time.(add s.last_seen t.session_timeout < now) then s :: acc
+        if Sim.Sim_time.(add s.last_seen t.session_timeout < now) then s :: acc
         else acc)
       t.sessions []
   in
@@ -104,23 +103,24 @@ let create engine ?(session_timeout = Sim.Sim_time.sec 2) () =
 let open_session ?(owner = "") t =
   let id = t.next_session in
   t.next_session <- id + 1;
-  Hashtbl.replace t.sessions id { id; owner; last_seen = Sim.Engine.now t.engine; live = true };
+  Hashtbl.replace t.sessions id { id; owner; last_seen = Sim.Engine.now t.engine };
   lifecycle t ~node:(node_of_owner owner) ~tag:"zk.session_created"
     (Printf.sprintf "session=%d owner=%s" id owner);
   id
 
 let heartbeat t ~session =
   match Hashtbl.find_opt t.sessions session with
-  | Some s when s.live -> s.last_seen <- Sim.Engine.now t.engine
-  | _ -> ()
+  | Some s -> s.last_seen <- Sim.Engine.now t.engine
+  | None -> ()
 
 let close_session t ~session =
   match Hashtbl.find_opt t.sessions session with
   | Some s -> expire_session t s
   | None -> ()
 
-let session_live t ~session =
-  match Hashtbl.find_opt t.sessions session with Some s -> s.live | None -> false
+let session_count t = Hashtbl.length t.sessions
+
+let session_live t ~session = Hashtbl.mem t.sessions session
 
 let owner_node t ~session =
   match Hashtbl.find_opt t.sessions session with
@@ -146,14 +146,6 @@ let delete_node t ~session ~path =
     notify_created_or_deleted t path;
     Ok ()
   | Error _ as e -> e
-
-let delete_recursive t ~session ~path =
-  heartbeat t ~session;
-  if Ztree.exists t.tree ~path then begin
-    Ztree.delete_recursive t.tree ~path;
-    lifecycle t ~node:(owner_node t ~session) ~tag:"zk.znode_deleted" (path ^ " (recursive)");
-    notify_created_or_deleted t path
-  end
 
 let exists t ~path = Ztree.exists t.tree ~path
 let get_data t ~path = Ztree.get_data t.tree ~path

@@ -40,6 +40,10 @@ val close_session : t -> session:int -> unit
 
 val session_live : t -> session:int -> bool
 
+val session_count : t -> int
+(** Sessions the server holds: only live ones, since an expired or closed
+    session is dropped. *)
+
 (** {2 Znode operations} — synchronous; the client handle adds latency. *)
 
 val create_node :
@@ -47,8 +51,6 @@ val create_node :
   (string, Ztree.error) result
 
 val delete_node : t -> session:int -> path:string -> (unit, Ztree.error) result
-
-val delete_recursive : t -> session:int -> path:string -> unit
 
 val exists : t -> path:string -> bool
 

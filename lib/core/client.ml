@@ -431,7 +431,6 @@ let value_result (v : Message.value_reply) = { value = v.Message.value; version 
 
 let read_k k = function
   | Message.Value v -> k (Ok (value_result v))
-  | Message.Values ((_, v) :: _) -> k (Ok (value_result v))
   | Message.Version_mismatch { current } -> k (Error (Version_mismatch { current }))
   | Message.Cross_range -> k (Error Cross_range)
   | Message.Unavailable -> k (Error Timed_out)
@@ -439,7 +438,6 @@ let read_k k = function
 
 let multi_read_k k = function
   | Message.Values vs -> k (Ok (List.map (fun (c, v) -> (c, value_result v)) vs))
-  | Message.Value v -> k (Ok [ ("", value_result v) ])
   | Message.Version_mismatch { current } -> k (Error (Version_mismatch { current }))
   | Message.Cross_range -> k (Error Cross_range)
   | _ -> k (Error Timed_out)

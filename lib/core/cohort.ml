@@ -149,13 +149,6 @@ type t = {
       (** the takeover has its follower quorum but the re-proposed (cmt, lst]
           tail is not yet committed; [try_commit] opens the cohort once it is *)
   mutable waiting : waiting_write list;  (** writes queued while closed/blocked, newest first *)
-  mutable unproposed : (Lsn.t * Storage.Log_record.op * int * Log_record.origin option) list;
-      (** newest first: appended+forced locally but held back because the
-          replication pipeline window ([Config.pipeline_depth]) is full;
-          shipped as one batched Propose when a slot frees *)
-  inflight_props : Lsn.t Queue.t;
-      (** highest LSN of each outstanding Propose batch; a batch retires
-          when cmt reaches it *)
   mutable commit_timer_armed : bool;
   dedup : replies Client_tbl.t;
       (** client id -> its floor and write outcomes, for duplicate
@@ -176,11 +169,6 @@ type t = {
       (** last accepted leader traffic; silence beyond a few commit periods
           means our propose stream may have a hole we cannot see *)
   mutable resync_armed : bool;
-  mutable ack_pending : (int * Lsn.t * int) option;
-      (** (leader, upto, trace id) of a coalesced cumulative ack not yet sent
-          ([Config.ack_coalesce] > 0); the trace id belongs to the newest
-          write the ack covers (-1 when untraced) *)
-  mutable ack_timer_armed : bool;
   (* election state *)
   mutable election_running : bool;
   mutable own_candidate : string option;
@@ -270,8 +258,6 @@ let create ctx =
     takeover_open_at = Lsn.zero;
     takeover_commit_wait = false;
     waiting = [];
-    unproposed = [];
-    inflight_props = Queue.create ();
     commit_timer_armed = false;
     dedup = Client_tbl.create 64;
     migration = None;
@@ -281,8 +267,6 @@ let create ctx =
     snapshot_next = 0;
     last_leader_msg = Sim.Sim_time.zero;
     resync_armed = false;
-    ack_pending = None;
-    ack_timer_armed = false;
     election_running = false;
     own_candidate = None;
     leader_watch_armed = false;
@@ -379,6 +363,18 @@ let propose_trace_id t writes =
     | Some { Log_record.client; request_id; _ } -> Sim.Trace.request_trace_id ~client ~request_id
     | None -> -1
   else -1
+
+(* Send a freshly appended record to the followers; the caller forces it
+   locally in parallel (Figure 4). A Propose lost on the way is re-sent by
+   the next commit tick ([send_commit_msgs]). *)
+let propose t writes =
+  let piggyback_cmt =
+    if t.ctx.config.Config.piggyback_commits && Lsn.(t.cmt > Lsn.zero) then Some t.cmt
+    else None
+  in
+  let msg = Message.Propose { range = t.ctx.range; epoch = t.epoch; writes; piggyback_cmt } in
+  let trace_id = propose_trace_id t writes in
+  List.iter (fun f -> t.ctx.send ~trace_id ~dst:f msg) t.active_followers
 
 (* Sample one network hop into the write-phase transit histogram: messages
    carry their send instant, so arrival minus [sent_at] is the measured
@@ -741,9 +737,6 @@ let rec become_follower t ~leader ~catchup =
   t.role <- Follower;
   t.leader <- Some leader;
   t.election_running <- false;
-  (* Leader-side pipeline state is meaningless once we step down. *)
-  t.unproposed <- [];
-  Queue.clear t.inflight_props;
   t.last_leader_msg <- Sim.Engine.now t.ctx.engine;
   trace t "follower" (Printf.sprintf "leader=n%d" leader);
   watch_leader_liveness t;
@@ -820,11 +813,6 @@ and become_leader t =
   t.leader <- Some t.ctx.node_id;
   t.role <- Leader;
   t.catching_up <- false;
-  (* Fresh leadership stint: no outstanding Propose batches yet, and any
-     coalesced ack we owed the previous leader is moot. *)
-  t.unproposed <- [];
-  Queue.clear t.inflight_props;
-  t.ack_pending <- None;
   trace t "leader_elected" (Printf.sprintf "lst=%s" (Lsn.to_string t.lst));
   watch_leader_liveness t;
   let zk = t.ctx.zk () in
@@ -1204,10 +1192,7 @@ let rec try_commit t =
           (Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) popped_at)
       | None -> ())
     committable;
-  if committable <> [] then begin
-    retire_proposals t;
-    flush_parked_reads t
-  end;
+  if committable <> [] then flush_parked_reads t;
   if t.takeover_commit_wait && t.role = Leader && Lsn.(t.cmt >= t.takeover_open_at) then begin
     t.takeover_commit_wait <- false;
     trace t "takeover_commit_done" (Printf.sprintf "cmt=%s" (Lsn.to_string t.cmt));
@@ -1463,55 +1448,6 @@ and perform_write t ~arrived ~client ~request_id op =
            try_commit t));
     propose t [ (lsn, op, ts, origin) ]
 
-and propose_now t writes =
-  let piggyback_cmt =
-    if t.ctx.config.Config.piggyback_commits && Lsn.(t.cmt > Lsn.zero) then Some t.cmt
-    else None
-  in
-  let msg = Message.Propose { range = t.ctx.range; epoch = t.epoch; writes; piggyback_cmt } in
-  let trace_id = propose_trace_id t writes in
-  List.iter (fun f -> t.ctx.send ~trace_id ~dst:f msg) t.active_followers
-
-(* Replication pipelining ("Paxos in the Cloud"): with a finite window, at
-   most [pipeline_depth] Propose batches may be awaiting commit; writes that
-   arrive while the window is full accumulate and ship as one batched
-   Propose when a slot frees. Depth 0 keeps the historical behavior — every
-   write proposed the moment it is appended, unbounded. Held-back writes are
-   already in the commit queue and the WAL, so the periodic re-propose tick
-   still guarantees delivery if acks stall. *)
-and propose t writes =
-  if t.ctx.config.Config.pipeline_depth <= 0 then propose_now t writes
-  else begin
-    t.unproposed <- List.rev_append writes t.unproposed;
-    pump_proposals t
-  end
-
-and pump_proposals t =
-  if
-    Queue.length t.inflight_props < t.ctx.config.Config.pipeline_depth
-    && t.unproposed <> []
-  then begin
-    let batch = List.rev t.unproposed in
-    t.unproposed <- [];
-    let highest =
-      List.fold_left (fun acc (lsn, _, _, _) -> Lsn.max acc lsn) Lsn.zero batch
-    in
-    Queue.push highest t.inflight_props;
-    propose_now t batch
-  end
-
-(* Retire committed Propose batches and refill the window; called whenever
-   cmt advances on the leader. *)
-and retire_proposals t =
-  if t.ctx.config.Config.pipeline_depth > 0 then begin
-    while
-      (not (Queue.is_empty t.inflight_props)) && Lsn.(Queue.peek t.inflight_props <= t.cmt)
-    do
-      ignore (Queue.pop t.inflight_props)
-    done;
-    pump_proposals t
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Read path (§5): strong reads are served by the leader — locally under a
    live lease, behind a read-index quorum round when leases are off, never
@@ -1674,13 +1610,9 @@ let handle_read t ~client ~request_id ~consistent ~token ~key ~cols ~single =
         (serve_reply (Message.Value v))
     | _ ->
       let values = List.map (fun col -> (col, probe_value col)) cols in
-      let service = Sim.Sim_time.of_us_f !probe_cost in
-      let reply =
-        match values with
-        | [ (_, v) ] when single -> Message.Value v
-        | vs -> Message.Values vs
-      in
-      Sim.Resource.submit t.ctx.cpu ~service (serve_reply reply)
+      Sim.Resource.submit t.ctx.cpu
+        ~service:(Sim.Sim_time.of_us_f !probe_cost)
+        (serve_reply (Message.Values values))
   in
   gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit
 
@@ -1848,43 +1780,6 @@ let apply_commits t ~upto =
     end
   end
 
-(* Cumulative acks coalesce ([Config.ack_coalesce] > 0): instead of one Ack
-   per Propose, note the newest contiguous-forced prefix and answer once per
-   coalescing window. Acks are cumulative, so sending only the latest value
-   loses nothing; the window only defers when the leader learns it. *)
-let send_ack_now t ~dst ~upto ~trace_id =
-  t.ctx.send ~trace_id ~dst (Message.Ack { range = t.ctx.range; from = t.ctx.node_id; upto })
-
-let flush_ack t =
-  t.ack_timer_armed <- false;
-  match t.ack_pending with
-  | Some (dst, upto, trace_id) ->
-    t.ack_pending <- None;
-    if t.role = Follower then send_ack_now t ~dst ~upto ~trace_id
-  | None -> ()
-
-let send_or_coalesce_ack t ~dst ~upto ~trace_id =
-  let window = t.ctx.config.Config.ack_coalesce in
-  if Sim.Sim_time.span_compare window Sim.Sim_time.span_zero <= 0 then
-    send_ack_now t ~dst ~upto ~trace_id
-  else begin
-    (* Latest leader wins the destination; upto is monotone under Lsn.max,
-       and the trace id travels with whichever upto wins (the coalesced ack
-       is causally the newest covered write's ack; earlier requests it also
-       covers see the coalescing delay as ack wait). *)
-    let upto, trace_id =
-      match t.ack_pending with
-      | Some (_, prev, prev_tid) ->
-        if Lsn.(upto >= prev) then (upto, trace_id) else (prev, prev_tid)
-      | None -> (upto, trace_id)
-    in
-    t.ack_pending <- Some (dst, upto, trace_id);
-    if not t.ack_timer_armed then begin
-      t.ack_timer_armed <- true;
-      after t window (fun () -> flush_ack t)
-    end
-  end
-
 let handle_propose t ~src ~sent_at ~epoch ~writes ~piggyback_cmt =
   if epoch >= t.epoch && t.role <> Offline && t.role <> Leader then begin
     accept_leader t ~src ~epoch;
@@ -1953,7 +1848,8 @@ let handle_propose t ~src ~sent_at ~epoch ~writes ~piggyback_cmt =
             | None -> -1
           else -1
         in
-        send_or_coalesce_ack t ~dst:src ~upto ~trace_id
+        t.ctx.send ~trace_id ~dst:src
+          (Message.Ack { range = t.ctx.range; from = t.ctx.node_id; upto })
       end
     in
     if !appended <> [] then Wal.force t.ctx.wal (guard t ack) else ack ();

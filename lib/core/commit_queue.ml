@@ -12,7 +12,7 @@ type entry = {
    Writes arrive in LSN order and leave at the head, so the common add is an
    append and every pop advances [lo]; neither path-copies anything.
    The rest are incremental indexes that keep per-write work O(log n):
-   under a deep replication pipeline thousands of entries sit here at once,
+   under a saturating write load thousands of entries sit here at once,
    and full-queue walks on every version lookup, force completion and
    cumulative ack made the leader quadratic in its own backlog (the
    fig11-at-scale run spent ~40% of its wall clock inside

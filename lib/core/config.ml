@@ -5,18 +5,6 @@ type t = {
   session_timeout : Sim.Sim_time.span;
   disk : Sim.Disk_model.kind;
   wal_max_batch : int;
-  pipeline_depth : int;
-      (** Max outstanding (not yet majority-committed) Propose batches per
-          cohort. Writes arriving while the window is full are held back and
-          shipped as one batched Propose when a slot frees — deeper pipelines
-          trade batching for per-write latency ("Paxos in the Cloud" §5).
-          [0] = propose every write immediately, unbounded (historical
-          behavior). *)
-  ack_coalesce : Sim.Sim_time.span;
-      (** Follower-side ack coalescing: instead of answering every Propose
-          with its own cumulative Ack, defer up to this span and send one Ack
-          covering everything forced meanwhile. [span_zero] = ack per Propose
-          (historical behavior). *)
   piggyback_commits : bool;
   flush_bytes : int;
   row_cache_capacity : int;
@@ -42,8 +30,6 @@ let default =
     session_timeout = Sim.Sim_time.sec 2;
     disk = Sim.Disk_model.Magnetic;
     wal_max_batch = 24;
-    pipeline_depth = 0;
-    ack_coalesce = Sim.Sim_time.span_zero;
     piggyback_commits = false;
     flush_bytes = 4 * 1024 * 1024;
     row_cache_capacity = 4096;

@@ -15,14 +15,6 @@ type t = {
   session_timeout : Sim.Sim_time.span;  (** Zookeeper failure-detection timeout *)
   disk : Sim.Disk_model.kind;  (** logging device *)
   wal_max_batch : int;  (** group-commit batch bound; 1 disables group commit *)
-  pipeline_depth : int;
-      (** max outstanding (not yet majority-committed) Propose batches per
-          cohort; writes arriving while the window is full ship as one
-          batched Propose when a slot frees. 0 = propose every write
-          immediately, unbounded (historical behavior) *)
-  ack_coalesce : Sim.Sim_time.span;
-      (** follower ack coalescing window: defer cumulative Acks up to this
-          span and send one per window. [span_zero] = ack per Propose *)
   piggyback_commits : bool;
       (** piggy-back commit messages on proposes (§D.1 optimisation) *)
   flush_bytes : int;  (** memtable flush threshold *)

@@ -135,8 +135,9 @@ type t =
       epoch : int;  (** sender's leadership epoch; stale epochs are rejected *)
       writes :
         (Storage.Lsn.t * Storage.Log_record.op * int * Storage.Log_record.origin option) list;
-          (** (lsn, op, timestamp, origin); >1 entry when a pipelined window
-              or a re-propose ships several writes. The origin — the issuing
+          (** (lsn, op, timestamp, origin); one entry when a write is first
+              proposed, more when the commit tick re-proposes the
+              uncommitted tail. The origin — the issuing
               request and its client's floor, when known — travels with the
               write so every replica can recognise a duplicate retry even
               after a leader change. *)

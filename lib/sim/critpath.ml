@@ -21,10 +21,9 @@
    Inside the force ∥ replication parallel section the binding branch wins:
    if the local log force finished last, the whole section is leader force;
    otherwise the replication branch is walked through its own milestones —
-   propose transit, follower force, ack wait (pipeline hold-back plus
-   coalescing delay plus quorum wait), ack transit. A missing edge (a
-   coalesced ack tagged with a different request, an event evicted from the
-   ring) degrades to a coarser charge and flags the request, never a
+   propose transit, follower force, ack wait (re-proposal delay plus
+   quorum wait), ack transit. A missing edge (a cumulative ack tagged with a
+   newer write, an event evicted from the ring) degrades to a coarser charge and flags the request, never a
    mis-attribution that still claims full detail. *)
 
 type segment =
@@ -224,7 +223,8 @@ let analyze_request ~events =
             | Some prop_any ->
               (* Walk the branch through the follower whose ack closed the
                  quorum; fall back to the first proposed-to follower when the
-                 committing ack was coalesced under a different trace id. *)
+                 committing ack is a cumulative one tagged with a newer
+                 write. *)
               let follower = match ack with Some a -> a.src | None -> prop_any.dst in
               let prop =
                 match
@@ -235,7 +235,7 @@ let analyze_request ~events =
                 | Some p -> p
                 | None -> prop_any
               in
-              advance Ack_wait prop.s_at;  (* pipeline hold-back *)
+              advance Ack_wait prop.s_at;  (* re-proposal delay *)
               advance Transit prop.e_at;
               (match
                  first_where (fun sp -> sp.src = follower && sp.s_at >= prop.s_at) ffs
@@ -244,7 +244,7 @@ let analyze_request ~events =
               | None -> ());
               (match ack with
               | Some a ->
-                advance Ack_wait a.s_at;  (* ack coalescing delay *)
+                advance Ack_wait a.s_at;  (* a hole below held the ack back *)
                 advance Transit a.e_at
               | None -> ());
               advance Ack_wait p2 (* in-order quorum wait *)

@@ -7,8 +7,8 @@
     critical-path segments via a monotone milestone sweep. The sweep starts
     at the submit instant and ends exactly at the reply instant, so the
     segments sum to the end-to-end latency {e by construction} (see
-    {!conservation_error}); a missing causal edge (coalesced ack tagged with
-    another request, evicted event) degrades to a coarser charge and flags
+    {!conservation_error}); a missing causal edge (a cumulative ack tagged
+    with a newer write, an evicted event) degrades to a coarser charge and flags
     the request [incomplete] rather than mis-attributing. *)
 
 (** One disjoint slice of a request's latency:
@@ -22,7 +22,7 @@
       force ∥ replication section
     - [Follower_force]: the quorum-closing follower's log force
     - [Ack_wait]: replication wait not explained by wire or follower force —
-      pipeline hold-back, ack coalescing delay, in-order quorum wait
+      re-proposal delay after a lost Propose, in-order quorum wait
     - [Apply]: commit apply and reply issue on the leader
     - [Read]: serving-replica read execution (CPU queue plus store probe) not
       covered by the sub-spans below — reads only

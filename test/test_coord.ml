@@ -198,6 +198,29 @@ let test_client_crash_expires_session () =
   Sim.Engine.run_for engine (Sim.Sim_time.sec 5);
   check_bool "ephemeral gone after expiry" false (Coord.Zk_server.exists server ~path:"/e")
 
+(* A node whose link is cut declares its session dead and reconnects with a
+   fresh one, as a datastore node does. The server expires each abandoned
+   session and keeps only the live one, however many came before it. *)
+let test_reconnects_keep_only_live_session () =
+  let engine, server = server () in
+  let current = ref None in
+  let rec connect_node () =
+    let c = Coord.Zk_client.connect server ~owner:"node-3" () in
+    Coord.Zk_client.set_on_session_expiry c (fun () -> current := Some (connect_node ()));
+    c
+  in
+  current := Some (connect_node ());
+  let live () = Option.get !current in
+  for _ = 1 to 5 do
+    let before = live () in
+    Coord.Zk_client.set_reachable before false;
+    Sim.Engine.run_for engine (Sim.Sim_time.sec 2);
+    check_bool "reconnected with a fresh session" true (live () != before)
+  done;
+  Sim.Engine.run_for engine (Sim.Sim_time.sec 5);
+  check_bool "the last session is live" true (Coord.Zk_client.alive (live ()));
+  check_int "the server holds only the live session" 1 (Coord.Zk_server.session_count server)
+
 let test_client_watch_delivery () =
   let engine, server = server () in
   let watcher = Coord.Zk_client.connect server ~owner:"w" () in
@@ -446,6 +469,8 @@ let suite =
     Alcotest.test_case "client: crash suppresses callbacks" `Quick
       test_client_crash_suppresses_callbacks;
     Alcotest.test_case "client: crash expires session" `Quick test_client_crash_expires_session;
+    Alcotest.test_case "client: reconnects leave only the live session" `Quick
+      test_reconnects_keep_only_live_session;
     Alcotest.test_case "client: watch delivery" `Quick test_client_watch_delivery;
     Alcotest.test_case "client: FIFO request order (regression)" `Quick test_client_fifo_order;
     Alcotest.test_case "reader: FIFO and a session handle's latency" `Quick

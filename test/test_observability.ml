@@ -427,8 +427,7 @@ let test_flight_pins_survive_eviction () =
 (* One isolated write; its net.transit spans must form a connected causal
    chain across the cluster: client -> leader (request), leader -> both
    followers (propose), followers -> leader (acks), leader -> client
-   (reply). ack_coalesce is zero in [test_config], so every ack is tagged
-   with the write it covers. *)
+   (reply). A lone write's ack is tagged with that write. *)
 let test_transit_dag_connected () =
   let engine, cluster = boot () in
   let client = Cluster.new_client cluster in

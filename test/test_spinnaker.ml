@@ -157,7 +157,16 @@ let test_multi_column_put_and_get () =
       "all columns"
       [ ("a", Some "1"); ("b", Some "2"); ("c", Some "3") ]
       (List.map (fun (c, Client.{ value; _ }) -> (c, value)) cols)
-  | Error e -> Alcotest.failf "multi_get: %a" Client.pp_error e)
+  | Error e -> Alcotest.failf "multi_get: %a" Client.pp_error e);
+  (* One column still comes back under its own name. *)
+  let g1 = ref None in
+  Client.multi_get client key [ "b" ] (fun x -> g1 := Some x);
+  match await engine g1 with
+  | Ok cols ->
+    Alcotest.(check (list (pair string (option string))))
+      "one column, named" [ ("b", Some "2") ]
+      (List.map (fun (c, Client.{ value; _ }) -> (c, value)) cols)
+  | Error e -> Alcotest.failf "one-column multi_get: %a" Client.pp_error e
 
 let test_multi_conditional_put () =
   let engine, cluster = boot () in
@@ -691,6 +700,69 @@ let test_leader_partition_cannot_commit () =
   Sim.Network.heal (Cluster.net cluster);
   check_bool "commits after heal" true (Result.is_ok (await engine r))
 
+(* A write's only Propose is lost on both follower links, and the links heal
+   before the next commit tick. Nothing sends the write again but that tick's
+   re-proposal of the uncommitted tail, sent beside the periodic commit
+   message (§5): the write commits within about one commit period, its client
+   hears once, and each follower logs and applies it once. *)
+let test_lost_propose_reproposed_by_commit_tick () =
+  let engine, cluster = boot () in
+  let client = Cluster.new_client cluster in
+  let key = key_for cluster 38 in
+  ignore (put_sync engine client key "c" "pre");
+  let range, leader = leader_of_key cluster key in
+  let leader = Option.get leader in
+  let followers =
+    List.filter (fun n -> n <> leader) (Partition.cohort (Cluster.partition cluster) ~range)
+  in
+  let net = Cluster.net cluster in
+  List.iter (fun f -> Sim.Network.partition_oneway net ~src:leader ~dst:f) followers;
+  let replies = ref 0 and r = ref None in
+  let sent = Sim.Engine.now engine in
+  Client.put client key "c" ~value:"reproposed" (fun x ->
+      incr replies;
+      r := Some x);
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 5);
+  check_bool "no follower got the Propose" true (!r = None);
+  List.iter (fun f -> Sim.Network.heal_oneway net ~src:leader ~dst:f) followers;
+  check_bool "committed" true (Result.is_ok (await engine r));
+  let period = test_config.Config.commit_period in
+  check_bool "committed within about one commit period" true
+    (Sim.Sim_time.span_compare
+       (Sim.Sim_time.diff (Sim.Engine.now engine) sent)
+       (Sim.Sim_time.span_add period (Sim.Sim_time.ms 20))
+    <= 0);
+  (* Two more ticks bring the commit point to the followers. *)
+  Sim.Engine.run_for engine (Sim.Sim_time.span_add period period);
+  check_int "acknowledged once" 1 !replies;
+  let cohort_on n = Option.get (Node.cohort (Cluster.node cluster n) ~range) in
+  let lsn =
+    match Cohort.read_local (cohort_on leader) (key, "c") with
+    | Some cell -> cell.Storage.Row.lsn
+    | None -> Alcotest.fail "leader lost the write"
+  in
+  List.iter
+    (fun f ->
+      (match Cohort.read_local (cohort_on f) (key, "c") with
+      | Some cell ->
+        Alcotest.(check (option string)) "follower applied it" (Some "reproposed")
+          cell.Storage.Row.value;
+        check_bool "at the leader's LSN" true (Storage.Lsn.compare cell.Storage.Row.lsn lsn = 0)
+      | None -> Alcotest.fail "follower never applied the write");
+      let copies =
+        List.length
+          (List.filter
+             (fun { Storage.Log_record.cohort; entry } ->
+               cohort = range
+               &&
+               match entry with
+               | Storage.Log_record.Write w -> Storage.Lsn.compare w.lsn lsn = 0
+               | _ -> false)
+             (Storage.Wal.durable_records (Node.wal (Cluster.node cluster f))))
+      in
+      check_int "follower logged it once" 1 copies)
+    followers
+
 let test_full_cohort_restart_recovers_committed_state () =
   let engine, cluster = boot () in
   let client = Cluster.new_client cluster in
@@ -1140,4 +1212,6 @@ let suite =
     Alcotest.test_case "multi-column writes are one log record" `Quick
       test_multi_column_write_is_one_record;
     Alcotest.test_case "idle clients schedule nothing" `Quick test_idle_clients_schedule_nothing;
+    Alcotest.test_case "lost propose: commit tick re-proposes it" `Quick
+      test_lost_propose_reproposed_by_commit_tick;
   ]
