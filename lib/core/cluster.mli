@@ -37,7 +37,7 @@ val flight : t -> Sim.Trace.Flight.t
     {!new_client} reports its completed requests here, and each 1 s
     window's top [Config.outlier_top_k] slowest keep their trace events
     pinned past ring eviction (export with
-    {!Sim.Trace_export.outliers_to_file}). *)
+    {!Sim.Trace_export.outliers_to_json}). *)
 
 val metrics : t -> Sim.Metrics.Registry.t
 (** The cluster metrics registry. [create] registers the cluster-wide

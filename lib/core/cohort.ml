@@ -111,11 +111,6 @@ module Client_tbl = Hashtbl.Make (struct
   let hash c = c land max_int
 end)
 
-(* Per leader-tracked write (keyed by its last LSN): the append instant for
-   the phase histograms plus the request's trace id and open replication
-   span, so [try_commit] can close the span it did not open. *)
-type inflight = { started : Sim.Sim_time.t; trace_id : int; repl_span : int }
-
 (* Leader-side replica-migration state (§10): ship a snapshot of the store to
    the joiner stop-and-wait, then run WAL catch-up from the snapshot horizon,
    then commit a [Cohort_change] record that swaps the joiner in. *)
@@ -186,8 +181,6 @@ type t = {
   (* instrumentation *)
   phases : Sim.Metrics.Write_phases.t;
       (** per-phase write-path latencies for writes this cohort led *)
-  inflight_started : (Lsn.t, inflight) Hashtbl.t;
-      (** in-flight state of each leader-tracked write, keyed by its last LSN *)
   (* transaction state (leader-scoped; rebuilt from store + queue on open) *)
   locks : (Row.coord, string) Hashtbl.t;
       (** base coordinate -> transaction holding a write intent there, granted
@@ -286,7 +279,6 @@ let create ctx =
         token_redirects = 0;
       };
     phases = Sim.Metrics.Write_phases.create ();
-    inflight_started = Hashtbl.create 64;
     locks = Hashtbl.create 16;
     pending_decisions = Hashtbl.create 16;
     resolving = Hashtbl.create 16;
@@ -348,6 +340,12 @@ let guard t k =
 
 let now_us t = Sim.Sim_time.time_to_us (Sim.Engine.now t.ctx.engine)
 
+(* A record's trace id is a pure function of its originating request; one
+   without an origin is untraced (-1). *)
+let origin_trace_id = function
+  | Some { Log_record.client; request_id; _ } -> Sim.Trace.request_trace_id ~client ~request_id
+  | None -> -1
+
 (* Trace id for a Propose batch: the newest write in the batch that carries an
    originating (client, request id). Tagging the batch's transit span with it
    lets the causal analyzer charge the propose hop to that request; writes
@@ -355,13 +353,10 @@ let now_us t = Sim.Sim_time.time_to_us (Sim.Engine.now t.ctx.engine)
    untagged. *)
 let propose_trace_id t writes =
   if tracing t then
-    match
-      List.fold_left
-        (fun acc (_, _, _, origin) -> match origin with Some _ -> origin | None -> acc)
-        None writes
-    with
-    | Some { Log_record.client; request_id; _ } -> Sim.Trace.request_trace_id ~client ~request_id
-    | None -> -1
+    origin_trace_id
+      (List.fold_left
+         (fun acc (_, _, _, origin) -> match origin with Some _ -> origin | None -> acc)
+         None writes)
   else -1
 
 (* Send a freshly appended record to the followers; the caller forces it
@@ -622,16 +617,27 @@ let truncate_logically t lsns =
     trace t "logical_truncation" (String.concat "," (List.map Lsn.to_string lsns))
   end
 
-(* Drop the commit-queue entries above [lsn] and release their in-flight
-   duplicate markers, so a client retry is not silently swallowed if this
-   node is later elected. *)
-let drop_queue_above t lsn =
+(* Release the in-flight duplicate markers of commit-queue entries dropped
+   uncommitted, so a client retry is not silently swallowed if this node is
+   later elected. *)
+let release_dropped t entries =
   List.iter
     (fun (e : Commit_queue.entry) ->
       match e.Commit_queue.origin with
       | Some { Log_record.client; request_id; _ } -> clear_in_flight t ~client ~request_id
       | None -> ())
-    (Commit_queue.drop_above t.queue lsn)
+    entries
+
+let drop_queue_above t lsn = release_dropped t (Commit_queue.drop_above t.queue lsn)
+
+module Seq_map = Map.Make (Int)
+
+(* A newer leader reuses a sequence number only above its own contiguous
+   prefix, so where the log holds one seq under several epochs, only the
+   newest epoch's record can have committed. Maps each seq of the given
+   LSN-ordered durable records to that newest LSN. *)
+let newest_per_seq writes =
+  List.fold_left (fun m (lsn, _, _, _) -> Seq_map.add lsn.Lsn.seq lsn m) Seq_map.empty writes
 
 (* The commit queue's pending entries as Propose writes, for re-proposal. *)
 let queued_writes t =
@@ -655,13 +661,24 @@ let start_takeover t =
      from the durable log (they may not be in memory if we just restarted).
      They are already forced locally; they commit once a follower acks. A
      record an earlier takeover truncated logically is dead, not
-     unresolved: re-queued, it would hold the commit point below it. *)
+     unresolved: re-queued, it would hold the commit point below it. So is
+     a deposed epoch's record whose seq a newer epoch reused: re-queued, it
+     would commit in the newer record's place, which then never gets a
+     contiguous ack. It leaves the queue too, if an earlier term put it
+     there. *)
   let skipped = Store.skipped t.ctx.store in
+  let writes = Wal.durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above:t.cmt ~upto:t.lst in
+  let newest = newest_per_seq writes in
+  let live, dead =
+    List.partition (fun (lsn, _, _, _) -> Lsn.equal lsn (Seq_map.find lsn.Lsn.seq newest)) writes
+  in
+  let dead = List.map (fun (lsn, _, _, _) -> lsn) dead in
+  release_dropped t (List.filter_map (Commit_queue.remove t.queue) dead);
   List.iter
     (fun (lsn, op, timestamp, origin) ->
       if not (Commit_queue.mem t.queue lsn || Skipped_lsns.mem skipped lsn) then
         Commit_queue.add t.queue ~lsn ~op ~timestamp ?origin ())
-    (Wal.durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above:t.cmt ~upto:t.lst);
+    live;
   Commit_queue.mark_forced_upto t.queue t.lst;
   (* Nothing above the contiguous prefix lst was ever committed — a
      committed record up there would have out-bid us in the max-lst
@@ -673,8 +690,9 @@ let start_takeover t =
   truncate_logically t
     (List.filter
        (fun l -> not (Skipped_lsns.mem skipped l))
-       (Store.durable_write_lsns_in t.ctx.store ~above:t.lst
-          ~upto:(Wal.last_write_lsn t.ctx.wal ~cohort:t.ctx.range)));
+       (dead
+        @ Store.durable_write_lsns_in t.ctx.store ~above:t.lst
+            ~upto:(Wal.last_write_lsn t.ctx.wal ~cohort:t.ctx.range)));
   (* Pending entries' originating requests are in flight again: a client
      retry arriving mid-takeover must wait for the re-proposed original to
      commit, not enqueue a second copy behind it. *)
@@ -1155,35 +1173,32 @@ let rec try_commit t =
   List.iter
     (fun (e : Commit_queue.entry) ->
       (* Replication phase ends when the entry becomes commit-eligible; only
-         the client writes this leader appended are in the table, so
-         takeover-rebuilt and meta entries record nothing. *)
+         the client writes this leader appended carry a replication span, so
+         takeover-rebuilt and meta entries record nothing. The append instant
+         is the entry's timestamp. *)
       let popped_at = Sim.Engine.now t.ctx.engine in
       let tracked =
-        match Hashtbl.find_opt t.inflight_started e.Commit_queue.lsn with
-        | Some inf ->
-          Hashtbl.remove t.inflight_started e.lsn;
+        match e.Commit_queue.repl_span with
+        | Some span ->
+          let trace_id = origin_trace_id e.origin in
           Sim.Metrics.Histogram.record_span t.phases.replication
-            (Sim.Sim_time.diff popped_at inf.started);
+            (Sim.Sim_time.diff popped_at (Sim.Sim_time.at_us e.timestamp));
           let lsn = if tracing t then Lsn.to_string e.lsn else "" in
-          span_end t ~span:inf.repl_span ~trace_id:inf.trace_id ~lsn ~tag:"phase.replication"
-            "commit eligible";
-          let apply_span = span_start t ~trace_id:inf.trace_id ~lsn ~tag:"phase.apply" "" in
-          Some (inf.trace_id, apply_span, lsn)
+          span_end t ~span ~trace_id ~lsn ~tag:"phase.replication" "commit eligible";
+          let apply_span = span_start t ~trace_id ~lsn ~tag:"phase.apply" "" in
+          Some (trace_id, apply_span, lsn)
         | None -> None
       in
-      Store.apply t.ctx.store ~lsn:e.Commit_queue.lsn ~timestamp:e.timestamp e.op;
+      Store.apply t.ctx.store ~lsn:e.lsn ~timestamp:e.timestamp e.op;
       t.cmt <- Lsn.max t.cmt e.lsn;
       if Log_record.is_meta e.op then on_meta t e.op;
-      (match e.reply with
-      | Some k -> k ()
-      | None ->
-        (* Entries rebuilt from the log during takeover carry no reply
-           closure but may carry an origin: answer the (possibly still
-           retrying) client and remember the outcome. *)
-        (match e.origin with
-        | Some { Log_record.client; request_id; _ } ->
-          reply_write t ~client ~request_id (reply_for_record e.op ~lsn:e.lsn)
-        | None -> ()));
+      (* Every client write answers from its origin, whether this leader
+         appended it or a takeover rebuilt it from the log (its client may
+         still be retrying); the outcome is remembered either way. *)
+      (match e.origin with
+      | Some { Log_record.client; request_id; _ } ->
+        reply_write t ~client ~request_id (reply_for_record e.op ~lsn:e.lsn)
+      | None -> ());
       txn_applied t e.op;
       match tracked with
       | Some (trace_id, apply_span, lsn) ->
@@ -1346,8 +1361,14 @@ and arm_txn_sweep t =
     after t txn_sweep_period tick
   end
 
+(* Writes block during takeover, during the momentary window at the end of a
+   follower catch-up (§6.1), and while a range split is being logged; they
+   park in [waiting] and drain when the cohort (re)opens. *)
+and writes_admitted t =
+  t.role = Leader && t.open_for_writes && t.pending_final = [] && not t.splitting
+
 and drain_waiting t =
-  if t.role = Leader && t.open_for_writes && t.pending_final = [] && not t.splitting then begin
+  if writes_admitted t then begin
     let waiting = List.rev t.waiting in
     t.waiting <- [];
     (* Straight to [enqueue_write]: these already passed the duplicate gate
@@ -1390,11 +1411,7 @@ and handle_write t ~client ~request_id ~floor op =
   end
 
 and enqueue_write t ~client ~request_id op =
-  if (not t.open_for_writes) || t.pending_final <> [] || t.splitting then
-    (* Writes block during takeover, during the momentary window at the end
-       of a follower catch-up (§6.1), and while a range split is being
-       logged; they drain when the cohort (re)opens. *)
-    t.waiting <- { client; request_id; op } :: t.waiting
+  if not (writes_admitted t) then t.waiting <- { client; request_id; op } :: t.waiting
   else begin
     let arrived = Sim.Engine.now t.ctx.engine in
     let service = Sim.Sim_time.of_us_f Config.write_service_us in
@@ -1407,8 +1424,17 @@ and enqueue_write t ~client ~request_id op =
     Sim.Resource.submit t.ctx.cpu ~service
       (guard t (fun () ->
            span_end t ~span:queue_span ~trace_id ~tag:"phase.queue" "cpu granted";
-           if t.role = Leader && t.open_for_writes && t.pending_final = [] && not t.splitting
-           then perform_write t ~arrived ~client ~request_id op
+           if writes_admitted t then begin
+             match write_record t ~client ~request_id ~ts:(now_us t) op with
+             | None -> ()
+             | Some op ->
+               Sim.Metrics.Histogram.record_span t.phases.queue
+                 (Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) arrived);
+               (* The origin's floor is the highest the client has reported
+                  here, so replicas trim on apply. *)
+               let floor = (replies_of t client).floor in
+               append t ~origin:{ Log_record.client; request_id; floor } op
+           end
            else if t.role = Leader then
              t.waiting <- { client; request_id; op } :: t.waiting
            else begin
@@ -1417,36 +1443,43 @@ and enqueue_write t ~client ~request_id op =
            end))
   end
 
-and perform_write t ~arrived ~client ~request_id op =
+(* Leader-only: give a record the next LSN, queue it and append it to the
+   log, then force it locally while proposing it (Figure 4); it commits by
+   the usual majority rule. A client write carries its [origin]: only then
+   are its write phases sampled and its spans traced, and it is answered
+   when it commits. Metadata records (membership changes and range splits,
+   §10) carry none: they ride the same log as data writes, so every replica
+   applies them at the same point in the LSN order. Acks are filtered by
+   membership, so the majority is the OLD configuration's: a not-yet-promoted
+   learner cannot help commit the record that promotes it. *)
+and append t ?origin op =
   let ts = now_us t in
-  match write_record t ~client ~request_id ~ts op with
-  | None -> ()
-  | Some op ->
-    let lsn = Lsn.make ~epoch:t.epoch ~seq:(t.lst.Lsn.seq + 1) in
-    t.lst <- lsn;
-    (* The record carries the client reply and the origin. The origin's
-       floor is the highest the client has reported here, so replicas trim
-       on apply. *)
-    let origin = Some { Log_record.client; request_id; floor = (replies_of t client).floor } in
-    let reply () = reply_write t ~client ~request_id (reply_for_record op ~lsn) in
-    Commit_queue.add t.queue ~lsn ~op ~timestamp:ts ?origin ~reply ();
-    Wal.append t.ctx.wal (Log_record.write ~cohort:t.ctx.range ~lsn ~timestamp:ts ?origin op);
-    let started = Sim.Engine.now t.ctx.engine in
-    Sim.Metrics.Histogram.record_span t.phases.queue (Sim.Sim_time.diff started arrived);
-    let trace_id = Sim.Trace.request_trace_id ~client ~request_id in
-    let lsn_s = if tracing t then Lsn.to_string lsn else "" in
-    let force_span = span_start t ~trace_id ~lsn:lsn_s ~tag:"phase.force" "" in
-    let repl_span = span_start t ~trace_id ~lsn:lsn_s ~tag:"phase.replication" "" in
-    Hashtbl.replace t.inflight_started lsn { started; trace_id; repl_span };
-    (* Log force and propose happen in parallel (Figure 4). *)
-    Wal.force t.ctx.wal
-      (guard t (fun () ->
+  let lsn = Lsn.make ~epoch:t.epoch ~seq:(t.lst.Lsn.seq + 1) in
+  t.lst <- lsn;
+  let record = Log_record.write ~cohort:t.ctx.range ~lsn ~timestamp:ts ?origin op in
+  let lsn_s = if tracing t then Lsn.to_string lsn else "" in
+  let trace_id = origin_trace_id origin in
+  let force_span, repl_span =
+    match origin with
+    | Some _ ->
+      let force_span = span_start t ~trace_id ~lsn:lsn_s ~tag:"phase.force" "" in
+      (force_span, Some (span_start t ~trace_id ~lsn:lsn_s ~tag:"phase.replication" ""))
+    | None ->
+      if tracing t then trace t "meta_append" (Format.asprintf "%s %a" lsn_s Log_record.pp record);
+      (0, None)
+  in
+  Commit_queue.add t.queue ~lsn ~op ~timestamp:ts ?origin ?repl_span ();
+  Wal.append t.ctx.wal record;
+  Wal.force t.ctx.wal
+    (guard t (fun () ->
+         if origin <> None then begin
            Sim.Metrics.Histogram.record_span t.phases.force
-             (Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) started);
-           span_end t ~span:force_span ~trace_id ~lsn:lsn_s ~tag:"phase.force" "locally durable";
-           Commit_queue.mark_forced_upto t.queue lsn;
-           try_commit t));
-    propose t [ (lsn, op, ts, origin) ]
+             (Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) (Sim.Sim_time.at_us ts));
+           span_end t ~span:force_span ~trace_id ~lsn:lsn_s ~tag:"phase.force" "locally durable"
+         end;
+         Commit_queue.mark_forced_upto t.queue lsn;
+         try_commit t));
+  propose t [ (lsn, op, ts, origin) ]
 
 (* ------------------------------------------------------------------ *)
 (* Read path (§5): strong reads are served by the leader — locally under a
@@ -1802,12 +1835,7 @@ let handle_propose t ~src ~sent_at ~epoch ~writes ~piggyback_cmt =
           end
         end)
       writes;
-    let force_tid =
-      match !newest_origin with
-      | Some { Log_record.client; request_id; _ } when tracing t ->
-        Sim.Trace.request_trace_id ~client ~request_id
-      | _ -> -1
-    in
+    let force_tid = if tracing t then origin_trace_id !newest_origin else -1 in
     let force_span =
       if !appended <> [] then span_start t ~trace_id:force_tid ~tag:"follower.force" ""
       else 0
@@ -1841,12 +1869,7 @@ let handle_propose t ~src ~sent_at ~epoch ~writes ~piggyback_cmt =
            queue entry at the acked point — cumulative acks answer the whole
            forced prefix, and that entry's commit is what the ack unblocks. *)
         let trace_id =
-          if tracing t then
-            match Commit_queue.origin_at t.queue upto with
-            | Some { Log_record.client; request_id; _ } ->
-              Sim.Trace.request_trace_id ~client ~request_id
-            | None -> -1
-          else -1
+          if tracing t then origin_trace_id (Commit_queue.origin_at t.queue upto) else -1
         in
         t.ctx.send ~trace_id ~dst:src
           (Message.Ack { range = t.ctx.range; from = t.ctx.node_id; upto })
@@ -1899,31 +1922,6 @@ let handle_guard_ack t ~from ~seq =
                g.g_serve ()
              end
            | _ -> ()))
-
-(* ------------------------------------------------------------------ *)
-(* Metadata records: membership changes and range splits ride the same
-   Paxos-replicated log as data writes, so every replica applies them at
-   the same point in the LSN order (§10).                               *)
-
-(* Leader-only: append a metadata record to the log and replicate it like any
-   write — forced locally, proposed to the followers, committed by the usual
-   majority rule (the OLD configuration's majority: acks are filtered by
-   membership, so a not-yet-promoted learner cannot help commit the very
-   record that promotes it). *)
-let enqueue_meta t op =
-  let ts = now_us t in
-  let lsn = Lsn.make ~epoch:t.epoch ~seq:(t.lst.Lsn.seq + 1) in
-  t.lst <- lsn;
-  trace t "meta_append"
-    (Format.asprintf "%s %a" (Lsn.to_string lsn) Log_record.pp
-       (Log_record.write ~cohort:t.ctx.range ~lsn ~timestamp:ts op));
-  Commit_queue.add t.queue ~lsn ~op ~timestamp:ts ();
-  Wal.append t.ctx.wal (Log_record.write ~cohort:t.ctx.range ~lsn ~timestamp:ts op);
-  Wal.force t.ctx.wal
-    (guard t (fun () ->
-         Commit_queue.mark_forced_upto t.queue lsn;
-         try_commit t));
-  propose t [ (lsn, op, ts, None) ]
 
 (* ------------------------------------------------------------------ *)
 (* Catch-up: leader side (§6.1 and Figure 6 lines 3-7).                 *)
@@ -1991,7 +1989,7 @@ let leader_catchup_done t ~follower ~upto =
       | Some m when m.joiner = follower && m.phase = `Catchup ->
         m.phase <- `Change;
         trace t "migration_change" (Printf.sprintf "joiner=n%d caught up" m.joiner);
-        enqueue_meta t (Log_record.Cohort_change { add = Some m.joiner; remove = m.remove })
+        append t (Log_record.Cohort_change { add = Some m.joiner; remove = m.remove })
       | _ -> ());
       (match queued_writes t with
       | [] -> ()
@@ -2381,7 +2379,7 @@ let request_split t =
                                  after t (Sim.Sim_time.ms 50) drain
                                else begin
                                  Store.flush t.ctx.store;
-                                 enqueue_meta t (Log_record.Split { at; new_range })
+                                 append t (Log_record.Split { at; new_range })
                                end
                            in
                            draining := true;
@@ -2451,9 +2449,6 @@ let crash t =
      fresh round. *)
   Hashtbl.reset t.guards;
   t.parked_reads <- [];
-  (* Accumulated phase samples survive the crash (cluster-lifetime metrics);
-     in-flight tracking does not — those writes will never pop. *)
-  Hashtbl.reset t.inflight_started;
   Hashtbl.reset t.locks;
   Hashtbl.reset t.pending_decisions;
   Hashtbl.reset t.resolving;
@@ -2482,12 +2477,8 @@ let join_cohort t =
    can sit beyond a loss-induced hole, and advertising it in an election
    (Figure 7) could out-bid the replica actually holding a committed write. *)
 let recovered_contiguous_lst t ~cmt ~raw =
-  let module Seq_map = Map.Make (Int) in
   let by_seq =
-    List.fold_left
-      (fun m (lsn, _, _, _) -> Seq_map.add lsn.Lsn.seq lsn m)
-      Seq_map.empty
-      (Wal.durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above:cmt ~upto:raw)
+    newest_per_seq (Wal.durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above:cmt ~upto:raw)
   in
   let rec walk seq best =
     match Seq_map.find_opt (seq + 1) by_seq with

@@ -5,7 +5,7 @@ type entry = {
   origin : Storage.Log_record.origin option;
   mutable forced : bool;
   mutable ackers : int list;
-  reply : (unit -> unit) option;
+  repl_span : int option;
 }
 
 (* The queue proper is one array of entries sorted by LSN, live in [lo, hi).
@@ -60,7 +60,7 @@ let vacant =
     origin = None;
     forced = true;
     ackers = [];
-    reply = None;
+    repl_span = None;
   }
 
 let rec iter_writes f = function
@@ -159,8 +159,8 @@ let removed t (e : entry) =
   t.frontier <- None;
   index_remove t e
 
-let add t ~lsn ~op ~timestamp ?origin ?reply () =
-  let entry = { lsn; op; timestamp; origin; forced = false; ackers = []; reply } in
+let add t ~lsn ~op ~timestamp ?origin ?repl_span () =
+  let entry = { lsn; op; timestamp; origin; forced = false; ackers = []; repl_span } in
   ensure_room t;
   let at = upper_bound t lsn in
   if at > t.lo && Storage.Lsn.equal t.slots.(at - 1).lsn lsn then begin
@@ -286,6 +286,19 @@ let contiguous_forced_upto t ~from =
   in
   t.frontier <- Option.map (fun last -> (from, last)) best;
   best
+
+let remove t lsn =
+  let i = index_of t lsn in
+  if i < 0 then None
+  else begin
+    let e = t.slots.(i) in
+    Array.blit t.slots (i + 1) t.slots i (t.hi - i - 1);
+    t.hi <- t.hi - 1;
+    t.slots.(t.hi) <- vacant;
+    if t.forced_upto > i then t.forced_upto <- t.forced_upto - 1;
+    removed t e;
+    Some e
+  end
 
 let drop_above t lsn =
   let cut = upper_bound t lsn in

@@ -11,8 +11,9 @@
     Appending at the tail and popping at the head are O(1); {!mem},
     {!mark_forced}, {!origin_at} and the start of {!add_ack}'s walk
     binary-search the window; a back-filled LSN below the tail is inserted
-    by shifting, and {!drop_above} cuts a suffix. Removed entries' slots are
-    cleared, so nothing popped or dropped stays reachable from the queue.
+    and a {!remove}d one deleted by shifting, and {!drop_above} cuts a
+    suffix. Removed entries' slots are cleared, so nothing popped or dropped
+    stays reachable from the queue.
     Beside the array sit a forced-prefix cursor for {!mark_forced_upto}, a
     per-coordinate version overlay for {!latest_version_for} (built on the
     first lookup, so a follower never maintains it), per-follower
@@ -27,9 +28,12 @@ type entry = {
       (** issuing request and its client's floor, for duplicate suppression *)
   mutable forced : bool;  (** local log record forced to disk *)
   mutable ackers : int list;  (** follower node ids that acked *)
-  reply : (unit -> unit) option;
-      (** fires when the entry commits (sends the client response); only the
-          last entry of a multi-column transaction carries it *)
+  repl_span : int option;
+      (** set only on a client write this replica appended as leader: the
+          write's open [phase.replication] trace span (0 when tracing is
+          off). It marks the entries whose write phases the leader samples
+          when they commit; follower copies, takeover-rebuilt entries and
+          metadata records carry none. *)
 }
 
 type t
@@ -38,7 +42,7 @@ val create : unit -> t
 
 val add :
   t -> lsn:Storage.Lsn.t -> op:Storage.Log_record.op -> timestamp:int ->
-  ?origin:Storage.Log_record.origin -> ?reply:(unit -> unit) -> unit -> unit
+  ?origin:Storage.Log_record.origin -> ?repl_span:int -> unit -> unit
 (** Queue a write, unforced and unacked. Re-adding a queued LSN replaces its
     entry, and a follower whose applied ack covers the LSN is rewound so the
     new entry's acks are earned afresh. *)
@@ -90,6 +94,11 @@ val contiguous_forced_upto : t -> from:Storage.Lsn.t -> Storage.Lsn.t option
 (** Largest LSN such that every entry from just above [from] through it is
     present, seq-contiguous, and forced — the honest upper bound a follower
     may ack when proposes can arrive with holes. *)
+
+val remove : t -> Storage.Lsn.t -> entry option
+(** Remove the entry at the given LSN, if queued, and return it — a takeover
+    discards a record that a newer epoch's record at the same sequence
+    number superseded. *)
 
 val drop_above : t -> Storage.Lsn.t -> entry list
 (** Remove entries above the given LSN (discarded on leader change); returns

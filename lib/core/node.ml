@@ -32,7 +32,6 @@ type t = {
 
 let id t = t.id
 let alive t = t.alive
-let incarnation t = t.incarnation
 let wal t = t.wal
 let cohorts t = t.cohorts
 let cohort t ~range = List.assoc_opt range t.cohorts
@@ -116,7 +115,21 @@ and reconnect_zk t =
 (* ------------------------------------------------------------------ *)
 (* Cohort construction and the live-membership machinery (§10).        *)
 
-and make_cohort_with_store t range store =
+(* A replica of [range] on [store], or on a fresh store bounded to the range. *)
+and make_cohort ?store t range =
+  let store =
+    match store with
+    | Some store -> store
+    | None ->
+      let store =
+        Storage.Store.create ~cohort:range ~wal:t.wal ~flush_bytes:t.config.Config.flush_bytes
+          ~cache_capacity:t.config.Config.row_cache_capacity ()
+      in
+      (match Partition.range_bounds t.partition ~range with
+      | lo, hi -> Storage.Store.set_bounds store ~lo ~hi
+      | exception _ -> ());
+      store
+  in
   let ctx : Cohort.ctx =
     {
       engine = t.engine;
@@ -130,7 +143,7 @@ and make_cohort_with_store t range store =
       send = (fun ?trace_id ~dst msg -> send t ?trace_id ~dst msg);
       reply = (fun ~client ~request_id r -> reply t ~client ~request_id r);
       zk = (fun () -> zk_exn t);
-      incarnation = (fun () -> incarnation t);
+      incarnation = (fun () -> t.incarnation);
       routes_here = (fun key -> Partition.route t.partition key = range);
       range_bounds = (fun () -> Partition.range_bounds t.partition ~range);
       members = (fun () -> try Partition.cohort t.partition ~range with _ -> []);
@@ -147,15 +160,16 @@ and make_cohort_with_store t range store =
   in
   Cohort.create ctx
 
-and make_cohort t range =
-  let store =
-    Storage.Store.create ~cohort:range ~wal:t.wal ~flush_bytes:t.config.Config.flush_bytes
-      ~cache_capacity:t.config.Config.row_cache_capacity ()
-  in
-  (match Partition.range_bounds t.partition ~range with
-  | lo, hi -> Storage.Store.set_bounds store ~lo ~hi
-  | exception _ -> ());
-  make_cohort_with_store t range store
+(* Host a new replica of [range] at runtime: add it to the hosted set, trace
+   why ([note], a tag and its detail) and [start] it. *)
+and host t ?store ?note ~range start =
+  let c = make_cohort ?store t range in
+  t.cohorts <- t.cohorts @ [ (range, c) ];
+  (match note with
+  | Some (tag, detail) -> Sim.Trace.event t.trace ~node:t.id ~cohort:range ~tag detail
+  | None -> ());
+  start c;
+  c
 
 (* The node no longer hosts [range]: drop the replica and its log records.
    Without the log drop, a node later re-added to a range it once hosted
@@ -178,10 +192,7 @@ and ensure_learner t ~range ~src =
   | None ->
     if Partition.mem_range t.partition ~range then begin
       Storage.Wal.drop_cohort t.wal ~cohort:range;
-      let c = make_cohort t range in
-      t.cohorts <- t.cohorts @ [ (range, c) ];
-      Cohort.start_learner c ~leader:src;
-      Some c
+      Some (host t ~range (fun c -> Cohort.start_learner c ~leader:src))
     end
     else None
 
@@ -232,12 +243,9 @@ and apply_meta t ~range ~op ~leader =
       ignore (Partition.split t.partition ~range ~at ~new_range);
       let child_members = try Partition.cohort t.partition ~range:new_range with _ -> [] in
       if List.mem t.id child_members && not (List.mem_assoc new_range t.cohorts) then begin
-        let child_store = Storage.Store.split_child pstore ~cohort:new_range ~lo:at ~hi in
-        let c = make_cohort_with_store t new_range child_store in
-        t.cohorts <- t.cohorts @ [ (new_range, c) ];
-        Sim.Trace.event t.trace ~node:t.id ~cohort:new_range ~tag:"split_child"
-          (Printf.sprintf "r%d n%d from r%d at %s" new_range t.id range at);
-        Cohort.rejoin c
+        let store = Storage.Store.split_child pstore ~cohort:new_range ~lo:at ~hi in
+        let detail = Printf.sprintf "r%d n%d from r%d at %s" new_range t.id range at in
+        ignore (host t ~store ~note:("split_child", detail) ~range:new_range Cohort.rejoin)
       end;
       Storage.Store.set_bounds pstore ~lo ~hi:at;
       if leader then publish_layout t
@@ -273,14 +281,9 @@ and reconcile_layout t =
                   && List.mem t.id d.members
                   && not (List.mem_assoc d.id t.cohorts)
                 then begin
-                  let child_store =
-                    Storage.Store.split_child store ~cohort:d.id ~lo:d.lo ~hi:d.hi
-                  in
-                  let child = make_cohort_with_store t d.id child_store in
-                  t.cohorts <- t.cohorts @ [ (d.id, child) ];
-                  Sim.Trace.event t.trace ~node:t.id ~cohort:d.id ~tag:"split_child"
-                    (Printf.sprintf "r%d n%d reconciled from r%d" d.id t.id range);
-                  Cohort.rejoin child
+                  let store = Storage.Store.split_child store ~cohort:d.id ~lo:d.lo ~hi:d.hi in
+                  let detail = Printf.sprintf "r%d n%d reconciled from r%d" d.id t.id range in
+                  ignore (host t ~store ~note:("split_child", detail) ~range:d.id Cohort.rejoin)
                 end)
               (Partition.descs t.partition);
             Storage.Store.set_bounds store ~lo:slo ~hi:phi
@@ -291,11 +294,8 @@ and reconcile_layout t =
       (fun (d : Partition.desc) ->
         if List.mem t.id d.members && not (List.mem_assoc d.id t.cohorts) then begin
           Storage.Wal.drop_cohort t.wal ~cohort:d.id;
-          let c = make_cohort t d.id in
-          t.cohorts <- t.cohorts @ [ (d.id, c) ];
-          Sim.Trace.event t.trace ~node:t.id ~cohort:d.id ~tag:"range_adopted"
-            (Printf.sprintf "r%d n%d" d.id t.id);
-          Cohort.rejoin c
+          let detail = Printf.sprintf "r%d n%d" d.id t.id in
+          ignore (host t ~note:("range_adopted", detail) ~range:d.id Cohort.rejoin)
         end)
       (Partition.descs t.partition);
     List.iter
@@ -426,13 +426,17 @@ let create ~engine ~net ~zk_server ~partition ~config ~trace ~planted_hole_ack_b
 
 let set_txn_escalation t f = t.txn_escalation <- Some f
 
+(* First boot, and the tail of every restart. The layout may have moved
+   while the node was down (the shared routing table is authoritative), and
+   a node added after cluster bootstrap hosts nothing until a migration
+   targets it: so first shed ranges it no longer owns and adopt ones it
+   missed — including splits, whose metadata records cell-based catch-up
+   cannot convey — then rejoin the survivors. *)
 let start t =
   t.alive <- true;
   Sim.Network.register t.net ~node:t.id (handle t);
   ignore (zk_exn t);
   register_membership t;
-  (* A node added after cluster bootstrap starts with no hosted ranges until
-     a migration targets it; reconcile adopts anything it already owns. *)
   reconcile_layout t;
   List.iter (fun (_, c) -> if Cohort.role c = Cohort.Offline then Cohort.rejoin c) t.cohorts;
   arm_layout_watch t
@@ -453,19 +457,9 @@ let crash t =
 
 let restart t =
   if not t.alive then begin
-    t.alive <- true;
     t.incarnation <- t.incarnation + 1;
-    Sim.Network.register t.net ~node:t.id (handle t);
-    ignore (zk_exn t);
-    register_membership t;
     Sim.Trace.event t.trace ~node:t.id ~tag:"node_restart" (Printf.sprintf "n%d" t.id);
-    (* The layout may have moved while we were down (the shared routing
-       table is authoritative): first shed ranges we no longer own and adopt
-       ones we missed — including splits, whose metadata records cell-based
-       catch-up cannot convey — then rejoin the survivors. *)
-    reconcile_layout t;
-    List.iter (fun (_, c) -> if Cohort.role c = Cohort.Offline then Cohort.rejoin c) t.cohorts;
-    arm_layout_watch t
+    start t
   end
 
 let lose_disk t =

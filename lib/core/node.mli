@@ -22,8 +22,6 @@ val id : t -> int
 
 val alive : t -> bool
 
-val incarnation : t -> int
-
 val start : t -> unit
 (** First boot: register on the network, connect to the coordination
     service, run elections for every hosted range. *)
@@ -55,13 +53,6 @@ val cohort : t -> range:int -> Cohort.t option
 val cohorts : t -> (int * Cohort.t) list
 (** The replicas this node currently hosts, keyed by range — changes at
     runtime as migrations and splits commit (§10). *)
-
-val reconcile_layout : t -> unit
-(** Bring the hosted-replica set in line with the current routing table:
-    adopt ranges the node is a member of but does not host (including split
-    children carved out of a wider local store), retire ranges it is no
-    longer a member of. Runs automatically on start, restart, session
-    renewal, and /layout changes; exposed for tests. *)
 
 val wal : t -> Storage.Wal.t
 

@@ -212,13 +212,3 @@ let update_from_string t s =
     true
   | _ -> false
   | exception _ -> false
-
-let pp ppf t =
-  List.iter
-    (fun d ->
-      Format.fprintf ppf "range %d [%s,%s) -> nodes %a@." d.id d.lo d.hi
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-           Format.pp_print_int)
-        d.members)
-    t.descs

@@ -82,5 +82,3 @@ val update_from_string : t -> string -> bool
 (** Replace the table's contents from a serialized layout if (and only if)
     the serialized version is strictly newer. Returns whether anything
     changed; malformed input is ignored. *)
-
-val pp : Format.formatter -> t -> unit

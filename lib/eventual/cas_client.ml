@@ -34,9 +34,6 @@ type t = {
 
 let max_attempts = 60
 
-let id t = t.id
-let retries t = t.retries
-
 let target t key =
   let range = Partition.route t.partition key in
   let members = Partition.cohort t.partition ~range in

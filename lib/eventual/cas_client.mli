@@ -16,8 +16,6 @@ val create :
   id:int ->
   t
 
-val id : t -> int
-
 val get :
   t -> level:Cas_message.level -> Storage.Row.key -> Storage.Row.column ->
   ((read_result option, [ `Timed_out ]) result -> unit) -> unit
@@ -29,5 +27,3 @@ val put :
 val delete :
   t -> level:Cas_message.level -> Storage.Row.key -> Storage.Row.column ->
   ((unit, [ `Timed_out ]) result -> unit) -> unit
-
-val retries : t -> int

@@ -26,11 +26,9 @@ let create engine ?anti_entropy_period config =
   { engine; config; partition; net; nodes; trace; next_client = 10_000 }
 
 let start t = Array.iter Cas_node.start t.nodes
-let engine t = t.engine
 let config t = t.config
 let partition t = t.partition
 let net t = t.net
-let trace t = t.trace
 let node t i = t.nodes.(i)
 let nodes t = t.nodes
 

@@ -14,15 +14,11 @@ val create :
 
 val start : t -> unit
 
-val engine : t -> Sim.Engine.t
-
 val config : t -> Spinnaker.Config.t
 
 val partition : t -> Spinnaker.Partition.t
 
 val net : t -> Cas_message.t Sim.Network.t
-
-val trace : t -> Sim.Trace.t
 
 val node : t -> int -> Cas_node.t
 

@@ -46,8 +46,6 @@ type t = {
   mutable incarnation : int;
 }
 
-let id t = t.id
-let alive t = t.alive
 let hints_queued t = Hashtbl.length t.pending_hints
 
 let create ~engine ~net ~partition ~config ~trace ~anti_entropy_period ~id =

@@ -19,10 +19,6 @@ val create :
   id:int ->
   t
 
-val id : t -> int
-
-val alive : t -> bool
-
 val start : t -> unit
 
 val crash : t -> unit

@@ -343,9 +343,3 @@ let to_json a =
       ("incomplete", Json.Bool a.incomplete);
       ("max_conservation_error", Json.Float max_err);
     ]
-
-let pp ppf a =
-  Format.fprintf ppf "critical paths: %d requests analyzed, %d skipped%s"
-    (List.length a.requests) a.skipped
-    (if a.incomplete then Printf.sprintf " (INCOMPLETE: %d events dropped)" a.dropped
-     else "")

@@ -70,12 +70,6 @@ type analysis = {
   incomplete : bool;  (** [dropped > 0]: attribution may be missing requests *)
 }
 
-val analyze_request : events:Trace.event list -> request option
-(** Analyze one request from its events (chronological, all sharing one
-    trace id). Writes follow the force ∥ replication walk; reads (a
-    ["phase.read"] span with no write pattern) follow the read sweep. [None]
-    when the trace matches neither. *)
-
 val analyze : ?dropped:int -> events:Trace.event list -> unit -> analysis
 (** Group events by trace id and analyze each. Pass [dropped] (from
     [Trace.dropped]) so the analysis honestly reports when the window lost
@@ -91,5 +85,3 @@ val record : Metrics.Attribution.t -> request -> unit
 val to_json : analysis -> Json.t
 (** Summary: [{requests, skipped, dropped_events, incomplete,
     max_conservation_error}]. *)
-
-val pp : Format.formatter -> analysis -> unit

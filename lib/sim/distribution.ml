@@ -27,37 +27,3 @@ let rec sample t rng =
   Stdlib.max 0.0 v
 
 let sample_span t rng = Sim_time.of_us_f (sample t rng)
-
-let rec mean = function
-  | Constant c -> c
-  | Uniform (lo, hi) -> (lo +. hi) /. 2.0
-  | Exponential m -> m
-  | Shifted_exponential { base; mean_extra } -> base +. mean_extra
-  | Normal { mean = m; _ } -> m
-  | Mixture weighted ->
-    let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 weighted in
-    List.fold_left (fun acc (w, d) -> acc +. (w /. total *. mean d)) 0.0 weighted
-
-let rec scale t k =
-  match t with
-  | Constant c -> Constant (c *. k)
-  | Uniform (lo, hi) -> Uniform (lo *. k, hi *. k)
-  | Exponential m -> Exponential (m *. k)
-  | Shifted_exponential { base; mean_extra } ->
-    Shifted_exponential { base = base *. k; mean_extra = mean_extra *. k }
-  | Normal { mean; stddev } -> Normal { mean = mean *. k; stddev = stddev *. k }
-  | Mixture weighted -> Mixture (List.map (fun (w, d) -> (w, scale d k)) weighted)
-
-let rec pp ppf = function
-  | Constant c -> Format.fprintf ppf "const(%.1fus)" c
-  | Uniform (lo, hi) -> Format.fprintf ppf "uniform(%.1f,%.1f)" lo hi
-  | Exponential m -> Format.fprintf ppf "exp(%.1fus)" m
-  | Shifted_exponential { base; mean_extra } ->
-    Format.fprintf ppf "shifted-exp(%.1f+%.1fus)" base mean_extra
-  | Normal { mean; stddev } -> Format.fprintf ppf "normal(%.1f,%.1f)" mean stddev
-  | Mixture l ->
-    Format.fprintf ppf "mixture(%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         (fun ppf (w, d) -> Format.fprintf ppf "%.2f:%a" w pp d))
-      l

@@ -16,11 +16,3 @@ type t =
 val sample : t -> Rng.t -> float
 
 val sample_span : t -> Rng.t -> Sim_time.span
-
-val mean : t -> float
-(** Analytic mean of the distribution. *)
-
-val scale : t -> float -> t
-(** [scale d k] multiplies every sample (and the mean) by [k]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -4,7 +4,6 @@ type t = {
   mutable clock : Sim_time.t;
   events : (unit -> unit) Event_heap.t;
   root_rng : Rng.t;
-  seed : int;
   mutable events_run : int;
 }
 
@@ -13,13 +12,11 @@ let create ?(seed = 42) () =
     clock = Sim_time.zero;
     events = Event_heap.create ();
     root_rng = Rng.create seed;
-    seed;
     events_run = 0;
   }
 
 let now t = t.clock
 let rng t = t.root_rng
-let seed t = t.seed
 
 let schedule_at t time k =
   let time = Sim_time.max time t.clock in

@@ -18,10 +18,6 @@ val now : t -> Sim_time.t
 val rng : t -> Rng.t
 (** The engine's root RNG. Components should {!Rng.split} their own stream. *)
 
-val seed : t -> int
-(** The seed {!create} was given — embedded in replay artifacts so a shrunk
-    fault schedule carries everything needed to re-run it. *)
-
 val schedule : t -> after:Sim_time.span -> (unit -> unit) -> timer
 (** Run the closure [after] from now. Negative spans are clamped to zero. *)
 

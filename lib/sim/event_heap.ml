@@ -10,7 +10,6 @@ type 'a t = {
 }
 
 let create () = { data = [||]; len = 0; next_seq = 0; live = 0 }
-let is_empty t = t.live = 0
 let size t = t.live
 let backing_len t = t.len
 

@@ -13,8 +13,6 @@ type handle
 
 val create : unit -> 'a t
 
-val is_empty : 'a t -> bool
-
 val size : 'a t -> int
 (** Number of live (non-cancelled) entries. *)
 

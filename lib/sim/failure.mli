@@ -2,7 +2,7 @@
 
     Drives crash/restart closures exposed by simulated processes and
     engage/disengage network faults. A crash loses volatile state but keeps
-    stable storage; [destroy_at] additionally wipes stable storage (the
+    stable storage; a [Destroy] additionally wipes stable storage (the
     double-disk-failure scenario of §1.1); the [chaos] schedules generate
     exponential fault/repair processes per target.
 
@@ -45,8 +45,6 @@ type schedule = injection list
     execution order — the engine's event heap is FIFO per instant. *)
 
 val kind_to_string : fault_kind -> string
-
-val pp_fault : Format.formatter -> fault -> unit
 
 val json_of_schedule : schedule -> Json.t
 (** [[{at_us, kind, who}, ...]]. *)
@@ -101,10 +99,6 @@ val restart_at : t -> Sim_time.t -> target -> unit
 
 val crash_for : t -> at:Sim_time.t -> down_for:Sim_time.span -> target -> unit
 
-val destroy_at : t -> Sim_time.t -> target -> unit
-(** Crash and wipe the disk: a permanent failure unless later restarted
-    (which then models a replacement node recovering from peers). *)
-
 val chaos :
   t ->
   mean_time_to_failure:Sim_time.span ->
@@ -142,10 +136,6 @@ val hazard_crash_chaos :
 (** {2 Reversible faults} *)
 
 val toggle : label:string -> engage:(unit -> unit) -> disengage:(unit -> unit) -> toggle
-
-val engage_at : t -> Sim_time.t -> toggle -> unit
-
-val disengage_at : t -> Sim_time.t -> toggle -> unit
 
 val toggle_for : t -> at:Sim_time.t -> down_for:Sim_time.span -> toggle -> unit
 (** Engage at [at], disengage [down_for] later. *)

@@ -71,7 +71,6 @@ let create engine ?(latency = default_latency) ?(bandwidth_bps = 1_000_000_000) 
     bytes = 0;
   }
 
-let engine t = t.engine
 let attach_trace t trace = t.trace <- Some trace
 
 (* Skip the formatting work entirely when no trace is attached. *)
@@ -292,24 +291,9 @@ let make_cut group_a group_b =
     in_b = member_table group_b;
   }
 
-let same_cut c ga gb = (c.ga = ga && c.gb = gb) || (c.ga = gb && c.gb = ga)
-
 let partition t group_a group_b =
   t.cuts <- make_cut group_a group_b :: t.cuts;
   emit t "partition [%s]|[%s]"
-    (String.concat "," (List.map string_of_int group_a))
-    (String.concat "," (List.map string_of_int group_b))
-
-let unpartition t group_a group_b =
-  let ga = List.sort_uniq compare group_a and gb = List.sort_uniq compare group_b in
-  (* Lift one matching cut; overlapping cuts over the same groups compose
-     like the refcounts they replaced. *)
-  let rec drop_first = function
-    | [] -> []
-    | c :: rest -> if same_cut c ga gb then rest else c :: drop_first rest
-  in
-  t.cuts <- drop_first t.cuts;
-  emit t "unpartition [%s]|[%s]"
     (String.concat "," (List.map string_of_int group_a))
     (String.concat "," (List.map string_of_int group_b))
 

@@ -35,8 +35,6 @@ val create :
 (** [latency] defaults to a shifted-exponential around 100 µs (rack-local
     1-GbE RTT/2); [bandwidth_bps] defaults to 1 Gbit/s. *)
 
-val engine : 'msg t -> Engine.t
-
 val attach_trace : 'msg t -> Trace.t -> unit
 (** Emit a ["net"]-tagged trace event on every topology or fault-config
     change (not per message — chaos runs would drown the trace). *)
@@ -72,9 +70,6 @@ val partition : 'msg t -> int list -> int list -> unit
 (** Block delivery (both directions) between every pair drawn from the two
     groups. *)
 
-val unpartition : 'msg t -> int list -> int list -> unit
-(** Lift one [partition] of the same two groups. *)
-
 val partition_pair : 'msg t -> int -> int -> unit
 (** Block both directions between two nodes. *)
 
@@ -87,9 +82,6 @@ val heal_oneway : 'msg t -> src:int -> dst:int -> unit
 
 val heal : 'msg t -> unit
 (** Remove all partitions, regardless of refcounts. *)
-
-val reachable : 'msg t -> int -> int -> bool
-(** Whether messages from the first node currently reach the second. *)
 
 (** {2 Link faults}
 

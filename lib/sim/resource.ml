@@ -2,8 +2,6 @@ type t = {
   engine : Engine.t;
   name : string;
   free_at : Sim_time.t array;
-  mutable jobs_completed : int;
-  mutable busy_time : Sim_time.span;
 }
 
 let create engine ~name ?(servers = 1) () =
@@ -12,11 +10,7 @@ let create engine ~name ?(servers = 1) () =
     engine;
     name;
     free_at = Array.make servers Sim_time.zero;
-    jobs_completed = 0;
-    busy_time = Sim_time.span_zero;
   }
-
-let name t = t.name
 
 let earliest_server t =
   let best = ref 0 in
@@ -35,8 +29,6 @@ let reserve t ~service =
   let start = Sim_time.max now t.free_at.(i) in
   let finish = Sim_time.add start service in
   t.free_at.(i) <- finish;
-  t.busy_time <- Sim_time.span_add t.busy_time service;
-  t.jobs_completed <- t.jobs_completed + 1;
   finish
 
 let submit t ~service k =
@@ -46,11 +38,3 @@ let submit t ~service k =
 let submit_bytes t ~bytes ~bytes_per_sec k =
   let service = Sim_time.of_us_f (float_of_int (max 1 bytes) *. 1e6 /. bytes_per_sec) in
   submit t ~service k
-
-let reset t =
-  Array.fill t.free_at 0 (Array.length t.free_at) Sim_time.zero;
-  t.jobs_completed <- 0;
-  t.busy_time <- Sim_time.span_zero
-
-let jobs_completed t = t.jobs_completed
-let busy_time t = t.busy_time

@@ -10,8 +10,6 @@ type t
 val create : Engine.t -> name:string -> ?servers:int -> unit -> t
 (** [servers] defaults to 1. *)
 
-val name : t -> string
-
 val submit : t -> service:Sim_time.span -> (unit -> unit) -> unit
 (** Enqueue a job with the given service time; the callback fires when the
     job completes. *)
@@ -20,17 +18,8 @@ val reserve : t -> service:Sim_time.span -> Sim_time.t
 (** Book a job on the earliest-free server and return its completion time
     without scheduling an event. Lets a caller that already schedules a
     downstream event (e.g. network delivery after a NIC transfer) avoid a
-    second heap entry per message. Counts toward {!jobs_completed} and
-    {!busy_time} immediately. *)
+    second heap entry per message. *)
 
 val submit_bytes : t -> bytes:int -> bytes_per_sec:float -> (unit -> unit) -> unit
 (** Enqueue a job whose service time is [bytes / bytes_per_sec] — models a
     bandwidth-limited transfer (e.g. shipping an SSTable snapshot). *)
-
-val reset : t -> unit
-(** Forget queued work (e.g. the device's host crashed) and statistics. *)
-
-val jobs_completed : t -> int
-
-val busy_time : t -> Sim_time.span
-(** Total service time of submitted jobs (for utilisation accounting). *)

@@ -12,9 +12,6 @@ val create : int -> t
 val split : t -> t
 (** [split t] derives a new independent generator; [t] advances. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit value. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 

@@ -182,5 +182,3 @@ let outliers_to_json flight =
             ("outliers", Json.List (List.map outlier_json outliers));
           ] );
     ]
-
-let outliers_to_file flight path = Json.to_file path (outliers_to_json flight)

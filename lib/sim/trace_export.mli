@@ -1,14 +1,11 @@
 (** Chrome trace-event JSON export for {!Trace} — loadable in Perfetto
     ([ui.perfetto.dev]) or [chrome://tracing].
 
-    Layout: one process per node ([pid] = node id; {!sim_pid} for events
-    with no node), one track per cohort ([tid] = key range). Spans export as
+    Layout: one process per node ([pid] = node id; a synthetic "sim"
+    process for events with no node), one track per cohort ([tid] = key range). Spans export as
     async begin/end pairs ("b"/"e") keyed by span id so a span may start and
     finish on different code paths; instants export as "i"; registry gauges
     export as counter tracks ("C"). *)
-
-val sim_pid : int
-(** Synthetic pid used for events not attributed to any node. *)
 
 val to_json : ?registry:Metrics.Registry.t -> Trace.t -> Json.t
 (** [{traceEvents; displayTimeUnit; otherData}]; pass [registry] to include
@@ -24,5 +21,3 @@ val outliers_to_json : Trace.Flight.t -> Json.t
     (slowest requests first), with transit flow arrows, plus an
     [otherData.outliers] summary table: [{trace_id, latency_us,
     completed_at_us, events, incomplete}] per outlier. *)
-
-val outliers_to_file : Trace.Flight.t -> string -> unit

@@ -39,6 +39,3 @@ let mem t s =
   let h1, h2 = hash_pair s in
   let rec check i = i >= t.nhashes || (get_bit t (index t h1 h2 i) && check (i + 1)) in
   check 0
-
-let bits t = t.nbits
-let hashes t = t.nhashes

@@ -11,7 +11,3 @@ val add : t -> string -> unit
 
 val mem : t -> string -> bool
 (** Never a false negative. *)
-
-val bits : t -> int
-
-val hashes : t -> int

@@ -38,7 +38,6 @@ let create ~capacity () =
     invalidations = 0;
   }
 
-let capacity t = t.capacity
 let size t = Hashtbl.length t.tbl
 let hits t = t.hits
 let misses t = t.misses

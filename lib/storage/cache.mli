@@ -30,7 +30,6 @@ val invalidate : 'v t -> Row.coord -> unit
 val clear : 'v t -> unit
 (** Drop every entry, keeping the counters. *)
 
-val capacity : 'v t -> int
 val size : 'v t -> int
 val hits : 'v t -> int
 val misses : 'v t -> int

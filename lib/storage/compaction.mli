@@ -32,10 +32,6 @@ type plan =
       (** merge [length] adjacent tables starting at index [start] of the
           newest-first table list, splicing the result back in place *)
 
-val default_growth : float
-(** Size-similarity factor for a tier: a window qualifies when its largest
-    table is at most [growth ×] its smallest (2.0). *)
-
 val plan : fanin:int -> max_tables:int -> ?growth:float -> Sstable.t list -> plan option
 (** [plan ~fanin ~max_tables tables] on the newest-first table list: [All]
     once [max_tables] is reached; otherwise the cheapest (fewest total bytes)

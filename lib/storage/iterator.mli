@@ -36,8 +36,6 @@ val next : t -> (Row.coord * Row.cell) option
     per distinct coordinate). Lazy: consumers that stop early (scans with a
     row limit) never touch the rest of the sources. *)
 
-val iter : t -> (Row.coord -> Row.cell -> unit) -> unit
-
 val fold : t -> ('a -> Row.coord -> Row.cell -> 'a) -> 'a -> 'a
 
 val to_list : t -> (Row.coord * Row.cell) list

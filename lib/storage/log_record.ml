@@ -62,17 +62,6 @@ let rec op_coord = function
   | Txn_resolve _ -> ("", "")
   | Install_cell { coord; _ } -> coord
 
-let rec op_version = function
-  | Put { version; _ } -> version
-  | Delete { version; _ } -> version
-  | Batch [] -> 0
-  | Batch (op :: _) -> op_version op
-  | Cohort_change _ | Split _ -> 0
-  | Txn_prepare _ | Txn_decision _ -> 0
-  | Txn_resolve { writes = (_, _, _, version) :: _; _ } -> version
-  | Txn_resolve _ -> 0
-  | Install_cell { cell; _ } -> cell.Row.version
-
 let cell_of_write op ~lsn ~timestamp : Row.cell =
   match op with
   | Put { value; version; _ } ->

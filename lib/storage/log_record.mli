@@ -98,12 +98,6 @@ val flatten : op -> op list
 val op_coord : op -> Row.coord
 (** First coordinate touched (a batch's routing/representative coordinate). *)
 
-val op_version : op -> int
-
-val cell_of_write : op -> lsn:Lsn.t -> timestamp:int -> Row.cell
-(** The cell a primitive write produces when applied ([Delete] yields a
-    tombstone). Raises [Invalid_argument] on a [Batch]; use {!cells_of_write}. *)
-
 val cells_of_write : op -> lsn:Lsn.t -> timestamp:int -> (Row.coord * Row.cell) list
 (** Every cell the op produces (one per primitive write, in order). *)
 

@@ -87,7 +87,6 @@ let range t ~low ~high =
       else collect rest ((coord, cell) :: acc)
   in
   collect (Coord_map.to_seq_from (low, "") t.cells) []
-let iter t f = Coord_map.iter f t.cells
 let to_seq_from t ~low = Coord_map.to_seq_from (low, "") t.cells
 
 let clear t =

@@ -51,8 +51,6 @@ val range : t -> low:Row.key -> high:Row.key -> (Row.coord * Row.cell) list
     convention (low inclusive, high exclusive, byte-wise key compare) matches
     {!Sstable.range} and [Store.scan]. O(log n + slice). *)
 
-val iter : t -> (Row.coord -> Row.cell -> unit) -> unit
-
 val to_seq_from : t -> low:Row.key -> (Row.coord * Row.cell) Seq.t
 (** Lazy ascending walk starting at the first coordinate with key >= [low].
     Cursor support for {!Iterator} (scans stop consuming at their high

@@ -29,7 +29,6 @@ let ascending_mem t ~from =
   mem
 
 let count t = Lsn_set.cardinal t.set
-let is_empty t = Lsn_set.is_empty t.set
 let to_list t = Lsn_set.elements t.set
 let gc_upto t lsn = t.set <- Lsn_set.filter (fun l -> Lsn.(l > lsn)) t.set
 let clear t = t.set <- Lsn_set.empty

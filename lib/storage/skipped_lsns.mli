@@ -21,8 +21,6 @@ val ascending_mem : t -> from:Lsn.t -> Lsn.t -> bool
 
 val count : t -> int
 
-val is_empty : t -> bool
-
 val to_list : t -> Lsn.t list
 (** Ascending. *)
 

@@ -56,7 +56,6 @@ type t = {
   mutable sstables_probed : int;
   mutable compactions : int;
   mutable full_compactions : int;
-  mutable last_compaction_input_bytes : int;
   mutable max_compaction_input_bytes : int;
   mutable total_compaction_input_bytes : int;
   mutable max_store_bytes : int;
@@ -95,7 +94,6 @@ let create ~cohort ~wal ?(newer = Row.newer_by_lsn) ?(flush_bytes = 4 * 1024 * 1
     sstables_probed = 0;
     compactions = 0;
     full_compactions = 0;
-    last_compaction_input_bytes = 0;
     max_compaction_input_bytes = 0;
     total_compaction_input_bytes = 0;
     max_store_bytes = 0;
@@ -105,12 +103,10 @@ let create ~cohort ~wal ?(newer = Row.newer_by_lsn) ?(flush_bytes = 4 * 1024 * 1
     intent_at = Hashtbl.create 16;
   }
 
-let cohort t = t.cohort
 let wal t = t.wal
 let skipped t = t.skipped
 let bounds t = t.bounds
 let set_bounds t ~lo ~hi = t.bounds <- Some (lo, hi)
-let inherited_upto t = t.inherited_upto
 
 let in_bounds t key =
   match t.bounds with
@@ -126,7 +122,6 @@ let sstables_probed t = t.sstables_probed
 let sstable_bytes t = List.fold_left (fun a s -> a + Sstable.approx_bytes s) 0 t.sstables
 let compactions t = t.compactions
 let full_compactions t = t.full_compactions
-let last_compaction_input_bytes t = t.last_compaction_input_bytes
 let max_compaction_input_bytes t = t.max_compaction_input_bytes
 let total_compaction_input_bytes t = t.total_compaction_input_bytes
 let max_store_bytes_at_compaction t = t.max_store_bytes
@@ -136,8 +131,6 @@ let cache_evictions t = match t.cache with Some c -> Cache.evictions c | None ->
 let cache_invalidations t = match t.cache with Some c -> Cache.invalidations c | None -> 0
 let cache_size t = match t.cache with Some c -> Cache.size c | None -> 0
 
-let cache_hit_rate t = match t.cache with Some c -> Cache.hit_rate c | None -> 0.0
-
 let clear_cache t = match t.cache with Some c -> Cache.clear c | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -146,7 +139,6 @@ let clear_cache t = match t.cache with Some c -> Cache.clear c | None -> ()
 let record_compaction t ~input_bytes ~full =
   t.compactions <- t.compactions + 1;
   if full then t.full_compactions <- t.full_compactions + 1;
-  t.last_compaction_input_bytes <- input_bytes;
   if input_bytes > t.max_compaction_input_bytes then
     t.max_compaction_input_bytes <- input_bytes;
   t.total_compaction_input_bytes <- t.total_compaction_input_bytes + input_bytes;

@@ -39,7 +39,7 @@ val create :
     {!Row.newer_by_timestamp}. [flush_bytes] (default 4 MiB) triggers
     memtable flush. [compaction_fanin] (default 4) is the tier width: a
     merge starts once that many adjacent similar-sized tables exist
-    (similarity factor {!Compaction.default_growth}).
+    (similarity factor 2).
     [max_sstables] (default 16) forces a full merge with tombstone GC.
     [cache_capacity] (default 0 = disabled) bounds the LRU row cache in
     entries. [mvcc_depth] (default 64, at least 1) bounds each coordinate's
@@ -52,8 +52,6 @@ val create :
     coordinate: commit-timestamp visibility for transactionally installed
     versions, LSN visibility for the rest. *)
 
-val cohort : t -> int
-
 val wal : t -> Wal.t
 
 val bounds : t -> (Row.key * Row.key) option
@@ -62,11 +60,6 @@ val bounds : t -> (Row.key * Row.key) option
     from applies, scans, exports, catch-up, and compaction output. *)
 
 val set_bounds : t -> lo:Row.key -> hi:Row.key -> unit
-
-val inherited_upto : t -> Lsn.t
-(** For a split child sharing the parent's SSTables: the highest LSN those
-    tables may contain. [Lsn.zero] otherwise. Survives {!crash} (the tables
-    themselves are durable); cleared by {!wipe}. *)
 
 val split_point : t -> Row.key option
 (** The median distinct key strictly inside the store's population — a
@@ -157,9 +150,6 @@ val flushed_upto : t -> Lsn.t
 
 val sstable_count : t -> int
 
-val sstable_bytes : t -> int
-(** Total approximate bytes across current SSTables. *)
-
 val memtable_size : t -> int
 (** Entries currently in the memtable. *)
 
@@ -247,9 +237,6 @@ val cache_evictions : t -> int
 val cache_invalidations : t -> int
 val cache_size : t -> int
 
-val cache_hit_rate : t -> float
-(** hits / (hits + misses); 0.0 before any lookup or when disabled. *)
-
 (** {2 Compaction work accounting} *)
 
 val compactions : t -> int
@@ -257,8 +244,6 @@ val compactions : t -> int
 
 val full_compactions : t -> int
 (** Merges that covered every table (tombstone GC points). *)
-
-val last_compaction_input_bytes : t -> int
 
 val max_compaction_input_bytes : t -> int
 (** Largest single-merge input — stays near one tier's bytes under tiered

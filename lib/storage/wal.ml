@@ -82,8 +82,6 @@ let create engine ~disk ~model ~rng ?(max_batch = 16) () =
     incarnation = 0;
   }
 
-let model t = t.model
-
 let cidx t cohort =
   match Hashtbl.find_opt t.cohorts cohort with
   | Some c -> c

@@ -34,8 +34,6 @@ val create :
     group commit (ablation). A force's service time is the device force cost
     plus the batch bytes over the device's sequential write bandwidth. *)
 
-val model : t -> Sim.Disk_model.t
-
 val append : t -> Log_record.t -> unit
 (** Buffered, non-forced append (used for [Commit_upto] markers, §5). *)
 

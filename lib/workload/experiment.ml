@@ -332,9 +332,6 @@ let sweep ~engine ~key_space ~make_driver ~thread_counts spec =
       { threads; outcome = run ~engine ~key_space ~make_driver { spec with threads } })
     thread_counts
 
-let pp_outcome ppf o =
-  Format.fprintf ppf "%d threads: %a" o.spec.threads Sim.Metrics.pp_run_stats o.all
-
 let json_of_outcome o =
   Sim.Json.Obj
     [

@@ -20,10 +20,6 @@ type spec = {
 
 val default_spec : spec
 
-val spec_weights : spec -> Generator.weights
-(** The effective operation mix: [weights] when present, otherwise the
-    legacy [write_fraction]/[conditional] pair lifted to weights. *)
-
 type outcome = {
   spec : spec;
   all : Sim.Metrics.run_stats;
@@ -94,8 +90,6 @@ val sweep :
   spec ->
   sweep_point list
 (** Re-runs [spec] at each thread count (powers of two in the paper). *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
 
 val json_of_outcome : outcome -> Sim.Json.t
 (** [{threads, write_fraction, all, reads, writes}] with per-class

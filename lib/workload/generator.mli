@@ -26,8 +26,6 @@ val weights : ?read:float -> ?write:float -> ?cond_incr:float -> unit -> weights
 (** Missing weights default to 0. Raises [Invalid_argument] if any weight is
     negative or all are zero. *)
 
-val read_only : weights
-
 val of_write_fraction : conditional:bool -> float -> weights
 (** The legacy spec surface: write fraction [f], conditionally routed
     through the compare-and-set path. *)

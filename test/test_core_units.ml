@@ -67,10 +67,10 @@ let prop_key_encoding_order_preserving =
 
 (* --- commit queue -------------------------------------------------------------- *)
 
-let add q ~l ?reply () =
+let add q ~l () =
   Commit_queue.add q ~lsn:l
     ~op:(Storage.Log_record.Put { key = "k"; col = "c"; value = "v"; version = l.Lsn.seq })
-    ~timestamp:0 ?reply ()
+    ~timestamp:0 ()
 
 let test_queue_commit_order_and_quorum () =
   let q = Commit_queue.create () in
@@ -216,8 +216,10 @@ module Map_queue = struct
     if not e.forced then t.unforced <- Lsn_map.remove e.lsn t.unforced;
     index_remove t e
 
-  let add t ~lsn ~op ~timestamp ?origin ?reply () =
-    let entry = { Commit_queue.lsn; op; timestamp; origin; forced = false; ackers = []; reply } in
+  let add t ~lsn ~op ~timestamp ?origin ?repl_span () =
+    let entry =
+      { Commit_queue.lsn; op; timestamp; origin; forced = false; ackers = []; repl_span }
+    in
     Option.iter (index_remove t) (Lsn_map.find_opt lsn t.entries);
     t.entries <- Lsn_map.add lsn entry t.entries;
     t.unforced <- Lsn_map.add lsn entry t.unforced;
@@ -295,6 +297,11 @@ module Map_queue = struct
     in
     go from.Lsn.seq None (Lsn_map.bindings t.entries)
 
+  let remove t lsn =
+    let e = Lsn_map.find_opt lsn t.entries in
+    Option.iter (remove_entry t) e;
+    e
+
   let drop_above t lsn =
     let dropped = List.filter (fun (e : Commit_queue.entry) -> Lsn.(e.lsn > lsn))
         (List.map snd (Lsn_map.bindings t.entries)) in
@@ -313,8 +320,8 @@ end
    asks (its first ask builds the queue's overlay from whatever is queued).
    Appends at the tail dominate, as on the write path; random LSNs over two
    epochs and a small seq range add back-fills, re-adds of queued LSNs
-   (which rewind acked followers), holes and replacements of forced
-   entries. *)
+   (which rewind acked followers), holes, removals from the middle and
+   replacements of forced entries. *)
 type diff_cmd =
   | D_append of int  (** the next seq after the queue's last, with a write to key [k] *)
   | D_add of Lsn.t * int
@@ -327,6 +334,7 @@ type diff_cmd =
   | D_pop_contiguous of Lsn.t
   | D_frontier of Lsn.t option  (** [None]: the follower's current [from] *)
   | D_drop_above of Lsn.t
+  | D_remove of Lsn.t
   | D_versions  (** the overlay answer for every key; the first builds it *)
 
 let pp_diff_cmd = function
@@ -342,6 +350,7 @@ let pp_diff_cmd = function
   | D_frontier None -> "frontier"
   | D_frontier (Some l) -> "frontier " ^ Lsn.to_string l
   | D_drop_above l -> "drop_above " ^ Lsn.to_string l
+  | D_remove l -> "remove " ^ Lsn.to_string l
   | D_versions -> "versions"
 
 let arb_diff_program =
@@ -362,6 +371,7 @@ let arb_diff_program =
         (1, map (fun l -> D_pop_contiguous l) l);
         (3, map (fun l -> D_frontier l) (oneof [ return None; map Option.some l ]));
         (1, map (fun l -> D_drop_above l) l);
+        (2, map (fun l -> D_remove l) l);
         (2, return D_versions);
       ]
   in
@@ -395,14 +405,14 @@ let prop_queue_matches_map_model =
       let both_add l ~k =
         let op = diff_op ~seq:l.Lsn.seq ~k and timestamp = l.Lsn.seq * 10 in
         let origin = diff_origin ~seq:l.Lsn.seq in
-        let reply = if k = 0 then Some (fun () -> ()) else None in
-        Commit_queue.add q ~lsn:l ~op ~timestamp ?origin ?reply ();
-        Map_queue.add m ~lsn:l ~op ~timestamp ?origin ?reply ()
+        let repl_span = if k = 0 then Some l.Lsn.seq else None in
+        Commit_queue.add q ~lsn:l ~op ~timestamp ?origin ?repl_span ();
+        Map_queue.add m ~lsn:l ~op ~timestamp ?origin ?repl_span ()
       in
       let same_entry (a : Commit_queue.entry) (b : Commit_queue.entry) =
         Lsn.equal a.lsn b.lsn && a.op = b.op && a.timestamp = b.timestamp
         && a.origin = b.origin && a.forced = b.forced && a.ackers = b.ackers
-        && Option.equal ( == ) a.reply b.reply
+        && a.repl_span = b.repl_span
       in
       let same_entries a b = List.length a = List.length b && List.for_all2 same_entry a b in
       let probes = List.concat_map (fun e -> List.init 16 (fun s -> lsn e s)) [ 1; 2 ] in
@@ -472,6 +482,8 @@ let prop_queue_matches_map_model =
                 [ (); () ]
             | D_drop_above l ->
               same_entries (Commit_queue.drop_above q l) (Map_queue.drop_above m l)
+            | D_remove l ->
+              Option.equal same_entry (Commit_queue.remove q l) (Map_queue.remove m l)
             | D_versions ->
               List.for_all
                 (fun k ->

@@ -323,22 +323,29 @@ let run_schedule_replay path =
     Alcotest.failf "schedule replay reproduced %d violation(s)"
       (List.length v.Workload.Chaos.violations)
 
-(* Mixed seed 45 at 160 s, shrunk to a schedule on which a takeover
-   re-queued records an earlier takeover had truncated logically: no
-   follower would ever ack them, so the new leader of range 0 waited in
-   [takeover_commit_wait] forever and the range had no open leader after
-   heal. The schedule was kept only while the unfixed takeover failed on it
-   and the fixed one ran clean. *)
-let test_truncated_records_stay_dead () =
-  let path =
-    List.find Sys.file_exists
-      [ "fixtures/takeover_truncated_seed45.json"; "test/fixtures/takeover_truncated_seed45.json" ]
-  in
+(* Replay a shrunk Mixed seed-45 schedule from [test/fixtures] at 160 s;
+   the run must end clean. *)
+let replay_seed45_fixture name () =
+  let path = List.find Sys.file_exists [ "fixtures/" ^ name; "test/fixtures/" ^ name ] in
   let _, schedule = load_artifact path in
   let v =
     Workload.Chaos.run_spinnaker ~schedule ~chaos_for:(Sim.Sim_time.sec 160) ~seed:45 ()
   in
   Alcotest.(check (list (pair string string))) "clean verdict" [] v.Workload.Chaos.violations
+
+(* A schedule on which a takeover re-queued records an earlier takeover had
+   truncated logically: no follower would ever ack them, so the new leader
+   of range 0 waited in [takeover_commit_wait] forever and the range had no
+   open leader after heal. The schedule was kept only while the unfixed
+   takeover failed on it and the fixed one ran clean. *)
+let test_truncated_records_stay_dead = replay_seed45_fixture "takeover_truncated_seed45.json"
+
+(* The plain ddmin-minimal schedule of the same seed (205 injections): a
+   takeover rebuilt both 16.1713 and 17.1713 from its log, committed the
+   deposed epoch's record, and 17.1713 never got a contiguous ack, so range 0
+   again had no open leader after heal. Only the newest epoch at a seq can
+   have committed, so a takeover truncates the older records. *)
+let test_superseded_records_stay_dead = replay_seed45_fixture "takeover_superseded_seed45.json"
 
 (* --- the transaction gauntlet: 2PC under failover-mid-commit --------------- *)
 
@@ -414,4 +421,6 @@ let suite =
       test_txn_chaos_battery;
     Alcotest.test_case "replay: a takeover keeps truncated records dead" `Slow
       test_truncated_records_stay_dead;
+    Alcotest.test_case "replay: a takeover keeps superseded-epoch records dead" `Slow
+      test_superseded_records_stay_dead;
   ]
