@@ -359,17 +359,19 @@ let propose_trace_id t writes =
          None writes)
   else -1
 
+let send_propose t ~piggyback_cmt writes =
+  let msg = Message.Propose { range = t.ctx.range; epoch = t.epoch; writes; piggyback_cmt } in
+  let trace_id = propose_trace_id t writes in
+  List.iter (fun f -> t.ctx.send ~trace_id ~dst:f msg) t.active_followers
+
 (* Send a freshly appended record to the followers; the caller forces it
    locally in parallel (Figure 4). A Propose lost on the way is re-sent by
    the next commit tick ([send_commit_msgs]). *)
 let propose t writes =
-  let piggyback_cmt =
-    if t.ctx.config.Config.piggyback_commits && Lsn.(t.cmt > Lsn.zero) then Some t.cmt
-    else None
-  in
-  let msg = Message.Propose { range = t.ctx.range; epoch = t.epoch; writes; piggyback_cmt } in
-  let trace_id = propose_trace_id t writes in
-  List.iter (fun f -> t.ctx.send ~trace_id ~dst:f msg) t.active_followers
+  send_propose t writes
+    ~piggyback_cmt:
+      (if t.ctx.config.Config.piggyback_commits && Lsn.(t.cmt > Lsn.zero) then Some t.cmt
+       else None)
 
 (* Sample one network hop into the write-phase transit histogram: messages
    carry their send instant, so arrival minus [sent_at] is the measured
@@ -630,14 +632,33 @@ let release_dropped t entries =
 
 let drop_queue_above t lsn = release_dropped t (Commit_queue.drop_above t.queue lsn)
 
+(* Dead log records leave the queue (releasing their in-flight markers)
+   and are truncated logically. *)
+let discard t lsns =
+  release_dropped t (List.filter_map (Commit_queue.remove t.queue) lsns);
+  let skipped = Store.skipped t.ctx.store in
+  truncate_logically t (List.filter (fun l -> not (Skipped_lsns.mem skipped l)) lsns)
+
 module Seq_map = Map.Make (Int)
 
-(* A newer leader reuses a sequence number only above its own contiguous
-   prefix, so where the log holds one seq under several epochs, only the
-   newest epoch's record can have committed. Maps each seq of the given
-   LSN-ordered durable records to that newest LSN. *)
-let newest_per_seq writes =
-  List.fold_left (fun m (lsn, _, _, _) -> Seq_map.add lsn.Lsn.seq lsn m) Seq_map.empty writes
+(* Above the commit point a log keeps one live record per seq (DESIGN.md):
+   the newest epoch among the records not truncated logically. Maps each
+   seq of the given LSN-ordered durable records to that LSN. *)
+let newest_per_seq t writes =
+  let skipped = Store.skipped t.ctx.store in
+  List.fold_left
+    (fun m (lsn, _, _, _) ->
+      if Skipped_lsns.mem skipped lsn then m else Seq_map.add lsn.Lsn.seq lsn m)
+    Seq_map.empty writes
+
+(* Accepting [lsn] from the current leader settles its seq: the leader's
+   log holds every committed write and it chose [lsn], so any other record
+   of ours there is dead. *)
+let truncate_superseded t lsn =
+  discard t
+    (List.filter
+       (fun l -> not (Lsn.equal l lsn))
+       (Wal.write_lsns_at_seq t.ctx.wal ~cohort:t.ctx.range ~above:t.cmt ~seq:lsn.Lsn.seq))
 
 (* The commit queue's pending entries as Propose writes, for re-proposal. *)
 let queued_writes t =
@@ -659,24 +680,23 @@ let start_takeover t =
   t.active_followers <- [];
   (* Rebuild the commit queue with the unresolved writes in (l.cmt, l.lst]
      from the durable log (they may not be in memory if we just restarted).
-     They are already forced locally; they commit once a follower acks. A
-     record an earlier takeover truncated logically is dead, not
-     unresolved: re-queued, it would hold the commit point below it. So is
-     a deposed epoch's record whose seq a newer epoch reused: re-queued, it
-     would commit in the newer record's place, which then never gets a
-     contiguous ack. It leaves the queue too, if an earlier term put it
-     there. *)
-  let skipped = Store.skipped t.ctx.store in
+     They are already forced locally; they commit once a follower acks.
+     Only the live record at each seq above cmt's is unresolved; any
+     other is dead (a catch-up's cells settled its seq, or another record
+     superseded it) and, re-queued, would hold the commit point below it.
+     It leaves the queue too, if an earlier term put it there. *)
   let writes = Wal.durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above:t.cmt ~upto:t.lst in
-  let newest = newest_per_seq writes in
+  let newest = newest_per_seq t writes in
   let live, dead =
-    List.partition (fun (lsn, _, _, _) -> Lsn.equal lsn (Seq_map.find lsn.Lsn.seq newest)) writes
+    List.partition
+      (fun (lsn, _, _, _) ->
+        lsn.Lsn.seq > t.cmt.Lsn.seq
+        && Option.equal Lsn.equal (Seq_map.find_opt lsn.Lsn.seq newest) (Some lsn))
+      writes
   in
-  let dead = List.map (fun (lsn, _, _, _) -> lsn) dead in
-  release_dropped t (List.filter_map (Commit_queue.remove t.queue) dead);
   List.iter
     (fun (lsn, op, timestamp, origin) ->
-      if not (Commit_queue.mem t.queue lsn || Skipped_lsns.mem skipped lsn) then
+      if not (Commit_queue.mem t.queue lsn) then
         Commit_queue.add t.queue ~lsn ~op ~timestamp ?origin ())
     live;
   Commit_queue.mark_forced_upto t.queue t.lst;
@@ -687,53 +707,47 @@ let start_takeover t =
      and logically truncate the log records so neither re-proposal nor local
      recovery can resurrect them under the new epoch. *)
   drop_queue_above t t.lst;
-  truncate_logically t
-    (List.filter
-       (fun l -> not (Skipped_lsns.mem skipped l))
-       (dead
-        @ Store.durable_write_lsns_in t.ctx.store ~above:t.lst
-            ~upto:(Wal.last_write_lsn t.ctx.wal ~cohort:t.ctx.range)));
+  discard t
+    (List.map (fun (lsn, _, _, _) -> lsn) dead
+    @ Store.durable_write_lsns_in t.ctx.store ~above:t.lst
+        ~upto:(Wal.last_write_lsn t.ctx.wal ~cohort:t.ctx.range));
   (* Pending entries' originating requests are in flight again: a client
      retry arriving mid-takeover must wait for the re-proposed original to
      commit, not enqueue a second copy behind it. *)
-  let pending = Commit_queue.to_list t.queue in
+  let pending =
+    List.filter_map (fun (e : Commit_queue.entry) -> e.Commit_queue.origin)
+      (Commit_queue.to_list t.queue)
+  in
   List.iter
-    (fun (e : Commit_queue.entry) ->
-      match e.Commit_queue.origin with
-      | Some { Log_record.client; request_id; _ } ->
-        let r = replies_of t client in
-        if outcome_in request_id r.outcomes = None then remember r request_id In_flight
-      | None -> ())
+    (fun { Log_record.client; request_id; _ } ->
+      let r = replies_of t client in
+      if outcome_in request_id r.outcomes = None then remember r request_id In_flight)
     pending;
   (* A retry that reached us between winning the election and this rebuild
      passed the duplicate gate before the markers above existed and is
      parked in [waiting]. If its original is pending here, it is a
      duplicate: the re-proposed original answers it when it commits. *)
-  let is_pending (w : waiting_write) =
-    List.exists
-      (fun (e : Commit_queue.entry) ->
-        match e.Commit_queue.origin with
-        | Some o -> o.Log_record.client = w.client && o.request_id = w.request_id
-        | None -> false)
-      pending
-  in
-  t.waiting <- List.filter (fun w -> not (is_pending w)) t.waiting;
-  (* Ask each follower for its last committed LSN (Figure 6 lines 3-4). *)
-  List.iter
-    (fun f -> t.ctx.send ~dst:f (Message.Takeover_query { range = t.ctx.range; epoch = t.epoch }))
-    (others t);
-  (* Followers may be down; retry the query until a quorum forms. *)
-  let rec retry () =
+  t.waiting <-
+    List.filter
+      (fun (w : waiting_write) ->
+        not
+          (List.exists
+             (fun (o : Log_record.origin) -> o.client = w.client && o.request_id = w.request_id)
+             pending))
+      t.waiting;
+  (* Ask each follower for its last committed LSN (Figure 6 lines 3-4).
+     Followers may be down; re-ask the silent ones until a quorum forms. *)
+  let rec query () =
     if t.role = Leader && t.takeover_pending then begin
       List.iter
         (fun f ->
           if not (List.mem f t.active_followers) then
             t.ctx.send ~dst:f (Message.Takeover_query { range = t.ctx.range; epoch = t.epoch }))
         (others t);
-      after t (Sim.Sim_time.ms 1000) retry
+      after t (Sim.Sim_time.ms 1000) query
     end
   in
-  after t (Sim.Sim_time.ms 1000) retry
+  query ()
 
 (* ------------------------------------------------------------------ *)
 (* Leader election (Figure 7).                                          *)
@@ -1163,6 +1177,12 @@ let write_record t ~client ~request_id ~ts op : Log_record.op option =
     | Message.Snap_get _ ->
       invalid_arg "write_record: read operation"
 
+(* Writes block during takeover, during the momentary window at the end of a
+   follower catch-up (§6.1), and while a range split is being logged; they
+   park in [waiting] and drain when the cohort (re)opens. *)
+let writes_admitted t =
+  t.role = Leader && t.open_for_writes && t.pending_final = [] && not t.splitting
+
 (* ------------------------------------------------------------------ *)
 (* Commit path (leader side of Figure 4).                               *)
 
@@ -1280,12 +1300,7 @@ and send_commit_msgs t =
      follower. The queue is empty or tiny at each tick in steady state. *)
   (match queued_writes t with
   | [] -> ()
-  | writes ->
-    let msg =
-      Message.Propose { range = t.ctx.range; epoch = t.epoch; writes; piggyback_cmt = None }
-    in
-    let trace_id = propose_trace_id t writes in
-    List.iter (fun f -> t.ctx.send ~trace_id ~dst:f msg) t.active_followers);
+  | writes -> send_propose t writes ~piggyback_cmt:None);
   if Lsn.(t.cmt > Lsn.zero) then
     (* The leader saves its last committed LSN with a non-forced log write,
        for its own recovery (§5). *)
@@ -1360,12 +1375,6 @@ and arm_txn_sweep t =
     in
     after t txn_sweep_period tick
   end
-
-(* Writes block during takeover, during the momentary window at the end of a
-   follower catch-up (§6.1), and while a range split is being logged; they
-   park in [waiting] and drain when the cohort (re)opens. *)
-and writes_admitted t =
-  t.role = Leader && t.open_for_writes && t.pending_final = [] && not t.splitting
 
 and drain_waiting t =
   if writes_admitted t then begin
@@ -1842,6 +1851,7 @@ let handle_propose t ~src ~sent_at ~epoch ~writes ~piggyback_cmt =
     in
     let ack () =
       span_end t ~span:force_span ~trace_id:force_tid ~tag:"follower.force" "locally durable";
+      List.iter (truncate_superseded t) !appended;
       (* Mark exactly what this propose appended as forced (a concurrent
          retransmission may have back-filled an older LSN whose force is
          still in flight), then ack only the seq-contiguous forced prefix:
@@ -2473,12 +2483,12 @@ let join_cohort t =
 
 (* The honest last-LSN claim after recovery: the largest LSN reachable from
    cmt by walking consecutive sequence numbers through the durable log
-   (taking the newest epoch where a seq was written twice). The raw log tail
+   (taking the live record where a seq was written twice). The raw log tail
    can sit beyond a loss-induced hole, and advertising it in an election
    (Figure 7) could out-bid the replica actually holding a committed write. *)
 let recovered_contiguous_lst t ~cmt ~raw =
   let by_seq =
-    newest_per_seq (Wal.durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above:cmt ~upto:raw)
+    newest_per_seq t (Wal.durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above:cmt ~upto:raw)
   in
   let rec walk seq best =
     match Seq_map.find_opt (seq + 1) by_seq with

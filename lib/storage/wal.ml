@@ -329,6 +329,24 @@ let iter_durable_writes_in t ~cohort ~above ~upto f =
       f lsn ops.(first) stamps.(first) origins.(first)
     done
 
+(* The index ascends by (epoch, seq), so a seq sits at most once in each
+   epoch's run: look it up there, then hop to the next epoch's run. *)
+let write_lsns_at_seq t ~cohort ~above ~seq =
+  match Hashtbl.find_opt t.cohorts cohort with
+  | None -> []
+  | Some c ->
+    let rec hop i acc =
+      if i >= c.hi then List.rev acc
+      else begin
+        let epoch = c.lsns.(i).Lsn.epoch in
+        let lsn = Lsn.make ~epoch ~seq in
+        let at = upper_bound c lsn - 1 in
+        let acc = if at >= i && Lsn.equal c.lsns.(at) lsn then lsn :: acc else acc in
+        hop (upper_bound c (Lsn.make ~epoch ~seq:max_int)) acc
+      end
+    in
+    hop (upper_bound c above) []
+
 let durable_writes_in t ~cohort ~above ~upto =
   let acc = ref [] in
   iter_durable_writes_in t ~cohort ~above ~upto (fun lsn op timestamp origin ->

@@ -86,6 +86,10 @@ val iter_durable_writes_in : t -> cohort:int -> above:Lsn.t -> upto:Lsn.t ->
     ascending LSN order without the list being built. The callback must not
     roll over, drop or wipe the cohort's log. *)
 
+val write_lsns_at_seq : t -> cohort:int -> above:Lsn.t -> seq:int -> Lsn.t list
+(** LSNs of the cohort's durable [Write] records above [above] whose
+    sequence number is [seq], ascending — one per epoch that wrote it. *)
+
 val gc_cohort : t -> cohort:int -> upto:Lsn.t -> unit
 (** Roll over: drop the cohort's durable [Write] records with LSN [<= upto]
     and all but the newest [Commit_upto]/[Checkpoint] markers. *)

@@ -149,4 +149,82 @@ let figure_10 () =
       (Lsn.equal cell.Storage.Row.lsn (lsn 1 22))
   | None -> ())
 
-let suite = [ Alcotest.test_case "Figure 10 walkthrough (S0-S4)" `Slow figure_10 ]
+(* Append one write [lsn] (key = its seq, value [value]) to [node]'s log. *)
+let append_write cluster node lsn ~value =
+  let wal = Node.wal (Cluster.node cluster node) in
+  Storage.Wal.append wal
+    (Log_record.write ~cohort:0 ~lsn ~timestamp:lsn.Lsn.seq
+       (Log_record.Put
+          { key = key_of cluster lsn.Lsn.seq; col = "c"; value; version = lsn.Lsn.seq }));
+  Storage.Wal.force wal (fun () -> ())
+
+(* Run the engine one event at a time until [cond] holds. *)
+let step_until engine cond =
+  let deadline = Sim.Sim_time.add (Sim.Engine.now engine) (Sim.Sim_time.sec 60) in
+  while not (cond ()) do
+    if Sim.Sim_time.(Sim.Engine.now engine >= deadline) || not (Sim.Engine.step engine) then
+      Alcotest.fail "step_until timeout"
+  done
+
+(* A re-proposed record settles its seq on the follower that accepts it.
+   Cohort = L(0), F(1), R(2) for range 0, epoch 2 last in use:
+
+     L: 1.1..1.11, cmt 1.10   (1.11 was never committed in epoch 1)
+     F: 1.1..1.10, cmt 1.10
+     R: 1.1..1.10, 2.11, cmt 1.10   (R led epoch 2 without L, reusing seq 11)
+
+   L and F elect L (lst 1.11), and L is cut off from F at once. R, started
+   next, catches up to 1.10 and accepts L's re-proposed 1.11 beside its own
+   2.11; L commits 1.11 on R's ack. L and R crash before L's commit message
+   reaches R. R restarts with F: it must claim lst 1.11, not the dead 2.11,
+   so the next takeover commits 1.11 and the committed write survives. *)
+let reproposal_settles_seq () =
+  let engine = Sim.Engine.create ~seed:11 () in
+  let cluster = Cluster.create engine test_config in
+  let l = 0 and f = 1 and r = 2 in
+  populate cluster l ~upto:10 ~cmt:10;
+  populate cluster f ~upto:10 ~cmt:10;
+  populate cluster r ~upto:10 ~cmt:10;
+  append_write cluster l (lsn 1 11) ~value:"committed";
+  append_write cluster r (lsn 2 11) ~value:"deposed";
+  let zk = Cluster.zk_server cluster in
+  let session = Coord.Zk_server.open_session zk in
+  ignore (Coord.Zk_server.set_data zk ~session ~path:"/ranges/0/epoch" ~data:"2");
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 100);
+  Node.start (Cluster.node cluster l);
+  Node.start (Cluster.node cluster f);
+  step_until engine (fun () ->
+      match Node.cohort (Cluster.node cluster l) ~range:0 with
+      | Some c -> Cohort.role c = Cohort.Leader
+      | None -> false);
+  Sim.Network.partition_pair (Cluster.net cluster) l f;
+  let cl = cohort cluster l in
+  Alcotest.(check string) "L has not committed 1.11 yet" "1.10" (Lsn.to_string (Cohort.cmt cl));
+  Node.start (Cluster.node cluster r);
+  step_until engine (fun () -> Lsn.equal (Cohort.cmt cl) (lsn 1 11));
+  Alcotest.(check string) "R has not applied 1.11" "1.10"
+    (Lsn.to_string (Cohort.cmt (cohort cluster r)));
+  Node.crash (Cluster.node cluster l);
+  Node.crash (Cluster.node cluster r);
+  Sim.Network.heal_pair (Cluster.net cluster) l f;
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 100);
+  Node.restart (Cluster.node cluster r);
+  Sim.Engine.run_for engine (Sim.Sim_time.sec 5);
+  Alcotest.(check (option int)) "R leads range 0" (Some r) (Cluster.leader_of cluster ~range:0);
+  List.iter
+    (fun (name, node) ->
+      match Cohort.read_local (cohort cluster node) (key_of cluster 11, "c") with
+      | Some cell ->
+        Alcotest.(check (option string))
+          (name ^ " holds the committed 1.11") (Some "committed") cell.Storage.Row.value
+      | None -> Alcotest.failf "%s lost the committed 1.11" name)
+    [ ("R", r); ("F", f) ];
+  Alcotest.(check bool) "R truncated 2.11" true
+    (List.exists (Lsn.equal (lsn 2 11)) (Cohort.skipped_lsns (cohort cluster r)))
+
+let suite =
+  [
+    Alcotest.test_case "Figure 10 walkthrough (S0-S4)" `Slow figure_10;
+    Alcotest.test_case "a re-proposed record settles its seq on the follower" `Quick
+      reproposal_settles_seq;
+  ]

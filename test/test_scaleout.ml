@@ -516,9 +516,10 @@ let test_epoch_change_exactly_once () =
   Alcotest.(check (list (pair string string))) "no violations" [] (List.rev !violations)
 
 (* ---------------------------------------------------------------------- *)
-(* Write phases: one sample per acknowledged client write, none for the     *)
-(* metadata records that commit in between. perfbench's committed_writes    *)
-(* counter reads this count.                                                *)
+(* Write phases: one sample per client write its own leader committed, none *)
+(* for the metadata records that commit in between or for the writes a      *)
+(* takeover rebuilt and committed. perfbench's committed_writes counter     *)
+(* reads this count.                                                        *)
 
 let test_write_phases_count_client_writes () =
   let engine = Sim.Engine.create ~seed:24 () in
@@ -547,7 +548,33 @@ let test_write_phases_count_client_writes () =
   check_bool "split completes" true (split engine cluster ~range);
   (* The split point is the median key, so the lowest keys stay here. *)
   put_keys (List.init 20 (fun k -> (k * 150) + 2));
-  check_int "one write-phase sample per acked put" !puts
+  (* Leader crash with writes in flight: the followers log them but their
+     acks never reach the leader, so the next leader's takeover rebuilds
+     and commits them, and answers the client's retries. *)
+  let net = Cluster.net cluster in
+  let leader = Option.get (Cluster.leader_of cluster ~range) in
+  let followers = List.filter (fun n -> n <> leader) (Partition.cohort partition ~range) in
+  List.iter (fun f -> Sim.Network.partition_oneway net ~src:f ~dst:leader) followers;
+  let in_flight =
+    List.init 5 (fun k ->
+        let key = Partition.key_of_int partition ((k * 150) + 3) in
+        check_int "key in the range" range (Partition.route partition key);
+        let r = ref None in
+        Client.put client key "c" ~value:"v" (fun x -> r := Some x);
+        r)
+  in
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 200);
+  check_int "no in-flight write committed at the old leader" !puts
+    (Sim.Metrics.Write_phases.count (Cluster.write_phases cluster));
+  Cluster.crash_node cluster leader;
+  List.iter (fun f -> Sim.Network.heal_oneway net ~src:f ~dst:leader) followers;
+  List.iter
+    (fun r -> check_bool "in-flight put acked by the next leader" true (Result.is_ok (drive engine r)))
+    in_flight;
+  check_bool "range 0 has a new leader" true
+    (Cluster.leader_of cluster ~range <> Some leader);
+  put_keys (List.init 20 (fun k -> (k * 150) + 4));
+  check_int "one write-phase sample per put its own leader committed" !puts
     (Sim.Metrics.Write_phases.count (Cluster.write_phases cluster))
 
 (* ---------------------------------------------------------------------- *)
@@ -910,8 +937,6 @@ let suite =
       test_split_end_to_end;
     Alcotest.test_case "exactly-once across migration and split" `Slow
       test_epoch_change_exactly_once;
-    Alcotest.test_case "write phases: one sample per client write, none per meta record"
-      `Slow test_write_phases_count_client_writes;
     Alcotest.test_case "chaos: crashes + partitions + loss during scale-out" `Slow
       test_chaos_scaleout;
     Alcotest.test_case "teardown: a lost /leader znode ends the term's split" `Slow
@@ -924,4 +949,6 @@ let suite =
       test_teardown_traces_migration_abort;
     Alcotest.test_case "split: a lost coordination call times out" `Slow
       test_lost_split_call_times_out;
+    Alcotest.test_case "write phases: one sample per client write, none per meta record"
+      `Slow test_write_phases_count_client_writes;
   ]
