@@ -10,6 +10,7 @@ type t = {
   metrics : Sim.Metrics.Registry.t;
   mutable next_client : int;
   planted_hole_ack_bug : bool;  (** fault plant handed to every node *)
+  shared : Cohort.shared;  (** read counters, write phases, lease switch *)
 }
 
 let bootstrap_zk zk_server partition =
@@ -84,15 +85,17 @@ let create ?(planted_hole_ack_bug = false) engine config =
   ignore
     (Sim.Metrics.Registry.register_gauge metrics ~node:(-1) ~name:"trace_dropped" (fun () ->
          Sim.Trace.dropped trace));
+  let shared = Cohort.shared () in
   let nodes =
     Array.init config.Config.nodes (fun id ->
-        Node.create ~engine ~net ~zk_server ~partition ~config ~trace ~planted_hole_ack_bug ~id)
+        Node.create ~engine ~net ~zk_server ~partition ~config ~trace ~planted_hole_ack_bug
+          ~shared ~id)
   in
   (* Resource gauges, one series per node (and per cohort where the resource
      is per-range); sampled by the registry ticker once the cluster starts. *)
   Array.iter (register_node_gauges metrics) nodes;
   { engine; config; partition; net; zk_server; nodes; trace; flight; metrics;
-    next_client = 10_000; planted_hole_ack_bug }
+    next_client = 10_000; planted_hole_ack_bug; shared }
 
 let new_client t =
   let id = t.next_client in
@@ -165,7 +168,7 @@ let add_node t =
   let id = Array.length t.nodes in
   let node =
     Node.create ~engine:t.engine ~net:t.net ~zk_server:t.zk_server ~partition:t.partition
-      ~config:t.config ~trace:t.trace ~planted_hole_ack_bug:t.planted_hole_ack_bug ~id
+      ~config:t.config ~trace:t.trace ~planted_hole_ack_bug:t.planted_hole_ack_bug ~shared:t.shared ~id
   in
   t.nodes <- Array.append t.nodes [| node |];
   register_node_gauges t.metrics node;
@@ -247,69 +250,24 @@ let read_path_stats t =
     t.nodes;
   { !stats with tables_per_node = List.rev !stats.tables_per_node }
 
-(* The bench's leased-vs-unleased A/B switch: flip every cohort between
-   lease-served strong reads and per-read quorum guards at runtime, so the
-   comparison runs over the same preloaded stores. *)
-let set_lease_enabled t enabled =
-  Array.iter
-    (fun node ->
-      List.iter (fun (_, c) -> Cohort.set_lease_disabled c (not enabled)) (Node.cohorts node))
-    t.nodes
+(* The bench's leased-vs-unleased A/B switch: every replica, hosted now or
+   later, reads the one shared flag, so the comparison runs over the same
+   preloaded stores. *)
+let set_lease_enabled t enabled = t.shared.Cohort.lease_disabled <- not enabled
 
-type read_serve_stats = {
-  leased : int;
-  guarded : int;
-  lease_rejects : int;
-  guard_fails : int;
-  leader_timeline : int;
-  follower_timeline : int;
-  token_waits : int;
-  token_redirects : int;
+type read_serve_stats = Cohort.read_stats = {
+  mutable leased : int;
+  mutable guarded : int;
+  mutable lease_rejects : int;
+  mutable guard_fails : int;
+  mutable leader_timeline : int;
+  mutable follower_timeline : int;
+  mutable token_waits : int;
+  mutable token_redirects : int;
 }
 
-let read_serve_stats t =
-  let acc =
-    ref
-      {
-        leased = 0;
-        guarded = 0;
-        lease_rejects = 0;
-        guard_fails = 0;
-        leader_timeline = 0;
-        follower_timeline = 0;
-        token_waits = 0;
-        token_redirects = 0;
-      }
-  in
-  Array.iter
-    (fun node ->
-      List.iter
-        (fun (_, c) ->
-          let s = Cohort.read_stats c in
-          let a = !acc in
-          acc :=
-            {
-              leased = a.leased + s.Cohort.leased;
-              guarded = a.guarded + s.Cohort.guarded;
-              lease_rejects = a.lease_rejects + s.Cohort.lease_rejects;
-              guard_fails = a.guard_fails + s.Cohort.guard_fails;
-              leader_timeline = a.leader_timeline + s.Cohort.leader_timeline;
-              follower_timeline = a.follower_timeline + s.Cohort.follower_timeline;
-              token_waits = a.token_waits + s.Cohort.token_waits;
-              token_redirects = a.token_redirects + s.Cohort.token_redirects;
-            })
-        (Node.cohorts node))
-    t.nodes;
-  !acc
-
-let write_phases t =
-  Array.fold_left
-    (fun acc node ->
-      List.fold_left
-        (fun acc (_, c) -> Sim.Metrics.Write_phases.merge acc (Cohort.write_phases c))
-        acc (Node.cohorts node))
-    (Sim.Metrics.Write_phases.create ())
-    t.nodes
+let read_serve_stats t = { t.shared.Cohort.reads with leased = t.shared.Cohort.reads.leased }
+let write_phases t = t.shared.Cohort.phases
 
 let is_ready t =
   List.for_all (fun r -> leader_of t ~range:r <> None) (Partition.range_ids t.partition)

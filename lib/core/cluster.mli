@@ -98,30 +98,35 @@ type read_path_stats = {
 val read_path_stats : t -> read_path_stats
 
 val set_lease_enabled : t -> bool -> unit
-(** Flip every cohort between lease-served strong reads ([true], the
+(** Flip the cluster between lease-served strong reads ([true], the
     default) and the per-read quorum-guard fallback ([false]) at runtime —
     the bench's leased-vs-unleased A/B switch, usable without rebuilding or
-    re-preloading the cluster, and the only way to run unleased. *)
+    re-preloading the cluster, and the only way to run unleased. The switch
+    is one flag every replica reads, so it also reaches replicas hosted
+    later (a split child, a migration's joiner). *)
 
-type read_serve_stats = {
-  leased : int;  (** strong reads served locally under a live lease *)
-  guarded : int;  (** strong reads served via a read-index quorum round *)
-  lease_rejects : int;  (** strong reads refused because the lease lapsed *)
-  guard_fails : int;  (** guard rounds abandoned without a quorum *)
-  leader_timeline : int;  (** timeline reads served by the leader *)
-  follower_timeline : int;  (** timeline reads served by a follower *)
-  token_waits : int;  (** timeline reads parked waiting for a token's LSN *)
-  token_redirects : int;  (** parked reads redirected at the staleness bound *)
+type read_serve_stats = Cohort.read_stats = {
+  mutable leased : int;  (** strong reads served locally under a live lease *)
+  mutable guarded : int;  (** strong reads served via a read-index quorum round *)
+  mutable lease_rejects : int;  (** strong reads refused because the lease lapsed *)
+  mutable guard_fails : int;  (** guard rounds abandoned without a quorum *)
+  mutable leader_timeline : int;  (** timeline reads served by the leader *)
+  mutable follower_timeline : int;  (** timeline reads served by a follower *)
+  mutable token_waits : int;  (** timeline reads parked waiting for a token's LSN *)
+  mutable token_redirects : int;  (** parked reads redirected at the staleness bound *)
 }
-(** Cluster-wide read-serve accounting, summed over every cohort. Counters
-    are cumulative (cohort-lifetime); benchmark series take before/after
-    deltas. *)
+(** Cluster-wide read-serve accounting. Counters are cumulative over the
+    cluster's lifetime: a crash or a migration that retires a replica does
+    not take its counts away. Benchmark series take before/after deltas. *)
 
 val read_serve_stats : t -> read_serve_stats
+(** A copy of the counters, so a snapshot does not move as reads go on. *)
 
 val write_phases : t -> Sim.Metrics.Write_phases.t
-(** Merged per-phase write-path breakdown over every cohort in the cluster —
-    the data behind the write-latency decomposition in [BENCH_*.json]. *)
+(** The per-phase write-path breakdown of every write any replica led to
+    commit over the cluster's lifetime, retired replicas included — the
+    data behind the write-latency decomposition in [BENCH_*.json]. This is
+    the live record, not a copy: it keeps growing as writes commit. *)
 
 val crash_node : t -> int -> unit
 

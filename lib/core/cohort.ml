@@ -7,6 +7,36 @@ module Skipped_lsns = Storage.Skipped_lsns
 
 type role = Offline | Candidate | Leader | Follower
 
+(* What every replica of the cluster shares: the read-serve counters, the
+   write-phase histograms and the leased-vs-unleased switch. The cluster
+   builds one record, so a crash or a retired replica leaves its counts in
+   place and a replica hosted later reads the current switch. *)
+type read_stats = {
+  mutable leased : int;
+  mutable guarded : int;
+  mutable lease_rejects : int;
+  mutable guard_fails : int;
+  mutable leader_timeline : int;
+  mutable follower_timeline : int;
+  mutable token_waits : int;
+  mutable token_redirects : int;
+}
+
+type shared = {
+  reads : read_stats;
+  phases : Sim.Metrics.Write_phases.t;
+  mutable lease_disabled : bool;
+}
+
+let shared () =
+  {
+    reads =
+      { leased = 0; guarded = 0; lease_rejects = 0; guard_fails = 0; leader_timeline = 0;
+        follower_timeline = 0; token_waits = 0; token_redirects = 0 };
+    phases = Sim.Metrics.Write_phases.create ();
+    lease_disabled = false;
+  }
+
 type ctx = {
   engine : Sim.Engine.t;
   node_id : int;
@@ -49,6 +79,7 @@ type ctx = {
           loss-induced hole — the exact bug the hole-aware ack fixed — so the
           shrinker tests have a reproducible lost-acked-write failure to cut
           down. Set only through {!Cluster.create}'s argument. *)
+  shared : shared;  (** the cluster's one copy, handed to every replica *)
 }
 
 type waiting_write = { client : int; request_id : int; op : Message.client_op }
@@ -77,19 +108,6 @@ type parked_read = {
   mutable p_done : bool;  (** served or redirected; the deadline is a no-op *)
   p_wait_span : int;  (** open [read.wait_lsn] span (0 when untraced) *)
   p_trace_id : int;
-}
-
-(* Read-path counters, cluster-lifetime (crash does not reset them — they
-   feed bench series, like the write-phase histograms). *)
-type read_stats = {
-  mutable leased : int;  (** strong reads served locally under a live lease *)
-  mutable guarded : int;  (** strong reads served via a read-index quorum round *)
-  mutable lease_rejects : int;  (** strong reads refused because the lease lapsed *)
-  mutable guard_fails : int;  (** guard rounds that timed out without a quorum *)
-  mutable leader_timeline : int;  (** timeline reads served by the leader *)
-  mutable follower_timeline : int;  (** timeline reads served by a follower *)
-  mutable token_waits : int;  (** timeline reads parked for cmt to reach a token *)
-  mutable token_redirects : int;  (** parked reads that hit the staleness bound *)
 }
 
 (* Outcome of a client write, remembered per request so a duplicated or
@@ -169,18 +187,10 @@ type t = {
   mutable own_candidate : string option;
   mutable leader_watch_armed : bool;
   (* read path *)
-  mutable lease_disabled : bool;
-      (** runtime override forcing the unleased (quorum-guard) strong-read
-          path; a bench knob, so it survives crashes like the config
-          itself *)
   mutable guard_seq : int;
   guards : (int, pending_guard) Hashtbl.t;
       (** outstanding read-index rounds, keyed by guard sequence number *)
   mutable parked_reads : parked_read list;  (** newest first *)
-  reads : read_stats;
-  (* instrumentation *)
-  phases : Sim.Metrics.Write_phases.t;
-      (** per-phase write-path latencies for writes this cohort led *)
   (* transaction state (leader-scoped; rebuilt from store + queue on open) *)
   locks : (Row.coord, string) Hashtbl.t;
       (** base coordinate -> transaction holding a write intent there, granted
@@ -263,22 +273,9 @@ let create ctx =
     election_running = false;
     own_candidate = None;
     leader_watch_armed = false;
-    lease_disabled = false;
     guard_seq = 0;
     guards = Hashtbl.create 16;
     parked_reads = [];
-    reads =
-      {
-        leased = 0;
-        guarded = 0;
-        lease_rejects = 0;
-        guard_fails = 0;
-        leader_timeline = 0;
-        follower_timeline = 0;
-        token_waits = 0;
-        token_redirects = 0;
-      };
-    phases = Sim.Metrics.Write_phases.create ();
     locks = Hashtbl.create 16;
     pending_decisions = Hashtbl.create 16;
     resolving = Hashtbl.create 16;
@@ -286,8 +283,8 @@ let create ctx =
   }
 
 let role t = t.role
-let read_stats t = t.reads
-let set_lease_disabled t v = t.lease_disabled <- v
+let reads t = t.ctx.shared.reads
+let phases t = t.ctx.shared.phases
 let epoch t = t.epoch
 let cmt t = t.cmt
 let is_open t = t.role = Leader && t.open_for_writes
@@ -377,7 +374,7 @@ let propose t writes =
    carry their send instant, so arrival minus [sent_at] is the measured
    one-way wire time (propagation + serialization + queueing in the model). *)
 let record_transit t ~sent_at =
-  Sim.Metrics.Histogram.record_span t.phases.transit
+  Sim.Metrics.Histogram.record_span (phases t).transit
     (Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) sent_at)
 
 (* ------------------------------------------------------------------ *)
@@ -477,7 +474,7 @@ let recache_outcomes_from_log t ~above ~upto =
    replacement election — so any fraction < 0.5 lapses strictly before a
    new leader can exist anywhere. *)
 
-let leases_enabled t = not t.lease_disabled
+let leases_enabled t = not t.ctx.shared.lease_disabled
 
 let lease_valid t =
   let config = t.ctx.config in
@@ -540,7 +537,7 @@ let fail_guards t =
     Hashtbl.reset t.guards;
     List.iter
       (fun (_, g) ->
-        t.reads.guard_fails <- t.reads.guard_fails + 1;
+        (reads t).guard_fails <- (reads t).guard_fails + 1;
         span_end t ~span:g.g_span ~trace_id:g.g_trace_id ~tag:"read.guard" "abandoned";
         t.ctx.reply ~client:g.g_client ~request_id:g.g_request_id Message.Unavailable)
       (List.sort (fun (a, _) (b, _) -> compare a b) pending)
@@ -1201,7 +1198,7 @@ let rec try_commit t =
         match e.Commit_queue.repl_span with
         | Some span ->
           let trace_id = origin_trace_id e.origin in
-          Sim.Metrics.Histogram.record_span t.phases.replication
+          Sim.Metrics.Histogram.record_span (phases t).replication
             (Sim.Sim_time.diff popped_at (Sim.Sim_time.at_us e.timestamp));
           let lsn = if tracing t then Lsn.to_string e.lsn else "" in
           span_end t ~span ~trace_id ~lsn ~tag:"phase.replication" "commit eligible";
@@ -1223,7 +1220,7 @@ let rec try_commit t =
       match tracked with
       | Some (trace_id, apply_span, lsn) ->
         span_end t ~span:apply_span ~trace_id ~lsn ~tag:"phase.apply" "applied and replied";
-        Sim.Metrics.Histogram.record_span t.phases.apply
+        Sim.Metrics.Histogram.record_span (phases t).apply
           (Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) popped_at)
       | None -> ())
     committable;
@@ -1437,7 +1434,7 @@ and enqueue_write t ~client ~request_id op =
              match write_record t ~client ~request_id ~ts:(now_us t) op with
              | None -> ()
              | Some op ->
-               Sim.Metrics.Histogram.record_span t.phases.queue
+               Sim.Metrics.Histogram.record_span (phases t).queue
                  (Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) arrived);
                (* The origin's floor is the highest the client has reported
                   here, so replicas trim on apply. *)
@@ -1482,7 +1479,7 @@ and append t ?origin op =
   Wal.force t.ctx.wal
     (guard t (fun () ->
          if origin <> None then begin
-           Sim.Metrics.Histogram.record_span t.phases.force
+           Sim.Metrics.Histogram.record_span (phases t).force
              (Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) (Sim.Sim_time.at_us ts));
            span_end t ~span:force_span ~trace_id ~lsn:lsn_s ~tag:"phase.force" "locally durable"
          end;
@@ -1508,7 +1505,7 @@ let gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit
       let ok = lease_valid t in
       trace t "lease.check" (if ok then "ok" else "lapsed");
       if ok then begin
-        t.reads.leased <- t.reads.leased + 1;
+        (reads t).leased <- (reads t).leased + 1;
         submit ()
       end
       else begin
@@ -1516,7 +1513,7 @@ let gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit
            session fresh may already be deposed on the far side of a
            partition, so it must refuse rather than risk a stale "strong"
            read. No hint — we genuinely do not know who leads. *)
-        t.reads.lease_rejects <- t.reads.lease_rejects + 1;
+        (reads t).lease_rejects <- (reads t).lease_rejects + 1;
         finish (Message.Not_leader { hint = None })
       end
     end
@@ -1538,7 +1535,7 @@ let gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit
           g_request_id = request_id;
           g_serve =
             (fun () ->
-              t.reads.guarded <- t.reads.guarded + 1;
+              (reads t).guarded <- (reads t).guarded + 1;
               submit ());
           g_acks = [];
           g_span = gspan;
@@ -1551,7 +1548,7 @@ let gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit
       after t (Sim.Sim_time.span_scale t.ctx.config.Config.client_timeout 0.5) (fun () ->
           if Hashtbl.mem t.guards seq then begin
             Hashtbl.remove t.guards seq;
-            t.reads.guard_fails <- t.reads.guard_fails + 1;
+            (reads t).guard_fails <- (reads t).guard_fails + 1;
             span_end t ~span:gspan ~trace_id ~tag:"read.guard" "no quorum; timeout";
             finish Message.Unavailable
           end)
@@ -1563,14 +1560,14 @@ let gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit
     finish Message.Unavailable
   else begin
     let serve_timeline () =
-      (if t.role = Leader then t.reads.leader_timeline <- t.reads.leader_timeline + 1
-       else t.reads.follower_timeline <- t.reads.follower_timeline + 1);
+      (if t.role = Leader then (reads t).leader_timeline <- (reads t).leader_timeline + 1
+       else (reads t).follower_timeline <- (reads t).follower_timeline + 1);
       submit ()
     in
     if Lsn.(token > Lsn.zero) && Lsn.(t.cmt < token) then begin
       (* Read-your-writes: hold the read until our applied prefix covers the
          client's last acked write, bounded by the staleness deadline. *)
-      t.reads.token_waits <- t.reads.token_waits + 1;
+      (reads t).token_waits <- (reads t).token_waits + 1;
       let wait_span =
         if tracing t then
           span_start t ~trace_id ~lsn:(Lsn.to_string token) ~tag:"read.wait_lsn"
@@ -1593,7 +1590,7 @@ let gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit
           if not p.p_done then begin
             p.p_done <- true;
             t.parked_reads <- List.filter (fun q -> not (q == p)) t.parked_reads;
-            t.reads.token_redirects <- t.reads.token_redirects + 1;
+            (reads t).token_redirects <- (reads t).token_redirects + 1;
             span_end t ~span:wait_span ~trace_id ~tag:"read.wait_lsn"
               "staleness bound; redirecting to leader";
             finish (Message.Not_leader { hint = t.leader })
@@ -2454,9 +2451,8 @@ let crash t =
   t.leader_watch_armed <- false;
   (* Outstanding guard rounds and parked reads die with the node (no replies
      leave a crashed process); their clients time out and retry elsewhere.
-     [lease_disabled] and [guard_seq] survive: the former is configuration,
-     the latter stays monotone so a stale pre-crash ack can never complete a
-     fresh round. *)
+     [guard_seq] survives, monotone, so a stale pre-crash ack can never
+     complete a fresh round. *)
   Hashtbl.reset t.guards;
   t.parked_reads <- [];
   Hashtbl.reset t.locks;
@@ -2542,7 +2538,6 @@ let zk_session_expired t =
 let zk_session_renewed t = if t.role <> Offline && not t.learner then join_cohort t
 
 let read_local t coord = Store.read t.ctx.store coord
-let write_phases t = t.phases
 
 let skipped_lsns t = Skipped_lsns.to_list (Store.skipped t.ctx.store)
 

@@ -20,6 +20,32 @@
 
 type role = Offline | Candidate | Leader | Follower
 
+type read_stats = {
+  mutable leased : int;
+  mutable guarded : int;
+  mutable lease_rejects : int;
+  mutable guard_fails : int;
+  mutable leader_timeline : int;
+  mutable follower_timeline : int;
+  mutable token_waits : int;
+  mutable token_redirects : int;
+}
+(** Read-serve counters, documented at {!Cluster.read_serve_stats}. *)
+
+type shared = {
+  reads : read_stats;
+  phases : Sim.Metrics.Write_phases.t;
+      (** per-phase breakdown of every write a replica led to commit *)
+  mutable lease_disabled : bool;
+      (** force the unleased (quorum-guard) strong-read path *)
+}
+(** Facts about the whole cluster that every replica updates: one record,
+    built by {!Cluster.create} and handed to each replica through {!ctx}.
+    A crash or a retired replica leaves it as it is. *)
+
+val shared : unit -> shared
+(** Zero counters, empty histograms, leases enabled. *)
+
 type ctx = {
   engine : Sim.Engine.t;
   node_id : int;
@@ -62,6 +88,7 @@ type ctx = {
           loss-induced hole — the exact bug the hole-aware ack fixed — so the
           shrinker tests have a reproducible lost-acked-write failure to cut
           down. Set only through {!Cluster.create}'s argument. *)
+  shared : shared;  (** the cluster's one copy, handed to every replica *)
 }
 
 type t
@@ -96,28 +123,6 @@ val is_learner : t -> bool
 
 val migrating : t -> bool
 (** Leader-side: a replica migration is in flight on this cohort. *)
-
-(** {2 Read path: leases and follower reads} *)
-
-type read_stats = {
-  mutable leased : int;  (** strong reads served locally under a live lease *)
-  mutable guarded : int;  (** strong reads served via a read-index quorum round *)
-  mutable lease_rejects : int;  (** strong reads refused because the lease lapsed *)
-  mutable guard_fails : int;  (** guard rounds abandoned without a quorum *)
-  mutable leader_timeline : int;  (** timeline reads served by the leader *)
-  mutable follower_timeline : int;  (** timeline reads served by a follower *)
-  mutable token_waits : int;  (** timeline reads parked for cmt to reach a token *)
-  mutable token_redirects : int;  (** parked reads that hit the staleness bound *)
-}
-
-val read_stats : t -> read_stats
-(** Read-path counters, accumulated across the cohort's lifetime (crashes do
-    not reset them — they feed bench series like the write-phase samples). *)
-
-val set_lease_disabled : t -> bool -> unit
-(** Force the unleased (per-read quorum guard) strong-read path — the
-    bench's leased-vs-unleased A/B switch, flippable at runtime without
-    rebuilding the cluster. *)
 
 (** {2 Membership change and splits (§10)} *)
 
@@ -182,12 +187,6 @@ val read_local : t -> Storage.Row.coord -> Storage.Row.cell option
 
 val skipped_lsns : t -> Storage.Lsn.t list
 (** The replica's skipped-LSN list (§6.1.1), ascending. *)
-
-val write_phases : t -> Sim.Metrics.Write_phases.t
-(** Per-phase latency breakdown (queue / force / replication / apply, plus
-    measured per-hop network transit) of every write this cohort led to
-    commit, accumulated across the cohort's lifetime (crashes clear in-flight
-    tracking but keep the samples). *)
 
 (** {2 Event handling} (called by the node's dispatcher) *)
 

@@ -28,6 +28,7 @@ type t = {
           cohort's sweep; the cluster layer installs a client-backed resolver
           (raw-node tests leave it unset — the sweep is then inert) *)
   planted_hole_ack_bug : bool;  (** fault plant handed to every hosted cohort *)
+  shared : Cohort.shared;  (** the cluster's counters and lease switch *)
 }
 
 let id t = t.id
@@ -156,6 +157,7 @@ and make_cohort ?store t range =
           | Some f -> f ~txn ~anchor ~key
           | None -> ());
       planted_hole_ack_bug = t.planted_hole_ack_bug;
+      shared = t.shared;
     }
   in
   Cohort.create ctx
@@ -385,10 +387,10 @@ let handle t (env : Message.t Sim.Network.envelope) =
       | None -> ())
   end
 
-let create ~engine ~net ~zk_server ~partition ~config ~trace ~planted_hole_ack_bug ~id =
-  let cpu = Sim.Resource.create engine ~name:(Printf.sprintf "cpu-%d" id) ~servers:4 () in
-  let disk = Sim.Resource.create engine ~name:(Printf.sprintf "logdisk-%d" id) () in
-  let xfer = Sim.Resource.create engine ~name:(Printf.sprintf "xfer-%d" id) () in
+let create ~engine ~net ~zk_server ~partition ~config ~trace ~planted_hole_ack_bug ~shared ~id =
+  let cpu = Sim.Resource.create engine ~servers:4 () in
+  let disk = Sim.Resource.create engine () in
+  let xfer = Sim.Resource.create engine () in
   let model = Sim.Disk_model.create config.Config.disk in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
   let wal =
@@ -416,6 +418,7 @@ let create ~engine ~net ~zk_server ~partition ~config ~trace ~planted_hole_ack_b
       incarnation = 0;
       txn_escalation = None;
       planted_hole_ack_bug;
+      shared;
     }
   in
   t.cohorts <-

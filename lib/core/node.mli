@@ -13,10 +13,12 @@ val create :
   config:Config.t ->
   trace:Sim.Trace.t ->
   planted_hole_ack_bug:bool ->
+  shared:Cohort.shared ->
   id:int ->
   t
 (** [planted_hole_ack_bug] is the fault plant every cohort this node hosts
-    reads ({!Cohort.ctx}). *)
+    reads, and [shared] the cluster's one record of read counters, write
+    phases and lease switch that they all update ({!Cohort.ctx}). *)
 
 val id : t -> int
 

@@ -49,8 +49,8 @@ type t = {
 let hints_queued t = Hashtbl.length t.pending_hints
 
 let create ~engine ~net ~partition ~config ~trace ~anti_entropy_period ~id =
-  let cpu = Sim.Resource.create engine ~name:(Printf.sprintf "cas-cpu-%d" id) ~servers:4 () in
-  let disk = Sim.Resource.create engine ~name:(Printf.sprintf "cas-logdisk-%d" id) () in
+  let cpu = Sim.Resource.create engine ~servers:4 () in
+  let disk = Sim.Resource.create engine () in
   let model = Sim.Disk_model.create config.Config.disk in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
   let wal = Wal.create engine ~disk ~model ~rng ~max_batch:config.Config.wal_max_batch () in

@@ -27,10 +27,10 @@ let replica_of t = function Master -> t.master | Slave -> t.slave
 let other = function Master -> Slave | Slave -> Master
 
 let create engine ?(disk = Sim.Disk_model.Magnetic) () =
-  let make name label =
+  let make name =
     {
       name;
-      disk = Sim.Resource.create engine ~name:label ();
+      disk = Sim.Resource.create engine ();
       up = true;
       destroyed = false;
       log = [];
@@ -42,8 +42,8 @@ let create engine ?(disk = Sim.Disk_model.Magnetic) () =
     model = Sim.Disk_model.create disk;
     rng = Sim.Rng.split (Sim.Engine.rng engine);
     latency = Sim.Distribution.Shifted_exponential { base = 80.0; mean_extra = 30.0 };
-    master = make Master "ms-master-disk";
-    slave = make Slave "ms-slave-disk";
+    master = make Master;
+    slave = make Slave;
     acting = Some Master;
     next_lsn = 0;
     global_committed = 0;

@@ -115,22 +115,6 @@ module Histogram = struct
   let min t = if t.len = 0 then 0.0 else (sorted t).(0)
   let max t = if t.len = 0 then 0.0 else (sorted t).(t.len - 1)
 
-  let stddev t =
-    if t.len < 2 then 0.0
-    else begin
-      let m = mean t in
-      let sum = ref 0.0 in
-      for i = 0 to t.len - 1 do
-        let d = t.samples.(i) -. m in
-        sum := !sum +. (d *. d)
-      done;
-      sqrt (!sum /. float_of_int t.len)
-    end
-
-  let clear t =
-    t.len <- 0;
-    t.sorted_cache <- None
-
   let samples t = Array.to_list (Array.sub t.samples 0 t.len)
 
   let merge a b =
@@ -142,12 +126,6 @@ module Histogram = struct
       record t b.samples.(i)
     done;
     t
-
-  let pp_summary ppf t =
-    Format.fprintf ppf "%s: n=%d mean=%.2fms p50=%.2fms p99=%.2fms" t.name (count t)
-      (mean t /. 1e3)
-      (percentile t 0.5 /. 1e3)
-      (percentile t 0.99 /. 1e3)
 
   let json_summary t =
     Json.Obj
@@ -190,22 +168,6 @@ module Write_phases = struct
       apply = Histogram.create ~name:"apply" ();
       transit = Histogram.create ~name:"transit" ();
     }
-
-  let merge a b =
-    {
-      queue = Histogram.merge a.queue b.queue;
-      force = Histogram.merge a.force b.force;
-      replication = Histogram.merge a.replication b.replication;
-      apply = Histogram.merge a.apply b.apply;
-      transit = Histogram.merge a.transit b.transit;
-    }
-
-  let clear t =
-    Histogram.clear t.queue;
-    Histogram.clear t.force;
-    Histogram.clear t.replication;
-    Histogram.clear t.apply;
-    Histogram.clear t.transit
 
   let count t = Histogram.count t.replication
 
@@ -307,17 +269,6 @@ module Attribution = struct
       t.segments
 end
 
-module Counter = struct
-  type t = { name : string; mutable value : int }
-
-  let create ?(name = "") () = { name; value = 0 }
-  let name t = t.name
-  let incr t = t.value <- t.value + 1
-  let add t n = t.value <- t.value + n
-  let value t = t.value
-  let clear t = t.value <- 0
-end
-
 (* A gauge is a named per-node callback ([unit -> int]) sampled by the
    registry's sim-time ticker into a capped time series; the cap drops the
    oldest points so week-long sim runs keep a sliding window rather than an
@@ -335,7 +286,6 @@ module Gauge = struct
   let name t = t.name
   let node t = t.node
   let read t = t.read ()
-  let point_count t = Queue.length t.points
   let dropped t = t.dropped
   let points t = List.of_seq (Queue.to_seq t.points)
 
@@ -348,25 +298,12 @@ module Gauge = struct
       t.dropped <- t.dropped + 1
     end;
     Queue.push (at_us, v) t.points
-
-  let to_json t =
-    Json.Obj
-      [
-        ("name", Json.String t.name);
-        ("node", Json.Int t.node);
-        ("dropped_points", Json.Int t.dropped);
-        ( "points",
-          Json.List
-            (List.map (fun (ts, v) -> Json.List [ Json.Int ts; Json.Int v ]) (points t)) );
-      ]
 end
 
 module Registry = struct
   type t = {
     engine : Engine.t;
     mutable gauges : Gauge.t list;  (** newest-first; [gauges] reverses *)
-    mutable counters : Counter.t list;
-    mutable histograms : Histogram.t list;
     max_points : int;
     mutable sampling : bool;
     mutable samples_taken : int;
@@ -376,8 +313,6 @@ module Registry = struct
     {
       engine;
       gauges = [];
-      counters = [];
-      histograms = [];
       max_points = Stdlib.max 1 max_points_per_gauge;
       sampling = false;
       samples_taken = 0;
@@ -397,25 +332,7 @@ module Registry = struct
     t.gauges <- g :: t.gauges;
     g
 
-  let counter t ~name =
-    match List.find_opt (fun c -> String.equal (Counter.name c) name) t.counters with
-    | Some c -> c
-    | None ->
-        let c = Counter.create ~name () in
-        t.counters <- c :: t.counters;
-        c
-
-  let histogram t ~name =
-    match List.find_opt (fun h -> String.equal (Histogram.name h) name) t.histograms with
-    | Some h -> h
-    | None ->
-        let h = Histogram.create ~name () in
-        t.histograms <- h :: t.histograms;
-        h
-
   let gauges t = List.rev t.gauges
-  let counters t = List.rev t.counters
-  let histograms t = List.rev t.histograms
   let samples_taken t = t.samples_taken
 
   let sample t =
@@ -435,23 +352,6 @@ module Registry = struct
       ignore (Engine.schedule t.engine ~after:period tick)
     end
 
-  let to_json t =
-    Json.Obj
-      [
-        ("samples_taken", Json.Int t.samples_taken);
-        ("gauges", Json.List (List.map Gauge.to_json (gauges t)));
-        ( "counters",
-          Json.List
-            (List.map
-               (fun c ->
-                 Json.Obj
-                   [
-                     ("name", Json.String (Counter.name c));
-                     ("value", Json.Int (Counter.value c));
-                   ])
-               (counters t)) );
-        ("histograms", Json.List (List.map Histogram.json_summary (histograms t)));
-      ]
 end
 
 type run_stats = {
@@ -476,10 +376,6 @@ let run_stats_of ~latency ~errors ~duration =
     completed;
     errors;
   }
-
-let pp_run_stats ppf s =
-  Format.fprintf ppf "%.0f req/s, mean %.2f ms, p50 %.2f ms, p99 %.2f ms (%d ops, %d errors)"
-    s.throughput_per_sec s.mean_latency_ms s.p50_ms s.p99_ms s.completed s.errors
 
 let json_of_run_stats s =
   Json.Obj

@@ -1,4 +1,4 @@
-(** Measurement collection: latency histograms and counters.
+(** Measurement collection: latency histograms and sampled gauges.
 
     A {!Histogram.t} stores raw samples (microseconds) so exact means and
     percentiles can be computed afterwards — simulation run lengths keep the
@@ -34,14 +34,8 @@ module Histogram : sig
 
   val max : t -> float
 
-  val stddev : t -> float
-
-  val clear : t -> unit
-
   val merge : t -> t -> t
   (** Fresh histogram with both sample sets. *)
-
-  val pp_summary : Format.formatter -> t -> unit
 
   val sum : t -> float
   (** Sum of all samples; 0.0 when empty. *)
@@ -71,10 +65,6 @@ module Write_phases : sig
   }
 
   val create : unit -> t
-
-  val merge : t -> t -> t
-
-  val clear : t -> unit
 
   val count : t -> int
   (** Number of writes that completed the full pipeline. *)
@@ -121,22 +111,6 @@ module Attribution : sig
   val pp : Format.formatter -> t -> unit
 end
 
-module Counter : sig
-  type t
-
-  val create : ?name:string -> unit -> t
-
-  val name : t -> string
-
-  val incr : t -> unit
-
-  val add : t -> int -> unit
-
-  val value : t -> int
-
-  val clear : t -> unit
-end
-
 (** A named per-node gauge: a [unit -> int] callback sampled by the owning
     {!Registry}'s sim-time ticker into a capped [(µs, value)] time series. *)
 module Gauge : sig
@@ -152,21 +126,15 @@ module Gauge : sig
   val points : t -> (int * int) list
   (** [(sim-time µs, value)] pairs, oldest first. *)
 
-  val point_count : t -> int
-
   val last : t -> (int * int) option
 
   val dropped : t -> int
   (** Points discarded once the per-gauge cap was reached (oldest first). *)
-
-  val to_json : t -> Json.t
-  (** [{name, node, dropped_points, points: [[ts_us, value], ...]}]. *)
 end
 
-(** Central instrument registry for one cluster: gauges registered per node,
-    create-or-get named counters and histograms, and a periodic sim-time
-    sampler that turns gauge reads into time series for [BENCH_*.json] and
-    the Perfetto exporter's counter tracks. *)
+(** Central instrument registry for one cluster: gauges registered per
+    node, and a periodic sim-time sampler that turns gauge reads into time
+    series for [BENCH_*.json] and the Perfetto exporter's counter tracks. *)
 module Registry : sig
   type t
 
@@ -176,18 +144,8 @@ module Registry : sig
 
   val register_gauge : t -> node:int -> name:string -> (unit -> int) -> Gauge.t
 
-  val counter : t -> name:string -> Counter.t
-  (** Create-or-get by name. *)
-
-  val histogram : t -> name:string -> Histogram.t
-  (** Create-or-get by name. *)
-
   val gauges : t -> Gauge.t list
   (** In registration order. *)
-
-  val counters : t -> Counter.t list
-
-  val histograms : t -> Histogram.t list
 
   val sample : t -> unit
   (** Record one point per gauge at the engine's current time. *)
@@ -197,9 +155,6 @@ module Registry : sig
   val start_sampling : t -> period:Sim_time.span -> unit
   (** Start the periodic sampler (idempotent). The ticker reschedules itself
       forever, so drive the engine with [run_for]/[run_until], not [run]. *)
-
-  val to_json : t -> Json.t
-  (** [{samples_taken, gauges, counters, histograms}]. *)
 end
 
 type run_stats = {
@@ -214,8 +169,6 @@ type run_stats = {
 
 val run_stats_of :
   latency:Histogram.t -> errors:int -> duration:Sim_time.span -> run_stats
-
-val pp_run_stats : Format.formatter -> run_stats -> unit
 
 val json_of_run_stats : run_stats -> Json.t
 (** [{throughput_per_sec, mean_ms, p50_ms, p95_ms, p99_ms, completed,

@@ -105,7 +105,7 @@ let endpoint t node =
       {
         handler = (fun _ -> ());
         up = false;
-        nic = Resource.create t.engine ~name:(Printf.sprintf "nic-%d" node) ();
+        nic = Resource.create t.engine ();
       }
     in
     t.endpoints.(node) <- Some e;

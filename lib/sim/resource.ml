@@ -1,16 +1,11 @@
 type t = {
   engine : Engine.t;
-  name : string;
   free_at : Sim_time.t array;
 }
 
-let create engine ~name ?(servers = 1) () =
+let create engine ?(servers = 1) () =
   assert (servers > 0);
-  {
-    engine;
-    name;
-    free_at = Array.make servers Sim_time.zero;
-  }
+  { engine; free_at = Array.make servers Sim_time.zero }
 
 let earliest_server t =
   let best = ref 0 in

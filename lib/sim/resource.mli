@@ -7,7 +7,7 @@
 
 type t
 
-val create : Engine.t -> name:string -> ?servers:int -> unit -> t
+val create : Engine.t -> ?servers:int -> unit -> t
 (** [servers] defaults to 1. *)
 
 val submit : t -> service:Sim_time.span -> (unit -> unit) -> unit

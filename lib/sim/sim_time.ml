@@ -4,7 +4,6 @@ type span = int
 
 let zero = 0
 let compare = Int.compare
-let equal = Int.equal
 let ( <= ) (a : t) b = a <= b
 let ( < ) (a : t) b = a < b
 let ( >= ) (a : t) b = a >= b

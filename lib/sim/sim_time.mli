@@ -15,8 +15,6 @@ val zero : t
 
 val compare : t -> t -> int
 
-val equal : t -> t -> bool
-
 val ( <= ) : t -> t -> bool
 
 val ( < ) : t -> t -> bool

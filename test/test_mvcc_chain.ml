@@ -83,7 +83,7 @@ let pp_snap = function
 
 let make_wal () =
   let engine = Sim.Engine.create () in
-  let disk = Sim.Resource.create engine ~name:"log" () in
+  let disk = Sim.Resource.create engine () in
   let model = Sim.Disk_model.create Sim.Disk_model.Ssd in
   (engine, Wal.create engine ~disk ~model ~rng:(Sim.Rng.create 1) ())
 

@@ -129,20 +129,6 @@ let test_gauge_cap_drops_oldest () =
   let values = List.map snd (Sim.Metrics.Gauge.points g) in
   check_bool "newest retained" true (List.mem !n values)
 
-let test_registry_create_or_get () =
-  let engine = Sim.Engine.create () in
-  let registry = Sim.Metrics.Registry.create engine in
-  let c1 = Sim.Metrics.Registry.counter registry ~name:"ops" in
-  let c2 = Sim.Metrics.Registry.counter registry ~name:"ops" in
-  Sim.Metrics.Counter.incr c1;
-  Sim.Metrics.Counter.incr c2;
-  check_int "same counter by name" 2 (Sim.Metrics.Counter.value c1);
-  let h1 = Sim.Metrics.Registry.histogram registry ~name:"lat" in
-  let h2 = Sim.Metrics.Registry.histogram registry ~name:"lat" in
-  Sim.Metrics.Histogram.record h1 1.0;
-  Sim.Metrics.Histogram.record h2 2.0;
-  check_int "same histogram by name" 2 (Sim.Metrics.Histogram.count h1)
-
 let test_histogram_percentile_cache () =
   let h = Sim.Metrics.Histogram.create ~name:"h" () in
   List.iter (Sim.Metrics.Histogram.record h) [ 5.0; 1.0; 3.0 ];
@@ -544,7 +530,6 @@ let suite =
     Alcotest.test_case "metrics: ticker samples gauges into series" `Quick test_gauge_sampling;
     Alcotest.test_case "metrics: gauge series cap drops oldest" `Quick
       test_gauge_cap_drops_oldest;
-    Alcotest.test_case "metrics: create-or-get by name" `Quick test_registry_create_or_get;
     Alcotest.test_case "metrics: percentile cache invalidated by record" `Quick
       test_histogram_percentile_cache;
     Alcotest.test_case "export: Perfetto JSON round-trips" `Quick test_perfetto_roundtrip;

@@ -53,7 +53,7 @@ let arbitrary_schedule =
 
 let make_store ~tiered () =
   let engine = Sim.Engine.create () in
-  let resource = Sim.Resource.create engine ~name:"d" () in
+  let resource = Sim.Resource.create engine () in
   let model = Sim.Disk_model.create Sim.Disk_model.Ssd in
   let wal = Wal.create engine ~disk:resource ~model ~rng:(Sim.Rng.create 1) ~max_batch:16 () in
   let store =

@@ -184,8 +184,8 @@ let arb_bootstrap =
    cohort writes: log-append then apply, forces drained by the engine.
    Compaction is disabled on every replica so tombstone GC cannot introduce
    benign reference divergence (that case is test_read_path's subject). *)
-let make_replica engine name =
-  let disk = Sim.Resource.create engine ~name () in
+let make_replica engine =
+  let disk = Sim.Resource.create engine () in
   let model = Sim.Disk_model.create Sim.Disk_model.Ssd in
   let wal = Wal.create engine ~disk ~model ~rng:(Sim.Rng.create 7) ~max_batch:8 () in
   let store =
@@ -236,9 +236,9 @@ let prop_bootstrap_differential =
     ~name:"bootstrap: snapshot + catch-up replica == full-history replica" ~count:120
     arb_bootstrap (fun (ops, cut_pct, crash_sel) ->
       let engine = Sim.Engine.create ~seed:13 () in
-      let donor = make_replica engine "donor" in
-      let reference = make_replica engine "reference" in
-      let joiner = make_replica engine "joiner" in
+      let donor = make_replica engine in
+      let reference = make_replica engine in
+      let joiner = make_replica engine in
       let n = List.length ops in
       let cut = 1 + (cut_pct * (n - 1) / 100) in
       (* The donor runs the whole history; the snapshot is its state at the
@@ -576,6 +576,95 @@ let test_write_phases_count_client_writes () =
   put_keys (List.init 20 (fun k -> (k * 150) + 4));
   check_int "one write-phase sample per put its own leader committed" !puts
     (Sim.Metrics.Write_phases.count (Cluster.write_phases cluster))
+
+(* ---------------------------------------------------------------------- *)
+(* The read-serve counters and write phases are the cluster's, not a        *)
+(* replica's: migrating out a follower that served timeline reads, or an     *)
+(* ex-leader that led writes, takes none of its counts away.                 *)
+
+let test_counters_survive_retirement () =
+  let engine = Sim.Engine.create ~seed:25 () in
+  let cluster = Cluster.create engine test_config in
+  Cluster.start cluster;
+  check_bool "ready" true (Cluster.run_until_ready cluster);
+  let partition = Cluster.partition cluster in
+  let client = Cluster.new_client cluster in
+  let range = 0 in
+  let key = Partition.key_of_int partition 7 in
+  check_int "key in the range" range (Partition.route partition key);
+  for _ = 1 to 10 do
+    check_bool "put acked" true (Result.is_ok (put_sync engine client key "v"))
+  done;
+  (* Timeline reads rotate over the replicas, so every follower serves some. *)
+  for _ = 1 to 30 do
+    let r = ref None in
+    Client.get client ~consistent:false key "c" (fun x -> r := Some x);
+    check_bool "timeline read" true (Result.is_ok (drive engine r))
+  done;
+  let follower_reads () = (Cluster.read_serve_stats cluster).Cluster.follower_timeline in
+  let writes () = Sim.Metrics.Write_phases.count (Cluster.write_phases cluster) in
+  let reads0 = follower_reads () and writes0 = writes () in
+  check_bool "followers served timeline reads" true (reads0 > 0);
+  check_int "the leader led every put" 10 writes0;
+  let leader = Option.get (Cluster.leader_of cluster ~range) in
+  let follower = List.find (fun n -> n <> leader) (Partition.cohort partition ~range) in
+  let joiner = Cluster.add_node cluster in
+  check_bool "follower migrated out" true
+    (migrate engine cluster ~range ~joiner ~remove:follower);
+  check_int "follower reads kept after its replica retired" reads0 (follower_reads ());
+  (* The leader that led the puts loses its term, comes back as a follower,
+     and is migrated out too. The crash waits for the joiner to learn that
+     the membership change committed. *)
+  Sim.Engine.run_for engine (Sim.Sim_time.sec 1);
+  Cluster.crash_node cluster leader;
+  check_bool "a new leader" true
+    (await engine (fun () ->
+         match Cluster.leader_of cluster ~range with Some n -> n <> leader | None -> false));
+  Cluster.restart_node cluster leader;
+  let cohort () = Option.get (Node.cohort (Cluster.node cluster leader) ~range) in
+  check_bool "the old leader follows" true
+    (await engine (fun () -> Cohort.role (cohort ()) = Cohort.Follower));
+  let joiner = Cluster.add_node cluster in
+  check_bool "old leader migrated out" true
+    (migrate engine cluster ~range ~joiner ~remove:leader);
+  check_bool "its replica retired" true (Node.cohort (Cluster.node cluster leader) ~range = None);
+  check_int "write phases kept after the leader's replica retired" writes0 (writes ());
+  check_int "follower reads still kept" reads0 (follower_reads ())
+
+(* The leased-vs-unleased switch is the cluster's: a split child hosted
+   after [set_lease_enabled false] serves strong reads through the quorum
+   guard, not a lease. *)
+let test_lease_switch_reaches_split_child () =
+  let engine = Sim.Engine.create ~seed:26 () in
+  let cluster = Cluster.create engine test_config in
+  Cluster.start cluster;
+  check_bool "ready" true (Cluster.run_until_ready cluster);
+  let partition = Cluster.partition cluster in
+  let client = Cluster.new_client cluster in
+  let range = 0 in
+  let keys = List.init 40 (fun k -> Partition.key_of_int partition (k * 150)) in
+  List.iter
+    (fun key ->
+      check_int "key in the range" range (Partition.route partition key);
+      check_bool "put acked" true (Result.is_ok (put_sync engine client key "v")))
+    keys;
+  Cluster.set_lease_enabled cluster false;
+  check_bool "split completes" true (split engine cluster ~range);
+  (* The split point is the median key, so the highest key moved. *)
+  let key = List.nth keys 39 in
+  let child = Partition.route partition key in
+  check_bool "the key is the child's" true (child <> range);
+  check_bool "the child has a leader" true
+    (await engine (fun () -> Cluster.leader_of cluster ~range:child <> None));
+  let before = Cluster.read_serve_stats cluster in
+  for _ = 1 to 10 do
+    match get_sync engine client key with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "strong read on the child failed"
+  done;
+  let after = Cluster.read_serve_stats cluster in
+  check_int "no strong read served under a lease" before.Cluster.leased after.Cluster.leased;
+  check_bool "strong reads guarded" true (after.Cluster.guarded >= before.Cluster.guarded + 10)
 
 (* ---------------------------------------------------------------------- *)
 (* The chaos battery: scale-out events racing crashes, partitions, loss.    *)
@@ -951,4 +1040,8 @@ let suite =
       test_lost_split_call_times_out;
     Alcotest.test_case "write phases: one sample per client write, none per meta record"
       `Slow test_write_phases_count_client_writes;
+    Alcotest.test_case "counters: retiring a replica keeps its reads and write phases" `Slow
+      test_counters_survive_retirement;
+    Alcotest.test_case "lease switch: a split child hosted later reads it" `Slow
+      test_lease_switch_reaches_split_child;
   ]

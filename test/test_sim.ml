@@ -220,7 +220,7 @@ let test_determinism () =
 
 let test_resource_fifo_queueing () =
   let e = Sim.Engine.create () in
-  let r = Sim.Resource.create e ~name:"disk" () in
+  let r = Sim.Resource.create e () in
   let finished = ref [] in
   for i = 1 to 3 do
     Sim.Resource.submit r ~service:(Sim.Sim_time.ms 10) (fun () ->
@@ -234,7 +234,7 @@ let test_resource_fifo_queueing () =
 
 let test_resource_multi_server () =
   let e = Sim.Engine.create () in
-  let r = Sim.Resource.create e ~name:"cpu" ~servers:2 () in
+  let r = Sim.Resource.create e ~servers:2 () in
   let finished = ref [] in
   for i = 1 to 4 do
     Sim.Resource.submit r ~service:(Sim.Sim_time.ms 10) (fun () ->
@@ -248,7 +248,7 @@ let test_resource_multi_server () =
 
 let test_resource_idle_then_busy () =
   let e = Sim.Engine.create () in
-  let r = Sim.Resource.create e ~name:"disk" () in
+  let r = Sim.Resource.create e () in
   let at = ref 0 in
   ignore
     (Sim.Engine.schedule e ~after:(Sim.Sim_time.ms 50) (fun () ->

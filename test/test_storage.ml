@@ -264,7 +264,7 @@ let prop_compaction_equals_map_merge =
 
 let make_wal ?(disk = Sim.Disk_model.Ssd) ?(max_batch = 16) () =
   let engine = Sim.Engine.create () in
-  let resource = Sim.Resource.create engine ~name:"d" () in
+  let resource = Sim.Resource.create engine () in
   let model = Sim.Disk_model.create disk in
   let wal =
     Wal.create engine ~disk:resource ~model ~rng:(Sim.Rng.create 1) ~max_batch ()
@@ -429,7 +429,7 @@ let test_wal_batch_service_scales_with_bytes () =
      the magnetic model charges bytes/bandwidth on top of the seek. *)
   let run value_bytes =
     let engine = Sim.Engine.create () in
-    let disk = Sim.Resource.create engine ~name:"d" () in
+    let disk = Sim.Resource.create engine () in
     let model = Sim.Disk_model.create Sim.Disk_model.Magnetic in
     let wal = Wal.create engine ~disk ~model ~rng:(Sim.Rng.create 1) ~max_batch:64 () in
     for i = 1 to 32 do

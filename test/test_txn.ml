@@ -95,7 +95,7 @@ let prop_single_key_txn_differential =
 
 let make_store ?(cache_capacity = 0) () =
   let engine = Sim.Engine.create () in
-  let disk = Sim.Resource.create engine ~name:"d" () in
+  let disk = Sim.Resource.create engine () in
   let model = Sim.Disk_model.create Sim.Disk_model.Ssd in
   let wal = Wal.create engine ~disk ~model ~rng:(Sim.Rng.create 1) () in
   Store.create ~cohort:0 ~wal ~cache_capacity ()

@@ -259,7 +259,7 @@ let prop_differential =
     schedule_arb
     (fun (ops, windows) ->
       let engine = Sim.Engine.create () in
-      let resource = Sim.Resource.create engine ~name:"d" () in
+      let resource = Sim.Resource.create engine () in
       let model = Sim.Disk_model.create Sim.Disk_model.Ssd in
       let wal =
         Wal.create engine ~disk:resource ~model ~rng:(Sim.Rng.create 7) ~max_batch ()

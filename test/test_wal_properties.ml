@@ -29,7 +29,7 @@ let arb_ops = QCheck.make ~print:(fun l -> Printf.sprintf "<%d ops>" (List.lengt
 
 let run_schedule ops =
   let engine = Sim.Engine.create ~seed:9 () in
-  let disk = Sim.Resource.create engine ~name:"d" () in
+  let disk = Sim.Resource.create engine () in
   let model = Sim.Disk_model.create Sim.Disk_model.Ssd in
   let wal = Wal.create engine ~disk ~model ~rng:(Sim.Rng.create 3) ~max_batch:4 () in
   (* Model state *)
@@ -107,7 +107,7 @@ let prop_force_callbacks_cover_their_records =
     QCheck.(int_range 1 40)
     (fun n ->
       let engine = Sim.Engine.create ~seed:4 () in
-      let disk = Sim.Resource.create engine ~name:"d" () in
+      let disk = Sim.Resource.create engine () in
       let model = Sim.Disk_model.create Sim.Disk_model.Ssd in
       let wal = Wal.create engine ~disk ~model ~rng:(Sim.Rng.create 3) ~max_batch:3 () in
       let ok = ref true in
