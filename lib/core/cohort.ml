@@ -762,6 +762,22 @@ let parse_candidate data =
     | _ -> None)
   | _ -> None
 
+(* The candidacies in the candidates directory, one per node: its newest
+   znode (names are sequential). A replica that crashed and came back within
+   the session timeout still has its old session's znode there; counted as a
+   second candidate, it would let the replica win a majority alone with a
+   stale lst, over replicas that committed more. *)
+let candidacies kids =
+  List.fold_left
+    (fun acc (name, data) ->
+      match parse_candidate data with
+      | None -> acc
+      | Some (lsn, node) -> (
+        match List.find_opt (fun (_, _, n) -> n = node) acc with
+        | Some (newer, _, _) when String.compare newer name > 0 -> acc
+        | _ -> (name, lsn, node) :: List.filter (fun (_, _, n) -> n <> node) acc))
+    [] kids
+
 let rec become_follower t ~leader ~catchup =
   t.role <- Follower;
   t.leader <- Some leader;
@@ -869,7 +885,7 @@ and become_leader t =
            start_takeover t
          end))
 
-and read_leader_then_follow t =
+and read_leader_then_follow ?(armed = false) t =
   let zk = t.ctx.zk () in
   Coord.Zk_client.get_data zk ~path:(zk_leader t)
     (guard t (function
@@ -893,12 +909,19 @@ and read_leader_then_follow t =
           end
         | Some leader -> become_follower t ~leader ~catchup:true
         | None -> t.election_running <- false)
+      | Error _ when armed -> () (* the armed watch fires when it is written *)
       | Error _ ->
-        (* Not written yet: learn it when the winner writes it (Fig 7 l.11). *)
+        (* Not written yet: learn it when the winner writes it (Fig 7 l.11).
+           Arm the watch, then read again: requests run in issue order, so
+           a write that lands before the watch is armed is seen by the
+           second read, and one after it fires the watch. A watch armed
+           only after the failed read would miss the first, and this
+           replica would stay a candidate for good. *)
         Coord.Zk_client.watch_node zk ~path:(zk_leader t)
-          (guard t (fun () -> read_leader_then_follow t))))
+          (guard t (fun () -> if t.role = Candidate then read_leader_then_follow t));
+        read_leader_then_follow ~armed:true t))
 
-and evaluate_candidates t kids =
+and evaluate_candidates t parsed =
   (* The new leader is the candidate with the max n.lst (Figure 7 line 6).
      Ties prefer the earliest node in the cohort's chained-declustering
      order — keeping leadership balanced across the cluster (the primary
@@ -909,11 +932,6 @@ and evaluate_candidates t kids =
       | m :: rest -> if m = node then i else find (i + 1) rest
     in
     find 0 (t.ctx.members ())
-  in
-  let parsed =
-    List.filter_map
-      (fun (name, data) -> Option.map (fun (lsn, node) -> (name, lsn, node)) (parse_candidate data))
-      kids
   in
   match parsed with
   | [] -> ()
@@ -929,7 +947,7 @@ and evaluate_candidates t kids =
           if beats then (name, lsn, node) else (bn, bl, bw))
         (name0, lsn0, node0) rest
     in
-    trace t "election_eval" (Printf.sprintf "winner=n%d of %d candidates" winner (List.length kids));
+    trace t "election_eval" (Printf.sprintf "winner=n%d of %d candidates" winner (List.length parsed));
     if winner = t.ctx.node_id then begin
       let zk = t.ctx.zk () in
       Coord.Zk_client.create_node zk ~path:(zk_leader t)
@@ -981,9 +999,9 @@ and await_candidates t =
                    List.exists (fun (name, _) -> zk_candidates t ^ "/" ^ name = path) kids
                  | None -> false
                in
+               let parsed = candidacies kids in
                if not own_present then announce_candidacy t
-               else if List.length kids >= Config.majority then
-                 evaluate_candidates t kids
+               else if List.length parsed >= Config.majority then evaluate_candidates t parsed
              | Error _ -> ()))
   end
 

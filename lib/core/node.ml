@@ -67,14 +67,21 @@ let rec zk_exn t =
 
 (* Group membership (§4.2): each node holds an ephemeral znode under /nodes
    for the lifetime of its session, so cluster tooling can watch the live
-   set; the per-range failure handling itself is cohort-driven. *)
-and register_membership t =
+   set; the per-range failure handling itself is cohort-driven. A node
+   restarted within the session timeout finds its previous session's znode
+   still there: it arms a watch and tries again, so it registers once that
+   session expires and the stale znode goes (watch before the retry, so a
+   deletion in between is not missed). *)
+and register_membership ?(armed = false) t =
   let zk = zk_exn t in
-  Coord.Zk_client.create_node zk
-    ~path:(Printf.sprintf "/nodes/%d" t.id)
-    ~data:(Printf.sprintf "node-%d" t.id)
-    ~ephemeral:true
-    (fun _ -> ())
+  let path = Printf.sprintf "/nodes/%d" t.id in
+  Coord.Zk_client.create_node zk ~path ~data:(Printf.sprintf "node-%d" t.id) ~ephemeral:true
+    (function
+      | Error Coord.Ztree.Node_exists when not armed ->
+        let current () = t.alive && match t.zk with Some z -> z == zk | None -> false in
+        Coord.Zk_client.watch_node zk ~path (fun () -> if current () then register_membership t);
+        register_membership ~armed:true t
+      | Ok _ | Error _ -> ())
 
 and handle_session_expiry t =
   Sim.Trace.event t.trace ~node:t.id ~tag:"zk_session"

@@ -323,14 +323,12 @@ let run_schedule_replay path =
     Alcotest.failf "schedule replay reproduced %d violation(s)"
       (List.length v.Workload.Chaos.violations)
 
-(* Replay a shrunk Mixed seed-45 schedule from [test/fixtures] at 160 s;
+(* Replay a shrunk Mixed schedule of [seed] from [test/fixtures] at 160 s;
    the run must end clean. *)
-let replay_seed45_fixture name () =
+let replay_fixture ~seed name () =
   let path = List.find Sys.file_exists [ "fixtures/" ^ name; "test/fixtures/" ^ name ] in
   let _, schedule = load_artifact path in
-  let v =
-    Workload.Chaos.run_spinnaker ~schedule ~chaos_for:(Sim.Sim_time.sec 160) ~seed:45 ()
-  in
+  let v = Workload.Chaos.run_spinnaker ~schedule ~chaos_for:(Sim.Sim_time.sec 160) ~seed () in
   Alcotest.(check (list (pair string string))) "clean verdict" [] v.Workload.Chaos.violations
 
 (* A schedule on which a takeover re-queued records an earlier takeover had
@@ -338,14 +336,24 @@ let replay_seed45_fixture name () =
    of range 0 waited in [takeover_commit_wait] forever and the range had no
    open leader after heal. The schedule was kept only while the unfixed
    takeover failed on it and the fixed one ran clean. *)
-let test_truncated_records_stay_dead = replay_seed45_fixture "takeover_truncated_seed45.json"
+let test_truncated_records_stay_dead =
+  replay_fixture ~seed:45 "takeover_truncated_seed45.json"
 
 (* The plain ddmin-minimal schedule of the same seed (205 injections): a
    takeover rebuilt both 16.1713 and 17.1713 from its log, committed the
    deposed epoch's record, and 17.1713 never got a contiguous ack, so range 0
    again had no open leader after heal. Only the newest epoch at a seq can
    have committed, so a takeover truncates the older records. *)
-let test_superseded_records_stay_dead = replay_seed45_fixture "takeover_superseded_seed45.json"
+let test_superseded_records_stay_dead =
+  replay_fixture ~seed:45 "takeover_superseded_seed45.json"
+
+(* Seed 43: a replica that lost range 0's election read /leader before the
+   winner wrote it and only then armed its watch, so it never learned the
+   winner. It stayed a candidate, re-announced when the winner's cleanup
+   deleted its znode, and after heal answered the final reads routed to it
+   [Not_leader] with no hint. The schedule was shrunk on the code before the
+   arm-then-read fix, where it fails [unavailable-after-heal]. *)
+let test_loser_learns_the_winner = replay_fixture ~seed:43 "election_loser_seed43.json"
 
 (* --- the transaction gauntlet: 2PC under failover-mid-commit --------------- *)
 
@@ -423,4 +431,6 @@ let suite =
       test_truncated_records_stay_dead;
     Alcotest.test_case "replay: a takeover keeps superseded-epoch records dead" `Slow
       test_superseded_records_stay_dead;
+    Alcotest.test_case "replay: an election's loser learns the winner" `Slow
+      test_loser_learns_the_winner;
   ]

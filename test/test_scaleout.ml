@@ -777,26 +777,26 @@ let chaos_seeds () =
    purpose re-pins them and says why. *)
 let pinned_fingerprints =
   [
-    (1, "0de5ef2e557e12797650b7164207d992");
-    (2, "1ffdadbf44a4c540e75284b98b2dacb8");
-    (3, "f46e5e378bb8efd23caa06875c530c71");
-    (4, "4169405154c67be22510a108ef99f34b");
-    (5, "3dd262c338776ed6fd5b809f94b855c9");
-    (6, "10bee5f6584b1759f8e2f6074ed5ad1c");
-    (7, "05170bee0a950a0c7d537de396d1ba19");
-    (8, "e634a6538f2c2d553aa291c6dc4414fc");
-    (9, "6a1f1a354ed3d6ab2c15bf0f651f6f64");
-    (10, "66c2aefbdd8f98b8f8ffb19fe1443240");
-    (11, "94eeff4f3a66f6e6e831dcf5caeb751b");
-    (12, "f6194f050339d418316143437e01136b");
-    (13, "15183705ee858757629c78634b71ad87");
-    (14, "846d7cd8c3e267bf0035828853f3b062");
-    (15, "aedbcb3e971b9f3b2a0077b89348fd3f");
-    (16, "b26a8b1307116e1c638cbf5e7c31a235");
-    (17, "3115524ee2c581d3231d6ddc0321f830");
-    (18, "441469da387615e76dd3bca49b5cdb9e");
-    (19, "55234ce90c0a406402e94d09b64b7d49");
-    (20, "266a5e199626a6f43356719dc79bea9b");
+    (1, "39b80d82a3535dd6084670df40b458a1");
+    (2, "3524e45d5ea0b1569212c1a2c41c0e37");
+    (3, "f2da4fb395945fc370e1985a774acf1e");
+    (4, "9938b771119c1ec7508f34d43e0fbebe");
+    (5, "c6b87cc843801583e135e8a9b624375b");
+    (6, "7a2067a542633c89d03c646d448e2c9d");
+    (7, "56243c41140ce4e9a392450bf3fc302d");
+    (8, "be9b7c4d470851d407211969cdacb68d");
+    (9, "38198fa8354f7509e19f47930d82b4b0");
+    (10, "b17a65093a60498fccbfdccd964925af");
+    (11, "31ed92180d211f0173b4f70e906f8a1b");
+    (12, "67fe38e1c5ecc2970a5d435b83f7c50f");
+    (13, "b837b74f5cff133f4a8e346edc416345");
+    (14, "e2c79b5a10323bf6985b273b4b9a7126");
+    (15, "3d30fc80f4e324a73cea49c0da17d3e5");
+    (16, "46f004a88d6d2b730a70051629ed65c7");
+    (17, "b501deb19bdfbaf4c0a65e62cf074053");
+    (18, "10e332f7a065b1be0e99457da574542b");
+    (19, "8c2f847b5ee05cec542c66de3c35e574");
+    (20, "980f834c4beb57585bb572624a169450");
   ]
 
 let test_chaos_scaleout () =

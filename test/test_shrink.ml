@@ -235,20 +235,20 @@ let spinnaker ?shared_clients profile seed () =
 
 let golden_fingerprints =
   [
-    ("mixed 1", spinnaker Chaos.Mixed 1, "3113716eb69147387f1d7a0687675a6e");
-    ("mixed 7", spinnaker Chaos.Mixed 7, "865eb4c1bf0c6e1876b31ee7bd551323");
-    ("mixed 42", spinnaker Chaos.Mixed 42, "0502470f22b0ef05fa514e42f5199031");
-    ("crashes 1", spinnaker Chaos.Crashes 1, "270faf241bbc2ebd7e6fd3e76150006c");
-    ("crashes 7", spinnaker Chaos.Crashes 7, "e3b8912fc2059946a7532f4ced23ceeb");
-    ("crashes 42", spinnaker Chaos.Crashes 42, "2b895e0e7b387cadcfc13b54c4fbb5f4");
-    ("lossy 1", spinnaker Chaos.Lossy 1, "1b9f5b2587567ba092bd414d37b5b300");
-    ("partitions 7", spinnaker Chaos.Partitions 7, "70a53ab733d0b390a1eefe8248ce3e08");
+    ("mixed 1", spinnaker Chaos.Mixed 1, "14b9341cfae79e2491c1b5fe8ffcc33b");
+    ("mixed 7", spinnaker Chaos.Mixed 7, "0f9d431dd0b5584a05f71fcfa174f47e");
+    ("mixed 42", spinnaker Chaos.Mixed 42, "d2f83eb2226c5eb94aefa68cdf10df87");
+    ("crashes 1", spinnaker Chaos.Crashes 1, "3009cc3136957eccc37b4e5b4dd5cb73");
+    ("crashes 7", spinnaker Chaos.Crashes 7, "e5b30ccb8c236cda916b69d908093580");
+    ("crashes 42", spinnaker Chaos.Crashes 42, "be29a9a3a543def8715b70c3f32c33c1");
+    ("lossy 1", spinnaker Chaos.Lossy 1, "f851e4d64f0f489969cf8541262be58f");
+    ("partitions 7", spinnaker Chaos.Partitions 7, "c0a3914d9550c6c7758923c25f7cc45c");
     ( "shared-client mixed 5",
       spinnaker ~shared_clients:4 Chaos.Mixed 5,
-      "aa055b0c35d81edc3b7d3cef5ba02cd8" );
+      "993dd08bc407b09d1f14b71256a9eaa9" );
     ( "txn-bank 7001",
       (fun () -> Chaos.run_txn_bank ~seed:7001 ()),
-      "46c079df4112c4f1ac78092cf3220acc" );
+      "7ce81e0150f9550f17f42c3231c26e08" );
   ]
 
 let test_golden_fingerprints () =
@@ -262,11 +262,12 @@ let test_golden_fingerprints () =
 (* --- the planted-bug fixture ---------------------------------------------- *)
 
 (* Re-enable the pre-fix follower ack bug (acking past loss-induced log
-   holes) and shrink a seed that fails under it. Empirically, seed 11's
-   mixed gauntlet fires 36 injections and ddmin pins the failure to two:
-   a lossy-link episode (opens the hole) and the leader crash (elects the
-   follower that acked past it). *)
-let planted_seed = 11
+   holes) and shrink a seed that fails under it. The seed is the first,
+   counting up from 1, whose planted run loses an acked write while the
+   shipped code runs clean and whose schedule shrinks to at most three
+   injections. Empirically, seed 12's mixed gauntlet fires 38 injections
+   and ddmin pins the failure to two. *)
+let planted_seed = 12
 
 let test_planted_bug_shrinks () =
   (* Sanity: the shipped code survives this exact gauntlet. *)

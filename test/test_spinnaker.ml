@@ -1150,6 +1150,19 @@ let test_chaos_no_acked_write_lost () =
         (value_of (get_sync engine client key "c")))
     acked
 
+(* A node restarted within the session timeout finds its old session's
+   /nodes znode still in place. Once that session expires and the znode
+   goes, the node registers again with its new session. *)
+let test_quick_restart_reregisters () =
+  let engine, cluster = boot ~config:Config.default () in
+  let registered () = List.mem 3 (Cluster.registered_nodes cluster) in
+  check_bool "registered at boot" true (registered ());
+  Cluster.crash_node cluster 3;
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 100);
+  Cluster.restart_node cluster 3;
+  Sim.Engine.run_for engine (Sim.Sim_time.sec 5);
+  check_bool "registered after the old session expired" true (registered ())
+
 let suite =
   [
     Alcotest.test_case "put/get roundtrip" `Quick test_put_get_roundtrip;
@@ -1214,4 +1227,6 @@ let suite =
     Alcotest.test_case "idle clients schedule nothing" `Quick test_idle_clients_schedule_nothing;
     Alcotest.test_case "lost propose: commit tick re-proposes it" `Quick
       test_lost_propose_reproposed_by_commit_tick;
+    Alcotest.test_case "membership: a quick restart registers again" `Quick
+      test_quick_restart_reregisters;
   ]
