@@ -1528,6 +1528,54 @@ let txn () =
     failwith "txn: steady cell violated conservation or serializability";
   if !chaos_violations > 0 then failwith "txn: chaos cell violated an invariant"
 
+(* --- soak: the Mixed gauntlet over many seeds ---------------------------------------------- *)
+
+(* 160 s of Mixed chaos (crashes, partitions, loss, coordination cuts, then
+   heal and a 10 s quiesce) on each of seeds 1-120: the battery ROADMAP item
+   1 is judged by. Every failing seed is printed with its violation classes.
+   The classes item 1 still lists as open are tolerated; any other class
+   fails the experiment, so a new kind of failure cannot land unseen. Drop a
+   class from [soak_open] once item 1 closes it. *)
+let soak_open = [ "lost-acked-write"; "linearizability"; "double-apply" ]
+
+let soak () =
+  header "Soak: 160 s Mixed chaos, seeds 1-120";
+  let seeds = List.init 120 (fun i -> i + 1) in
+  let failing =
+    List.filter_map
+      (fun seed ->
+        let v =
+          Workload.Chaos.run_spinnaker ~profile:Workload.Chaos.Mixed
+            ~chaos_for:(Sim.Sim_time.sec 160) ~seed ()
+        in
+        match List.sort_uniq String.compare (List.map fst v.Workload.Chaos.violations) with
+        | [] -> None
+        | classes ->
+          Format.printf "  seed %3d: %s@." seed (String.concat ", " classes);
+          Some (seed, classes))
+      seeds
+  in
+  Format.printf "  %d of %d seeds failed; tolerated classes: %s@." (List.length failing)
+    (List.length seeds) (String.concat ", " soak_open);
+  record_field "failing"
+    (J.List
+       (List.map
+          (fun (seed, classes) ->
+            J.Obj
+              [
+                ("seed", J.Int seed);
+                ("classes", J.List (List.map (fun c -> J.String c) classes));
+              ])
+          failing));
+  match
+    List.filter (fun (_, classes) -> List.exists (fun c -> not (List.mem c soak_open)) classes) failing
+  with
+  | [] -> ()
+  | unexpected ->
+    failwith
+      (Printf.sprintf "soak: seeds %s fail a class outside the open ones"
+         (String.concat ", " (List.map (fun (seed, _) -> string_of_int seed) unexpected)))
+
 (* --- driver ----------------------------------------------------------------------------- *)
 
 let all_experiments =
@@ -1550,6 +1598,7 @@ let all_experiments =
     ("audit", audit);
     ("txn", txn);
     ("ablations", ablations);
+    ("soak", soak);
   ]
 
 (* Resolve an output-path argument ([--json] or [--trace-out]) for one

@@ -168,7 +168,8 @@ let add_node t =
   let id = Array.length t.nodes in
   let node =
     Node.create ~engine:t.engine ~net:t.net ~zk_server:t.zk_server ~partition:t.partition
-      ~config:t.config ~trace:t.trace ~planted_hole_ack_bug:t.planted_hole_ack_bug ~shared:t.shared ~id
+      ~config:t.config ~trace:t.trace ~planted_hole_ack_bug:t.planted_hole_ack_bug
+      ~shared:t.shared ~id
   in
   t.nodes <- Array.append t.nodes [| node |];
   register_node_gauges t.metrics node;
@@ -266,7 +267,10 @@ type read_serve_stats = Cohort.read_stats = {
   mutable token_redirects : int;
 }
 
-let read_serve_stats t = { t.shared.Cohort.reads with leased = t.shared.Cohort.reads.leased }
+let read_serve_stats t =
+  let r = t.shared.Cohort.reads in
+  { r with leased = r.leased }
+
 let write_phases t = t.shared.Cohort.phases
 
 let is_ready t =

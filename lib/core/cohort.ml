@@ -914,9 +914,11 @@ and read_leader_then_follow ?(armed = false) t =
         (* Not written yet: learn it when the winner writes it (Fig 7 l.11).
            Arm the watch, then read again: requests run in issue order, so
            a write that lands before the watch is armed is seen by the
-           second read, and one after it fires the watch. A watch armed
-           only after the failed read would miss the first, and this
-           replica would stay a candidate for good. *)
+           second read, and one after it fires the watch. Reading only
+           once, before the watch, misses the first, and this replica
+           stays a candidate for good. The watch outlives a second read
+           that finds the leader; a replica that follows by then ignores
+           it. *)
         Coord.Zk_client.watch_node zk ~path:(zk_leader t)
           (guard t (fun () -> if t.role = Candidate then read_leader_then_follow t));
         read_leader_then_follow ~armed:true t))
