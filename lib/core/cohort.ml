@@ -912,7 +912,7 @@ and read_leader_then_follow ?(armed = false) t =
       | Error _ when armed -> () (* the armed watch fires when it is written *)
       | Error _ ->
         (* Not written yet: learn it when the winner writes it (Fig 7 l.11).
-           Arm the watch, then read again: requests run in issue order, so
+           Arm the watch, then read again: requests run in the order sent, so
            a write that lands before the watch is armed is seen by the
            second read, and one after it fires the watch. Reading only
            once, before the watch, misses the first, and this replica
