@@ -1536,7 +1536,7 @@ let txn () =
    The classes item 1 still lists as open are tolerated; any other class
    fails the experiment, so a new kind of failure cannot land unseen. Drop a
    class from [soak_open] once item 1 closes it. *)
-let soak_open = [ "lost-acked-write"; "linearizability"; "double-apply" ]
+let soak_open = [ "lost-acked-write"; "linearizability" ]
 
 let soak () =
   header "Soak: 160 s Mixed chaos, seeds 1-120";

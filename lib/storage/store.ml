@@ -761,11 +761,15 @@ let committed_cells_in t ~above ~upto =
               (Sstable.cells_with_lsn_in table ~above ~upto))
         t.sstables
     end;
+    (* A record this replica truncated logically (§6.1.1) never committed,
+       though it may sit below cmt; like local replay, skip it. *)
+    let skipped = Skipped_lsns.ascending_mem t.skipped ~from:above in
     List.iter
       (fun (lsn, op, timestamp, _) ->
-        List.iter
-          (fun (coord, cell) -> consider coord cell)
-          (Log_record.cells_of_write op ~lsn ~timestamp))
+        if not (skipped lsn) then
+          List.iter
+            (fun (coord, cell) -> consider coord cell)
+            (Log_record.cells_of_write op ~lsn ~timestamp))
       from_log;
     (* Coordinates only touched by plain writes collapse to the newest cell —
        the historical wire format, so purely non-transactional runs ship

@@ -355,6 +355,15 @@ let test_superseded_records_stay_dead =
    arm-then-read fix, where it fails [unavailable-after-heal]. *)
 let test_loser_learns_the_winner = replay_fixture ~seed:43 "election_loser_seed43.json"
 
+(* Seed 110: a replica that had truncated a record logically during its own
+   catch-up still served it, from below its cmt, when it later caught up
+   another follower as leader; that follower applied a write that never
+   committed, and two client writes ended committed twice ([double-apply]).
+   Shrunk from 590 to 31 injections on the code before catch-up consulted
+   the skipped-LSN list, where it fails. *)
+let test_catchup_ships_only_live_records =
+  replay_fixture ~seed:110 "catchup_truncated_seed110.json"
+
 (* --- the transaction gauntlet: 2PC under failover-mid-commit --------------- *)
 
 (* Twenty seeds of cross-range bank transfers under crash chaos whose hazard
@@ -433,4 +442,6 @@ let suite =
       test_superseded_records_stay_dead;
     Alcotest.test_case "replay: an election's loser learns the winner" `Slow
       test_loser_learns_the_winner;
+    Alcotest.test_case "replay: catch-up ships no truncated record" `Slow
+      test_catchup_ships_only_live_records;
   ]

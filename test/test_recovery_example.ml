@@ -60,7 +60,9 @@ let cohort cluster node =
   | Some c -> c
   | None -> Alcotest.fail "missing cohort"
 
-let figure_10 () =
+(* S0 through S4, checking each state; returns the engine and cluster at S4:
+   B leads at cmt 2.30, and C holds the truncated 1.22 below its cmt. *)
+let figure_10_to_s4 () =
   let engine = Sim.Engine.create ~seed:11 () in
   let cluster = Cluster.create engine test_config in
   let a = 0 and b = 1 and c = 2 in
@@ -136,6 +138,11 @@ let figure_10 () =
       true
       (Cohort.read_local cc (key_of cluster (100 + i), "c") <> None)
   done;
+  (engine, cluster)
+
+let figure_10 () =
+  let engine, cluster = figure_10_to_s4 () in
+  let c = 2 in
   (* And a crash/recovery on C must not resurrect 1.22 (the point of the
      skipped-LSN list: local recovery consults it). *)
   Node.crash (Cluster.node cluster c);
@@ -148,6 +155,38 @@ let figure_10 () =
     Alcotest.(check bool) "1.22 stays dead after local recovery" false
       (Lsn.equal cell.Storage.Row.lsn (lsn 1 22))
   | None -> ())
+
+(* A replica that truncated a record logically must not ship it in a later
+   catch-up. From S4, A loses its disk and is caught up from zero by C, the
+   only replica still holding 1.22 (on its skipped list, below its cmt 2.30).
+   Then A leads with B: 1.22 never committed, so key 22 must read as never
+   written, on A and through a strong read. *)
+let truncated_record_not_shipped () =
+  let engine, cluster = figure_10_to_s4 () in
+  let a = 0 and b = 1 and c = 2 in
+  Node.crash (Cluster.node cluster a);
+  Node.crash (Cluster.node cluster b);
+  Node.lose_disk (Cluster.node cluster a);
+  Sim.Engine.run_for engine (Sim.Sim_time.sec 1);
+  Node.restart (Cluster.node cluster a);
+  Sim.Engine.run_for engine (Sim.Sim_time.sec 5);
+  Alcotest.(check (option int)) "C leads range 0" (Some c) (Cluster.leader_of cluster ~range:0);
+  let ca = cohort cluster a in
+  Alcotest.(check string) "A caught up to 2.30" "2.30" (Lsn.to_string (Cohort.cmt ca));
+  Alcotest.(check (option string)) "A never received 1.22" None
+    (Option.bind (Cohort.read_local ca (key_of cluster 22, "c")) (fun cell ->
+         cell.Storage.Row.value));
+  Node.crash (Cluster.node cluster c);
+  Node.restart (Cluster.node cluster b);
+  Sim.Engine.run_for engine (Sim.Sim_time.sec 5);
+  Alcotest.(check (option int)) "A leads range 0" (Some a) (Cluster.leader_of cluster ~range:0);
+  let client = Cluster.new_client cluster in
+  let r = ref None in
+  Client.get client (key_of cluster 22) "c" (fun x -> r := Some x);
+  match await engine r with
+  | Ok { Client.value; _ } ->
+    Alcotest.(check (option string)) "strong get of key 22" None value
+  | Error _ -> Alcotest.fail "strong get of key 22 failed"
 
 (* Append one write [lsn] (key = its seq, value [value]) to [node]'s log. *)
 let append_write cluster node lsn ~value =
@@ -227,4 +266,6 @@ let suite =
     Alcotest.test_case "Figure 10 walkthrough (S0-S4)" `Slow figure_10;
     Alcotest.test_case "a re-proposed record settles its seq on the follower" `Quick
       reproposal_settles_seq;
+    Alcotest.test_case "catch-up does not ship a logically truncated record" `Slow
+      truncated_record_not_shipped;
   ]

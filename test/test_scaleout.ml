@@ -272,17 +272,29 @@ let prop_bootstrap_differential =
         Sim.Engine.run engine
       | None -> ());
       List.iter (fun chunk -> install_cells engine joiner chunk ~upto) chunks;
+      (* The donor's log also holds a record it truncated logically
+         (§6.1.1): 1.(n+1) never committed, and the next epoch's write took
+         its seq. Both sit in the catch-up window; only the live one ships. *)
+      let dead = Lsn.make ~epoch:1 ~seq:(n + 1) and last = Lsn.make ~epoch:2 ~seq:(n + 1) in
+      Wal.append (fst donor)
+        (Log_record.write ~cohort:0 ~lsn:dead ~timestamp:(n + 1)
+           (Log_record.Put { key = bkey 0; col = bcol 0; value = "dead"; version = n + 1 }));
+      Storage.Skipped_lsns.add (Store.skipped (snd donor)) [ dead ];
+      let live = Log_record.Put { key = bkey 1; col = bcol 1; value = "live"; version = n + 1 } in
+      List.iter
+        (fun (wal, store) ->
+          Wal.append wal (Log_record.write ~cohort:0 ~lsn:last ~timestamp:(n + 1) live);
+          Store.apply store ~lsn:last ~timestamp:(n + 1) live)
+        [ donor; reference ];
       (* WAL catch-up from the snapshot horizon: the donor serves its
-         committed writes in (upto, end] — from its log, or from SSTables
+         committed writes in (upto, last] — from its log, or from SSTables
          once flush checkpoints have rolled the log past the horizon. The
          donor's tail is forced first: catch-up only ever serves committed
          writes, and commit implies the leader already forced them. *)
       Wal.force (fst donor) (fun () -> ());
       Sim.Engine.run engine;
-      let tail =
-        Store.committed_cells_in (snd donor) ~above:upto ~upto:(Lsn.make ~epoch:1 ~seq:n)
-      in
-      install_cells engine joiner tail ~upto:(Lsn.make ~epoch:1 ~seq:n);
+      let tail = Store.committed_cells_in (snd donor) ~above:upto ~upto:last in
+      install_cells engine joiner tail ~upto:last;
       (* Observable equivalence with the full-history replica, tombstones
          included (they carry the version counter conditional puts see). *)
       let pp_cell = function
