@@ -1185,8 +1185,8 @@ let ablations () =
 
 (* Throughput timeline while the cluster grows under load: a 10-node cluster
    runs a closed-loop write workload, then nodes 11..13 join. Each joiner
-   absorbs replicas migrated off distinct donors (snapshot ship + log
-   catch-up + Paxos-replicated membership change), and one range splits.
+   absorbs replicas migrated off distinct donors (a bulk catch-up round, the
+   final round, a Paxos-replicated membership change), and one range splits.
    Fewer cohorts per node means less follower log-force traffic contending
    with each leader's own writes, so the windowed throughput steps up. *)
 let scaleout () =
@@ -1195,7 +1195,7 @@ let scaleout () =
     {
       Config.default with
       Config.nodes = 10;
-      (* Snapshots ship while the donor cohort is saturated; give a
+      (* Bulk rounds ship while the donor cohort is saturated; give a
          migration room before the leader declares it wedged. *)
       migration_timeout = Sim.Sim_time.sec 30;
     }
@@ -1316,12 +1316,16 @@ let scaleout () =
   Format.printf "  pre-join mean %8.0f req/s   post-join mean %8.0f req/s (%+.0f%%)@." pre_mean
     post_mean
     (100.0 *. (post_mean -. pre_mean) /. pre_mean);
+  (* One message: it holds the leader's NIC for its whole transfer. *)
+  let bulk_bytes = Cluster.largest_bulk_bytes cluster in
+  Format.printf "  largest bulk round %d bytes@." bulk_bytes;
   record_field "scaleout"
     (J.Obj
        [
          ("pre_mean_req_per_sec", J.Float pre_mean);
          ("post_mean_req_per_sec", J.Float post_mean);
          ("migrations", J.Int (List.length !migrated));
+         ("largest_bulk_bytes", J.Int bulk_bytes);
          ("ranges", J.Int (Partition.ranges partition));
          ( "throughput",
            J.List

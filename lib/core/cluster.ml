@@ -272,6 +272,7 @@ let read_serve_stats t =
   { r with leased = r.leased }
 
 let write_phases t = t.shared.Cohort.phases
+let largest_bulk_bytes t = t.shared.Cohort.largest_bulk
 
 let is_ready t =
   List.for_all (fun r -> leader_of t ~range:r <> None) (Partition.range_ids t.partition)

@@ -58,10 +58,11 @@ val add_node : t -> int
     ({!request_join}) or range split makes it a cohort member. *)
 
 val request_join : t -> range:int -> joiner:int -> ?remove:int -> unit -> bool
-(** Ask the range's current leader to migrate a replica: ship a snapshot to
-    [joiner], catch it up from the log, then commit the membership change
-    that swaps it in (and [remove] out, when given). Asynchronous; [false]
-    if no open leader was found or one is already mid-migration — retry. *)
+(** Ask the range's current leader to migrate a replica: catch [joiner] up
+    like any follower (one bulk round of the store while writes go on, then
+    the final round), then commit the membership change that swaps it in
+    (and [remove] out, when given). Asynchronous; [false] if no open leader
+    was found or one is already mid-migration — retry. *)
 
 val request_split : t -> range:int -> bool
 (** Ask the range's current leader to split the range at its median key.
@@ -127,6 +128,11 @@ val write_phases : t -> Sim.Metrics.Write_phases.t
     commit over the cluster's lifetime, retired replicas included — the
     data behind the write-latency decomposition in [BENCH_*.json]. This is
     the live record, not a copy: it keeps growing as writes commit. *)
+
+val largest_bulk_bytes : t -> int
+(** Wire bytes of the largest migration bulk round ({!request_join}) any
+    leader has shipped: one message, so it holds the leader's NIC for its
+    whole transfer. *)
 
 val crash_node : t -> int -> unit
 

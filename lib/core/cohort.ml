@@ -26,6 +26,7 @@ type shared = {
   reads : read_stats;
   phases : Sim.Metrics.Write_phases.t;
   mutable lease_disabled : bool;
+  mutable largest_bulk : int;
 }
 
 let shared () =
@@ -35,6 +36,7 @@ let shared () =
         follower_timeline = 0; token_waits = 0; token_redirects = 0 };
     phases = Sim.Metrics.Write_phases.create ();
     lease_disabled = false;
+    largest_bulk = 0;
   }
 
 type ctx = {
@@ -60,9 +62,6 @@ type ctx = {
           a function because a range split narrows it *)
   members : unit -> int list;
       (** the cohort's current membership under the live routing table *)
-  xfer : Sim.Resource.t;
-      (** the node's bulk-transfer link; snapshot chunks stream through it at
-          [xfer_bytes_per_sec] so migration bandwidth is modelled *)
   apply_meta : op:Storage.Log_record.op -> leader:bool -> unit;
       (** node-level side effects of a committed metadata record (routing
           table update, child-cohort spawn, layout publication) *)
@@ -129,17 +128,14 @@ module Client_tbl = Hashtbl.Make (struct
   let hash c = c land max_int
 end)
 
-(* Leader-side replica-migration state (§10): ship a snapshot of the store to
-   the joiner stop-and-wait, then run WAL catch-up from the snapshot horizon,
-   then commit a [Cohort_change] record that swaps the joiner in. *)
+(* Leader-side replica-migration state (§10): one bulk catch-up round ships
+   the joiner the store up to the cmt of the moment while writes go on, the
+   usual blocking final round follows, then a [Cohort_change] record swaps
+   the joiner in. *)
 type migration = {
   joiner : int;
   remove : int option;  (** the replica the joiner replaces, if any *)
-  chunks : (Row.coord * Row.cell) list array;
-  upto : Lsn.t;  (** snapshot commit horizon; catch-up resumes here *)
-  mutable next_chunk : int;
-  mutable phase : [ `Snapshot | `Catchup | `Change ];
-  mutable attempts : int;  (** retransmissions of the current chunk *)
+  mutable phase : [ `Bulk | `Catchup | `Change ];
 }
 
 type t = {
@@ -171,13 +167,9 @@ type t = {
   (* follower state *)
   mutable catching_up : bool;
   mutable learner : bool;
-      (** a joining replica that is not yet a cohort member: it receives the
-          snapshot and catch-up but must not vote in elections, and its acks
-          do not count toward the old configuration's majority *)
-  mutable snapshot_next : int;
-      (** next snapshot chunk sequence expected (crash-safe resume gate: a
-          chunk out of order is never acked, so a restarted joiner cannot
-          silently miss a prefix) *)
+      (** a joining replica that is not yet a cohort member: it is caught up
+          like a follower but must not vote in elections, and its acks do
+          not count toward the old configuration's majority *)
   mutable last_leader_msg : Sim.Sim_time.t;
       (** last accepted leader traffic; silence beyond a few commit periods
           means our propose stream may have a hole we cannot see *)
@@ -229,11 +221,6 @@ let lease_fraction = 0.4
 (* A learner replica never promoted within this span retires itself. *)
 let learner_timeout = Sim.Sim_time.sec 30
 
-(* Snapshot-transfer bandwidth per node, and the chunk size a migration
-   ships its snapshot in. *)
-let xfer_bytes_per_sec = 100e6
-let snapshot_chunk_bytes = 512 * 1024
-
 (* How often a leader scans its store for in-doubt transaction intents, and
    the age at which an unresolved intent counts as in-doubt: old enough that
    a live coordinator client would have resolved it already. *)
@@ -267,7 +254,6 @@ let create ctx =
     splitting = false;
     catching_up = false;
     learner = false;
-    snapshot_next = 0;
     last_leader_msg = Sim.Sim_time.zero;
     resync_armed = false;
     election_running = false;
@@ -2002,6 +1988,10 @@ let leader_run_catchup t ~follower ~f_cmt =
 let leader_catchup_done t ~follower ~upto =
   if t.role = Leader && catchup_eligible t ~follower then begin
     t.pending_final <- List.filter (fun f -> f <> follower) t.pending_final;
+    (* A migration's joiner holds the bulk round: stop re-sending it. *)
+    (match t.migration with
+    | Some m when m.joiner = follower && m.phase = `Bulk -> m.phase <- `Catchup
+    | _ -> ());
     if Lsn.(upto < t.cmt) then
       (* The follower fell behind again (it crashed and came back mid-round):
          run another round. *)
@@ -2056,7 +2046,14 @@ let leader_catchup_done t ~follower ~upto =
 (* Catch-up: follower side (§6.1).                                      *)
 
 let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~replies =
-  if epoch >= t.epoch && t.role <> Offline && t.role <> Leader then begin
+  (* A late copy of a migration's bulk round: the learner already holds it,
+     and installing it again would drop the queue and lst above its
+     horizon. It sends no answer either: its Catchup_done is on the way
+     behind its log force, which can take seconds, and an answer landing
+     after the leader moved on would start a needless blocking round. If
+     that Catchup_done was lost, the resync timer asks the leader again. *)
+  if t.learner && t.role = Follower && Lsn.(t.cmt >= upto) then ()
+  else if epoch >= t.epoch && t.role <> Offline && t.role <> Leader then begin
     accept_leader t ~src ~epoch;
     let old_cmt = t.cmt in
     let catchup_span =
@@ -2119,9 +2116,9 @@ let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~replies =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Replica migration / node bootstrap (§10): the leader ships a snapshot
-   of its store to a joining node, catches it up from the snapshot
-   horizon, then commits a [Cohort_change] that swaps it in.            *)
+(* Replica migration / node bootstrap (§10): the leader catches a joining
+   node up like any follower — a bulk round of its store, then the final
+   round — and commits a [Cohort_change] that swaps it in.              *)
 
 (* Drop this replica from the node: waiting writers are failed, the role
    goes Offline so every guarded callback dies, and any leader-owned
@@ -2149,69 +2146,9 @@ let retire t =
     t.role <- Offline;
     t.leader <- None;
     t.learner <- false;
-    t.snapshot_next <- 0;
     t.election_running <- false;
     t.own_candidate <- None
   end
-
-(* Ship the current chunk through the node's bulk-transfer link (bandwidth-
-   modelled), then retransmit every 500ms until the joiner acks it. *)
-let rec migration_send_chunk t =
-  match t.migration with
-  | Some m when t.role = Leader && m.phase = `Snapshot && m.next_chunk < Array.length m.chunks
-    ->
-    let seq = m.next_chunk in
-    m.attempts <- m.attempts + 1;
-    if m.attempts > 20 then abort_migration t "snapshot retries exhausted"
-    else begin
-      let msg =
-        Message.Snapshot_chunk
-          {
-            range = t.ctx.range;
-            epoch = t.epoch;
-            seq;
-            cells = m.chunks.(seq);
-            upto = m.upto;
-            final = seq = Array.length m.chunks - 1;
-          }
-      in
-      Sim.Resource.submit_bytes t.ctx.xfer ~bytes:(Message.size msg)
-        ~bytes_per_sec:xfer_bytes_per_sec
-        (guard t (fun () ->
-             match t.migration with
-             | Some m' when m' == m && t.role = Leader && m.phase = `Snapshot && m.next_chunk = seq
-               ->
-               t.ctx.send ~dst:m.joiner msg;
-               after t (Sim.Sim_time.ms 500) (fun () ->
-                   match t.migration with
-                   | Some m' when m' == m && m.phase = `Snapshot && m.next_chunk = seq ->
-                     migration_send_chunk t
-                   | _ -> ())
-             | _ -> ()))
-    end
-  | _ -> ()
-
-let handle_snapshot_ack t ~from ~seq =
-  match t.migration with
-  | Some m when t.role = Leader && from = m.joiner && m.phase = `Snapshot && seq = m.next_chunk
-    ->
-    m.next_chunk <- seq + 1;
-    m.attempts <- 0;
-    if m.next_chunk >= Array.length m.chunks then begin
-      (* Snapshot installed; catch the joiner up from the snapshot horizon
-         through the live log, exactly like a rejoining follower. *)
-      m.phase <- `Catchup;
-      trace t "migration_catchup"
-        (Printf.sprintf "joiner=n%d upto=%s" m.joiner (Lsn.to_string m.upto));
-      leader_run_catchup t ~follower:m.joiner ~f_cmt:m.upto;
-      after t t.ctx.config.Config.migration_timeout (fun () ->
-          match t.migration with
-          | Some m' when m' == m && m.phase <> `Change ->
-            abort_migration t "catch-up stalled"
-          | _ -> ())
-    end
-    else migration_send_chunk t
-  | _ -> ()
 
 (* Admin entry point (leader only): bootstrap [joiner] into the cohort,
    retiring [remove] once the joiner is in. Returns false if the cohort
@@ -2230,53 +2167,44 @@ let request_join t ~joiner ?remove () =
     && (not (List.mem joiner members))
     && valid_remove
   then begin
-    (* Snapshot = the newest committed cell per coordinate (tombstones
-       included) plus the retained older MVCC versions behind each — without
-       the chain tails the joiner could not answer an interval snapshot read
-       whose timestamp predates a coordinate's newest version. Chunked by
-       size; always at least one chunk, so an empty range still teaches the
-       joiner the snapshot horizon. *)
-    (* Sorted by LSN so the joiner installs in log order and, crucially, so a
-       chunk boundary never splits one LSN: the joiner appends one WAL record
-       per LSN and skips LSNs it already holds durably, so the second half of
-       a straddled LSN would silently miss the WAL. *)
+    (* The bulk round holds the newest committed cell per coordinate
+       (tombstones included) plus the retained older MVCC versions behind
+       each: without the chain tails the joiner could not answer an interval
+       snapshot read whose timestamp predates a coordinate's newest version.
+       Sorted by LSN, so the joiner installs in log order, one log record
+       per LSN. Writes go on meanwhile; the joiner's [Catchup_done] starts
+       the usual final round from this horizon. *)
     let cells =
       Store.all_cells t.ctx.store @ Store.chain_history_cells t.ctx.store
       |> List.stable_sort (fun (_, (a : Row.cell)) (_, (b : Row.cell)) ->
              Lsn.compare a.lsn b.lsn)
     in
-    let chunks = ref [] and cur = ref [] and cur_bytes = ref 0 in
-    List.iter
-      (fun ((coord, (cell : Row.cell)) as c) ->
-        let key, col = coord in
-        let b =
-          String.length key + String.length col
-          + (match cell.value with Some v -> String.length v | None -> 0)
-          + 24
-        in
-        let boundary =
-          !cur_bytes >= snapshot_chunk_bytes
-          && match !cur with (_, (p : Row.cell)) :: _ -> not (Lsn.equal p.lsn cell.lsn) | [] -> false
-        in
-        if boundary then begin
-          chunks := List.rev !cur :: !chunks;
-          cur := [];
-          cur_bytes := 0
-        end;
-        cur := c :: !cur;
-        cur_bytes := !cur_bytes + b)
-      cells;
-    if !cur <> [] || !chunks = [] then chunks := List.rev !cur :: !chunks;
-    let chunks = Array.of_list (List.rev !chunks) in
-    let m =
-      { joiner; remove; chunks; upto = t.cmt; next_chunk = 0; phase = `Snapshot; attempts = 0 }
+    let bulk =
+      Message.Catchup_data
+        { range = t.ctx.range; epoch = t.epoch; cells; upto = t.cmt; replies = settled_replies t }
     in
+    let m = { joiner; remove; phase = `Bulk } in
     t.migration <- Some m;
+    let bytes = Message.size bulk in
+    t.ctx.shared.largest_bulk <- max t.ctx.shared.largest_bulk bytes;
     trace t "migration_start"
-      (Printf.sprintf "joiner=n%d remove=%s chunks=%d cells=%d upto=%s" joiner
+      (Printf.sprintf "joiner=n%d remove=%s cells=%d bytes=%d upto=%s" joiner
          (match remove with Some r -> Printf.sprintf "n%d" r | None -> "-")
-         (Array.length chunks) (List.length cells) (Lsn.to_string t.cmt));
-    migration_send_chunk t;
+         (List.length cells) bytes (Lsn.to_string t.cmt));
+    (* A lost bulk round is sent again, with its own horizon: the joiner
+       must not claim a cmt for writes it never received. *)
+    let rec send_bulk () =
+      t.ctx.send ~dst:joiner bulk;
+      after t (Sim.Sim_time.sec 1) (fun () ->
+          match t.migration with
+          | Some m' when m' == m && m.phase = `Bulk -> send_bulk ()
+          | _ -> ())
+    in
+    send_bulk ();
+    after t t.ctx.config.Config.migration_timeout (fun () ->
+        match t.migration with
+        | Some m' when m' == m && m.phase <> `Change -> abort_migration t "catch-up stalled"
+        | _ -> ());
     true
   end
   else false
@@ -2284,13 +2212,12 @@ let request_join t ~joiner ?remove () =
 (* ------------------------------------------------------------------ *)
 (* Migration: joiner (learner) side.                                    *)
 
-(* Become a learner replica: receive the snapshot and catch-up, ack
-   proposes (they do not count toward the old majority), but never vote in
+(* Become a learner replica: caught up like a follower, acking proposes
+   (they do not count toward the old majority), but never voting in
    elections. A learner that is never promoted retires itself. *)
 let start_learner t ~leader =
   t.role <- Follower;
   t.learner <- true;
-  t.snapshot_next <- 0;
   t.catching_up <- true;
   t.leader <- Some leader;
   t.last_leader_msg <- Sim.Engine.now t.ctx.engine;
@@ -2302,46 +2229,6 @@ let start_learner t ~leader =
            trace t "learner_abort" "never promoted; migration aborted";
            t.ctx.retire_self ()
          end))
-
-(* Install one snapshot chunk. Strictly in-order: acking chunk [k] promises
-   every chunk [<= k] is installed and durable, so a joiner that crashed and
-   restarted mid-transfer (losing its WAL tail and its chunk counter) never
-   acks the next chunk — the source retries, then aborts cleanly. Duplicate
-   chunks (a retransmission racing the ack) are re-acked idempotently. *)
-let handle_snapshot_chunk t ~src ~epoch ~seq ~cells ~upto ~final =
-  if t.role = Follower && t.learner && epoch >= t.epoch then begin
-    if epoch > t.epoch then t.epoch <- epoch;
-    t.leader <- Some src;
-    t.last_leader_msg <- Sim.Engine.now t.ctx.engine;
-    let ack () =
-      t.ctx.send ~dst:src
-        (Message.Snapshot_ack { range = t.ctx.range; from = t.ctx.node_id; seq })
-    in
-    if seq < t.snapshot_next then ack ()
-    else if seq > t.snapshot_next then ()
-    else begin
-      t.snapshot_next <- seq + 1;
-      (* Installed like catch-up cells: the snapshot becomes this replica's
-         durable prefix, so local recovery and later catch-up serving work
-         unchanged. Idempotent under retransmission. *)
-      Store.install_cells t.ctx.store
-        ~own:(Store.durable_write_lsns_in t.ctx.store ~above:Lsn.zero ~upto)
-        cells;
-      if final then begin
-        (* The snapshot horizon is our commit point: every committed write at
-           or below it is covered by the installed cells. *)
-        t.cmt <- Lsn.max t.cmt upto;
-        t.lst <- t.cmt;
-        Wal.append t.ctx.wal (Log_record.commit_upto ~cohort:t.ctx.range t.cmt);
-        trace t "snapshot_installed"
-          (Printf.sprintf "from n%d upto=%s" src (Lsn.to_string t.cmt));
-        flush_parked_reads t
-      end;
-      (* Ack only once durable: the promise behind the ack is that a crash
-         cannot silently lose this chunk. *)
-      Wal.force t.ctx.wal (guard t ack)
-    end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Range split: a hot range [lo, hi) splits at a median key into
@@ -2463,7 +2350,6 @@ let crash t =
   t.splitting <- false;
   t.catching_up <- false;
   t.learner <- false;
-  t.snapshot_next <- 0;
   t.last_leader_msg <- Sim.Sim_time.zero;
   t.resync_armed <- false;
   t.election_running <- false;
@@ -2586,7 +2472,4 @@ let handle_peer t ~src ~sent_at msg =
   | Message.Catchup_data { epoch; cells; upto; replies; _ } ->
     follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~replies
   | Message.Catchup_done { from; upto; _ } -> leader_catchup_done t ~follower:from ~upto
-  | Message.Snapshot_chunk { epoch; seq; cells; upto; final; _ } ->
-    handle_snapshot_chunk t ~src ~epoch ~seq ~cells ~upto ~final
-  | Message.Snapshot_ack { from; seq; _ } -> handle_snapshot_ack t ~from ~seq
   | Message.Request _ | Message.Reply _ -> ()

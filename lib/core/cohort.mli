@@ -13,8 +13,9 @@
       the cohort with a fresh epoch;
     - follower recovery (§6.1): catch-up from the leader's log or SSTables,
       with logical truncation of discarded records via skipped-LSN lists;
-    - live membership change (§10): replica migration — snapshot ship plus
-      WAL catch-up to a learner, then a Paxos-replicated [Cohort_change]
+    - live membership change (§10): replica migration — a learner caught
+      up like any follower (a bulk round of the store, then the final
+      round), then a Paxos-replicated [Cohort_change]
       record that atomically swaps the joiner in — and range splits via a
       logged [Split] record, both children serving off shared SSTables. *)
 
@@ -38,6 +39,8 @@ type shared = {
       (** per-phase breakdown of every write a replica led to commit *)
   mutable lease_disabled : bool;
       (** force the unleased (quorum-guard) strong-read path *)
+  mutable largest_bulk : int;
+      (** bytes of the largest migration bulk round any leader shipped *)
 }
 (** Facts about the whole cluster that every replica updates: one record,
     built by {!Cluster.create} and handed to each replica through {!ctx}.
@@ -69,9 +72,6 @@ type ctx = {
           a function because a range split narrows it *)
   members : unit -> int list;
       (** the cohort's current membership under the live routing table *)
-  xfer : Sim.Resource.t;
-      (** the node's bulk-transfer link; snapshot chunks stream through it at
-          a fixed 100 MB/s, so migration bandwidth is modelled *)
   apply_meta : op:Storage.Log_record.op -> leader:bool -> unit;
       (** node-level side effects of a committed metadata record (routing
           table update, child-cohort spawn, layout publication) *)
@@ -118,8 +118,8 @@ val store : t -> Storage.Store.t
 (** The replica's storage engine (gauge registration and inspection). *)
 
 val is_learner : t -> bool
-(** A joining replica not yet swapped into the membership: receives the
-    snapshot and catch-up but cannot vote, and its acks do not count. *)
+(** A joining replica not yet swapped into the membership: caught up like a
+    follower but cannot vote, and its acks do not count. *)
 
 val migrating : t -> bool
 (** Leader-side: a replica migration is in flight on this cohort. *)
@@ -128,7 +128,8 @@ val migrating : t -> bool
 
 val request_join : t -> joiner:int -> ?remove:int -> unit -> bool
 (** Leader-only admin entry point: bootstrap node [joiner] into the cohort
-    (snapshot ship, WAL catch-up, then a replicated [Cohort_change]),
+    (a bulk catch-up round of the store while writes go on, the blocking
+    final round, then a replicated [Cohort_change]),
     retiring member [remove] once the joiner is in. Returns [false] if this
     replica is not an open leader, a migration or split is already running,
     the joiner is already a member, or [remove] is invalid (not a member,
@@ -145,9 +146,10 @@ val request_split : t -> bool
     to yield an interior split point. *)
 
 val start_learner : t -> leader:int -> unit
-(** Called by the node layer when a snapshot chunk arrives for a range it
-    does not host: turn this fresh cohort into a learner replica fed by
-    [leader]. Retires itself if never promoted within 30 s. *)
+(** Called by the node layer when a [Catchup_data] arrives for a range it
+    does not host (a migration's bulk round): turn this fresh cohort into a
+    learner replica fed by [leader]. Retires itself if never promoted
+    within 30 s. *)
 
 val retire : t -> unit
 (** The node no longer hosts this range: fail queued writers, release any

@@ -109,18 +109,6 @@ type t =
           (** the leader's settled reply cache: (client, floor, outcomes) *)
     }
   | Catchup_done of { range : int; from : int; upto : Storage.Lsn.t }
-  | Snapshot_chunk of {
-      range : int;
-      epoch : int;
-      seq : int;
-      cells : (Storage.Row.coord * Storage.Row.cell) list;
-      upto : Storage.Lsn.t;
-      final : bool;
-    }
-      (** replica migration: one bandwidth-modelled chunk of the source
-          cohort's SSTable snapshot, shipped to a joining learner; [upto] is
-          the snapshot's commit horizon (WAL catch-up resumes from there) *)
-  | Snapshot_ack of { range : int; from : int; seq : int }
 
 let is_write = function
   | Get _ | Multi_get _ | Scan _ | Fence _ | Snap_get _ -> false
@@ -207,7 +195,6 @@ let size = function
   | Reply { reply; _ } -> size_of_reply reply + 8
   | Propose { writes; _ } -> List.fold_left (fun a w -> a + size_of_write w) 32 writes
   | Ack _ | Commit _ | Read_guard _ | Read_guard_ack _ | Takeover_query _ | Catchup_request _
-  | Catchup_done _ | Snapshot_ack _ ->
+  | Catchup_done _ ->
     48
-  | Catchup_data { cells; _ } | Snapshot_chunk { cells; _ } ->
-    List.fold_left (fun a c -> a + size_of_cell c) 48 cells
+  | Catchup_data { cells; _ } -> List.fold_left (fun a c -> a + size_of_cell c) 48 cells

@@ -171,25 +171,18 @@ type t =
               elected would re-execute retries of the writes it received as
               cells. Not counted by {!size}. *)
     }
-      (** the leader's answer to a [Catchup_request]: its committed cells in
-          (f.cmt, [upto]]. The leader holds new writes until the follower's
-          [Catchup_done], so the follower is fully caught up after this. *)
+      (** the leader's committed live cells in (f.cmt, [upto]], as the
+          answer to a [Catchup_request]. The leader holds new writes until
+          the follower's [Catchup_done], so the follower is fully caught up
+          after this. A migration's bulk round (§10) is one too: it holds the
+          leader's whole store up to [upto] (the newest cell per coordinate
+          and the retained MVCC versions behind it, not the writes
+          themselves) and is sent while writes go on; the joiner's
+          [Catchup_done] then starts the usual final round. *)
   | Catchup_done of { range : int; from : int; upto : Storage.Lsn.t }
       (** the caught-up cells are durable at the follower; the leader
           activates it and re-proposes its pending writes (for a takeover,
           Figure 6 line 9) *)
-  (* --- replica migration (§10) --- *)
-  | Snapshot_chunk of {
-      range : int;
-      epoch : int;
-      seq : int;  (** chunk number, 0-based; shipped stop-and-wait *)
-      cells : (Storage.Row.coord * Storage.Row.cell) list;
-      upto : Storage.Lsn.t;  (** snapshot commit horizon; catch-up resumes here *)
-      final : bool;  (** the snapshot's last chunk (there is always one) *)
-    }
-      (** one bandwidth-modelled chunk of the SSTable snapshot a cohort
-          ships to a joining learner replica *)
-  | Snapshot_ack of { range : int; from : int; seq : int }
 
 val is_write : client_op -> bool
 

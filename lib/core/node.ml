@@ -8,9 +8,6 @@ type t = {
   trace : Sim.Trace.t;
   cpu : Sim.Resource.t;
   disk : Sim.Resource.t;
-  xfer : Sim.Resource.t;
-      (** bulk-transfer link: replica-migration snapshot chunks stream
-          through it, so shipping a store takes bandwidth-modelled time *)
   wal : Storage.Wal.t;
   mutable cohorts : (int * Cohort.t) list;
       (** hosted replicas; changes at runtime with splits and migrations *)
@@ -155,7 +152,6 @@ and make_cohort ?store t range =
       routes_here = (fun key -> Partition.route t.partition key = range);
       range_bounds = (fun () -> Partition.range_bounds t.partition ~range);
       members = (fun () -> try Partition.cohort t.partition ~range with _ -> []);
-      xfer = t.xfer;
       apply_meta = (fun ~op ~leader -> apply_meta t ~range ~op ~leader);
       retire_self = (fun () -> retire_cohort t ~range);
       resolve_in_doubt =
@@ -193,8 +189,9 @@ and retire_cohort t ~range =
     Sim.Trace.event t.trace ~node:t.id ~cohort:range ~tag:"range_retired"
       (Printf.sprintf "r%d n%d" range t.id)
 
-(* A snapshot chunk arrived for a range this node does not host: a migration
-   source picked us as the joiner. Spawn a learner replica on a clean slate. *)
+(* A [Catchup_data] arrived for a range this node does not host: a
+   migration's bulk round, so the range's leader picked us as the joiner.
+   Spawn a learner replica on a clean slate. *)
 and ensure_learner t ~range ~src =
   match List.assoc_opt range t.cohorts with
   | Some c -> Some c
@@ -375,7 +372,7 @@ let handle t (env : Message.t Sim.Network.envelope) =
         reply t ~client ~request_id
           (Message.Wrong_range { hint = Some (Partition.primary t.partition ~range) }))
     | Message.Reply _ -> ()
-    | Message.Snapshot_chunk { range; _ } -> (
+    | Message.Catchup_data { range; _ } -> (
       match ensure_learner t ~range ~src:env.src with
       | Some c -> Cohort.handle_peer c ~src:env.src ~sent_at:env.sent_at env.payload
       | None -> ())
@@ -386,9 +383,7 @@ let handle t (env : Message.t Sim.Network.envelope) =
     | Message.Read_guard_ack { range; _ }
     | Message.Takeover_query { range; _ }
     | Message.Catchup_request { range; _ }
-    | Message.Catchup_data { range; _ }
-    | Message.Catchup_done { range; _ }
-    | Message.Snapshot_ack { range; _ } -> (
+    | Message.Catchup_done { range; _ } -> (
       match cohort t ~range with
       | Some c -> Cohort.handle_peer c ~src:env.src ~sent_at:env.sent_at env.payload
       | None -> ())
@@ -397,7 +392,6 @@ let handle t (env : Message.t Sim.Network.envelope) =
 let create ~engine ~net ~zk_server ~partition ~config ~trace ~planted_hole_ack_bug ~shared ~id =
   let cpu = Sim.Resource.create engine ~servers:4 () in
   let disk = Sim.Resource.create engine () in
-  let xfer = Sim.Resource.create engine () in
   let model = Sim.Disk_model.create config.Config.disk in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
   let wal =
@@ -414,7 +408,6 @@ let create ~engine ~net ~zk_server ~partition ~config ~trace ~planted_hole_ack_b
       trace;
       cpu;
       disk;
-      xfer;
       wal;
       cohorts = [];
       zk = None;

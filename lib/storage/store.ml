@@ -700,7 +700,7 @@ let all_cells t =
   |> List.filter (fun ((key, _), _) -> in_bounds t key)
 
 (* Every retained MVCC version *behind* each coordinate's newest — the chain
-   tails. A migration snapshot ships these alongside {!all_cells} so the
+   tails. A migration's bulk round ships these alongside {!all_cells} so the
    joiner can answer interval snapshot reads whose timestamp predates a
    coordinate's newest version, instead of silently serving something
    older still. *)

@@ -202,7 +202,7 @@ val committed_cells_in : t -> above:Lsn.t -> upto:Lsn.t -> (Row.coord * Row.cell
 val chain_history_cells : t -> (Row.coord * Row.cell) list
 (** Retained MVCC versions behind the newest cell (the chain tails), for
     coordinates a committed transaction ever touched. Shipped with
-    {!all_cells} in migration snapshots so the joiner can answer interval
+    {!all_cells} in a migration's bulk round so the joiner can answer interval
     snapshot reads below a coordinate's newest version; plain-only chains
     are skipped (their visibility is decided by LSN alone). *)
 
@@ -211,8 +211,8 @@ val durable_write_lsns_in : t -> above:Lsn.t -> upto:Lsn.t -> Lsn.t list
     follower's side of logical-truncation bookkeeping. *)
 
 val install_cells : t -> own:Lsn.t list -> (Row.coord * Row.cell) list -> unit
-(** Install cells shipped by another replica — a leader's catch-up or a
-    migration snapshot chunk — given ascending by LSN, so that they become
+(** Install cells shipped by another replica — a leader's catch-up round,
+    a migration's bulk round included — given ascending by LSN, so that they become
     this replica's durable prefix: one log record per LSN (the LSN's cells
     verbatim, as [Install_cell] ops), appended unless the LSN is in [own]
     (already durable here, e.g. from an earlier attempt), then applied. The

@@ -145,7 +145,7 @@ let prop_layout_convergence =
         ops)
 
 (* ---------------------------------------------------------------------- *)
-(* Differential bootstrap: snapshot ship + WAL catch-up == full history.   *)
+(* Differential bootstrap: bulk round + WAL catch-up == full history.      *)
 
 type boot_op = Bput of int * int * int | Bdel of int * int | Bflush
 
@@ -209,8 +209,8 @@ let replica_apply engine (wal, store) i op =
   | None -> Store.flush store);
   Sim.Engine.run engine
 
-(* The learner's chunk install (skipping LSNs already durable from a
-   previous attempt), then the force its ack waits for. *)
+(* The learner's install (skipping LSNs already durable from a previous
+   attempt), then the force its Catchup_done waits for. *)
 let install_cells engine (wal, store) cells ~upto =
   Store.install_cells store ~own:(Store.durable_write_lsns_in store ~above:Lsn.zero ~upto) cells;
   Wal.force wal (fun () -> ());
@@ -252,9 +252,11 @@ let prop_bootstrap_differential =
       List.iteri
         (fun i op -> if i + 1 > cut then replica_apply engine donor (i + 1) op)
         ops;
-      (* Ship the snapshot in chunks. One attempt may die mid-transfer: the
-         joiner crashes (volatile state gone), recovers from its own durable
-         log, and the migration restarts from chunk zero — the re-install
+      (* The bulk round installs in one go, but its log force lands in
+         batches, so a joiner that crashes mid-force keeps only a prefix of
+         it. The chunks model that: the joiner installs the first few,
+         crashes (volatile state gone), recovers from its own durable log,
+         and the re-sent round installs everything again — the re-install
          must be idempotent over whatever survived. *)
       let chunks = chunk_list snapshot 5 in
       let crash_at =
@@ -365,7 +367,7 @@ let split engine cluster ~range =
        false))
 
 (* ---------------------------------------------------------------------- *)
-(* Deterministic migration: snapshot, catch-up, swap, donor retirement.    *)
+(* Deterministic migration: bulk round, catch-up, swap, donor retirement. *)
 
 let test_migration_end_to_end () =
   let engine = Sim.Engine.create ~seed:21 () in
@@ -789,26 +791,26 @@ let chaos_seeds () =
    purpose re-pins them and says why. *)
 let pinned_fingerprints =
   [
-    (1, "39b80d82a3535dd6084670df40b458a1");
-    (2, "3524e45d5ea0b1569212c1a2c41c0e37");
-    (3, "f2da4fb395945fc370e1985a774acf1e");
-    (4, "9938b771119c1ec7508f34d43e0fbebe");
-    (5, "c6b87cc843801583e135e8a9b624375b");
-    (6, "7a2067a542633c89d03c646d448e2c9d");
-    (7, "56243c41140ce4e9a392450bf3fc302d");
-    (8, "be9b7c4d470851d407211969cdacb68d");
-    (9, "38198fa8354f7509e19f47930d82b4b0");
-    (10, "b17a65093a60498fccbfdccd964925af");
-    (11, "31ed92180d211f0173b4f70e906f8a1b");
-    (12, "67fe38e1c5ecc2970a5d435b83f7c50f");
-    (13, "b837b74f5cff133f4a8e346edc416345");
-    (14, "e2c79b5a10323bf6985b273b4b9a7126");
-    (15, "3d30fc80f4e324a73cea49c0da17d3e5");
-    (16, "46f004a88d6d2b730a70051629ed65c7");
-    (17, "b501deb19bdfbaf4c0a65e62cf074053");
-    (18, "10e332f7a065b1be0e99457da574542b");
-    (19, "8c2f847b5ee05cec542c66de3c35e574");
-    (20, "980f834c4beb57585bb572624a169450");
+    (1, "43e82114c26f176cc494a7f73ab6657b");
+    (2, "46ab9f38b26445014d65bceadb687a62");
+    (3, "2a4362300a439d0538ab7e73b2b11c13");
+    (4, "75a22e8735d0d4b11f8c6a210cad24bf");
+    (5, "23a0e261a7216b758d11216cd9d00f6c");
+    (6, "05ea711ba19b2545ab9d435cf72a7706");
+    (7, "c34d846bea325e051a576483f28e6c61");
+    (8, "a88a08ba7d6ef6f90a47821cf6a9975e");
+    (9, "e8f61cc3a8c84cb11148a0278f042cb0");
+    (10, "e84fbb550ff63933132140a619e2a23c");
+    (11, "ae90800e435f07f209e01c05205f9c29");
+    (12, "94ba11f22582fd7b532d3b8b0160bbc4");
+    (13, "a9bc7fa31bc88d9fdfb23d9664bcafd2");
+    (14, "9793bd397fa7ebe08beaf4a6382ee869");
+    (15, "9f8e8f41e6ad7f4630d5bd7b66c58eff");
+    (16, "f62dc05c7d9a183d25002f24119539cc");
+    (17, "74445d403940b4e69a01737118d543e6");
+    (18, "197e9f14be273c420169510a0b6ce650");
+    (19, "508254a749781b33bcef688cc39c461a");
+    (20, "53b7a19fb0288603b71022b8423282b1");
   ]
 
 let test_chaos_scaleout () =
@@ -1027,6 +1029,114 @@ let test_teardown_traces_migration_abort () =
     ]
     (abort_reasons ())
 
+(* ---------------------------------------------------------------------- *)
+(* A migration's bulk round: the joiner is caught up like any follower.    *)
+
+(* Range 0's replica on a node outside its cohort, if that node hosts one. *)
+let range0_replica cluster node = Node.cohort (Cluster.node cluster node) ~range:0
+
+(* A node that does not serve range 0, and a follower of range 0 to retire. *)
+let pick_joiner cluster ~leader =
+  let members = Partition.cohort (Cluster.partition cluster) ~range:0 in
+  ( List.find (fun n -> not (List.mem n members)) (List.init test_config.Config.nodes Fun.id),
+    List.find (fun n -> n <> leader) members )
+
+let joined cluster joiner = List.mem joiner (Partition.cohort (Cluster.partition cluster) ~range:0)
+
+(* The first bulk round is lost on a one-shot cut, and a write commits
+   meanwhile. The leader sends the round again with its own horizon, so the
+   final round still ships that write, and the joiner ends with both. *)
+let test_lost_bulk_round_is_resent () =
+  let engine, cluster, client, leader, cohort = teardown_cluster ~seed:27 in
+  let partition = Cluster.partition cluster in
+  let net = Cluster.net cluster in
+  let joiner, remove = pick_joiner cluster ~leader in
+  Sim.Network.partition_oneway net ~src:leader ~dst:joiner;
+  check_bool "migration starts" true (Cohort.request_join cohort ~joiner ~remove ());
+  check_bool "a write during the cut is acked" true
+    (Result.is_ok (put_sync engine client (Partition.key_of_int partition 501) "cut"));
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 300);
+  check_bool "the first bulk round was lost" true (range0_replica cluster joiner = None);
+  Sim.Network.heal_oneway net ~src:leader ~dst:joiner;
+  check_bool "the migration completes" true
+    (await engine ~timeout:10.0 (fun () -> joined cluster joiner));
+  match range0_replica cluster joiner with
+  | None -> Alcotest.fail "joiner hosts no replica"
+  | Some c ->
+    let holds key value =
+      match Cohort.read_local c (Partition.key_of_int partition key, "c") with
+      | Some cell -> cell.Row.value = Some value
+      | None -> false
+    in
+    check_bool "joiner holds the data written before the migration" true (holds 500 "v");
+    check_bool "joiner holds the write made during the cut" true (holds 501 "cut")
+
+(* The bulk round blocks no write: while the joiner's Catchup_done cannot
+   reach the leader, puts to the range are acked at once. Only the final
+   round, once the joiner answers, holds writes back. *)
+let test_bulk_round_blocks_no_write () =
+  let engine, cluster, client, leader, cohort = teardown_cluster ~seed:28 in
+  let partition = Cluster.partition cluster in
+  let net = Cluster.net cluster in
+  let joiner, remove = pick_joiner cluster ~leader in
+  Sim.Network.partition_oneway net ~src:joiner ~dst:leader;
+  check_bool "migration starts" true (Cohort.request_join cohort ~joiner ~remove ());
+  check_bool "the joiner installs the bulk round" true
+    (await engine ~timeout:5.0 (fun () ->
+         match range0_replica cluster joiner with
+         | Some c -> Lsn.(Cohort.cmt c > Lsn.zero)
+         | None -> false));
+  let started = Sim.Engine.now engine in
+  for k = 0 to 9 do
+    check_bool "a put during the bulk round is acked" true
+      (Result.is_ok (put_sync engine client (Partition.key_of_int partition ((k * 500) + 1)) "bulk"))
+  done;
+  check_bool "ten puts took under a second" true
+    (Sim.Sim_time.span_compare (Sim.Sim_time.diff (Sim.Engine.now engine) started)
+       (Sim.Sim_time.sec 1)
+     < 0);
+  check_bool "still migrating" true (Cohort.migrating cohort);
+  Sim.Network.heal_oneway net ~src:joiner ~dst:leader;
+  check_bool "the migration completes" true
+    (await engine ~timeout:10.0 (fun () -> joined cluster joiner))
+
+(* A copy of the bulk round delivered after the joiner moved past it (the
+   final round done, the membership change queued): the joiner only
+   answers, and its cmt and commit queue stay as they are. *)
+let test_late_bulk_copy_leaves_joiner_alone () =
+  let engine, cluster, client, leader, cohort = teardown_cluster ~seed:29 in
+  let partition = Cluster.partition cluster in
+  let joiner, remove = pick_joiner cluster ~leader in
+  let stop = ref false in
+  let rec writer i =
+    if not !stop then
+      Client.put client (Partition.key_of_int partition ((i mod 20) * 500)) "c" ~value:"w"
+        (fun _ -> writer (i + 1))
+  in
+  writer 0;
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 200);
+  let upto = Cohort.cmt cohort and cells = Store.all_cells (Cohort.store cohort) in
+  check_bool "migration starts" true (Cohort.request_join cohort ~joiner ~remove ());
+  let advanced () =
+    match range0_replica cluster joiner with
+    | Some c -> Cohort.is_learner c && Cohort.pending_writes c > 0 && Lsn.(Cohort.cmt c > upto)
+    | None -> false
+  in
+  let deadline = Sim.Sim_time.add (Sim.Engine.now engine) (Sim.Sim_time.sec 10) in
+  while not (advanced ()) do
+    if Sim.Sim_time.(Sim.Engine.now engine >= deadline) || not (Sim.Engine.step engine) then
+      Alcotest.fail "the joiner never moved past the bulk round"
+  done;
+  let c = Option.get (range0_replica cluster joiner) in
+  let cmt = Cohort.cmt c and queued = Cohort.pending_writes c in
+  Cohort.handle_peer c ~src:leader ~sent_at:(Sim.Engine.now engine)
+    (Message.Catchup_data { range = 0; epoch = Cohort.epoch cohort; cells; upto; replies = [] });
+  Alcotest.(check string) "cmt unchanged" (Lsn.to_string cmt) (Lsn.to_string (Cohort.cmt c));
+  check_int "commit queue unchanged" queued (Cohort.pending_writes c);
+  stop := true;
+  check_bool "the migration completes" true
+    (await engine ~timeout:10.0 (fun () -> joined cluster joiner))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_routing_invariants;
@@ -1056,4 +1166,10 @@ let suite =
       test_counters_survive_retirement;
     Alcotest.test_case "lease switch: a split child hosted later reads it" `Slow
       test_lease_switch_reaches_split_child;
+    Alcotest.test_case "bulk round: a lost round is sent again" `Slow
+      test_lost_bulk_round_is_resent;
+    Alcotest.test_case "bulk round: writes are acked while the joiner's answer is cut" `Slow
+      test_bulk_round_blocks_no_write;
+    Alcotest.test_case "bulk round: a late copy leaves the joiner's cmt and queue" `Slow
+      test_late_bulk_copy_leaves_joiner_alone;
   ]
