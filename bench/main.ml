@@ -50,13 +50,23 @@ let tracked_engines : Sim.Engine.t list ref = ref []
    Experiments that build several clusters export the final one. *)
 let traced : (Sim.Trace.t * Sim.Metrics.Registry.t) option ref = ref None
 
+let released_sim_seconds = ref 0.0
+
 let track_engine engine = tracked_engines := engine :: !tracked_engines
+let engine_seconds e = float_of_int (Sim.Sim_time.time_to_us (Sim.Engine.now e)) /. 1e6
+
+(* Run [f] with a [track] hook for the engine it builds, and count that
+   engine's simulated time once [f] returns without holding on to it: a
+   many-seed battery would otherwise keep every run's cluster alive. *)
+let released_run f =
+  let engine = ref None in
+  let v = f ~track:(fun e -> engine := Some e) in
+  Option.iter (fun e -> released_sim_seconds := !released_sim_seconds +. engine_seconds e) !engine;
+  v
 
 (* Simulated seconds consumed by the experiment, over every engine it built. *)
 let sim_seconds () =
-  List.fold_left
-    (fun acc e -> acc +. (float_of_int (Sim.Sim_time.time_to_us (Sim.Engine.now e)) /. 1e6))
-    0.0 !tracked_engines
+  List.fold_left (fun acc e -> acc +. engine_seconds e) !released_sim_seconds !tracked_engines
 
 let record_field key v = extras_acc := (key, v) :: !extras_acc
 
@@ -1549,8 +1559,9 @@ let soak () =
     List.filter_map
       (fun seed ->
         let v =
-          Workload.Chaos.run_spinnaker ~profile:Workload.Chaos.Mixed
-            ~chaos_for:(Sim.Sim_time.sec 160) ~seed ()
+          released_run (fun ~track ->
+              Workload.Chaos.run_spinnaker ~track ~profile:Workload.Chaos.Mixed
+                ~chaos_for:(Sim.Sim_time.sec 160) ~seed ())
         in
         match List.sort_uniq String.compare (List.map fst v.Workload.Chaos.violations) with
         | [] -> None
@@ -1630,6 +1641,7 @@ let run_experiments names quick_flag json trace_out =
       series_acc := [];
       extras_acc := [];
       tracked_engines := [];
+      released_sim_seconds := 0.0;
       traced := None;
       (List.assoc name all_experiments) ();
       let sim = sim_seconds () in

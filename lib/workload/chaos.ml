@@ -387,8 +387,10 @@ type tally = { fingerprint : string; acked : int; indeterminate : int; n_writes 
    verdict. A failing run carries its flight-recorder pins out with it: the
    slowest requests' full causal traces, dumpable next to the schedule
    artifact without re-running anything. *)
-let gauntlet ?(planted_hole_ack_bug = false) ~config ~profile ~seed body =
+let gauntlet ?(track = fun (_ : Sim.Engine.t) -> ()) ?(planted_hole_ack_bug = false) ~config
+    ~profile ~seed body =
   let engine = Sim.Engine.create ~seed () in
+  track engine;
   let cluster = Cluster.create ~planted_hole_ack_bug engine config in
   Cluster.start cluster;
   let violations = ref [] in
@@ -434,10 +436,10 @@ let gauntlet ?(planted_hole_ack_bug = false) ~config ~profile ~seed body =
    retry can trail its original by hundreds of ids. *)
 let shared_keys = 1024
 
-let run_spinnaker ?(config = default_config) ?(profile = Mixed) ?schedule
+let run_spinnaker ?track ?(config = default_config) ?(profile = Mixed) ?schedule
     ?planted_hole_ack_bug ?shared_clients ?(chaos_for = Sim.Sim_time.sec 10)
     ?(quiesce_for = Sim.Sim_time.sec 10) ~seed () =
-  gauntlet ?planted_hole_ack_bug ~config ~profile ~seed (fun cluster failure flag ->
+  gauntlet ?track ?planted_hole_ack_bug ~config ~profile ~seed (fun cluster failure flag ->
       let engine = Cluster.engine cluster in
       let partition = Cluster.partition cluster in
       (* One client per key keeps each client's id stream slow. The shared

@@ -120,6 +120,7 @@ val schedule_of_artifact_json : Sim.Json.t -> (Sim.Failure.schedule, string) res
     minimal-schedule artifacts straight from CI. *)
 
 val run_spinnaker :
+  ?track:(Sim.Engine.t -> unit) ->
   ?config:Spinnaker.Config.t ->
   ?profile:profile ->
   ?schedule:Sim.Failure.schedule ->
@@ -140,7 +141,8 @@ val run_spinnaker :
     have drawn — the replayed run's injection log equals its input.
     [?planted_hole_ack_bug] builds the run's cluster with the pre-fix
     follower ack bug planted ({!Spinnaker.Cluster.create}) for shrinker
-    fixtures. *)
+    fixtures. [?track] observes the run's engine right after creation, as
+    in {!audit_spinnaker}. *)
 
 val shrink :
   ?max_replays:int ->
