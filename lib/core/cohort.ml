@@ -401,27 +401,59 @@ let reply_write t ~client ~request_id reply =
   remember (replies_of t client) request_id (Done reply);
   t.ctx.reply ~client ~request_id reply
 
-(* The settled part of the cache, shipped with catch-up: cells carry no
-   origins, so this is how a caught-up replica learns the outcomes (and
-   floors) of the writes it receives as cells. *)
-let settled_replies t =
+(* A settled reply in the storage layer's terms, for the cache a checkpoint
+   stores and catch-up ships. Only write outcomes are ever cached. *)
+let outcome_of_reply : Message.client_reply -> Log_record.outcome option = function
+  | Message.Written { lsn } -> Some (Log_record.Written lsn)
+  | Message.Txn_decided { committed; ts } -> Some (Log_record.Decided { commit = committed; ts })
+  | Message.Version_mismatch { current } -> Some (Log_record.Version_mismatch current)
+  | Message.Txn_conflict -> Some Log_record.Txn_conflict
+  | Message.Cross_range -> Some Log_record.Cross_range
+  | Message.Value _ | Message.Values _ | Message.Rows _ | Message.Not_leader _
+  | Message.Wrong_range _ | Message.Unavailable | Message.Fenced _ | Message.Snap_blocked _
+  | Message.Stale_request ->
+    None
+
+let reply_of_outcome : Log_record.outcome -> Message.client_reply = function
+  | Log_record.Written lsn -> Message.Written { lsn }
+  | Log_record.Decided { commit; ts } -> Message.Txn_decided { committed = commit; ts }
+  | Log_record.Version_mismatch current -> Message.Version_mismatch { current }
+  | Log_record.Txn_conflict -> Message.Txn_conflict
+  | Log_record.Cross_range -> Message.Cross_range
+
+(* The settled part of the cache. Catch-up ships it (cells carry no
+   origins, so this is how a caught-up replica learns the outcomes and
+   floors of the writes it receives as cells), and every checkpoint stores
+   it (rollover drops the records whose origins a restart would otherwise
+   re-learn them from). *)
+let settled_replies t : Log_record.reply_cache =
   Client_tbl.fold
     (fun client r acc ->
       let settled =
         List.filter_map
-          (function id, Done reply -> Some (id, reply) | _, In_flight -> None)
+          (function
+            | id, Done reply -> Option.map (fun o -> (id, o)) (outcome_of_reply reply)
+            | _, In_flight -> None)
           r.outcomes
       in
       (client, r.floor, settled) :: acc)
     t.dedup []
 
-let adopt_replies t replies =
+let adopt_replies t (replies : Log_record.reply_cache) =
   List.iter
     (fun (client, floor, settled) ->
       let r = replies_of t client in
       raise_floor r floor;
-      List.iter (fun (request_id, reply) -> remember r request_id (Done reply)) settled)
+      List.iter
+        (fun (request_id, outcome) -> remember r request_id (Done (reply_of_outcome outcome)))
+        settled)
     replies
+
+(* The flush decision sits here, not in [Store.apply]: every caller has
+   cached the applied writes' outcomes first, so the checkpoint's reply
+   cache covers every write at or below it. *)
+let flush t = Store.flush t.ctx.store ~replies:(settled_replies t)
+let flush_if_due t = if Store.flush_due t.ctx.store then flush t
 
 let clear_in_flight t ~client ~request_id =
   match Client_tbl.find_opt t.dedup client with
@@ -448,6 +480,20 @@ let recache_outcomes_from_log t ~above ~upto =
   let skipped = Storage.Skipped_lsns.ascending_mem (Store.skipped t.ctx.store) ~from:above in
   Wal.iter_durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above ~upto (fun lsn op _ origin ->
       if not (skipped lsn) then cache_outcome t origin (reply_for_record op ~lsn))
+
+(* Local recovery (§6.1): rebuild the memtable from the checkpoint through
+   f.cmt, and the reply cache from the checkpoint's cache plus the outcomes
+   of the log tail above it. Returns the recovered (f.cmt, f.lst). *)
+let recover_local t =
+  let cmt, lst = Store.recover t.ctx.store in
+  let cohort = t.ctx.range in
+  adopt_replies t (Wal.last_checkpoint_replies t.ctx.wal ~cohort);
+  recache_outcomes_from_log t ~above:(Wal.last_checkpoint t.ctx.wal ~cohort) ~upto:cmt;
+  (cmt, lst)
+
+let recover_and_flush t =
+  ignore (recover_local t);
+  flush t
 
 (* ------------------------------------------------------------------ *)
 (* Leader lease: implicit in the leader's ZK session. The lease is granted
@@ -1214,13 +1260,19 @@ let rec try_commit t =
       in
       Store.apply t.ctx.store ~lsn:e.lsn ~timestamp:e.timestamp e.op;
       t.cmt <- Lsn.max t.cmt e.lsn;
-      if Log_record.is_meta e.op then on_meta t e.op;
       (* Every client write answers from its origin, whether this leader
          appended it or a takeover rebuilt it from the log (its client may
-         still be retrying); the outcome is remembered either way. *)
+         still be retrying); the outcome is remembered either way, before a
+         flush's checkpoint takes the cache. *)
+      let reply = reply_for_record e.op ~lsn:e.lsn in
       (match e.origin with
       | Some { Log_record.client; request_id; _ } ->
-        reply_write t ~client ~request_id (reply_for_record e.op ~lsn:e.lsn)
+        remember (replies_of t client) request_id (Done reply)
+      | None -> ());
+      flush_if_due t;
+      if Log_record.is_meta e.op then on_meta t e.op;
+      (match e.origin with
+      | Some { Log_record.client; request_id; _ } -> t.ctx.reply ~client ~request_id reply
       | None -> ());
       txn_applied t e.op;
       match tracked with
@@ -1800,6 +1852,7 @@ let apply_commits t ~upto =
         Store.apply t.ctx.store ~lsn:e.Commit_queue.lsn ~timestamp:e.timestamp e.op;
         t.cmt <- Lsn.max t.cmt e.lsn;
         cache_outcome t e.origin (reply_for_record e.op ~lsn:e.lsn);
+        flush_if_due t;
         if Log_record.is_meta e.op then on_meta t e.op)
       entries;
     (* The commit point can pass appended-but-not-yet-locally-forced entries
@@ -1986,7 +2039,17 @@ let leader_run_catchup t ~follower ~f_cmt =
    follower). For a takeover this re-proposal is exactly Figure 6 line 9 —
    the unresolved writes in (l.cmt, l.lst]. *)
 let leader_catchup_done t ~follower ~upto =
-  if t.role = Leader && catchup_eligible t ~follower then begin
+  (* An active follower outside a final round is already caught up: an
+     answer below our cmt is a late copy (of an earlier round, or of a
+     migration's bulk round before its promotion), and acting on it would
+     take the follower out of service and block the range's writes for
+     another round. *)
+  let stale =
+    Lsn.(upto < t.cmt)
+    && List.mem follower t.active_followers
+    && not (List.mem follower t.pending_final)
+  in
+  if t.role = Leader && catchup_eligible t ~follower && not stale then begin
     t.pending_final <- List.filter (fun f -> f <> follower) t.pending_final;
     (* A migration's joiner holds the bulk round: stop re-sending it. *)
     (match t.migration with
@@ -2091,6 +2154,9 @@ let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~replies =
     drop_queue_above t upto;
     Store.install_cells t.ctx.store ~own cells;
     t.cmt <- Lsn.max t.cmt upto;
+    (* What this copy brought us to: the answer names it, not the cmt read
+       when the force lands, which later commits may have passed. *)
+    let installed = t.cmt in
     (* Everything above the catch-up point was dropped from the queue, so our
        vouched contiguous prefix ends exactly at cmt; that is the honest lst
        until the leader's re-proposals rebuild the chain. Keeping a larger
@@ -2103,14 +2169,15 @@ let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~replies =
        retries stay suppressed if this node is later elected leader. *)
     recache_outcomes_from_log t ~above:old_cmt ~upto:t.cmt;
     adopt_replies t replies;
+    flush_if_due t;
     flush_parked_reads t;
     let finish =
       guard t (fun () ->
-          span_end t ~span:catchup_span ~lsn:(Lsn.to_string t.cmt) ~tag:"recovery.catchup"
+          span_end t ~span:catchup_span ~lsn:(Lsn.to_string installed) ~tag:"recovery.catchup"
             "caught-up batch durable";
           t.catching_up <- false;
           t.ctx.send ~dst:src
-            (Message.Catchup_done { range = t.ctx.range; from = t.ctx.node_id; upto = t.cmt }))
+            (Message.Catchup_done { range = t.ctx.range; from = t.ctx.node_id; upto = installed }))
     in
     Wal.force t.ctx.wal finish
   end
@@ -2292,7 +2359,7 @@ let request_split t =
                                if Commit_queue.length t.queue > 0 then
                                  after t (Sim.Sim_time.ms 50) drain
                                else begin
-                                 Store.flush t.ctx.store;
+                                 flush t;
                                  append t (Log_record.Split { at; new_range })
                                end
                            in
@@ -2401,17 +2468,15 @@ let recovered_contiguous_lst t ~cmt ~raw =
 
 let rejoin t =
   (* Local recovery first (§6.1): rebuild the memtable from the checkpoint
-     through f.cmt; writes after f.cmt await the catch-up phase. *)
-  let cmt, lst = Store.recover t.ctx.store in
+     through f.cmt; writes after f.cmt await the catch-up phase. The reply
+     cache is rebuilt with it, so a client retrying a write this replica
+     committed before going down gets an idempotent ack, not a second
+     application. *)
+  let cmt, lst = recover_local t in
   t.cmt <- cmt;
   t.lst <- recovered_contiguous_lst t ~cmt ~raw:lst;
   t.epoch <- lst.Lsn.epoch;
   t.role <- Candidate;
-  (* Re-learn committed write outcomes from the durable log so duplicate
-     suppression survives the crash: a client retrying a write this replica
-     committed before going down must get an idempotent ack, not a second
-     application. *)
-  recache_outcomes_from_log t ~above:Lsn.zero ~upto:cmt;
   trace t "local_recovery"
     (Printf.sprintf "cmt=%s lst=%s" (Lsn.to_string cmt) (Lsn.to_string lst));
   join_cohort t

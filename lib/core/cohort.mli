@@ -167,7 +167,18 @@ val rejoin : t -> unit
 (** Boot or restart: local recovery (a no-op on an empty log), then either
     catch up with the current leader or run an election (§7: "leader
     election is triggered whenever a cohort's leader has failed or following
-    local recovery after a system restart"). *)
+    local recovery after a system restart"). Local recovery rebuilds the
+    reply cache from the newest durable checkpoint's cache plus the
+    outcomes of the log tail above it. *)
+
+val flush : t -> unit
+(** Flush the replica's memtable; the checkpoint stores its settled reply
+    cache. The node calls it before a split shares the store's tables. *)
+
+val recover_and_flush : t -> unit
+(** Local recovery of the store and reply cache, then {!flush}: how the
+    node captures a store's log in SSTables before carving split children
+    out of it. *)
 
 val zk_session_expired : t -> unit
 (** The node's coordination-service session expired (§7): a leader steps

@@ -105,7 +105,7 @@ type t =
       epoch : int;
       cells : (Storage.Row.coord * Storage.Row.cell) list;
       upto : Storage.Lsn.t;
-      replies : (int * int * (int * client_reply) list) list;
+      replies : Storage.Log_record.reply_cache;
           (** the leader's settled reply cache: (client, floor, outcomes) *)
     }
   | Catchup_done of { range : int; from : int; upto : Storage.Lsn.t }

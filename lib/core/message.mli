@@ -164,9 +164,10 @@ type t =
       epoch : int;
       cells : (Storage.Row.coord * Storage.Row.cell) list;  (** ascending LSN *)
       upto : Storage.Lsn.t;
-      replies : (int * int * (int * client_reply) list) list;
+      replies : Storage.Log_record.reply_cache;
           (** the leader's settled reply cache: per client, its floor and
-              its outcomes (request id, reply) at or above it. Cells carry
+              its outcomes (request id, outcome) at or above it — the same
+              cache a checkpoint stores. Cells carry
               no origins, so without these a caught-up replica that is later
               elected would re-execute retries of the writes it received as
               cells. Not counted by {!size}. *)

@@ -240,7 +240,7 @@ and apply_meta t ~range ~op ~leader =
       (* Every record at or below the split LSN is already applied (LSN
          order); flush so the shared SSTables capture all of it before the
          child starts reading them. *)
-      Storage.Store.flush pstore;
+      Cohort.flush parent;
       let lo, hi =
         match Storage.Store.bounds pstore with
         | Some b -> b
@@ -277,8 +277,7 @@ and reconcile_layout t =
         | Some (slo, shi) when Partition.mem_range t.partition ~range ->
           let _, phi = Partition.range_bounds t.partition ~range in
           if String.compare shi phi > 0 then begin
-            ignore (Storage.Store.recover store);
-            Storage.Store.flush store;
+            Cohort.recover_and_flush c;
             List.iter
               (fun (d : Partition.desc) ->
                 if

@@ -138,6 +138,7 @@ let replica_apply t ~req ~coord ~(cell : Row.cell) ~reply_to =
            Wal.force t.wal
              (guard t (fun () ->
                   Store.apply store ~lsn ~timestamp:cell.timestamp op;
+                  if Store.flush_due store then Store.flush store ~replies:[];
                   match req with
                   | Some req ->
                     send t ~dst:reply_to

@@ -21,17 +21,26 @@ type op =
 
 type origin = { client : int; request_id : int; floor : int }
 
+type outcome =
+  | Written of Lsn.t
+  | Decided of { commit : bool; ts : int }
+  | Version_mismatch of int
+  | Txn_conflict
+  | Cross_range
+
+type reply_cache = (int * int * (int * outcome) list) list
+
 type entry =
   | Write of { lsn : Lsn.t; op : op; timestamp : int; origin : origin option }
   | Commit_upto of Lsn.t
-  | Checkpoint of Lsn.t
+  | Checkpoint of { upto : Lsn.t; replies : reply_cache }
 
 type t = { cohort : int; entry : entry }
 
 let write ~cohort ~lsn ~timestamp ?origin op =
   { cohort; entry = Write { lsn; op; timestamp; origin } }
 let commit_upto ~cohort lsn = { cohort; entry = Commit_upto lsn }
-let checkpoint ~cohort lsn = { cohort; entry = Checkpoint lsn }
+let checkpoint ~cohort ?(replies = []) upto = { cohort; entry = Checkpoint { upto; replies } }
 
 let is_meta = function
   | Cohort_change _ | Split _ -> true
@@ -153,40 +162,41 @@ let rec cell_bytes op =
   | Install_cell { coord = key, col; cell } ->
     String.length key + String.length col + value_bytes cell.Row.value
 
+(* Payload bytes of one primitive write; [Batch] recurses, so a record is
+   sized without flattening it. *)
+let rec payload_bytes = function
+  | Put { key; col; value; _ } -> String.length key + String.length col + String.length value
+  | Delete { key; col; _ } -> String.length key + String.length col
+  | Batch ops -> List.fold_left (fun a op -> a + payload_bytes op) 0 ops
+  | Cohort_change _ | Split _ -> 0
+  | Txn_prepare { txn; writes; _ } ->
+    List.fold_left
+      (fun a (k, c, v) ->
+        a + String.length k + String.length c
+        + match v with Some v -> String.length v | None -> 0)
+      (String.length txn + 24)
+      writes
+  | Txn_decision { txn; anchor; _ } -> String.length txn + String.length anchor + 16
+  | Txn_resolve { txn; writes; _ } ->
+    List.fold_left
+      (fun a (k, c, v, _) ->
+        a + String.length k + String.length c
+        + (match v with Some v -> String.length v | None -> 0)
+        + 8)
+      (String.length txn + 16)
+      writes
+  | Install_cell { coord = key, col; cell } ->
+    String.length key + String.length col
+    + (match cell.Row.value with Some v -> String.length v | None -> 0)
+    + 16
+
+let write_bytes op = 24 + (if is_meta op then 8 else 0) + payload_bytes op
+
+(* A checkpoint is modelled at its marker size: the model charges nothing
+   for the SSTable write it stands for, nor for the reply cache it holds. *)
 let approx_bytes t =
   match t.entry with
-  | Write { op; _ } ->
-    List.fold_left
-      (fun acc op ->
-        acc
-        +
-        match op with
-        | Put { key; col; value; _ } ->
-          String.length key + String.length col + String.length value
-        | Delete { key; col; _ } -> String.length key + String.length col
-        | Txn_prepare { txn; writes; _ } ->
-          List.fold_left
-            (fun a (k, c, v) ->
-              a + String.length k + String.length c
-              + (match v with Some v -> String.length v | None -> 0))
-            (String.length txn + 24)
-            writes
-        | Txn_decision { txn; anchor; _ } -> String.length txn + String.length anchor + 16
-        | Txn_resolve { txn; writes; _ } ->
-          List.fold_left
-            (fun a (k, c, v, _) ->
-              a + String.length k + String.length c
-              + (match v with Some v -> String.length v | None -> 0)
-              + 8)
-            (String.length txn + 16)
-            writes
-        | Install_cell { coord = key, col; cell } ->
-          String.length key + String.length col
-          + (match cell.Row.value with Some v -> String.length v | None -> 0)
-          + 16
-        | Batch _ | Cohort_change _ | Split _ -> 0)
-      (24 + if is_meta op then 8 else 0)
-      (flatten op)
+  | Write { op; _ } -> write_bytes op
   | Commit_upto _ | Checkpoint _ -> 24
 
 let pp ppf t =
@@ -214,4 +224,4 @@ let pp ppf t =
     in
     Format.fprintf ppf "[r%d %a %s %s/%s]" t.cohort Lsn.pp lsn kind key col
   | Commit_upto lsn -> Format.fprintf ppf "[r%d commit<=%a]" t.cohort Lsn.pp lsn
-  | Checkpoint lsn -> Format.fprintf ppf "[r%d ckpt<=%a]" t.cohort Lsn.pp lsn
+  | Checkpoint { upto; _ } -> Format.fprintf ppf "[r%d ckpt<=%a]" t.cohort Lsn.pp upto

@@ -66,6 +66,20 @@ type origin = {
           record drops the client's cached outcomes below it. *)
 }
 
+(** A settled write outcome, as the duplicate-suppression reply cache holds
+    it: what a retry of the request is answered with. *)
+type outcome =
+  | Written of Lsn.t  (** committed at this LSN *)
+  | Decided of { commit : bool; ts : int }  (** a 2PC decision's recorded outcome *)
+  | Version_mismatch of int  (** a conditional write refused at this current version *)
+  | Txn_conflict
+  | Cross_range
+
+type reply_cache = (int * int * (int * outcome) list) list
+(** A cohort's settled reply cache (RIFL's completion records): per client,
+    [(client, floor, outcomes)] with the outcomes (request id, outcome) at
+    or above the floor. Checkpoints store it and catch-up ships it. *)
+
 type entry =
   | Write of {
       lsn : Lsn.t;
@@ -78,7 +92,12 @@ type entry =
               leader failover and restart *)
     }
   | Commit_upto of Lsn.t  (** last committed LSN; non-forced log write (§5) *)
-  | Checkpoint of Lsn.t  (** memtable flushed up to this LSN; log rolled over *)
+  | Checkpoint of { upto : Lsn.t; replies : reply_cache }
+      (** memtable flushed up to [upto]; log rolled over. [replies] is the
+          cohort's settled reply cache when it flushed, which covers the
+          outcome of every write at or below [upto] — so a restart rebuilds
+          the cache from it plus the log tail, not from the rolled-over
+          records' origins. *)
 
 type t = { cohort : int; entry : entry }
 
@@ -86,7 +105,8 @@ val write : cohort:int -> lsn:Lsn.t -> timestamp:int -> ?origin:origin -> op -> 
 
 val commit_upto : cohort:int -> Lsn.t -> t
 
-val checkpoint : cohort:int -> Lsn.t -> t
+val checkpoint : cohort:int -> ?replies:reply_cache -> Lsn.t -> t
+(** [replies] defaults to the empty cache (a store with no clients). *)
 
 val is_meta : op -> bool
 (** Membership/split meta records (no cells). *)
@@ -107,6 +127,11 @@ val cell_bytes : op -> int
     cells or their encoded payloads. *)
 
 val approx_bytes : t -> int
-(** Serialised size estimate, for log-force accounting. *)
+(** Serialised size estimate, for log-force accounting. A checkpoint counts
+    24 bytes whatever reply cache it holds. *)
+
+val write_bytes : op -> int
+(** {!approx_bytes} of a [Write] record carrying the op, computed without
+    building the record. *)
 
 val pp : Format.formatter -> t -> unit

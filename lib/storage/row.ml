@@ -41,7 +41,7 @@ let system_prefix_length = String.length intent_prefix
 let intent_col col = intent_prefix ^ col
 
 let is_intent_col col =
-  String.length col >= 3 && String.equal (String.sub col 0 3) intent_prefix
+  String.length col >= 3 && col.[0] = system_byte && col.[1] = 'i' && col.[2] = ':'
 
 let base_of_intent_col col = String.sub col 3 (String.length col - 3)
 let decision_prefix = "\x00d:"

@@ -5,6 +5,7 @@ type t = {
   min_lsn : Lsn.t;
   max_lsn : Lsn.t;
   bytes : int;
+  has_intents : bool;  (** holds an intent-column cell, live or tombstone *)
 }
 
 let build entries =
@@ -15,7 +16,7 @@ let build entries =
   in
   let bloom = Bloom.create ~expected:(Stdlib.max 1 n) () in
   let min_lsn = ref Lsn.zero and max_lsn = ref Lsn.zero and bytes = ref 0 in
-  let first = ref true in
+  let first = ref true and has_intents = ref false in
   List.iteri
     (fun i (coord, (cell : Row.cell)) ->
       if i > 0 && Row.compare_coord coords.(i - 1) coord >= 0 then
@@ -23,6 +24,7 @@ let build entries =
       coords.(i) <- coord;
       cells.(i) <- cell;
       Bloom.add bloom (fst coord);
+      if Row.is_intent_col (snd coord) then has_intents := true;
       bytes :=
         !bytes + String.length (fst coord) + String.length (snd coord)
         + (match cell.value with Some v -> String.length v | None -> 0)
@@ -37,7 +39,15 @@ let build entries =
         max_lsn := Lsn.max !max_lsn cell.lsn
       end)
     entries;
-  { coords; cells; bloom; min_lsn = !min_lsn; max_lsn = !max_lsn; bytes = !bytes }
+  {
+    coords;
+    cells;
+    bloom;
+    min_lsn = !min_lsn;
+    max_lsn = !max_lsn;
+    bytes = !bytes;
+    has_intents = !has_intents;
+  }
 
 let binary_search t coord =
   let rec go lo hi =
@@ -69,6 +79,7 @@ let to_list t =
 
 let min_lsn t = t.min_lsn
 let max_lsn t = t.max_lsn
+let has_intents t = t.has_intents
 let min_key t = if Array.length t.coords = 0 then None else Some (fst t.coords.(0))
 
 let max_key t =

@@ -29,6 +29,11 @@ val min_lsn : t -> Lsn.t
 
 val max_lsn : t -> Lsn.t
 
+val has_intents : t -> bool
+(** Whether any cell sits in an intent column ({!Row.is_intent_col}), live
+    or tombstone — recorded at build time, so rebuilding the intent index
+    merges only the tables that can hold an intent's newest resolution. *)
+
 val min_key : t -> Row.key option
 
 val max_key : t -> Row.key option

@@ -66,6 +66,14 @@ type t = {
       (** in-memory version chains, newest first; rebuilt from the WAL on
           recovery (a read no chained version answers applies the interval
           rule to the memtable's and SSTables' cells instead) *)
+  mutable chain_floor : Lsn.t;
+      (** every cell above this LSN has been pushed onto its chain: the
+          SSTables' max LSN when the chains were last reset, since cells
+          applied since then were all pushed. A chain head above it is the
+          coordinate's newest cell. *)
+  mutable logged_bytes : int;
+      (** log bytes of the writes applied since the last flush (recovery
+          counts the replayed tail): the log-size flush trigger's gauge *)
   intents : (string, intent_info) Hashtbl.t;  (** txn id -> live intents *)
   intent_at : (Row.coord, string) Hashtbl.t;  (** base coord -> owning txn *)
 }
@@ -99,6 +107,8 @@ let create ~cohort ~wal ?(newer = Row.newer_by_lsn) ?(flush_bytes = 4 * 1024 * 1
     max_store_bytes = 0;
     mvcc_depth;
     mvcc = Hashtbl.create 256;
+    chain_floor = Lsn.zero;
+    logged_bytes = 0;
     intents = Hashtbl.create 16;
     intent_at = Hashtbl.create 16;
   }
@@ -206,7 +216,23 @@ let major_compact t =
     clear_cache t
   end
 
-let flush t =
+(* The log-size flush trigger. The log is rolled over only at a flush
+   (§4.1), so a memtable of a few hot keys that never reaches [flush_bytes]
+   would let the log, and every restart's replay, grow for the whole run.
+   Flushing once the bytes logged since the last flush reach
+   [log_flush_ratio] times the memtable's bytes bounds the replayed tail by
+   that multiple of the state it rebuilds. [log_flush_floor] keeps a single
+   hot key from being flushed every few writes. *)
+let log_flush_ratio = 8
+let log_flush_floor = 64 * 1024
+
+let flush_due t =
+  (not (Memtable.is_empty t.memtable))
+  &&
+  let bytes = Memtable.approx_bytes t.memtable in
+  bytes >= t.flush_bytes || t.logged_bytes >= Stdlib.max log_flush_floor (log_flush_ratio * bytes)
+
+let flush t ~replies =
   if not (Memtable.is_empty t.memtable) then begin
     let table =
       clamp_table t
@@ -217,7 +243,8 @@ let flush t =
     t.sstables <- table :: t.sstables;
     t.flushed_upto <- upto;
     t.memtable <- Memtable.create ();
-    Wal.append t.wal (Log_record.checkpoint ~cohort:t.cohort upto);
+    t.logged_bytes <- 0;
+    Wal.append t.wal (Log_record.checkpoint ~cohort:t.cohort ~replies upto);
     (* Roll the log over only once the checkpoint record is durable. GC-ing
        eagerly opens a crash window in which the durable log holds neither
        the flushed writes nor the checkpoint that replaced them, so recovery
@@ -385,7 +412,7 @@ let apply t ~lsn ~timestamp op =
   List.iter
     (fun (coord, cell) -> ingest_cell t Apply coord cell)
     (Log_record.cells_of_write op ~lsn ~timestamp);
-  if Memtable.approx_bytes t.memtable >= t.flush_bytes then flush t
+  t.logged_bytes <- t.logged_bytes + Log_record.write_bytes op
 
 (* The uncached lookup: newest cell across memtable and SSTables, counting
    how many tables were actually probed (bloom/LSN-pruned tables are not). *)
@@ -419,28 +446,47 @@ let lookup t coord =
     t.sstables;
   (!best, !probed)
 
-let get_profiled t coord =
-  match t.cache with
+(* The coordinate's chain head when it is known to be its newest cell
+   (see [chain_floor]) and is live. A tombstone head is left to [lookup]:
+   a full compaction's tombstone GC drops it from the tables, and the
+   coordinate's version falls back to 0. *)
+let live_head t coord =
+  if not t.lsn_ordered then None
+  else
+    match Hashtbl.find t.mvcc coord with
+    | chain ->
+      let head = nth_version chain 0 in
+      if Lsn.(head.Row.lsn > t.chain_floor) && not (Row.is_tombstone head) then Some head
+      else None
+    | exception Not_found -> None
+
+(* A cache miss's answer: the live chain head when [chained] allows it and
+   one answers, else the memtable and SSTable probe. *)
+let resolve t coord ~chained =
+  match if chained then live_head t coord else None with
+  | Some _ as head -> (head, Probed 0)
   | None ->
     let cell, probed = lookup t coord in
     (cell, Probed probed)
+
+let cached t coord ~chained =
+  match t.cache with
+  | None -> resolve t coord ~chained
   | Some cache ->
     (* System columns (intents, decision records) bypass the row cache in
        both directions: they mutate out of band of the user write path, and
        a cached copy could hand a snapshot reader a stale resolution
        state. *)
-    if Row.is_system_col (snd coord) then begin
-      let cell, probed = lookup t coord in
-      (cell, Probed probed)
-    end
+    if Row.is_system_col (snd coord) then resolve t coord ~chained
     else (
       match Cache.find cache coord with
       | Some cell -> (cell, Cache_hit)
       | None ->
-        let cell, probed = lookup t coord in
+        let ((cell, _) as answer) = resolve t coord ~chained in
         Cache.put cache coord cell;
-        (cell, Probed probed))
+        answer)
 
+let get_profiled t coord = cached t coord ~chained:false
 let get t coord = fst (get_profiled t coord)
 
 (* ------------------------------------------------------------------ *)
@@ -551,8 +597,11 @@ let read t coord =
   | Some cell when not (Row.is_tombstone cell) -> Some cell
   | _ -> None
 
+(* The leader's version assignment: after a flush, the first write to each
+   key misses the memtable, so answering from the chain head spares the
+   SSTable probes. The row cache sees the same finds and puts as {!get}. *)
 let current_version t coord =
-  match get t coord with Some cell -> cell.Row.version | None -> 0
+  match fst (cached t coord ~chained:true) with Some cell -> cell.Row.version | None -> 0
 
 let scan t ~low ~high ~limit =
   (* Clamp to the range's bounds: shared post-split tables hold the
@@ -612,8 +661,12 @@ let scan t ~low ~high ~limit =
 
 (* The MVCC chains and intent index are volatile; recovery rebuilds them
    (chains from the replayed log suffix, intents from the durable heads). *)
+let max_table_lsn tables =
+  List.fold_left (fun acc table -> Lsn.max acc (Sstable.max_lsn table)) Lsn.zero tables
+
 let reset_txn_state t =
   Hashtbl.reset t.mvcc;
+  t.chain_floor <- max_table_lsn t.sstables;
   Hashtbl.reset t.intents;
   Hashtbl.reset t.intent_at
 
@@ -624,12 +677,14 @@ let crash t =
      case recovery must rederive the flush horizon from stable storage. The
      row cache is volatile too. *)
   t.flushed_upto <- Lsn.zero;
+  t.logged_bytes <- 0;
   reset_txn_state t;
   clear_cache t
 
 let wipe t =
   crash t;
   t.sstables <- [];
+  t.chain_floor <- Lsn.zero;
   t.flushed_upto <- Lsn.zero;
   t.inherited_upto <- Lsn.zero;
   Skipped_lsns.clear t.skipped
@@ -637,17 +692,32 @@ let wipe t =
 (* Rebuild the intent index from durable state: the newest resolution of
    every intent coordinate across memtable and SSTables. A live (untombstoned)
    head means the transaction is still unresolved here — exactly the
-   in-doubt set presumed-abort recovery must chase. *)
+   in-doubt set presumed-abort recovery must chase. Only the intent cells
+   of the memtable and the tables that hold any (live or tombstone) are
+   merged: a table without one cannot decide an intent coordinate's
+   newest resolution. *)
 let rebuild_intents t =
   Hashtbl.reset t.intents;
   Hashtbl.reset t.intent_at;
-  Iterator.to_list
-    (Iterator.merge ~newer:t.newer
-       (Iterator.of_sorted_list (Memtable.to_sorted_list t.memtable)
-       :: List.map (fun table -> Iterator.of_sstable table) t.sstables))
-  |> List.iter (fun (((key, col) as coord), cell) ->
-         if in_bounds t key && Row.is_intent_col col && not (Row.is_tombstone cell) then
-           track_system_cell t coord cell)
+  let it =
+    Iterator.merge ~newer:t.newer
+      (Iterator.of_sorted_list
+         (List.filter
+            (fun ((_, col), _) -> Row.is_intent_col col)
+            (Memtable.to_sorted_list t.memtable))
+      :: List.filter_map
+           (fun table -> if Sstable.has_intents table then Some (Iterator.of_sstable table) else None)
+           t.sstables)
+  in
+  let rec go () =
+    match Iterator.next it with
+    | None -> ()
+    | Some (((key, col) as coord), cell) ->
+      if in_bounds t key && Row.is_intent_col col && not (Row.is_tombstone cell) then
+        track_system_cell t coord cell;
+      go ()
+  in
+  go ()
 
 (* Replay the cohort's durable writes in (flushed_upto, upto], skipping the
    LSNs [skipped] names, into a fresh memtable, MVCC chains and intent
@@ -658,6 +728,7 @@ let replay t ~upto ~skipped =
   let sink = Replay stage in
   Wal.iter_durable_writes_in t.wal ~cohort:t.cohort ~above:t.flushed_upto ~upto
     (fun lsn op timestamp _ ->
+      t.logged_bytes <- t.logged_bytes + Log_record.write_bytes op;
       if not (skipped lsn) then
         List.iter
           (fun (coord, cell) -> ingest_cell t sink coord cell)
@@ -667,6 +738,7 @@ let replay t ~upto ~skipped =
 
 let recover t =
   t.memtable <- Memtable.create ();
+  t.logged_bytes <- 0;
   clear_cache t;
   reset_txn_state t;
   let checkpoint = Wal.last_checkpoint t.wal ~cohort:t.cohort in
@@ -684,6 +756,7 @@ let recover t =
 
 let recover_all t =
   t.memtable <- Memtable.create ();
+  t.logged_bytes <- 0;
   clear_cache t;
   reset_txn_state t;
   let checkpoint = Wal.last_checkpoint t.wal ~cohort:t.cohort in
@@ -866,10 +939,7 @@ let split_child parent ~cohort ~lo ~hi =
      rewritten; out-of-bounds cells are dropped lazily by compaction. The
      parent's memtable must already be flushed (the split protocol flushes
      before logging the split record), so the tables hold everything. *)
-  let inherited =
-    List.fold_left (fun acc table -> Lsn.max acc (Sstable.max_lsn table)) Lsn.zero
-      parent.sstables
-  in
+  let inherited = max_table_lsn parent.sstables in
   let child =
     create ~cohort ~wal:parent.wal ~newer:parent.newer ~flush_bytes:parent.flush_bytes
       ~compaction_fanin:parent.compaction_fanin ~max_sstables:parent.max_sstables
@@ -878,6 +948,8 @@ let split_child parent ~cohort ~lo ~hi =
   child.bounds <- Some (lo, hi);
   child.sstables <- parent.sstables;
   child.inherited_upto <- inherited;
+  (* No chain holds an inherited cell. *)
+  child.chain_floor <- inherited;
   (* The shared tables cover everything through [inherited]; the child's own
      log only starts after the split, so the flush horizon must say so or
      recovery/catch-up would trust a log that cannot cover the prefix. *)

@@ -77,8 +77,10 @@ val split_child : t -> cohort:int -> lo:Row.key -> hi:Row.key -> t
 val skipped : t -> Skipped_lsns.t
 
 val apply : t -> lsn:Lsn.t -> timestamp:int -> Log_record.op -> unit
-(** Apply a committed write to the memtable, flushing/compacting as needed
-    and invalidating the written coordinates in the row cache. Idempotent:
+(** Apply a committed write to the memtable, invalidating the written
+    coordinates in the row cache and counting the write's log bytes toward
+    {!flush_due}. Never flushes: the caller decides, once it has cached the
+    write's outcome, so the checkpoint's reply cache covers it. Idempotent:
     re-applying a record yields the same state. *)
 
 val get : t -> Row.coord -> Row.cell option
@@ -95,7 +97,10 @@ val read : t -> Row.coord -> Row.cell option
 (** Like {!get} but tombstones map to [None] (client-visible read). *)
 
 val current_version : t -> Row.coord -> int
-(** Version of the newest cell, 0 if the coordinate was never written. *)
+(** Version of the newest cell, 0 if the coordinate was never written (or
+    its tombstone was garbage-collected). Consults the row cache exactly as
+    {!get} does; on a miss, a live MVCC chain head known to be the newest
+    cell answers without probing SSTables. *)
 
 (** {2 MVCC snapshot reads and the transaction intent index} *)
 
@@ -156,11 +161,27 @@ val memtable_size : t -> int
 val memtable_bytes : t -> int
 (** Approximate memtable payload bytes (the flush-threshold gauge). *)
 
-val flush : t -> unit
-(** Force a memtable flush (also invoked automatically by [apply]). Appends a
-    checkpoint record, then rolls the WAL over for this cohort only once the
-    checkpoint is durable — GC-ing before the force opens a crash window in
-    which the log holds neither the flushed writes nor the checkpoint. *)
+val log_flush_ratio : int
+(** The log-size trigger's multiple: {!flush_due} holds once the bytes
+    logged since the last flush reach this many times the memtable's bytes
+    (and {!log_flush_floor}). *)
+
+val log_flush_floor : int
+(** Log bytes below which the log-size trigger never fires (64 KiB). *)
+
+val flush_due : t -> bool
+(** The memtable is non-empty and either holds [flush_bytes], or the log
+    bytes of the writes applied since the last flush (a restart counts the
+    replayed tail) reach [max log_flush_floor (log_flush_ratio ×
+    memtable_bytes)]. The second trigger bounds what a restart replays by a
+    fixed multiple of the state it rebuilds, however few keys are hot. *)
+
+val flush : t -> replies:Log_record.reply_cache -> unit
+(** Flush the memtable into an SSTable (a no-op when it is empty). Appends a
+    checkpoint record carrying [replies], the cohort's settled reply cache,
+    then rolls the WAL over for this cohort only once the checkpoint is
+    durable — GC-ing before the force opens a crash window in which the log
+    holds neither the flushed writes nor the checkpoint. *)
 
 val major_compact : t -> unit
 (** Merge every SSTable into one, dropping tombstones — the explicit

@@ -32,7 +32,8 @@ type cohort_index = {
   mutable lo : int;  (** live [Write] records are the slots [lo, hi) *)
   mutable hi : int;
   mutable commits : (Lsn.t * int) list;  (** durable [Commit_upto] records, newest first *)
-  mutable ckpts : (Lsn.t * int) list;  (** durable [Checkpoint] records, newest first *)
+  mutable ckpts : (Lsn.t * Log_record.reply_cache * int) list;
+      (** durable [Checkpoint] records, newest first *)
   mutable last_commit : Lsn.t;  (** max over [commits]; maintained incrementally *)
   mutable last_ckpt : Lsn.t;  (** max over [ckpts]; maintained incrementally *)
 }
@@ -205,9 +206,9 @@ let index_durable t (r : Log_record.t) =
   | Log_record.Commit_upto lsn ->
     c.commits <- (lsn, t.gseq) :: c.commits;
     c.last_commit <- Lsn.max c.last_commit lsn
-  | Log_record.Checkpoint lsn ->
-    c.ckpts <- (lsn, t.gseq) :: c.ckpts;
-    c.last_ckpt <- Lsn.max c.last_ckpt lsn
+  | Log_record.Checkpoint { upto; replies } ->
+    c.ckpts <- (upto, replies, t.gseq) :: c.ckpts;
+    c.last_ckpt <- Lsn.max c.last_ckpt upto
 
 let rec kick t =
   (* Waiters are sorted by target (appends are monotone), so the satisfied
@@ -288,7 +289,9 @@ let durable_records t =
           :: !all
       done;
       List.iter (fun (lsn, g) -> all := (g, Log_record.commit_upto ~cohort lsn) :: !all) c.commits;
-      List.iter (fun (lsn, g) -> all := (g, Log_record.checkpoint ~cohort lsn) :: !all) c.ckpts)
+      List.iter
+        (fun (lsn, replies, g) -> all := (g, Log_record.checkpoint ~cohort ~replies lsn) :: !all)
+        c.ckpts)
     t.cohorts;
   List.sort (fun (a, _) (b, _) -> Int.compare a b) !all |> List.map snd
 
@@ -309,6 +312,15 @@ let last_commit_marker t ~cohort =
 
 let last_checkpoint t ~cohort =
   match Hashtbl.find_opt t.cohorts cohort with None -> Lsn.zero | Some c -> c.last_ckpt
+
+(* The newest checkpoint carrying the max value: the one [gc_cohort] keeps. *)
+let last_checkpoint_replies t ~cohort =
+  match Hashtbl.find_opt t.cohorts cohort with
+  | None -> []
+  | Some c -> (
+    match List.find_opt (fun (lsn, _, _) -> Lsn.equal lsn c.last_ckpt) c.ckpts with
+    | Some (_, replies, _) -> replies
+    | None -> [])
 
 let iter_durable_writes_in t ~cohort ~above ~upto f =
   match Hashtbl.find_opt t.cohorts cohort with
@@ -366,14 +378,14 @@ let gc_cohort t ~cohort ~upto =
     if 4 * (c.hi - cut) < Array.length c.ops then resize c (2 * (c.hi - cut))
     else clear c ~from:first ~until:cut;
     (* Markers: keep only the newest record carrying the max value. *)
-    let prune records last =
-      match List.find_opt (fun (lsn, _) -> Lsn.equal lsn last) records with
+    let prune lsn_of records last =
+      match List.find_opt (fun r -> Lsn.equal (lsn_of r) last) records with
       | Some newest -> ([ newest ], List.length records - 1)
       | None -> (records, 0)
     in
-    let commits, removed_commits = prune c.commits c.last_commit in
+    let commits, removed_commits = prune fst c.commits c.last_commit in
     c.commits <- commits;
-    let ckpts, removed_ckpts = prune c.ckpts c.last_ckpt in
+    let ckpts, removed_ckpts = prune (fun (lsn, _, _) -> lsn) c.ckpts c.last_ckpt in
     c.ckpts <- ckpts;
     t.durable_count <- t.durable_count - removed_commits - removed_ckpts
 

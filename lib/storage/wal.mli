@@ -75,6 +75,11 @@ val last_commit_marker : t -> cohort:int -> Lsn.t
 val last_checkpoint : t -> cohort:int -> Lsn.t
 (** Largest durable [Checkpoint] value for the cohort. *)
 
+val last_checkpoint_replies : t -> cohort:int -> Log_record.reply_cache
+(** The reply cache stored by the newest durable checkpoint at
+    {!last_checkpoint} ([[]] when the cohort has none): a restart adopts
+    it, then re-learns the outcomes of the log tail above the checkpoint. *)
+
 val durable_writes_in : t -> cohort:int -> above:Lsn.t -> upto:Lsn.t ->
   (Lsn.t * Log_record.op * int * Log_record.origin option) list
 (** Durable [Write] records with LSN in (above, upto], ascending; the [int]

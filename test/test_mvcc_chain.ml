@@ -203,7 +203,7 @@ let prop_ring_matches_list_chain ~depth =
 let test_split_child_keeps_depth () =
   let _, wal = make_wal () in
   let parent = Store.create ~cohort:0 ~wal ~mvcc_depth:1 () in
-  Store.flush parent;
+  Store.flush parent ~replies:[];
   let child = Store.split_child parent ~cohort:1 ~lo:"k" ~hi:"l" in
   let coord = ("k1", "c") in
   List.iter
@@ -403,7 +403,7 @@ let check_recovery ~newer ~all case =
       done)
     (List.init rec_keys Fun.id);
   (* [max_lsn] is what a flush checkpoints. *)
-  Store.flush store;
+  Store.flush store ~replies:[];
   let want =
     if Memtable.is_empty mem then above else Lsn.max above (Memtable.max_lsn mem)
   in

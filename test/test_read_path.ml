@@ -80,7 +80,7 @@ let apply_schedule (engine, store) ops =
       | Delete (k, c) ->
         Store.apply store ~lsn:l ~timestamp:i
           (Log_record.Delete { key = key_of k; col = col_of c; version = i + 1 })
-      | Flush -> Store.flush store
+      | Flush -> Store.flush store ~replies:[]
       | Major_compact -> Store.major_compact store);
       (* Drain WAL forces scheduled by flush checkpoints. *)
       Sim.Engine.run engine)

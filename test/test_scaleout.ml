@@ -206,7 +206,7 @@ let replica_apply engine (wal, store) i op =
     let lsn = Lsn.make ~epoch:1 ~seq:i in
     Wal.append wal (Log_record.write ~cohort:0 ~lsn ~timestamp:i rec_op);
     Store.apply store ~lsn ~timestamp:i rec_op
-  | None -> Store.flush store);
+  | None -> Store.flush store ~replies:[]);
   Sim.Engine.run engine
 
 (* The learner's install (skipping LSNs already durable from a previous
@@ -793,7 +793,7 @@ let pinned_fingerprints =
   [
     (1, "43e82114c26f176cc494a7f73ab6657b");
     (2, "46ab9f38b26445014d65bceadb687a62");
-    (3, "2a4362300a439d0538ab7e73b2b11c13");
+    (3, "d3dbfabe847f1c77a01a96057545ae4e");
     (4, "75a22e8735d0d4b11f8c6a210cad24bf");
     (5, "23a0e261a7216b758d11216cd9d00f6c");
     (6, "05ea711ba19b2545ab9d435cf72a7706");
@@ -1137,6 +1137,40 @@ let test_late_bulk_copy_leaves_joiner_alone () =
   check_bool "the migration completes" true
     (await engine ~timeout:10.0 (fun () -> joined cluster joiner))
 
+(* A joiner's answer that arrives after its promotion, naming a horizon the
+   leader has since passed, is a late copy: the joiner is an active member
+   and no round is open for it. The leader ignores it, so no blocking round
+   starts and the range's writes are not parked. With the joiner's answers
+   cut, such a round would hold every write for the 2 s grace. *)
+let test_promoted_joiners_late_answer_parks_nothing () =
+  let engine, cluster, client, leader, cohort = teardown_cluster ~seed:30 in
+  let partition = Cluster.partition cluster in
+  let net = Cluster.net cluster in
+  let joiner, remove = pick_joiner cluster ~leader in
+  let horizon = Cohort.cmt cohort in
+  check_bool "migration starts" true (Cohort.request_join cohort ~joiner ~remove ());
+  check_bool "the migration completes" true
+    (await engine ~timeout:10.0 (fun () -> joined cluster joiner && not (Cohort.migrating cohort)));
+  check_bool "a put after the promotion is acked" true
+    (Result.is_ok (put_sync engine client (Partition.key_of_int partition 1) "after"));
+  check_bool "the leader's cmt passed the bulk horizon" true Lsn.(Cohort.cmt cohort > horizon);
+  let serves () = List.length (Sim.Trace.find (Cluster.trace cluster) ~tag:"catchup_serve") in
+  let served = serves () in
+  Sim.Network.partition_oneway net ~src:joiner ~dst:leader;
+  Cohort.handle_peer cohort ~src:joiner ~sent_at:(Sim.Engine.now engine)
+    (Message.Catchup_done { range = 0; from = joiner; upto = horizon });
+  check_int "no catch-up round started" served (serves ());
+  let started = Sim.Engine.now engine in
+  for k = 0 to 4 do
+    check_bool "a put after the late answer is acked" true
+      (Result.is_ok (put_sync engine client (Partition.key_of_int partition ((k * 500) + 2)) "w"))
+  done;
+  check_bool "five puts took under a second" true
+    (Sim.Sim_time.span_compare (Sim.Sim_time.diff (Sim.Engine.now engine) started)
+       (Sim.Sim_time.sec 1)
+     < 0);
+  Sim.Network.heal_oneway net ~src:joiner ~dst:leader
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_routing_invariants;
@@ -1172,4 +1206,6 @@ let suite =
       test_bulk_round_blocks_no_write;
     Alcotest.test_case "bulk round: a late copy leaves the joiner's cmt and queue" `Slow
       test_late_bulk_copy_leaves_joiner_alone;
+    Alcotest.test_case "bulk round: a promoted joiner's late answer parks no write" `Slow
+      test_promoted_joiners_late_answer_parks_nothing;
   ]

@@ -237,15 +237,15 @@ let golden_fingerprints =
   [
     ("mixed 1", spinnaker Chaos.Mixed 1, "14b9341cfae79e2491c1b5fe8ffcc33b");
     ("mixed 7", spinnaker Chaos.Mixed 7, "0f9d431dd0b5584a05f71fcfa174f47e");
-    ("mixed 42", spinnaker Chaos.Mixed 42, "d2f83eb2226c5eb94aefa68cdf10df87");
-    ("crashes 1", spinnaker Chaos.Crashes 1, "3009cc3136957eccc37b4e5b4dd5cb73");
+    ("mixed 42", spinnaker Chaos.Mixed 42, "6db737fd032ec841a9b0f18ba18b2dd9");
+    ("crashes 1", spinnaker Chaos.Crashes 1, "1894b07850d2018b8833b888d0abc3f5");
     ("crashes 7", spinnaker Chaos.Crashes 7, "e5b30ccb8c236cda916b69d908093580");
     ("crashes 42", spinnaker Chaos.Crashes 42, "be29a9a3a543def8715b70c3f32c33c1");
     ("lossy 1", spinnaker Chaos.Lossy 1, "f851e4d64f0f489969cf8541262be58f");
     ("partitions 7", spinnaker Chaos.Partitions 7, "c0a3914d9550c6c7758923c25f7cc45c");
     ( "shared-client mixed 5",
       spinnaker ~shared_clients:4 Chaos.Mixed 5,
-      "993dd08bc407b09d1f14b71256a9eaa9" );
+      "b79f9786b33944304b4a908ff48ef412" );
     ( "txn-bank 7001",
       (fun () -> Chaos.run_txn_bank ~seed:7001 ()),
       "7ce81e0150f9550f17f42c3231c26e08" );

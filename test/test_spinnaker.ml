@@ -1163,6 +1163,58 @@ let test_quick_restart_reregisters () =
   Sim.Engine.run_for engine (Sim.Sim_time.sec 5);
   check_bool "registered after the old session expired" true (registered ())
 
+(* A write's outcome outlives the log record that carried it: a flush rolls
+   the record out of every replica's log, the whole cohort restarts, and the
+   replica that then leads answers a retry with the original ack from the
+   reply cache its checkpoint stored, instead of applying the write again. *)
+let test_retry_after_rollover_and_restart () =
+  let config = { test_config with Config.flush_bytes = 2 * 1024 } in
+  let engine, cluster = boot ~config () in
+  let range = 0 in
+  let members = Partition.cohort (Cluster.partition cluster) ~range in
+  let leader = Option.get (Cluster.leader_of cluster ~range) in
+  let key, fillers =
+    match keys_in_range cluster ~range 40 with k :: rest -> (k, rest) | [] -> assert false
+  in
+  let send, replies = probe_client cluster 99_995 in
+  let put = Message.Write { cells = [ (key, "c", Some "v", None) ] } in
+  send ~dst:leader ~request_id:0 ~floor:0 put;
+  let original =
+    match await_reply engine replies 0 with
+    | Message.Written { lsn } -> lsn
+    | _ -> Alcotest.fail "write not acked"
+  in
+  (* Other keys fill the memtable past [flush_bytes] on every replica. *)
+  let client = Cluster.new_client cluster in
+  List.iter
+    (fun k -> check_bool "filler" true (Result.is_ok (put_sync engine client k "c" (String.make 64 'x'))))
+    fillers;
+  Sim.Engine.run_for engine (Sim.Sim_time.sec 1);
+  List.iter
+    (fun n ->
+      let rolled =
+        match Storage.Wal.min_available_write_lsn (Node.wal (Cluster.node cluster n)) ~cohort:range with
+        | Some lsn -> Storage.Lsn.(lsn > original)
+        | None -> true
+      in
+      check_bool (Printf.sprintf "n%d rolled the write's record over" n) true rolled)
+    members;
+  List.iter (Cluster.crash_node cluster) members;
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 100);
+  List.iter (Cluster.restart_node cluster) members;
+  check_bool "ready again" true (Cluster.run_until_ready cluster);
+  let leader' = Option.get (Cluster.leader_of cluster ~range) in
+  send ~dst:leader' ~request_id:0 ~floor:0 put;
+  (match await_reply engine replies 0 with
+  | Message.Written { lsn } ->
+    check_bool
+      (Printf.sprintf "original ack %s, got %s" (Storage.Lsn.to_string original)
+         (Storage.Lsn.to_string lsn))
+      true (Storage.Lsn.equal lsn original)
+  | _ -> Alcotest.fail "retry not acked");
+  Sim.Engine.run_for engine (Sim.Sim_time.sec 1);
+  check_int "applied once" 1 (version_of (get_sync engine client key "c"))
+
 let suite =
   [
     Alcotest.test_case "put/get roundtrip" `Quick test_put_get_roundtrip;
@@ -1229,4 +1281,6 @@ let suite =
       test_lost_propose_reproposed_by_commit_tick;
     Alcotest.test_case "membership: a quick restart registers again" `Quick
       test_quick_restart_reregisters;
+    Alcotest.test_case "exactly-once: a retry after rollover and restart" `Quick
+      test_retry_after_rollover_and_restart;
   ]

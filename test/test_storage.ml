@@ -463,9 +463,11 @@ let make_store ?(flush_bytes = 4 * 1024 * 1024) () =
   let store = Store.create ~cohort:0 ~wal ~flush_bytes () in
   (engine, wal, store)
 
+(* Apply as a cohort does: the write, then the flush decision. *)
 let apply_put store ~l key value =
   Store.apply store ~lsn:l ~timestamp:0
-    (Log_record.Put { key; col = "c"; value; version = l.Lsn.seq })
+    (Log_record.Put { key; col = "c"; value; version = l.Lsn.seq });
+  if Store.flush_due store then Store.flush store ~replies:[]
 
 let test_store_apply_read () =
   let _, _, store = make_store () in
@@ -487,7 +489,7 @@ let test_store_flush_and_read_from_sstable () =
   for i = 1 to 50 do
     apply_put store ~l:(lsn 1 i) (Printf.sprintf "k%02d" i) (Printf.sprintf "v%d" i)
   done;
-  Store.flush store;
+  Store.flush store ~replies:[];
   check_int "memtable drained" 0 (Store.memtable_size store);
   check_int "one sstable" 1 (Store.sstable_count store);
   check_str_opt "served from sstable" (Some "v17")
@@ -552,7 +554,7 @@ let test_store_catchup_from_log_and_sstables () =
   check_int "no sstable fallback yet" 0 (Store.served_from_sstables store);
   (* Roll the log over; the GC waits for the checkpoint force, so run the
      engine. The same range must then come from SSTables. *)
-  Store.flush store;
+  Store.flush store ~replies:[];
   Sim.Engine.run engine;
   let after_gc = Store.committed_cells_in store ~above:(lsn 1 4) ~upto:(lsn 1 8) in
   check_int "sstable-served range (4,8]" 4 (List.length after_gc);
@@ -574,7 +576,7 @@ let test_store_all_cells_sorted () =
   let _, _, store = make_store () in
   apply_put store ~l:(lsn 1 1) "b" "1";
   apply_put store ~l:(lsn 1 2) "a" "2";
-  Store.flush store;
+  Store.flush store ~replies:[];
   apply_put store ~l:(lsn 1 3) "c" "3";
   let keys = List.map (fun ((k, _), _) -> k) (Store.all_cells store) in
   Alcotest.(check (list string)) "sorted across tables" [ "a"; "b"; "c" ] keys
@@ -602,7 +604,7 @@ let test_store_scan_merges_and_hides_tombstones () =
   apply_put store ~l:(lsn 1 1) "k01" "old1";
   apply_put store ~l:(lsn 1 2) "k02" "old2";
   apply_put store ~l:(lsn 1 3) "k03" "old3";
-  Store.flush store;
+  Store.flush store ~replies:[];
   (* ...then the memtable overwrites one and deletes another. *)
   apply_put store ~l:(lsn 1 4) "k02" "new2";
   Store.apply store ~lsn:(lsn 1 5) ~timestamp:0
@@ -655,7 +657,7 @@ let prop_store_scan_matches_model =
             Hashtbl.replace model key ()
           end;
           (* Occasionally flush so the scan has to merge tables. *)
-          if i mod 7 = 6 then Store.flush store)
+          if i mod 7 = 6 then Store.flush store ~replies:[])
         writes;
       let scanned = List.map fst (Store.scan store ~low:"" ~high:"zzz" ~limit:1000) in
       let expected = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) model []) in
@@ -677,7 +679,7 @@ let test_store_crash_between_flush_and_checkpoint_force () =
      record is forced. The log must NOT have been rolled over in between:
      that would leave stable storage with neither the writes nor the
      checkpoint that replaced them. *)
-  Store.flush store;
+  Store.flush store ~replies:[];
   Wal.crash wal;
   Store.crash store;
   let ckpt = Wal.last_checkpoint wal ~cohort:0 in
@@ -715,9 +717,9 @@ let test_wal_byte_accounting_and_forces () =
 let test_store_get_prunes_stale_sstables () =
   let _, _, store = make_store () in
   apply_put store ~l:(lsn 1 1) "k" "old";
-  Store.flush store;
+  Store.flush store ~replies:[];
   apply_put store ~l:(lsn 1 2) "k" "new";
-  Store.flush store;
+  Store.flush store ~replies:[];
   check_int "two tables" 2 (Store.sstable_count store);
   let skipped0 = Store.sstables_skipped store in
   check_str_opt "newest wins" (Some "new")
@@ -728,9 +730,9 @@ let test_store_scan_prunes_disjoint_sstables () =
   let _, _, store = make_store () in
   apply_put store ~l:(lsn 1 1) "a" "1";
   apply_put store ~l:(lsn 1 2) "b" "2";
-  Store.flush store;
+  Store.flush store ~replies:[];
   apply_put store ~l:(lsn 1 3) "x" "3";
-  Store.flush store;
+  Store.flush store ~replies:[];
   let skipped0 = Store.sstables_skipped store in
   let rows = Store.scan store ~low:"x" ~high:"zz" ~limit:10 in
   Alcotest.(check (list string)) "only x" [ "x" ] (List.map fst rows);
@@ -778,7 +780,7 @@ let prop_store_scan_window_matches_model =
             Hashtbl.replace model key ()
           end;
           (* Flush often enough that compaction (fanin 4) also happens. *)
-          if i mod 5 = 4 then Store.flush store)
+          if i mod 5 = 4 then Store.flush store ~replies:[])
         writes;
       let low = Printf.sprintf "k%02d" (Stdlib.min b1 b2)
       and high = Printf.sprintf "k%02d" (Stdlib.max b1 b2) in
@@ -1009,7 +1011,7 @@ let test_store_major_compact_gcs_tombstones () =
   apply_put store ~l:(lsn 1 2) "b" "2";
   Store.apply store ~lsn:(lsn 1 3) ~timestamp:0
     (Log_record.Delete { key = "a"; col = "c"; version = 2 });
-  Store.flush store;
+  Store.flush store ~replies:[];
   check_int "tombstone still versioned" 2 (Store.current_version store ("a", "c"));
   Store.major_compact store;
   check_int "one table" 1 (Store.sstable_count store);
@@ -1028,7 +1030,7 @@ let make_cached_store ?(cache_capacity = 8) () =
 let test_store_cache_hits_and_invalidation () =
   let _, _, store = make_cached_store () in
   apply_put store ~l:(lsn 1 1) "k" "v1";
-  Store.flush store;
+  Store.flush store ~replies:[];
   (* First get fills the cache, the second is served from it. *)
   ignore (Store.get store ("k", "c"));
   check_int "first lookup misses" 1 (Store.cache_misses store);
@@ -1049,7 +1051,7 @@ let test_store_cache_hits_and_invalidation () =
 let test_store_cache_negative_lookups () =
   let _, _, store = make_cached_store () in
   apply_put store ~l:(lsn 1 1) "other" "v";
-  Store.flush store;
+  Store.flush store ~replies:[];
   ignore (Store.get store ("ghost", "c"));
   (match Store.get_profiled store ("ghost", "c") with
   | None, Store.Cache_hit -> ()
@@ -1078,6 +1080,211 @@ let test_store_cache_cleared_on_crash () =
   let _ = Store.recover store in
   check_str_opt "recovery unaffected" (Some "v")
     (Option.bind (Store.read store ("k1", "c")) (fun c -> c.Row.value))
+
+(* --- the log-size flush trigger ------------------------------------------------ *)
+
+(* A cohort's synchronous log: append, force and roll over before the apply,
+   the flush decision after it — so the log is GC'd as soon as a flush's
+   checkpoint is durable. *)
+let log_and_apply engine wal store ~l op =
+  Wal.append wal (Log_record.write ~cohort:0 ~lsn:l ~timestamp:0 op);
+  Wal.append wal (Log_record.commit_upto ~cohort:0 l);
+  Wal.force wal (fun () -> ());
+  Sim.Engine.run engine;
+  Store.apply store ~lsn:l ~timestamp:0 op;
+  if Store.flush_due store then Store.flush store ~replies:[];
+  Sim.Engine.run engine
+
+(* A stream over [keys] hot keys never fills [flush_bytes], yet the log the
+   cohort retains, and what a restart replays, stay within the trigger's
+   bound: [max log_flush_floor (log_flush_ratio × memtable bytes)] of log
+   bytes since the last flush, plus the write that crossed it. *)
+let check_log_bounded ~keys ~writes =
+  let engine, wal, store = make_store () in
+  let key i = Printf.sprintf "hot%04d" (i mod keys) in
+  let op i = Log_record.Put { key = key i; col = "c"; value = "valuevaluevalue"; version = i } in
+  let record_bytes = Log_record.write_bytes (op 0) in
+  let peak_memtable = ref 0 and peak_log = ref 0 in
+  let bound () =
+    (Stdlib.max Store.log_flush_floor (Store.log_flush_ratio * !peak_memtable) / record_bytes) + 1
+  in
+  for i = 1 to writes do
+    log_and_apply engine wal store ~l:(lsn 1 i) (op i);
+    peak_memtable := Stdlib.max !peak_memtable (Store.memtable_bytes store);
+    peak_log := Stdlib.max !peak_log (Wal.durable_writes wal ~cohort:0)
+  done;
+  let name = Printf.sprintf "%d hot keys" keys in
+  check_bool (name ^ ": flush_bytes never reached") true (!peak_memtable < 4 * 1024 * 1024);
+  check_bool (name ^ ": the trigger flushed") true (Store.sstable_count store > 0);
+  check_bool
+    (Printf.sprintf "%s: log records %d within the bound %d" name !peak_log (bound ()))
+    true (!peak_log <= bound ());
+  Store.crash store;
+  Wal.crash wal;
+  let cmt, _ = Store.recover store in
+  check_bool (name ^ ": recovered to the last write") true (Lsn.equal cmt (lsn 1 writes));
+  let replayed =
+    List.length (Wal.durable_writes_in wal ~cohort:0 ~above:(Store.flushed_upto store) ~upto:cmt)
+  in
+  check_bool
+    (Printf.sprintf "%s: replayed %d within the bound %d" name replayed (bound ()))
+    true
+    (replayed > 0 && replayed <= bound ());
+  check_int (name ^ ": newest version readable") writes
+    (Store.current_version store (key writes, "c"))
+
+let test_store_log_size_trigger_bounds_replay () =
+  (* Four keys: the 64 KiB floor governs. 2,000 keys: eight memtables. *)
+  check_log_bounded ~keys:4 ~writes:20_000;
+  check_log_bounded ~keys:2_000 ~writes:60_000
+
+(* --- current_version's chain-head path ------------------------------------------ *)
+
+type version_op =
+  | V_put of int
+  | V_delete of int
+  | V_commit_marker  (** a durable commit marker one below the next LSN *)
+  | V_flush
+  | V_major
+  | V_crash of bool  (** crash and recover; [true] lands pending forces first *)
+  | V_split  (** flush, then continue on a split child covering every key *)
+
+let version_keys = 6
+
+let version_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun k -> V_put k) (int_bound (version_keys - 1)));
+        (2, map (fun k -> V_delete k) (int_bound (version_keys - 1)));
+        (2, return V_commit_marker);
+        (2, return V_flush);
+        (1, return V_major);
+        (1, map (fun b -> V_crash b) bool);
+        (1, return V_split);
+      ])
+
+let pp_version_op = function
+  | V_put k -> Printf.sprintf "put %d" k
+  | V_delete k -> Printf.sprintf "del %d" k
+  | V_commit_marker -> "mark"
+  | V_flush -> "flush"
+  | V_major -> "major"
+  | V_crash b -> Printf.sprintf "crash(%b)" b
+  | V_split -> "split"
+
+(* One store under the program: its log, its current cohort (a split moves
+   the program to the child) and engine. *)
+type version_rig = {
+  v_engine : Sim.Engine.t;
+  v_wal : Wal.t;
+  mutable v_store : Store.t;
+  mutable v_cohort : int;
+}
+
+let version_rig ~cache_capacity =
+  let v_engine, v_wal = make_wal () in
+  { v_engine; v_wal; v_store = Store.create ~cohort:0 ~wal:v_wal ~cache_capacity (); v_cohort = 0 }
+
+(* The newest cell's version as [get] resolves it: on a store without a row
+   cache, the memtable and SSTable probe. *)
+let probed_version rig coord =
+  match Store.get rig.v_store coord with Some c -> c.Row.version | None -> 0
+
+let version_coord k = (Printf.sprintf "k%d" k, "c")
+
+let run_version_op rig ~seq op =
+  let write op =
+    let l = lsn 1 seq in
+    Wal.append rig.v_wal (Log_record.write ~cohort:rig.v_cohort ~lsn:l ~timestamp:0 op);
+    Wal.force rig.v_wal (fun () -> ());
+    Sim.Engine.run rig.v_engine;
+    Store.apply rig.v_store ~lsn:l ~timestamp:0 op
+  in
+  match op with
+  | V_put k ->
+    let key, col = version_coord k in
+    write
+      (Log_record.Put
+         { key; col; value = "v"; version = probed_version rig (version_coord k) + 1 })
+  | V_delete k ->
+    let key, col = version_coord k in
+    write (Log_record.Delete { key; col; version = probed_version rig (version_coord k) + 1 })
+  | V_commit_marker ->
+    Wal.append rig.v_wal (Log_record.commit_upto ~cohort:rig.v_cohort (lsn 1 (seq - 1)));
+    Wal.force rig.v_wal (fun () -> ());
+    Sim.Engine.run rig.v_engine
+  | V_flush -> Store.flush rig.v_store ~replies:[]
+  | V_major -> Store.major_compact rig.v_store
+  | V_crash land_forces ->
+    if land_forces then Sim.Engine.run rig.v_engine;
+    Wal.crash rig.v_wal;
+    Store.crash rig.v_store;
+    ignore (Store.recover rig.v_store)
+  | V_split ->
+    Store.flush rig.v_store ~replies:[];
+    Sim.Engine.run rig.v_engine;
+    rig.v_cohort <- rig.v_cohort + 1;
+    rig.v_store <- Store.split_child rig.v_store ~cohort:rig.v_cohort ~lo:"" ~hi:"l"
+
+(* The same program on a store with a small row cache and on one without.
+   [current_version] on either must equal the uncached probe, and the
+   cached store's [get] must too, so a chain answer never poisons the
+   cache. A crash whose flush checkpoint never landed, with commit markers
+   behind it, leaves SSTable cells above the replayed log: the chain heads
+   below them must not answer. *)
+let prop_current_version_matches_probe =
+  QCheck.Test.make ~name:"store: current_version's chain head = the SSTable probe" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_version_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) version_op_gen))
+    (fun ops ->
+      let cached = version_rig ~cache_capacity:3 and plain = version_rig ~cache_capacity:0 in
+      List.iteri
+        (fun i op ->
+          run_version_op plain ~seq:(i + 1) op;
+          run_version_op cached ~seq:(i + 1) op;
+          for k = 0 to version_keys - 1 do
+            let coord = version_coord k in
+            let want = probed_version plain coord in
+            let check what got =
+              if got <> want then
+                QCheck.Test.fail_reportf "%s: key %d after op %d: %d, probe %d" what k i got want
+            in
+            check "uncached current_version" (Store.current_version plain.v_store coord);
+            check "cached current_version" (Store.current_version cached.v_store coord);
+            check "cached get" (probed_version cached coord)
+          done)
+        ops;
+      true)
+
+(* --- intent rebuild over intent-free tables ------------------------------------- *)
+
+(* Recovery rebuilds the intent index from the tables that hold intent cells
+   only; a newer tombstone in one of them still shadows an older live
+   intent, and a table without intents changes nothing. *)
+let test_store_intent_rebuild_skips_intent_free_tables () =
+  let _, _, store = make_store () in
+  let prepare ~l txn key =
+    Store.apply store ~lsn:l ~timestamp:0
+      (Log_record.Txn_prepare
+         { txn; anchor = key; fence = Lsn.zero; writes = [ (key, "c", Some "x") ] })
+  in
+  prepare ~l:(lsn 1 1) "t1" "a";
+  prepare ~l:(lsn 1 2) "t2" "b";
+  Store.flush store ~replies:[];
+  Store.apply store ~lsn:(lsn 1 3) ~timestamp:0
+    (Log_record.Txn_resolve
+       { txn = "t1"; commit = true; ts = 5; writes = [ ("a", "c", Some "x", 1) ] });
+  Store.flush store ~replies:[];
+  apply_put store ~l:(lsn 1 4) "z" "plain";
+  Store.flush store ~replies:[];
+  check_int "three tables" 3 (Store.sstable_count store);
+  let live () = List.map (fun (txn, _, _) -> txn) (Store.live_intents store) in
+  Alcotest.(check (list string)) "before the restart" [ "t2" ] (live ());
+  Store.crash store;
+  ignore (Store.recover store);
+  Alcotest.(check (list string)) "after the restart" [ "t2" ] (live ())
 
 let suite =
   [
@@ -1164,4 +1371,9 @@ let suite =
     Alcotest.test_case "store: cache covers negative lookups" `Quick
       test_store_cache_negative_lookups;
     Alcotest.test_case "store: cache cleared on crash" `Quick test_store_cache_cleared_on_crash;
+    Alcotest.test_case "store: the log-size trigger bounds replay" `Quick
+      test_store_log_size_trigger_bounds_replay;
+    QCheck_alcotest.to_alcotest prop_current_version_matches_probe;
+    Alcotest.test_case "store: intent rebuild skips intent-free tables" `Quick
+      test_store_intent_rebuild_skips_intent_free_tables;
   ]

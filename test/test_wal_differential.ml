@@ -170,7 +170,7 @@ let m_last_commit m ~cohort =
 
 let m_last_ckpt m ~cohort =
   m_fold m ~cohort ~init:Lsn.zero (fun acc -> function
-    | Log_record.Checkpoint lsn -> Lsn.max acc lsn
+    | Log_record.Checkpoint { upto; _ } -> Lsn.max acc upto
     | _ -> acc)
 
 let m_min_write m ~cohort =
@@ -197,7 +197,7 @@ let m_gc m ~cohort ~upto =
       match r.entry with
       | Log_record.Write { lsn; _ } -> Lsn.(lsn > upto)
       | Log_record.Commit_upto lsn -> Lsn.equal lsn last_commit
-      | Log_record.Checkpoint lsn -> Lsn.equal lsn last_ckpt
+      | Log_record.Checkpoint { upto; _ } -> Lsn.equal upto last_ckpt
   in
   let seen_commit = ref false and seen_ckpt = ref false in
   let keep_once (r : Log_record.t) =
