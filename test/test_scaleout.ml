@@ -1171,6 +1171,46 @@ let test_promoted_joiners_late_answer_parks_nothing () =
      < 0);
   Sim.Network.heal_oneway net ~src:joiner ~dst:leader
 
+(* A follower answers a catch-up copy with the horizon that copy brought it
+   to. Here a propose and its commit move the follower's cmt on while the
+   copy's log force is still in flight; the answer must still name the
+   copy's horizon, not the later cmt, whose records that force never
+   covered. A probe node plays the leader, the real one cut off. *)
+let test_catchup_answer_names_installed_horizon () =
+  let engine, cluster, _client, leader, _cohort = teardown_cluster ~seed:31 in
+  let partition = Cluster.partition cluster in
+  let net = Cluster.net cluster in
+  let follower = List.find (fun n -> n <> leader) (Partition.cohort partition ~range:0) in
+  let fc = Option.get (Node.cohort (Cluster.node cluster follower) ~range:0) in
+  Sim.Network.partition_oneway net ~src:leader ~dst:follower;
+  Sim.Network.partition_oneway net ~src:follower ~dst:leader;
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 50);
+  let probe = 99_990 in
+  let answers = ref [] in
+  Sim.Network.register net ~node:probe (fun env ->
+      match env.Sim.Network.payload with
+      | Message.Catchup_done { upto; _ } -> answers := upto :: !answers
+      | _ -> ());
+  let epoch = Cohort.epoch fc and horizon = Cohort.cmt fc in
+  let send msg = Cohort.handle_peer fc ~src:probe ~sent_at:(Sim.Engine.now engine) msg in
+  send (Message.Catchup_data { range = 0; epoch; cells = []; upto = horizon; replies = [] });
+  let next = Lsn.make ~epoch:horizon.Lsn.epoch ~seq:(horizon.Lsn.seq + 1) in
+  let key = Partition.key_of_int partition 3 in
+  send
+    (Message.Propose
+       {
+         range = 0;
+         epoch;
+         writes =
+           [ (next, Log_record.Put { key; col = "c"; value = "later"; version = 99 }, 0, None) ];
+         piggyback_cmt = Some next;
+       });
+  Alcotest.(check string) "cmt moved past the copy" (Lsn.to_string next) (Lsn.to_string (Cohort.cmt fc));
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 200);
+  Alcotest.(check (list string))
+    "the answer names the copy's horizon" [ Lsn.to_string horizon ]
+    (List.map Lsn.to_string !answers)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_routing_invariants;
@@ -1208,4 +1248,6 @@ let suite =
       test_late_bulk_copy_leaves_joiner_alone;
     Alcotest.test_case "bulk round: a promoted joiner's late answer parks no write" `Slow
       test_promoted_joiners_late_answer_parks_nothing;
+    Alcotest.test_case "catch-up: the answer names the installed horizon" `Slow
+      test_catchup_answer_names_installed_horizon;
   ]
