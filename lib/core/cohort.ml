@@ -111,8 +111,10 @@ type parked_read = {
 
 (* Outcome of a client write, remembered per request so a duplicated or
    retried request is answered idempotently instead of being applied a
-   second time (clients retry under loss and leader changes). *)
-type dedup_state = In_flight | Done of Message.client_reply
+   second time (clients retry under loss and leader changes). A settled
+   outcome is held in the storage layer's terms: checkpoints store and
+   catch-up ships the same values. *)
+type dedup_state = In_flight | Done of Log_record.outcome
 
 (* One client's reply cache, RIFL's completion record: [floor] is the highest
    completion floor the client has reported, by a request or through a log
@@ -389,30 +391,13 @@ let without request_id outcomes = List.filter (fun (id, _) -> id <> request_id) 
 let remember r request_id state =
   if request_id >= r.floor then r.outcomes <- (request_id, state) :: without request_id r.outcomes
 
-let cache_outcome t origin reply =
+let cache_outcome t origin outcome =
   match origin with
   | None -> ()
   | Some { Log_record.client; request_id; floor } ->
     let r = replies_of t client in
     raise_floor r floor;
-    remember r request_id (Done reply)
-
-let reply_write t ~client ~request_id reply =
-  remember (replies_of t client) request_id (Done reply);
-  t.ctx.reply ~client ~request_id reply
-
-(* A settled reply in the storage layer's terms, for the cache a checkpoint
-   stores and catch-up ships. Only write outcomes are ever cached. *)
-let outcome_of_reply : Message.client_reply -> Log_record.outcome option = function
-  | Message.Written { lsn } -> Some (Log_record.Written lsn)
-  | Message.Txn_decided { committed; ts } -> Some (Log_record.Decided { commit = committed; ts })
-  | Message.Version_mismatch { current } -> Some (Log_record.Version_mismatch current)
-  | Message.Txn_conflict -> Some Log_record.Txn_conflict
-  | Message.Cross_range -> Some Log_record.Cross_range
-  | Message.Value _ | Message.Values _ | Message.Rows _ | Message.Not_leader _
-  | Message.Wrong_range _ | Message.Unavailable | Message.Fenced _ | Message.Snap_blocked _
-  | Message.Stale_request ->
-    None
+    remember r request_id (Done outcome)
 
 let reply_of_outcome : Log_record.outcome -> Message.client_reply = function
   | Log_record.Written lsn -> Message.Written { lsn }
@@ -420,6 +405,10 @@ let reply_of_outcome : Log_record.outcome -> Message.client_reply = function
   | Log_record.Version_mismatch current -> Message.Version_mismatch { current }
   | Log_record.Txn_conflict -> Message.Txn_conflict
   | Log_record.Cross_range -> Message.Cross_range
+
+let reply_write t ~client ~request_id outcome =
+  remember (replies_of t client) request_id (Done outcome);
+  t.ctx.reply ~client ~request_id (reply_of_outcome outcome)
 
 (* The settled part of the cache. Catch-up ships it (cells carry no
    origins, so this is how a caught-up replica learns the outcomes and
@@ -431,9 +420,7 @@ let settled_replies t : Log_record.reply_cache =
     (fun client r acc ->
       let settled =
         List.filter_map
-          (function
-            | id, Done reply -> Option.map (fun o -> (id, o)) (outcome_of_reply reply)
-            | _, In_flight -> None)
+          (function id, Done outcome -> Some (id, outcome) | _, In_flight -> None)
           r.outcomes
       in
       (client, r.floor, settled) :: acc)
@@ -444,9 +431,7 @@ let adopt_replies t (replies : Log_record.reply_cache) =
     (fun (client, floor, settled) ->
       let r = replies_of t client in
       raise_floor r floor;
-      List.iter
-        (fun (request_id, outcome) -> remember r request_id (Done (reply_of_outcome outcome)))
-        settled)
+      List.iter (fun (request_id, outcome) -> remember r request_id (Done outcome)) settled)
     replies
 
 (* The flush decision sits here, not in [Store.apply]: every caller has
@@ -461,15 +446,14 @@ let clear_in_flight t ~client ~request_id =
     r.outcomes <- without request_id r.outcomes
   | _ -> ()
 
-(* The settled-outcome reply for a committed record: a 2PC decision answers
-   with the outcome it recorded (a client retrying its decide after a
-   coordinator failover must learn commit/abort, not a bare LSN); every other
-   write acks [Written]. *)
-let reply_for_record (op : Log_record.op) ~lsn =
+(* The settled outcome of a committed record: a 2PC decision answers with
+   the outcome it recorded (a client retrying its decide after a coordinator
+   failover must learn commit/abort, not a bare LSN); every other write acks
+   [Written]. *)
+let outcome_of_record (op : Log_record.op) ~lsn =
   match op with
-  | Log_record.Txn_decision { commit; ts; _ } ->
-    Message.Txn_decided { committed = commit; ts }
-  | _ -> Message.Written { lsn }
+  | Log_record.Txn_decision { commit; ts; _ } -> Log_record.Decided { commit; ts }
+  | _ -> Log_record.Written lsn
 
 (* Re-learn committed outcomes from our own durable log: the max-lst election
    rule (Figure 7) guarantees a new leader's log contains every committed
@@ -479,7 +463,7 @@ let reply_for_record (op : Log_record.op) ~lsn =
 let recache_outcomes_from_log t ~above ~upto =
   let skipped = Storage.Skipped_lsns.ascending_mem (Store.skipped t.ctx.store) ~from:above in
   Wal.iter_durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above ~upto (fun lsn op _ origin ->
-      if not (skipped lsn) then cache_outcome t origin (reply_for_record op ~lsn))
+      if not (skipped lsn) then cache_outcome t origin (outcome_of_record op ~lsn))
 
 (* Local recovery (§6.1): rebuild the memtable from the checkpoint through
    f.cmt, and the reply cache from the checkpoint's cache plus the outcomes
@@ -1094,7 +1078,7 @@ let write_record t ~client ~request_id ~ts op : Log_record.op option =
         None
       end
       else if not (List.for_all (fun (key, _, _, _) -> t.ctx.routes_here key) cells) then begin
-        reply_write t ~client ~request_id Message.Cross_range;
+        reply_write t ~client ~request_id Log_record.Cross_range;
         None
       end
       else begin
@@ -1110,7 +1094,7 @@ let write_record t ~client ~request_id ~ts op : Log_record.op option =
         in
         match List.find_opt stale versioned with
         | Some (_, current) ->
-          reply_write t ~client ~request_id (Message.Version_mismatch { current });
+          reply_write t ~client ~request_id (Log_record.Version_mismatch current);
           None
         | None -> (
           let record ((key, col, value, _), current) =
@@ -1129,7 +1113,7 @@ let write_record t ~client ~request_id ~ts op : Log_record.op option =
          same checks before this one commits. *)
       if writes = [] || not (List.for_all (fun (key, _, _) -> t.ctx.routes_here key) writes)
       then begin
-        reply_write t ~client ~request_id Message.Cross_range;
+        reply_write t ~client ~request_id Log_record.Cross_range;
         None
       end
       else begin
@@ -1154,7 +1138,7 @@ let write_record t ~client ~request_id ~ts op : Log_record.op option =
             trace t "txn.prepare"
               (Printf.sprintf "%s conflict keys=%s" txn
                  (String.concat "," (List.map (fun (k, _, _) -> k) writes)));
-          reply_write t ~client ~request_id Message.Txn_conflict;
+          reply_write t ~client ~request_id Log_record.Txn_conflict;
           None
         end
         else begin
@@ -1171,7 +1155,7 @@ let write_record t ~client ~request_id ~ts op : Log_record.op option =
       | Some (committed, decided_ts) ->
         (* First decision wins — a presumed-abort may already have beaten a
            late commit request here; answer with what is on record. *)
-        reply_write t ~client ~request_id (Message.Txn_decided { committed; ts = decided_ts });
+        reply_write t ~client ~request_id (Log_record.Decided { commit = committed; ts = decided_ts });
         None
       | None ->
         if tracing t then
@@ -1181,7 +1165,7 @@ let write_record t ~client ~request_id ~ts op : Log_record.op option =
     | Message.Txn_status_req { txn; anchor } -> (
       match existing_decision t ~anchor ~txn with
       | Some (committed, decided_ts) ->
-        reply_write t ~client ~request_id (Message.Txn_decided { committed; ts = decided_ts });
+        reply_write t ~client ~request_id (Log_record.Decided { commit = committed; ts = decided_ts });
         None
       | None ->
         (* Presumed abort: no decision on record means the coordinator client
@@ -1194,7 +1178,7 @@ let write_record t ~client ~request_id ~ts op : Log_record.op option =
         (* A resolve record is already in flight this term; acknowledging is
            safe — resolution is guaranteed by that record or, should a leader
            change drop it, by the presumed-abort sweep. *)
-        reply_write t ~client ~request_id (Message.Written { lsn = t.cmt });
+        reply_write t ~client ~request_id (Log_record.Written t.cmt);
         None
       end
       else begin
@@ -1202,7 +1186,7 @@ let write_record t ~client ~request_id ~ts op : Log_record.op option =
         | [] ->
           (* Already resolved (or the prepare never landed here): idempotent
              success. *)
-          reply_write t ~client ~request_id (Message.Written { lsn = t.cmt });
+          reply_write t ~client ~request_id (Log_record.Written t.cmt);
           None
         | intents ->
           (* Resolve every intent the transaction holds in this range, not
@@ -1264,15 +1248,16 @@ let rec try_commit t =
          appended it or a takeover rebuilt it from the log (its client may
          still be retrying); the outcome is remembered either way, before a
          flush's checkpoint takes the cache. *)
-      let reply = reply_for_record e.op ~lsn:e.lsn in
+      let outcome = outcome_of_record e.op ~lsn:e.lsn in
       (match e.origin with
       | Some { Log_record.client; request_id; _ } ->
-        remember (replies_of t client) request_id (Done reply)
+        remember (replies_of t client) request_id (Done outcome)
       | None -> ());
       flush_if_due t;
       if Log_record.is_meta e.op then on_meta t e.op;
       (match e.origin with
-      | Some { Log_record.client; request_id; _ } -> t.ctx.reply ~client ~request_id reply
+      | Some { Log_record.client; request_id; _ } ->
+        t.ctx.reply ~client ~request_id (reply_of_outcome outcome)
       | None -> ());
       txn_applied t e.op;
       match tracked with
@@ -1458,11 +1443,11 @@ and handle_write t ~client ~request_id ~floor op =
       t.ctx.reply ~client ~request_id Message.Stale_request
     else begin
       match outcome_in request_id r.outcomes with
-      | Some (Done reply) ->
+      | Some (Done outcome) ->
         (* A retry of a write that already settled (its reply was lost, or
            the retry raced the reply): resend the original outcome verbatim
            rather than applying the write twice. *)
-        t.ctx.reply ~client ~request_id reply
+        t.ctx.reply ~client ~request_id (reply_of_outcome outcome)
       | Some In_flight ->
         (* The original is still working through the pipeline; its own
            reply — or the client's next retry once this one settles —
@@ -1851,7 +1836,7 @@ let apply_commits t ~upto =
       (fun (e : Commit_queue.entry) ->
         Store.apply t.ctx.store ~lsn:e.Commit_queue.lsn ~timestamp:e.timestamp e.op;
         t.cmt <- Lsn.max t.cmt e.lsn;
-        cache_outcome t e.origin (reply_for_record e.op ~lsn:e.lsn);
+        cache_outcome t e.origin (outcome_of_record e.op ~lsn:e.lsn);
         flush_if_due t;
         if Log_record.is_meta e.op then on_meta t e.op)
       entries;

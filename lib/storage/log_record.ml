@@ -40,7 +40,7 @@ type t = { cohort : int; entry : entry }
 let write ~cohort ~lsn ~timestamp ?origin op =
   { cohort; entry = Write { lsn; op; timestamp; origin } }
 let commit_upto ~cohort lsn = { cohort; entry = Commit_upto lsn }
-let checkpoint ~cohort ?(replies = []) upto = { cohort; entry = Checkpoint { upto; replies } }
+let checkpoint ~cohort ~replies upto = { cohort; entry = Checkpoint { upto; replies } }
 
 let is_meta = function
   | Cohort_change _ | Split _ -> true

@@ -105,8 +105,7 @@ val write : cohort:int -> lsn:Lsn.t -> timestamp:int -> ?origin:origin -> op -> 
 
 val commit_upto : cohort:int -> Lsn.t -> t
 
-val checkpoint : cohort:int -> ?replies:reply_cache -> Lsn.t -> t
-(** [replies] defaults to the empty cache (a store with no clients). *)
+val checkpoint : cohort:int -> replies:reply_cache -> Lsn.t -> t
 
 val is_meta : op -> bool
 (** Membership/split meta records (no cells). *)
