@@ -66,11 +66,6 @@ type t = {
       (** in-memory version chains, newest first; rebuilt from the WAL on
           recovery (a read no chained version answers applies the interval
           rule to the memtable's and SSTables' cells instead) *)
-  mutable chain_floor : Lsn.t;
-      (** every cell above this LSN has been pushed onto its chain: the
-          SSTables' max LSN when the chains were last reset, since cells
-          applied since then were all pushed. A chain head above it is the
-          coordinate's newest cell. *)
   mutable logged_bytes : int;
       (** log bytes of the writes applied since the last flush (recovery
           counts the replayed tail): the log-size flush trigger's gauge *)
@@ -107,7 +102,6 @@ let create ~cohort ~wal ?(newer = Row.newer_by_lsn) ?(flush_bytes = 4 * 1024 * 1
     max_store_bytes = 0;
     mvcc_depth;
     mvcc = Hashtbl.create 256;
-    chain_floor = Lsn.zero;
     logged_bytes = 0;
     intents = Hashtbl.create 16;
     intent_at = Hashtbl.create 16;
@@ -446,47 +440,28 @@ let lookup t coord =
     t.sstables;
   (!best, !probed)
 
-(* The coordinate's chain head when it is known to be its newest cell
-   (see [chain_floor]) and is live. A tombstone head is left to [lookup]:
-   a full compaction's tombstone GC drops it from the tables, and the
-   coordinate's version falls back to 0. *)
-let live_head t coord =
-  if not t.lsn_ordered then None
-  else
-    match Hashtbl.find t.mvcc coord with
-    | chain ->
-      let head = nth_version chain 0 in
-      if Lsn.(head.Row.lsn > t.chain_floor) && not (Row.is_tombstone head) then Some head
-      else None
-    | exception Not_found -> None
-
-(* A cache miss's answer: the live chain head when [chained] allows it and
-   one answers, else the memtable and SSTable probe. *)
-let resolve t coord ~chained =
-  match if chained then live_head t coord else None with
-  | Some _ as head -> (head, Probed 0)
+let get_profiled t coord =
+  match t.cache with
   | None ->
     let cell, probed = lookup t coord in
     (cell, Probed probed)
-
-let cached t coord ~chained =
-  match t.cache with
-  | None -> resolve t coord ~chained
   | Some cache ->
     (* System columns (intents, decision records) bypass the row cache in
        both directions: they mutate out of band of the user write path, and
        a cached copy could hand a snapshot reader a stale resolution
        state. *)
-    if Row.is_system_col (snd coord) then resolve t coord ~chained
+    if Row.is_system_col (snd coord) then begin
+      let cell, probed = lookup t coord in
+      (cell, Probed probed)
+    end
     else (
       match Cache.find cache coord with
       | Some cell -> (cell, Cache_hit)
       | None ->
-        let ((cell, _) as answer) = resolve t coord ~chained in
+        let cell, probed = lookup t coord in
         Cache.put cache coord cell;
-        answer)
+        (cell, Probed probed))
 
-let get_profiled t coord = cached t coord ~chained:false
 let get t coord = fst (get_profiled t coord)
 
 (* ------------------------------------------------------------------ *)
@@ -597,11 +572,8 @@ let read t coord =
   | Some cell when not (Row.is_tombstone cell) -> Some cell
   | _ -> None
 
-(* The leader's version assignment: after a flush, the first write to each
-   key misses the memtable, so answering from the chain head spares the
-   SSTable probes. The row cache sees the same finds and puts as {!get}. *)
 let current_version t coord =
-  match fst (cached t coord ~chained:true) with Some cell -> cell.Row.version | None -> 0
+  match get t coord with Some cell -> cell.Row.version | None -> 0
 
 let scan t ~low ~high ~limit =
   (* Clamp to the range's bounds: shared post-split tables hold the
@@ -661,12 +633,8 @@ let scan t ~low ~high ~limit =
 
 (* The MVCC chains and intent index are volatile; recovery rebuilds them
    (chains from the replayed log suffix, intents from the durable heads). *)
-let max_table_lsn tables =
-  List.fold_left (fun acc table -> Lsn.max acc (Sstable.max_lsn table)) Lsn.zero tables
-
 let reset_txn_state t =
   Hashtbl.reset t.mvcc;
-  t.chain_floor <- max_table_lsn t.sstables;
   Hashtbl.reset t.intents;
   Hashtbl.reset t.intent_at
 
@@ -684,7 +652,6 @@ let crash t =
 let wipe t =
   crash t;
   t.sstables <- [];
-  t.chain_floor <- Lsn.zero;
   t.flushed_upto <- Lsn.zero;
   t.inherited_upto <- Lsn.zero;
   Skipped_lsns.clear t.skipped
@@ -939,7 +906,10 @@ let split_child parent ~cohort ~lo ~hi =
      rewritten; out-of-bounds cells are dropped lazily by compaction. The
      parent's memtable must already be flushed (the split protocol flushes
      before logging the split record), so the tables hold everything. *)
-  let inherited = max_table_lsn parent.sstables in
+  let inherited =
+    List.fold_left (fun acc table -> Lsn.max acc (Sstable.max_lsn table)) Lsn.zero
+      parent.sstables
+  in
   let child =
     create ~cohort ~wal:parent.wal ~newer:parent.newer ~flush_bytes:parent.flush_bytes
       ~compaction_fanin:parent.compaction_fanin ~max_sstables:parent.max_sstables
@@ -948,8 +918,6 @@ let split_child parent ~cohort ~lo ~hi =
   child.bounds <- Some (lo, hi);
   child.sstables <- parent.sstables;
   child.inherited_upto <- inherited;
-  (* No chain holds an inherited cell. *)
-  child.chain_floor <- inherited;
   (* The shared tables cover everything through [inherited]; the child's own
      log only starts after the split, so the flush horizon must say so or
      recovery/catch-up would trust a log that cannot cover the prefix. *)

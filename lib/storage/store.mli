@@ -97,10 +97,7 @@ val read : t -> Row.coord -> Row.cell option
 (** Like {!get} but tombstones map to [None] (client-visible read). *)
 
 val current_version : t -> Row.coord -> int
-(** Version of the newest cell, 0 if the coordinate was never written (or
-    its tombstone was garbage-collected). Consults the row cache exactly as
-    {!get} does; on a miss, a live MVCC chain head known to be the newest
-    cell answers without probing SSTables. *)
+(** Version of the newest cell, 0 if the coordinate was never written. *)
 
 (** {2 MVCC snapshot reads and the transaction intent index} *)
 

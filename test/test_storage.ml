@@ -1138,126 +1138,6 @@ let test_store_log_size_trigger_bounds_replay () =
   check_log_bounded ~keys:4 ~writes:20_000;
   check_log_bounded ~keys:2_000 ~writes:60_000
 
-(* --- current_version's chain-head path ------------------------------------------ *)
-
-type version_op =
-  | V_put of int
-  | V_delete of int
-  | V_commit_marker  (** a durable commit marker one below the next LSN *)
-  | V_flush
-  | V_major
-  | V_crash of bool  (** crash and recover; [true] lands pending forces first *)
-  | V_split  (** flush, then continue on a split child covering every key *)
-
-let version_keys = 6
-
-let version_op_gen =
-  QCheck.Gen.(
-    frequency
-      [
-        (8, map (fun k -> V_put k) (int_bound (version_keys - 1)));
-        (2, map (fun k -> V_delete k) (int_bound (version_keys - 1)));
-        (2, return V_commit_marker);
-        (2, return V_flush);
-        (1, return V_major);
-        (1, map (fun b -> V_crash b) bool);
-        (1, return V_split);
-      ])
-
-let pp_version_op = function
-  | V_put k -> Printf.sprintf "put %d" k
-  | V_delete k -> Printf.sprintf "del %d" k
-  | V_commit_marker -> "mark"
-  | V_flush -> "flush"
-  | V_major -> "major"
-  | V_crash b -> Printf.sprintf "crash(%b)" b
-  | V_split -> "split"
-
-(* One store under the program: its log, its current cohort (a split moves
-   the program to the child) and engine. *)
-type version_rig = {
-  v_engine : Sim.Engine.t;
-  v_wal : Wal.t;
-  mutable v_store : Store.t;
-  mutable v_cohort : int;
-}
-
-let version_rig ~cache_capacity =
-  let v_engine, v_wal = make_wal () in
-  { v_engine; v_wal; v_store = Store.create ~cohort:0 ~wal:v_wal ~cache_capacity (); v_cohort = 0 }
-
-(* The newest cell's version as [get] resolves it: on a store without a row
-   cache, the memtable and SSTable probe. *)
-let probed_version rig coord =
-  match Store.get rig.v_store coord with Some c -> c.Row.version | None -> 0
-
-let version_coord k = (Printf.sprintf "k%d" k, "c")
-
-let run_version_op rig ~seq op =
-  let write op =
-    let l = lsn 1 seq in
-    Wal.append rig.v_wal (Log_record.write ~cohort:rig.v_cohort ~lsn:l ~timestamp:0 op);
-    Wal.force rig.v_wal (fun () -> ());
-    Sim.Engine.run rig.v_engine;
-    Store.apply rig.v_store ~lsn:l ~timestamp:0 op
-  in
-  match op with
-  | V_put k ->
-    let key, col = version_coord k in
-    write
-      (Log_record.Put
-         { key; col; value = "v"; version = probed_version rig (version_coord k) + 1 })
-  | V_delete k ->
-    let key, col = version_coord k in
-    write (Log_record.Delete { key; col; version = probed_version rig (version_coord k) + 1 })
-  | V_commit_marker ->
-    Wal.append rig.v_wal (Log_record.commit_upto ~cohort:rig.v_cohort (lsn 1 (seq - 1)));
-    Wal.force rig.v_wal (fun () -> ());
-    Sim.Engine.run rig.v_engine
-  | V_flush -> Store.flush rig.v_store ~replies:[]
-  | V_major -> Store.major_compact rig.v_store
-  | V_crash land_forces ->
-    if land_forces then Sim.Engine.run rig.v_engine;
-    Wal.crash rig.v_wal;
-    Store.crash rig.v_store;
-    ignore (Store.recover rig.v_store)
-  | V_split ->
-    Store.flush rig.v_store ~replies:[];
-    Sim.Engine.run rig.v_engine;
-    rig.v_cohort <- rig.v_cohort + 1;
-    rig.v_store <- Store.split_child rig.v_store ~cohort:rig.v_cohort ~lo:"" ~hi:"l"
-
-(* The same program on a store with a small row cache and on one without.
-   [current_version] on either must equal the uncached probe, and the
-   cached store's [get] must too, so a chain answer never poisons the
-   cache. A crash whose flush checkpoint never landed, with commit markers
-   behind it, leaves SSTable cells above the replayed log: the chain heads
-   below them must not answer. *)
-let prop_current_version_matches_probe =
-  QCheck.Test.make ~name:"store: current_version's chain head = the SSTable probe" ~count:300
-    (QCheck.make
-       ~print:(fun ops -> String.concat "; " (List.map pp_version_op ops))
-       QCheck.Gen.(list_size (int_range 1 60) version_op_gen))
-    (fun ops ->
-      let cached = version_rig ~cache_capacity:3 and plain = version_rig ~cache_capacity:0 in
-      List.iteri
-        (fun i op ->
-          run_version_op plain ~seq:(i + 1) op;
-          run_version_op cached ~seq:(i + 1) op;
-          for k = 0 to version_keys - 1 do
-            let coord = version_coord k in
-            let want = probed_version plain coord in
-            let check what got =
-              if got <> want then
-                QCheck.Test.fail_reportf "%s: key %d after op %d: %d, probe %d" what k i got want
-            in
-            check "uncached current_version" (Store.current_version plain.v_store coord);
-            check "cached current_version" (Store.current_version cached.v_store coord);
-            check "cached get" (probed_version cached coord)
-          done)
-        ops;
-      true)
-
 (* --- intent rebuild over intent-free tables ------------------------------------- *)
 
 (* Recovery rebuilds the intent index from the tables that hold intent cells
@@ -1373,7 +1253,6 @@ let suite =
     Alcotest.test_case "store: cache cleared on crash" `Quick test_store_cache_cleared_on_crash;
     Alcotest.test_case "store: the log-size trigger bounds replay" `Quick
       test_store_log_size_trigger_bounds_replay;
-    QCheck_alcotest.to_alcotest prop_current_version_matches_probe;
     Alcotest.test_case "store: intent rebuild skips intent-free tables" `Quick
       test_store_intent_rebuild_skips_intent_free_tables;
   ]
