@@ -81,7 +81,6 @@ let op_name = function
   | Message.Snap_get _ -> "snap_get"
   | Message.Txn_prepare_req _ -> "txn_prepare"
   | Message.Txn_decide_req _ -> "txn_decide"
-  | Message.Txn_status_req _ -> "txn_status"
   | Message.Txn_resolve_req _ -> "txn_resolve"
 
 let reply_name = function
@@ -513,8 +512,7 @@ let txn_prepare t ~txn ~anchor ~fence ~fence_ts writes k =
 let txn_decide t ~txn ~anchor ~commit k =
   submit t (Message.Txn_decide_req { txn; anchor; commit }) (decided_k k)
 
-let txn_status t ~txn ~anchor k =
-  submit t (Message.Txn_status_req { txn; anchor }) (decided_k k)
+let txn_status t ~txn ~anchor k = txn_decide t ~txn ~anchor ~commit:false k
 
 let txn_resolve t ~txn ~key ~commit ~ts k =
   submit t (Message.Txn_resolve_req { txn; key; commit; ts }) (write_k k)

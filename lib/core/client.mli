@@ -154,8 +154,9 @@ val txn_decide :
 
 val txn_status :
   t -> txn:string -> anchor:Storage.Row.key -> ((bool * int, error) result -> unit) -> unit
-(** Presumed-abort recovery: the transaction's recorded outcome; if none is
-    on record the coordinator logs an abort and answers with it. *)
+(** Presumed-abort recovery: [txn_decide ~commit:false]. First decision
+    wins, so this answers the transaction's recorded outcome; if none is on
+    record the coordinator logs an abort and answers with it. *)
 
 val txn_resolve :
   t -> txn:string -> key:Storage.Row.key -> commit:bool -> ts:int ->

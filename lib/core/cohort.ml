@@ -109,27 +109,6 @@ type parked_read = {
   p_trace_id : int;
 }
 
-(* Outcome of a client write, remembered per request so a duplicated or
-   retried request is answered idempotently instead of being applied a
-   second time (clients retry under loss and leader changes). A settled
-   outcome is held in the storage layer's terms: checkpoints store and
-   catch-up ships the same values. *)
-type dedup_state = In_flight | Done of Log_record.outcome
-
-(* One client's reply cache, RIFL's completion record: [floor] is the highest
-   completion floor the client has reported, by a request or through a log
-   origin, and [outcomes] (newest first) holds only ids at or above it. The
-   client has settled every id below the floor, so a copy of one arriving
-   now is a late duplicate. *)
-type replies = { mutable floor : int; mutable outcomes : (int * dedup_state) list }
-
-module Client_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash c = c land max_int
-end)
-
 (* Leader-side replica-migration state (§10): one bulk catch-up round ships
    the joiner the store up to the cmt of the moment while writes go on, the
    usual blocking final round follows, then a [Cohort_change] record swaps
@@ -161,9 +140,9 @@ type t = {
           tail is not yet committed; [try_commit] opens the cohort once it is *)
   mutable waiting : waiting_write list;  (** writes queued while closed/blocked, newest first *)
   mutable commit_timer_armed : bool;
-  dedup : replies Client_tbl.t;
-      (** client id -> its floor and write outcomes, for duplicate
-          suppression *)
+  replies : Reply_cache.t;
+      (** each client's floor and write outcomes: a retried write is
+          answered idempotently instead of being applied twice *)
   mutable migration : migration option;  (** leader-side migration in flight *)
   mutable splitting : bool;  (** a range split is being logged; writes block *)
   (* follower state *)
@@ -185,17 +164,7 @@ type t = {
   guards : (int, pending_guard) Hashtbl.t;
       (** outstanding read-index rounds, keyed by guard sequence number *)
   mutable parked_reads : parked_read list;  (** newest first *)
-  (* transaction state (leader-scoped; rebuilt from store + queue on open) *)
-  locks : (Row.coord, string) Hashtbl.t;
-      (** base coordinate -> transaction holding a write intent there, granted
-          when the prepare is appended (before it commits — the queue overlay
-          alone cannot refuse a conflicting prepare racing in the same term) *)
-  pending_decisions : (string, bool * int) Hashtbl.t;
-      (** txn -> (commit, ts): decision appended this term, possibly not yet
-          applied; first decision wins even against a racing status query *)
-  resolving : (string, unit) Hashtbl.t;
-      (** txns whose resolve record is appended but not yet applied
-          (double-append guard for retried resolve requests) *)
+  txn : Txn_participant.t;  (** leader-term 2PC tables, rebuilt on open *)
   mutable txn_sweep_armed : bool;  (** presumed-abort sweep timer running *)
 }
 
@@ -223,25 +192,20 @@ let lease_fraction = 0.4
 (* A learner replica never promoted within this span retires itself. *)
 let learner_timeout = Sim.Sim_time.sec 30
 
-(* How often a leader scans its store for in-doubt transaction intents, and
-   the age at which an unresolved intent counts as in-doubt: old enough that
-   a live coordinator client would have resolved it already. *)
-let txn_sweep_period = Sim.Sim_time.sec 2
-let txn_indoubt_after = Sim.Sim_time.sec 4
-
 let zk_prefix t = Printf.sprintf "/ranges/%d" t.ctx.range
 let zk_candidates t = zk_prefix t ^ "/candidates"
 let zk_leader t = zk_prefix t ^ "/leader"
 let zk_epoch t = zk_prefix t ^ "/epoch"
 
 let create ctx =
+  let queue = Commit_queue.create () in
   {
     ctx;
     role = Offline;
     epoch = 0;
     cmt = Lsn.zero;
     lst = Lsn.zero;
-    queue = Commit_queue.create ();
+    queue;
     leader = None;
     open_for_writes = false;
     active_followers = [];
@@ -251,7 +215,7 @@ let create ctx =
     takeover_commit_wait = false;
     waiting = [];
     commit_timer_armed = false;
-    dedup = Client_tbl.create 64;
+    replies = Reply_cache.create ();
     migration = None;
     splitting = false;
     catching_up = false;
@@ -264,9 +228,7 @@ let create ctx =
     guard_seq = 0;
     guards = Hashtbl.create 16;
     parked_reads = [];
-    locks = Hashtbl.create 16;
-    pending_decisions = Hashtbl.create 16;
-    resolving = Hashtbl.create 16;
+    txn = Txn_participant.create ~store:ctx.store ~queue;
     txn_sweep_armed = false;
   }
 
@@ -277,7 +239,7 @@ let epoch t = t.epoch
 let cmt t = t.cmt
 let is_open t = t.role = Leader && t.open_for_writes
 let pending_writes t = Commit_queue.length t.queue
-let reply_cache_size t = Client_tbl.fold (fun _ r n -> n + List.length r.outcomes) t.dedup 0
+let reply_cache_size t = Reply_cache.size t.replies
 let store t = t.ctx.store
 let is_learner t = t.learner
 let migrating t = Option.is_some t.migration
@@ -368,83 +330,19 @@ let record_transit t ~sent_at =
 (* ------------------------------------------------------------------ *)
 (* Duplicate suppression: retried writes must be acked idempotently.    *)
 
-let replies_of t client =
-  match Client_tbl.find_opt t.dedup client with
-  | Some r -> r
-  | None ->
-    let r = { floor = 0; outcomes = [] } in
-    Client_tbl.add t.dedup client r;
-    r
-
-let raise_floor r floor =
-  if floor > r.floor then begin
-    r.floor <- floor;
-    r.outcomes <- List.filter (fun (id, _) -> id >= floor) r.outcomes
-  end
-
-let rec outcome_in request_id = function
-  | [] -> None
-  | (id, state) :: rest -> if id = request_id then Some state else outcome_in request_id rest
-
-let without request_id outcomes = List.filter (fun (id, _) -> id <> request_id) outcomes
-
-let remember r request_id state =
-  if request_id >= r.floor then r.outcomes <- (request_id, state) :: without request_id r.outcomes
-
-let cache_outcome t origin outcome =
-  match origin with
-  | None -> ()
-  | Some { Log_record.client; request_id; floor } ->
-    let r = replies_of t client in
-    raise_floor r floor;
-    remember r request_id (Done outcome)
-
-let reply_of_outcome : Log_record.outcome -> Message.client_reply = function
-  | Log_record.Written lsn -> Message.Written { lsn }
-  | Log_record.Decided { commit; ts } -> Message.Txn_decided { committed = commit; ts }
-  | Log_record.Version_mismatch current -> Message.Version_mismatch { current }
-  | Log_record.Txn_conflict -> Message.Txn_conflict
-  | Log_record.Cross_range -> Message.Cross_range
-
 let reply_write t ~client ~request_id outcome =
-  remember (replies_of t client) request_id (Done outcome);
-  t.ctx.reply ~client ~request_id (reply_of_outcome outcome)
+  Reply_cache.record t.replies ~client ~request_id outcome;
+  t.ctx.reply ~client ~request_id (Message.reply_of_outcome outcome)
 
-(* The settled part of the cache. Catch-up ships it (cells carry no
-   origins, so this is how a caught-up replica learns the outcomes and
-   floors of the writes it receives as cells), and every checkpoint stores
-   it (rollover drops the records whose origins a restart would otherwise
-   re-learn them from). *)
-let settled_replies t : Log_record.reply_cache =
-  Client_tbl.fold
-    (fun client r acc ->
-      let settled =
-        List.filter_map
-          (function id, Done outcome -> Some (id, outcome) | _, In_flight -> None)
-          r.outcomes
-      in
-      (client, r.floor, settled) :: acc)
-    t.dedup []
-
-let adopt_replies t (replies : Log_record.reply_cache) =
-  List.iter
-    (fun (client, floor, settled) ->
-      let r = replies_of t client in
-      raise_floor r floor;
-      List.iter (fun (request_id, outcome) -> remember r request_id (Done outcome)) settled)
-    replies
-
-(* The flush decision sits here, not in [Store.apply]: every caller has
-   cached the applied writes' outcomes first, so the checkpoint's reply
-   cache covers every write at or below it. *)
-let flush t = Store.flush t.ctx.store ~replies:(settled_replies t)
+(* The settled part of the cache goes into every checkpoint (rollover drops
+   the records whose origins a restart would otherwise re-learn it from)
+   and every catch-up round (cells carry no origins, so this is how a
+   caught-up replica learns the outcomes and floors of the writes it
+   receives as cells). The flush decision sits here, not in [Store.apply]:
+   every caller has cached the applied writes' outcomes first, so the
+   checkpoint's reply cache covers every write at or below it. *)
+let flush t = Store.flush t.ctx.store ~replies:(Reply_cache.settled t.replies)
 let flush_if_due t = if Store.flush_due t.ctx.store then flush t
-
-let clear_in_flight t ~client ~request_id =
-  match Client_tbl.find_opt t.dedup client with
-  | Some r when outcome_in request_id r.outcomes = Some In_flight ->
-    r.outcomes <- without request_id r.outcomes
-  | _ -> ()
 
 (* The settled outcome of a committed record: a 2PC decision answers with
    the outcome it recorded (a client retrying its decide after a coordinator
@@ -463,7 +361,7 @@ let outcome_of_record (op : Log_record.op) ~lsn =
 let recache_outcomes_from_log t ~above ~upto =
   let skipped = Storage.Skipped_lsns.ascending_mem (Store.skipped t.ctx.store) ~from:above in
   Wal.iter_durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above ~upto (fun lsn op _ origin ->
-      if not (skipped lsn) then cache_outcome t origin (outcome_of_record op ~lsn))
+      if not (skipped lsn) then Reply_cache.settle t.replies origin (outcome_of_record op ~lsn))
 
 (* Local recovery (§6.1): rebuild the memtable from the checkpoint through
    f.cmt, and the reply cache from the checkpoint's cache plus the outcomes
@@ -471,7 +369,7 @@ let recache_outcomes_from_log t ~above ~upto =
 let recover_local t =
   let cmt, lst = Store.recover t.ctx.store in
   let cohort = t.ctx.range in
-  adopt_replies t (Wal.last_checkpoint_replies t.ctx.wal ~cohort);
+  Reply_cache.adopt t.replies (Wal.last_checkpoint_replies t.ctx.wal ~cohort);
   recache_outcomes_from_log t ~above:(Wal.last_checkpoint t.ctx.wal ~cohort) ~upto:cmt;
   (cmt, lst)
 
@@ -560,26 +458,6 @@ let fail_guards t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Version assignment: the leader serialises writes, so a coordinate's
-   current version is its committed version overlaid with still-pending
-   writes in the commit queue (§3, §5.1). *)
-
-let latest_version t coord =
-  match Commit_queue.latest_version_for t.queue coord with
-  | Some v -> v
-  | None -> Store.current_version t.ctx.store coord
-
-(* A transaction's decision, if one is on record: appended this term (the
-   in-memory table) or durably applied (the anchor's decision cell). *)
-let existing_decision t ~anchor ~txn =
-  match Hashtbl.find_opt t.pending_decisions txn with
-  | Some d -> Some d
-  | None -> (
-    match Store.get t.ctx.store (anchor, Row.decision_col txn) with
-    | Some { Row.value = Some payload; _ } -> Row.decode_decision payload
-    | _ -> None)
-
-(* ------------------------------------------------------------------ *)
 (* Recovery steps shared by takeover, catch-up, stepdown and teardown.  *)
 
 (* Close the cohort to writes and end any takeover in progress. *)
@@ -588,15 +466,18 @@ let close_cohort t =
   t.takeover_pending <- false;
   t.takeover_commit_wait <- false
 
-(* Answer every write parked while the cohort was closed with [Unavailable],
-   releasing its in-flight marker so the client's retry is not swallowed. *)
+(* Answer a write that will not run here, releasing its in-flight marker so
+   the client's retry is not swallowed. *)
+let refuse_write t ~client ~request_id reply =
+  Reply_cache.release t.replies ~client ~request_id;
+  t.ctx.reply ~client ~request_id reply
+
+(* Refuse every write parked while the cohort was closed: [Unavailable]. *)
 let fail_waiting t =
   let waiting = t.waiting in
   t.waiting <- [];
   List.iter
-    (fun w ->
-      clear_in_flight t ~client:w.client ~request_id:w.request_id;
-      t.ctx.reply ~client:w.client ~request_id:w.request_id Message.Unavailable)
+    (fun w -> refuse_write t ~client:w.client ~request_id:w.request_id Message.Unavailable)
     waiting
 
 let abort_migration t reason =
@@ -639,7 +520,7 @@ let release_dropped t entries =
   List.iter
     (fun (e : Commit_queue.entry) ->
       match e.Commit_queue.origin with
-      | Some { Log_record.client; request_id; _ } -> clear_in_flight t ~client ~request_id
+      | Some { Log_record.client; request_id; _ } -> Reply_cache.release t.replies ~client ~request_id
       | None -> ())
     entries
 
@@ -731,11 +612,7 @@ let start_takeover t =
     List.filter_map (fun (e : Commit_queue.entry) -> e.Commit_queue.origin)
       (Commit_queue.to_list t.queue)
   in
-  List.iter
-    (fun { Log_record.client; request_id; _ } ->
-      let r = replies_of t client in
-      if outcome_in request_id r.outcomes = None then remember r request_id In_flight)
-    pending;
+  Reply_cache.mark_pending t.replies pending;
   (* A retry that reached us between winning the election and this rebuild
      passed the duplicate gate before the markers above existed and is
      parked in [waiting]. If its original is pending here, it is a
@@ -1048,167 +925,61 @@ and start_election t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Write path, first half: the one log record a write request appends at
-   the leader, or [None] when the request was answered without one (a
-   misrouted, refused or already-settled request).                      *)
+(* Write path, first half: the verdict on a write request at the leader —
+   the one log record it appends, or its answer when it appends none.
+   Transaction requests go to the 2PC participant.                       *)
 
-let write_record t ~client ~request_id ~ts op : Log_record.op option =
-  if not (t.ctx.routes_here (Message.key_of_op op)) then begin
-    (* The layout moved while this write sat in the queue (a split committed
-       between arrival and service): it belongs to another cohort now, and
-       assigning it an LSN here would misfile it. The client refreshes its
-       routing table and retries at the owner. *)
-    clear_in_flight t ~client ~request_id;
-    t.ctx.reply ~client ~request_id (Message.Wrong_range { hint = None });
-    None
-  end
-  else
-    match op with
-    | Message.Write { cells } ->
-      let locked (key, col, _, _) =
-        Hashtbl.mem t.locks (key, col) || Store.intent_txn_at t.ctx.store (key, col) <> None
+let write_verdict t ~ts op : Txn_participant.verdict =
+  match op with
+  | Message.Write { cells } ->
+    if Txn_participant.blocks_write t.txn cells then Refuse
+    else if not (List.for_all (fun (key, _, _, _) -> t.ctx.routes_here key) cells) then
+      Answer Log_record.Cross_range
+    else begin
+      (* Each cell's current version, read once. An expected version that
+         moved fails the whole write (§5.1); otherwise every cell installs
+         the next version, all under one record, so the write is
+         replicated, committed and recovered all-or-nothing (§8.2). *)
+      let versioned =
+        List.map
+          (fun ((key, col, _, _) as cell) ->
+            (cell, Commit_queue.current_version t.queue t.ctx.store (key, col)))
+          cells
       in
-      if List.exists locked cells then begin
-        (* A plain write racing an unresolved 2PC intent on the same
-           coordinate: refuse rather than interleave with the prepare window
-           (the intent's final version and LSN are not yet fixed). The client
-           backs off and retries once the intent resolves. *)
-        clear_in_flight t ~client ~request_id;
-        t.ctx.reply ~client ~request_id Message.Unavailable;
-        None
-      end
-      else if not (List.for_all (fun (key, _, _, _) -> t.ctx.routes_here key) cells) then begin
-        reply_write t ~client ~request_id Log_record.Cross_range;
-        None
-      end
-      else begin
-        (* Each cell's current version, read once. An expected version that
-           moved fails the whole write (§5.1); otherwise every cell installs
-           the next version, all under one record, so the write is
-           replicated, committed and recovered all-or-nothing (§8.2). *)
-        let versioned =
-          List.map (fun ((key, col, _, _) as cell) -> (cell, latest_version t (key, col))) cells
-        in
-        let stale ((_, _, _, expected), current) =
-          match expected with Some e -> e <> current | None -> false
-        in
-        match List.find_opt stale versioned with
-        | Some (_, current) ->
-          reply_write t ~client ~request_id (Log_record.Version_mismatch current);
-          None
-        | None -> (
-          let record ((key, col, value, _), current) =
-            match value with
-            | Some value -> Log_record.Put { key; col; value; version = current + 1 }
-            | None -> Log_record.Delete { key; col; version = current + 1 }
-          in
-          match versioned with
-          | [ cell ] -> Some (record cell)
-          | _ -> Some (Log_record.Batch (List.map record versioned)))
-      end
-    | Message.Txn_prepare_req { txn; anchor; fence; fence_ts; writes } ->
-      (* 2PC phase one: first-committer-wins conflict checks, then the write
-         intents replicate through this participant's Paxos log. Locks are
-         taken at append so a racing prepare in the same term cannot pass the
-         same checks before this one commits. *)
-      if writes = [] || not (List.for_all (fun (key, _, _) -> t.ctx.routes_here key) writes)
-      then begin
-        reply_write t ~client ~request_id Log_record.Cross_range;
-        None
-      end
-      else begin
-        let conflicts (key, col, _) =
-          let coord = (key, col) in
-          (match Hashtbl.find_opt t.locks coord with
-          | Some owner -> not (String.equal owner txn)
-          | None -> false)
-          || (match Store.intent_txn_at t.ctx.store coord with
-             | Some owner -> not (String.equal owner txn)
-             | None -> false)
-          (* Any pending queued write on the coordinate will install a
-             version newer than our snapshot — conflict without waiting. *)
-          || Option.is_some (Commit_queue.latest_version_for t.queue coord)
-          || (match Store.head_info t.ctx.store coord with
-             | Some (_, Some committed_ts) -> committed_ts > fence_ts
-             | Some (head_lsn, None) -> Lsn.(head_lsn > fence)
-             | None -> false)
-        in
-        if List.exists conflicts writes then begin
-          if tracing t then
-            trace t "txn.prepare"
-              (Printf.sprintf "%s conflict keys=%s" txn
-                 (String.concat "," (List.map (fun (k, _, _) -> k) writes)));
-          reply_write t ~client ~request_id Log_record.Txn_conflict;
-          None
-        end
-        else begin
-          if tracing t then
-            trace t "txn.prepare"
-              (Printf.sprintf "%s ok fence=%s fts=%d keys=%s" txn (Lsn.to_string fence) fence_ts
-                 (String.concat "," (List.map (fun (k, _, _) -> k) writes)));
-          List.iter (fun (key, col, _) -> Hashtbl.replace t.locks (key, col) txn) writes;
-          Some (Log_record.Txn_prepare { txn; anchor; fence; writes })
-        end
-      end
-    | Message.Txn_decide_req { txn; anchor; commit } -> (
-      match existing_decision t ~anchor ~txn with
-      | Some (committed, decided_ts) ->
-        (* First decision wins — a presumed-abort may already have beaten a
-           late commit request here; answer with what is on record. *)
-        reply_write t ~client ~request_id (Log_record.Decided { commit = committed; ts = decided_ts });
-        None
+      let stale ((_, _, _, expected), current) =
+        match expected with Some e -> e <> current | None -> false
+      in
+      match List.find_opt stale versioned with
+      | Some (_, current) -> Answer (Log_record.Version_mismatch current)
       | None ->
-        if tracing t then
-          trace t "txn.decide" (Printf.sprintf "%s commit=%b ts=%d" txn commit ts);
-        Hashtbl.replace t.pending_decisions txn (commit, ts);
-        Some (Log_record.Txn_decision { txn; anchor; commit; ts }))
-    | Message.Txn_status_req { txn; anchor } -> (
-      match existing_decision t ~anchor ~txn with
-      | Some (committed, decided_ts) ->
-        reply_write t ~client ~request_id (Log_record.Decided { commit = committed; ts = decided_ts });
-        None
-      | None ->
-        (* Presumed abort: no decision on record means the coordinator client
-           may have died before asking for one — log an abort so every
-           in-doubt participant converges on it. *)
-        Hashtbl.replace t.pending_decisions txn (false, ts);
-        Some (Log_record.Txn_decision { txn; anchor; commit = false; ts }))
-    | Message.Txn_resolve_req { txn; key = _; commit; ts = decision_ts } ->
-      if Hashtbl.mem t.resolving txn then begin
-        (* A resolve record is already in flight this term; acknowledging is
-           safe — resolution is guaranteed by that record or, should a leader
-           change drop it, by the presumed-abort sweep. *)
-        reply_write t ~client ~request_id (Log_record.Written t.cmt);
-        None
-      end
-      else begin
-        match Store.intents_of t.ctx.store txn with
-        | [] ->
-          (* Already resolved (or the prepare never landed here): idempotent
-             success. *)
-          reply_write t ~client ~request_id (Log_record.Written t.cmt);
-          None
-        | intents ->
-          (* Resolve every intent the transaction holds in this range, not
-             just the addressed key: final cells are materialized here, at
-             append time, with concrete versions — so replicas and recovery
-             apply them like any other write. *)
-          let writes =
-            List.map
-              (fun ((key, col), value) -> (key, col, value, latest_version t (key, col) + 1))
-              intents
-          in
-          if tracing t then
-            trace t "txn.resolve"
-              (Printf.sprintf "%s commit=%b ts=%d keys=%s" txn commit decision_ts
-                 (String.concat "," (List.map (fun (k, _, _, _) -> k) writes)));
-          Hashtbl.replace t.resolving txn ();
-          List.iter (fun (key, col, _, _) -> Hashtbl.remove t.locks (key, col)) writes;
-          Some (Log_record.Txn_resolve { txn; commit; ts = decision_ts; writes })
-      end
-    | Message.Get _ | Message.Multi_get _ | Message.Scan _ | Message.Fence _
-    | Message.Snap_get _ ->
-      invalid_arg "write_record: read operation"
+        let record ((key, col, value, _), current) =
+          match value with
+          | Some value -> Log_record.Put { key; col; value; version = current + 1 }
+          | None -> Log_record.Delete { key; col; version = current + 1 }
+        in
+        Append
+          (match versioned with
+          | [ cell ] -> record cell
+          | _ -> Log_record.Batch (List.map record versioned))
+    end
+  | op -> Txn_participant.record t.txn ~routes_here:t.ctx.routes_here ~cmt:t.cmt ~ts op
+
+let trace_txn t (op : Message.client_op) (verdict : Txn_participant.verdict) =
+  let keys writes = String.concat "," (List.map (fun (k, _, _) -> k) writes) in
+  match (op, verdict) with
+  | Message.Txn_prepare_req { txn; writes; _ }, Answer Log_record.Txn_conflict ->
+    trace t "txn.prepare" (Printf.sprintf "%s conflict keys=%s" txn (keys writes))
+  | Message.Txn_prepare_req { txn; fence; fence_ts; writes; _ }, Append _ ->
+    trace t "txn.prepare"
+      (Printf.sprintf "%s ok fence=%s fts=%d keys=%s" txn (Lsn.to_string fence) fence_ts
+         (keys writes))
+  | _, Append (Log_record.Txn_decision { txn; commit; ts; _ }) ->
+    trace t "txn.decide" (Printf.sprintf "%s commit=%b ts=%d" txn commit ts)
+  | _, Append (Log_record.Txn_resolve { txn; commit; ts; writes }) ->
+    trace t "txn.resolve"
+      (Printf.sprintf "%s commit=%b ts=%d keys=%s" txn commit ts
+         (String.concat "," (List.map (fun (k, _, _, _) -> k) writes)))
+  | _ -> ()
 
 (* Writes block during takeover, during the momentary window at the end of a
    follower catch-up (§6.1), and while a range split is being logged; they
@@ -1251,15 +1022,15 @@ let rec try_commit t =
       let outcome = outcome_of_record e.op ~lsn:e.lsn in
       (match e.origin with
       | Some { Log_record.client; request_id; _ } ->
-        remember (replies_of t client) request_id (Done outcome)
+        Reply_cache.record t.replies ~client ~request_id outcome
       | None -> ());
       flush_if_due t;
       if Log_record.is_meta e.op then on_meta t e.op;
       (match e.origin with
       | Some { Log_record.client; request_id; _ } ->
-        t.ctx.reply ~client ~request_id (reply_of_outcome outcome)
+        t.ctx.reply ~client ~request_id (Message.reply_of_outcome outcome)
       | None -> ());
-      txn_applied t e.op;
+      Txn_participant.applied t.txn e.op;
       match tracked with
       | Some (trace_id, apply_span, lsn) ->
         span_end t ~span:apply_span ~trace_id ~lsn ~tag:"phase.apply" "applied and replied";
@@ -1273,16 +1044,6 @@ let rec try_commit t =
     trace t "takeover_commit_done" (Printf.sprintf "cmt=%s" (Lsn.to_string t.cmt));
     open_cohort t
   end
-
-(* Leader-side bookkeeping once a transaction record applies: a resolve
-   leaving the queue ends the double-append guard, and a durable decision no
-   longer needs its in-memory pending entry (the store's decision cell now
-   answers [existing_decision]). *)
-and txn_applied t (op : Log_record.op) =
-  match op with
-  | Log_record.Txn_resolve { txn; _ } -> Hashtbl.remove t.resolving txn
-  | Log_record.Txn_decision { txn; _ } -> Hashtbl.remove t.pending_decisions txn
-  | _ -> ()
 
 (* A committed metadata record (membership change or range split) takes
    effect: node-level side effects first (routing table, child cohorts, layout
@@ -1363,57 +1124,31 @@ and open_cohort t =
   if not t.open_for_writes then begin
     t.open_for_writes <- true;
     trace t "cohort_open" (Printf.sprintf "epoch=%d lst=%s" t.epoch (Lsn.to_string t.lst));
-    rebuild_txn_locks t;
+    (* The new term inherits the transaction state its log implies. *)
+    Txn_participant.rebuild t.txn;
     arm_commit_timer t;
     arm_txn_sweep t;
     drain_waiting t
   end
 
-(* A new leader term inherits the transaction state its log implies: applied
-   intents lock their coordinates, and queued-but-unapplied prepare/resolve/
-   decision records (replayed in LSN order) adjust on top. Without this a
-   failed-over leader would grant conflicting prepares over live intents. *)
-and rebuild_txn_locks t =
-  Hashtbl.reset t.locks;
-  Hashtbl.reset t.resolving;
-  Hashtbl.reset t.pending_decisions;
-  List.iter
-    (fun (txn, _, coords) -> List.iter (fun c -> Hashtbl.replace t.locks c txn) coords)
-    (Store.live_intents t.ctx.store);
-  List.iter
-    (fun (e : Commit_queue.entry) ->
-      match e.op with
-      | Log_record.Txn_prepare { txn; writes; _ } ->
-        List.iter (fun (key, col, _) -> Hashtbl.replace t.locks (key, col) txn) writes
-      | Log_record.Txn_resolve { txn; writes; _ } ->
-        Hashtbl.replace t.resolving txn ();
-        List.iter (fun (key, col, _, _) -> Hashtbl.remove t.locks (key, col)) writes
-      | Log_record.Txn_decision { txn; commit; ts; _ } ->
-        Hashtbl.replace t.pending_decisions txn (commit, ts)
-      | _ -> ())
-    (Commit_queue.to_list t.queue)
-
-(* Presumed-abort sweep (leader-only): intents unresolved past
-   [txn_indoubt_after] escalate to the node, which asks the coordinator for
-   the outcome (logging an abort there if none exists) and resolves them. *)
+(* Presumed-abort sweep (leader-only): in-doubt intents escalate to the
+   node, which asks the coordinator for the outcome (logging an abort there
+   if none exists) and resolves them. *)
 and arm_txn_sweep t =
   if not t.txn_sweep_armed then begin
     t.txn_sweep_armed <- true;
     let rec tick () =
       if t.role = Leader && t.open_for_writes then begin
-        let older_than = Sim.Sim_time.to_us txn_indoubt_after in
         List.iter
           (fun (txn, anchor, key) ->
-            if not (Hashtbl.mem t.resolving txn) then begin
-              trace t "txn.indoubt" txn;
-              t.ctx.resolve_in_doubt ~txn ~anchor ~key
-            end)
-          (Store.in_doubt t.ctx.store ~now:(now_us t) ~older_than);
-        after t txn_sweep_period tick
+            trace t "txn.indoubt" txn;
+            t.ctx.resolve_in_doubt ~txn ~anchor ~key)
+          (Txn_participant.in_doubt t.txn ~now:(now_us t));
+        after t Txn_participant.sweep_period tick
       end
       else t.txn_sweep_armed <- false
     in
-    after t txn_sweep_period tick
+    after t Txn_participant.sweep_period tick
   end
 
 and drain_waiting t =
@@ -1433,31 +1168,24 @@ and drain_waiting t =
 and handle_write t ~client ~request_id ~floor op =
   if t.role <> Leader then
     t.ctx.reply ~client ~request_id (Message.Not_leader { hint = t.leader })
-  else begin
-    let r = replies_of t client in
-    raise_floor r floor;
-    if request_id < r.floor then
+  else
+    match Reply_cache.admit t.replies ~client ~request_id ~floor with
+    | Stale ->
       (* The client settled this id before it sent a request carrying the
          higher floor, so this is a late duplicate. Its outcome may be gone,
          and executing it again could apply the write twice. *)
       t.ctx.reply ~client ~request_id Message.Stale_request
-    else begin
-      match outcome_in request_id r.outcomes with
-      | Some (Done outcome) ->
-        (* A retry of a write that already settled (its reply was lost, or
-           the retry raced the reply): resend the original outcome verbatim
-           rather than applying the write twice. *)
-        t.ctx.reply ~client ~request_id (reply_of_outcome outcome)
-      | Some In_flight ->
-        (* The original is still working through the pipeline; its own
-           reply — or the client's next retry once this one settles —
-           answers. *)
-        ()
-      | None ->
-        r.outcomes <- (request_id, In_flight) :: r.outcomes;
-        enqueue_write t ~client ~request_id op
-    end
-  end
+    | Settled outcome ->
+      (* A retry of a write that already settled (its reply was lost, or
+         the retry raced the reply): resend the original outcome verbatim
+         rather than applying the write twice. *)
+      t.ctx.reply ~client ~request_id (Message.reply_of_outcome outcome)
+    | Pending ->
+      (* The original is still working through the pipeline; its own
+         reply — or the client's next retry once this one settles —
+         answers. *)
+      ()
+    | Admitted -> enqueue_write t ~client ~request_id op
 
 and enqueue_write t ~client ~request_id op =
   if not (writes_admitted t) then t.waiting <- { client; request_id; op } :: t.waiting
@@ -1473,22 +1201,30 @@ and enqueue_write t ~client ~request_id op =
     Sim.Resource.submit t.ctx.cpu ~service
       (guard t (fun () ->
            span_end t ~span:queue_span ~trace_id ~tag:"phase.queue" "cpu granted";
-           if writes_admitted t then begin
-             match write_record t ~client ~request_id ~ts:(now_us t) op with
-             | None -> ()
-             | Some op ->
+           if not (writes_admitted t) then begin
+             if t.role = Leader then t.waiting <- { client; request_id; op } :: t.waiting
+             else refuse_write t ~client ~request_id (Message.Not_leader { hint = t.leader })
+           end
+           else if not (t.ctx.routes_here (Message.key_of_op op)) then
+             (* The layout moved while this write sat in the queue (a split
+                committed between arrival and service): it belongs to
+                another cohort now, and assigning it an LSN here would
+                misfile it. The client refreshes its routing table and
+                retries at the owner. *)
+             refuse_write t ~client ~request_id (Message.Wrong_range { hint = None })
+           else begin
+             let verdict = write_verdict t ~ts:(now_us t) op in
+             if tracing t then trace_txn t op verdict;
+             match verdict with
+             | Append op ->
                Sim.Metrics.Histogram.record_span (phases t).queue
                  (Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) arrived);
                (* The origin's floor is the highest the client has reported
                   here, so replicas trim on apply. *)
-               let floor = (replies_of t client).floor in
+               let floor = Reply_cache.floor t.replies client in
                append t ~origin:{ Log_record.client; request_id; floor } op
-           end
-           else if t.role = Leader then
-             t.waiting <- { client; request_id; op } :: t.waiting
-           else begin
-             clear_in_flight t ~client ~request_id;
-             t.ctx.reply ~client ~request_id (Message.Not_leader { hint = t.leader })
+             | Answer outcome -> reply_write t ~client ~request_id outcome
+             | Refuse -> refuse_write t ~client ~request_id Message.Unavailable
            end))
   end
 
@@ -1836,7 +1572,7 @@ let apply_commits t ~upto =
       (fun (e : Commit_queue.entry) ->
         Store.apply t.ctx.store ~lsn:e.Commit_queue.lsn ~timestamp:e.timestamp e.op;
         t.cmt <- Lsn.max t.cmt e.lsn;
-        cache_outcome t e.origin (outcome_of_record e.op ~lsn:e.lsn);
+        Reply_cache.settle t.replies e.origin (outcome_of_record e.op ~lsn:e.lsn);
         flush_if_due t;
         if Log_record.is_meta e.op then on_meta t e.op)
       entries;
@@ -2008,7 +1744,7 @@ let leader_run_catchup t ~follower ~f_cmt =
            epoch = t.epoch;
            cells;
            upto = t.cmt;
-           replies = settled_replies t;
+           replies = Reply_cache.settled t.replies;
          });
     (* If the follower dies mid-round its Catchup_done never arrives; unblock
        after a grace period so the cohort does not stall. *)
@@ -2153,7 +1889,7 @@ let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~replies =
        truncated); re-learn their outcomes from our own log so duplicate
        retries stay suppressed if this node is later elected leader. *)
     recache_outcomes_from_log t ~above:old_cmt ~upto:t.cmt;
-    adopt_replies t replies;
+    Reply_cache.adopt t.replies replies;
     flush_if_due t;
     flush_parked_reads t;
     let finish =
@@ -2233,7 +1969,13 @@ let request_join t ~joiner ?remove () =
     in
     let bulk =
       Message.Catchup_data
-        { range = t.ctx.range; epoch = t.epoch; cells; upto = t.cmt; replies = settled_replies t }
+        {
+          range = t.ctx.range;
+          epoch = t.epoch;
+          cells;
+          upto = t.cmt;
+          replies = Reply_cache.settled t.replies;
+        }
     in
     let m = { joiner; remove; phase = `Bulk } in
     t.migration <- Some m;
@@ -2363,7 +2105,6 @@ let request_split t =
    follower. *)
 let handle_takeover_query t ~src ~epoch =
   if t.role <> Offline && epoch >= t.epoch then begin
-    if epoch > t.epoch then t.epoch <- epoch;
     (* A deposed leader rejoins the cohort as a follower (§6.2). *)
     if t.role = Leader then begin
       trace t "stepdown" (Printf.sprintf "new_epoch=%d" epoch);
@@ -2371,10 +2112,7 @@ let handle_takeover_query t ~src ~epoch =
     end;
     t.role <- Follower;
     t.election_running <- false;
-    t.leader <- Some src;
-    t.last_leader_msg <- Sim.Engine.now t.ctx.engine;
-    watch_leader_liveness t;
-    arm_resync_timer t;
+    accept_leader t ~src ~epoch;
     t.catching_up <- true;
     t.ctx.send ~dst:src
       (Message.Catchup_request { range = t.ctx.range; from = t.ctx.node_id; cmt = t.cmt })
@@ -2395,9 +2133,7 @@ let crash t =
   t.pending_final <- [];
   t.waiting <- [];
   t.commit_timer_armed <- false;
-  (* [clear], not [reset]: recovery re-learns about as many clients from the
-     log as the table held, so keeping its buckets spares the regrowth. *)
-  Client_tbl.clear t.dedup;
+  Reply_cache.clear t.replies;
   t.migration <- None;
   t.splitting <- false;
   t.catching_up <- false;
@@ -2413,9 +2149,7 @@ let crash t =
      complete a fresh round. *)
   Hashtbl.reset t.guards;
   t.parked_reads <- [];
-  Hashtbl.reset t.locks;
-  Hashtbl.reset t.pending_decisions;
-  Hashtbl.reset t.resolving;
+  Txn_participant.reset t.txn;
   t.txn_sweep_armed <- false;
   Store.crash t.ctx.store
 
@@ -2486,9 +2220,7 @@ let zk_session_expired t =
     t.leader_watch_armed <- false;
     (* Leader-term transaction state dies with the term; the next leader
        rebuilds it from its store and queue when the cohort reopens. *)
-    Hashtbl.reset t.locks;
-    Hashtbl.reset t.pending_decisions;
-    Hashtbl.reset t.resolving
+    Txn_participant.reset t.txn
   end
 
 let zk_session_renewed t = if t.role <> Offline && not t.learner then join_cohort t

@@ -327,4 +327,9 @@ let latest_version_for t coord =
   | Some ((_, v) :: _) -> Some v
   | _ -> None
 
+let current_version t store coord =
+  match latest_version_for t coord with
+  | Some v -> v
+  | None -> Storage.Store.current_version store coord
+
 let to_list t = Array.to_list (Array.sub t.slots t.lo (t.hi - t.lo))

@@ -109,4 +109,9 @@ val latest_version_for : t -> Storage.Row.coord -> int option
     assign version numbers and check conditional puts against in-flight
     writes, not just committed state. *)
 
+val current_version : t -> Storage.Store.t -> Storage.Row.coord -> int
+(** The version a new write to the coordinate builds on: the newest pending
+    write's, else the store's committed one. The leader serialises writes,
+    so this is the coordinate's current version (§3, §5.1). *)
+
 val to_list : t -> entry list

@@ -37,7 +37,6 @@ type client_op =
       writes : (Storage.Row.key * Storage.Row.column * string option) list;
     }
   | Txn_decide_req of { txn : string; anchor : Storage.Row.key; commit : bool }
-  | Txn_status_req of { txn : string; anchor : Storage.Row.key }
   | Txn_resolve_req of { txn : string; key : Storage.Row.key; commit : bool; ts : int }
 
 type value_reply = { value : string option; version : int }
@@ -110,9 +109,16 @@ type t =
     }
   | Catchup_done of { range : int; from : int; upto : Storage.Lsn.t }
 
+let reply_of_outcome : Storage.Log_record.outcome -> client_reply = function
+  | Written lsn -> Written { lsn }
+  | Decided { commit; ts } -> Txn_decided { committed = commit; ts }
+  | Version_mismatch current -> Version_mismatch { current }
+  | Txn_conflict -> Txn_conflict
+  | Cross_range -> Cross_range
+
 let is_write = function
   | Get _ | Multi_get _ | Scan _ | Fence _ | Snap_get _ -> false
-  | Write _ | Txn_prepare_req _ | Txn_decide_req _ | Txn_status_req _ | Txn_resolve_req _ -> true
+  | Write _ | Txn_prepare_req _ | Txn_decide_req _ | Txn_resolve_req _ -> true
 
 let key_of_op = function
   | Get { key; _ } | Multi_get { key; _ } | Fence { key } | Snap_get { key; _ }
@@ -121,7 +127,7 @@ let key_of_op = function
   | Write { cells } -> ( match cells with (key, _, _, _) :: _ -> key | [] -> "")
   | Txn_prepare_req { writes; anchor; _ } -> (
     match writes with (key, _, _) :: _ -> key | [] -> anchor)
-  | Txn_decide_req { anchor; _ } | Txn_status_req { anchor; _ } -> anchor
+  | Txn_decide_req { anchor; _ } -> anchor
   | Scan { start_key; _ } -> start_key
 
 let size_of_op = function
@@ -146,8 +152,7 @@ let size_of_op = function
         + 8)
       (String.length txn + String.length anchor + 32)
       writes
-  | Txn_decide_req { txn; anchor; _ } | Txn_status_req { txn; anchor } ->
-    String.length txn + String.length anchor + 24
+  | Txn_decide_req { txn; anchor; _ } -> String.length txn + String.length anchor + 24
   | Txn_resolve_req { txn; key; _ } -> String.length txn + String.length key + 32
 
 let size_of_value { value; _ } =

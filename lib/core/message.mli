@@ -71,9 +71,8 @@ type client_op =
   | Txn_decide_req of { txn : string; anchor : Storage.Row.key; commit : bool }
       (** Ask the coordinator cohort (owner of [anchor]) to replicate the
           commit/abort decision. First decision wins; the reply carries the
-          outcome actually recorded. *)
-  | Txn_status_req of { txn : string; anchor : Storage.Row.key }
-      (** Presumed-abort recovery: what happened to [txn]? If no decision is
+          outcome actually recorded. With [commit = false] it is also
+          presumed-abort recovery's status query: if no decision is
           recorded, the coordinator logs an abort and answers with it. *)
   | Txn_resolve_req of { txn : string; key : Storage.Row.key; commit : bool; ts : int }
       (** 2PC phase two at [key]'s range: install final cells (commit) and
@@ -184,6 +183,9 @@ type t =
       (** the caught-up cells are durable at the follower; the leader
           activates it and re-proposes its pending writes (for a takeover,
           Figure 6 line 9) *)
+
+val reply_of_outcome : Storage.Log_record.outcome -> client_reply
+(** The reply that answers a write with its settled outcome. *)
 
 val is_write : client_op -> bool
 

@@ -176,6 +176,13 @@ and host t ?store ?note ~range start =
   start c;
   c
 
+(* Host split child [child], [lo, hi), off its parent's shared store; [why]
+   ends the trace detail. *)
+and host_split_child t parent ~child ~lo ~hi why =
+  let store = Storage.Store.split_child parent ~cohort:child ~lo ~hi in
+  let detail = Printf.sprintf "r%d n%d %s" child t.id why in
+  ignore (host t ~store ~note:("split_child", detail) ~range:child Cohort.rejoin)
+
 (* The node no longer hosts [range]: drop the replica and its log records.
    Without the log drop, a node later re-added to a range it once hosted
    would recover stale commit markers and reject perfectly good data. *)
@@ -248,11 +255,9 @@ and apply_meta t ~range ~op ~leader =
       in
       ignore (Partition.split t.partition ~range ~at ~new_range);
       let child_members = try Partition.cohort t.partition ~range:new_range with _ -> [] in
-      if List.mem t.id child_members && not (List.mem_assoc new_range t.cohorts) then begin
-        let store = Storage.Store.split_child pstore ~cohort:new_range ~lo:at ~hi in
-        let detail = Printf.sprintf "r%d n%d from r%d at %s" new_range t.id range at in
-        ignore (host t ~store ~note:("split_child", detail) ~range:new_range Cohort.rejoin)
-      end;
+      if List.mem t.id child_members && not (List.mem_assoc new_range t.cohorts) then
+        host_split_child t pstore ~child:new_range ~lo:at ~hi
+          (Printf.sprintf "from r%d at %s" range at);
       Storage.Store.set_bounds pstore ~lo ~hi:at;
       if leader then publish_layout t
     | None -> ignore (Partition.split t.partition ~range ~at ~new_range))
@@ -285,11 +290,9 @@ and reconcile_layout t =
                   && String.compare d.lo shi < 0
                   && List.mem t.id d.members
                   && not (List.mem_assoc d.id t.cohorts)
-                then begin
-                  let store = Storage.Store.split_child store ~cohort:d.id ~lo:d.lo ~hi:d.hi in
-                  let detail = Printf.sprintf "r%d n%d reconciled from r%d" d.id t.id range in
-                  ignore (host t ~store ~note:("split_child", detail) ~range:d.id Cohort.rejoin)
-                end)
+                then
+                  host_split_child t store ~child:d.id ~lo:d.lo ~hi:d.hi
+                    (Printf.sprintf "reconciled from r%d" range))
               (Partition.descs t.partition);
             Storage.Store.set_bounds store ~lo:slo ~hi:phi
           end

@@ -64,7 +64,7 @@ val set_txn_escalation :
     finds an in-doubt write intent, it calls this with the transaction, its
     coordinator anchor key, and a sample key of the stranded range. The
     cluster layer backs it with an embedded client that queries the
-    coordinator ([Txn_status_req], logging an abort if no decision exists)
-    and then resolves the intents. Unset, the sweep is inert. *)
+    coordinator ({!Client.txn_status}: a decide with [commit = false], which
+    logs an abort if no decision exists) and then resolves the intents. Unset, the sweep is inert. *)
 
 val failure_target : t -> Sim.Failure.target

@@ -38,7 +38,8 @@ type outcome =
   | Indeterminate of { txn : string }
       (** the decision's fate is unknown (coordinator unreachable); the
           presumed-abort sweep will converge surviving intents, and
-          {!Client.txn_status} can be asked for the recorded outcome *)
+          {!Client.txn_status} answers the recorded outcome (logging an
+          abort if there is none) *)
 
 type t
 (** A transaction manager bound to one client: issues transaction ids and

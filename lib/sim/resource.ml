@@ -29,7 +29,3 @@ let reserve t ~service =
 let submit t ~service k =
   let finish = reserve t ~service in
   ignore (Engine.schedule_at t.engine finish k)
-
-let submit_bytes t ~bytes ~bytes_per_sec k =
-  let service = Sim_time.of_us_f (float_of_int (max 1 bytes) *. 1e6 /. bytes_per_sec) in
-  submit t ~service k

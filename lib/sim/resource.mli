@@ -19,7 +19,3 @@ val reserve : t -> service:Sim_time.span -> Sim_time.t
     without scheduling an event. Lets a caller that already schedules a
     downstream event (e.g. network delivery after a NIC transfer) avoid a
     second heap entry per message. *)
-
-val submit_bytes : t -> bytes:int -> bytes_per_sec:float -> (unit -> unit) -> unit
-(** Enqueue a job whose service time is [bytes / bytes_per_sec] — models a
-    bandwidth-limited transfer (e.g. shipping an SSTable snapshot). *)

@@ -178,18 +178,22 @@ let split_run tables ~start ~length =
   in
   go 0 [] tables
 
+(* Merge every table into one. Covering every table makes tombstone GC
+   safe (§4.1) — which in turn can change [get]'s answer for deleted
+   coordinates, so the row cache must drop its entries. *)
+let compact_all t =
+  let input_bytes = sstable_bytes t in
+  record_compaction t ~input_bytes ~full:true;
+  t.sstables <- [ clamp_table t (Compaction.merge ~newer:t.newer ~drop_tombstones:true t.sstables) ];
+  clear_cache t
+
 let rec maybe_compact t =
   match Compaction.plan ~fanin:t.compaction_fanin ~max_tables:t.max_sstables t.sstables with
   | None -> ()
   | Some Compaction.All ->
     (* Safety valve: the tiers failed to keep the fan-in down (or a caller
-       forced a major compaction). Covers every table, so tombstone GC is
-       safe (§4.1) — which in turn can change [get]'s answer for deleted
-       coordinates, so the row cache must drop its entries. *)
-    let input_bytes = sstable_bytes t in
-    record_compaction t ~input_bytes ~full:true;
-    t.sstables <- [ clamp_table t (Compaction.merge ~newer:t.newer ~drop_tombstones:true t.sstables) ];
-    clear_cache t
+       forced a major compaction). *)
+    compact_all t
   | Some (Compaction.Run { start; length }) ->
     let prefix, run, suffix = split_run t.sstables ~start ~length in
     let input_bytes = List.fold_left (fun a s -> a + Sstable.approx_bytes s) 0 run in
@@ -202,13 +206,7 @@ let rec maybe_compact t =
        tier is full. Terminates: every merge shrinks the table count. *)
     maybe_compact t
 
-let major_compact t =
-  if t.sstables <> [] then begin
-    let input_bytes = sstable_bytes t in
-    record_compaction t ~input_bytes ~full:true;
-    t.sstables <- [ clamp_table t (Compaction.merge ~newer:t.newer ~drop_tombstones:true t.sstables) ];
-    clear_cache t
-  end
+let major_compact t = if t.sstables <> [] then compact_all t
 
 (* The log-size flush trigger. The log is rolled over only at a flush
    (§4.1), so a memtable of a few hot keys that never reaches [flush_bytes]
@@ -703,31 +701,29 @@ let replay t ~upto ~skipped =
   t.memtable <- Memtable.of_staged stage;
   rebuild_intents t
 
-let recover t =
+(* Drop the volatile state a replay rebuilds. SSTables survive the crash and
+   hold everything through the checkpoint, or through a split child's
+   [inherited_upto] (its own log only starts after the split). *)
+let reset_for_replay t =
   t.memtable <- Memtable.create ();
   t.logged_bytes <- 0;
   clear_cache t;
   reset_txn_state t;
   let checkpoint = Wal.last_checkpoint t.wal ~cohort:t.cohort in
-  (* SSTables survive the crash; data through the checkpoint is in them.
-     A flushed write is definitionally committed (only committed writes reach
-     the memtable, §5), so f.cmt is at least the checkpoint even when older
-     commit markers were rolled over with the log. A split child's inherited
-     tables likewise hold everything through [inherited_upto] — its own log
-     only starts after the split. *)
-  t.flushed_upto <- Lsn.max t.flushed_upto (Lsn.max checkpoint t.inherited_upto);
+  t.flushed_upto <- Lsn.max t.flushed_upto (Lsn.max checkpoint t.inherited_upto)
+
+let recover t =
+  reset_for_replay t;
+  (* A flushed write is definitionally committed (only committed writes
+     reach the memtable, §5), so f.cmt is at least the checkpoint even when
+     older commit markers were rolled over with the log. *)
   let cmt = Lsn.max t.flushed_upto (Wal.last_commit_marker t.wal ~cohort:t.cohort) in
   let lst = Lsn.max cmt (Wal.last_write_lsn t.wal ~cohort:t.cohort) in
   replay t ~upto:cmt ~skipped:(Skipped_lsns.ascending_mem t.skipped ~from:t.flushed_upto);
   (cmt, lst)
 
 let recover_all t =
-  t.memtable <- Memtable.create ();
-  t.logged_bytes <- 0;
-  clear_cache t;
-  reset_txn_state t;
-  let checkpoint = Wal.last_checkpoint t.wal ~cohort:t.cohort in
-  t.flushed_upto <- Lsn.max t.flushed_upto (Lsn.max checkpoint t.inherited_upto);
+  reset_for_replay t;
   let lst = Wal.last_write_lsn t.wal ~cohort:t.cohort in
   replay t ~upto:lst ~skipped:(fun _ -> false);
   lst

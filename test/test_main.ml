@@ -22,4 +22,5 @@ let () =
       ("observability", Test_observability.suite);
       ("workload", Test_workload.suite);
       ("scaleout", Test_scaleout.suite);
+      ("participants", Test_participants.suite);
     ]

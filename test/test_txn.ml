@@ -266,6 +266,76 @@ let test_snapshot_reads_leave_cache_counters () =
   check_int "cache hits unchanged" (fst before) hits;
   check_int "cache misses unchanged" (snd before) misses
 
+(* --- presumed abort ------------------------------------------------------------ *)
+
+(* A transaction prepares at one range and its coordinator never decides.
+   Once the intent is older than [indoubt_after], the participant leader's
+   next sweep asks the anchor's range for the outcome; finding none, the
+   coordinator logs an abort, and the intent is resolved with it. *)
+let test_presumed_abort_resolves_orphan_intent () =
+  let engine = Sim.Engine.create ~seed:5 () in
+  let cluster = Cluster.create engine test_config in
+  Cluster.start cluster;
+  if not (Cluster.run_until_ready cluster) then Alcotest.fail "cluster never became ready";
+  let client = Cluster.new_client cluster in
+  let partition = Cluster.partition cluster in
+  let key = Partition.key_of_int partition 42 in
+  let range = Partition.route partition key in
+  let rec other i =
+    let k = Partition.key_of_int partition i in
+    if Partition.route partition k <> range then k else other (i + 1_000)
+  in
+  let anchor = other 1_000 in
+  let await cell =
+    let rec go n =
+      match !cell with
+      | Some v -> v
+      | None when n = 0 -> Alcotest.fail "request never completed"
+      | None ->
+        Sim.Engine.run_for engine (Sim.Sim_time.ms 5);
+        go (n - 1)
+    in
+    go 2_000
+  in
+  let leader_store range =
+    match Cluster.leader_of cluster ~range with
+    | None -> Alcotest.failf "range %d has no leader" range
+    | Some n -> (
+      match List.assoc_opt range (Node.cohorts (Cluster.node cluster n)) with
+      | Some c -> Cohort.store c
+      | None -> Alcotest.failf "leader n%d does not host range %d" n range)
+  in
+  let fenced = ref None in
+  Client.fence client key (fun r -> fenced := Some r);
+  let fence, fence_ts =
+    match await fenced with Ok f -> f | Error _ -> Alcotest.fail "fence failed"
+  in
+  let prepared = ref None in
+  Client.txn_prepare client ~txn:"orphan" ~anchor ~fence ~fence_ts
+    [ (key, "c", Some "never") ]
+    (fun r -> prepared := Some r);
+  if Result.is_error (await prepared) then Alcotest.fail "prepare failed";
+  let live () = List.map (fun (txn, _, _) -> txn) (Store.live_intents (leader_store range)) in
+  Alcotest.(check (list string)) "the intent is live" [ "orphan" ] (live ());
+  let decision () =
+    match Store.get (leader_store (Partition.route partition anchor)) (anchor, Row.decision_col "orphan") with
+    | Some { Row.value = Some payload; _ } -> Row.decode_decision payload
+    | _ -> None
+  in
+  (* Not in doubt yet: no sweep may touch it before [indoubt_after]. *)
+  Sim.Engine.run_for engine
+    (Sim.Sim_time.span_scale Txn_participant.indoubt_after 0.9);
+  Alcotest.(check (list string)) "still live before it is in doubt" [ "orphan" ] (live ());
+  check_bool "no decision yet" true (decision () = None);
+  Sim.Engine.run_for engine
+    (Sim.Sim_time.span_scale Txn_participant.sweep_period 1.2);
+  check_bool "the anchor holds an abort" true
+    (match decision () with Some (false, _) -> true | _ -> false);
+  Alcotest.(check (list string)) "no live intent" [] (live ());
+  let put = ref None in
+  Client.put client key "c" ~value:"after" (fun r -> put := Some r);
+  check_bool "a plain put succeeds" true (Result.is_ok (await put))
+
 (* --- serializability checker anomaly fixtures ------------------------------ *)
 
 (* G1c, circular information flow: T1 reads y from T2 and writes x; T2 reads
@@ -322,4 +392,6 @@ let suite =
       test_checker_catches_phantom_writer;
     Alcotest.test_case "checker accepts a serial chain" `Quick
       test_checker_accepts_serial_chain;
+    Alcotest.test_case "presumed abort resolves an orphaned intent" `Quick
+      test_presumed_abort_resolves_orphan_intent;
   ]
