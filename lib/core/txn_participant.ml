@@ -50,12 +50,12 @@ let blocks_write t cells =
     cells
 
 (* A transaction's decision, if one is on record: appended this term (the
-   in-memory table) or durably applied (the anchor's decision cell). *)
-let existing_decision t ~anchor ~txn =
+   in-memory table) or applied (the store's decision table). *)
+let existing_decision t ~txn =
   match Hashtbl.find_opt t.pending_decisions txn with
   | Some d -> Some d
   | None -> (
-    match Store.get t.store (anchor, Row.decision_col txn) with
+    match Store.decision t.store txn with
     | Some { Row.value = Some payload; _ } -> Row.decode_decision payload
     | _ -> None)
 
@@ -88,7 +88,7 @@ let verdict t ~routes_here ~cmt ~ts (op : Message.client_op) =
     else if List.exists conflicts writes then Answer Log_record.Txn_conflict
     else Append (Log_record.Txn_prepare { txn; anchor; fence; writes })
   | Message.Txn_decide_req { txn; anchor; commit } -> (
-    match existing_decision t ~anchor ~txn with
+    match existing_decision t ~txn with
     | Some (commit, ts) ->
       (* First decision wins — a presumed abort may already have beaten a
          late commit request here; answer with what is on record. *)

@@ -30,17 +30,22 @@ type outcome =
 
 type reply_cache = (int * int * (int * outcome) list) list
 
+module Decisions = Map.Make (String)
+
+type decisions = (Row.coord * Row.cell) Decisions.t
+
 type entry =
   | Write of { lsn : Lsn.t; op : op; timestamp : int; origin : origin option }
   | Commit_upto of Lsn.t
-  | Checkpoint of { upto : Lsn.t; replies : reply_cache }
+  | Checkpoint of { upto : Lsn.t; replies : reply_cache; decisions : decisions }
 
 type t = { cohort : int; entry : entry }
 
 let write ~cohort ~lsn ~timestamp ?origin op =
   { cohort; entry = Write { lsn; op; timestamp; origin } }
 let commit_upto ~cohort lsn = { cohort; entry = Commit_upto lsn }
-let checkpoint ~cohort ~replies upto = { cohort; entry = Checkpoint { upto; replies } }
+let checkpoint ~cohort ~replies ?(decisions = Decisions.empty) upto =
+  { cohort; entry = Checkpoint { upto; replies; decisions } }
 
 let is_meta = function
   | Cohort_change _ | Split _ -> true
@@ -193,7 +198,8 @@ let rec payload_bytes = function
 let write_bytes op = 24 + (if is_meta op then 8 else 0) + payload_bytes op
 
 (* A checkpoint is modelled at its marker size: the model charges nothing
-   for the SSTable write it stands for, nor for the reply cache it holds. *)
+   for the SSTable write it stands for, nor for the reply cache and decision
+   table it holds. *)
 let approx_bytes t =
   match t.entry with
   | Write { op; _ } -> write_bytes op

@@ -5,7 +5,7 @@
     logical, per-cohort LSN. There is no separate transaction-commit record —
     each write is a single-operation transaction (§5); instead the leader
     periodically logs the last committed LSN with a non-forced
-    [Commit_upto] write, and memtable flushes log a [Checkpoint]. *)
+    [Commit_upto] write, and store flushes log a [Checkpoint]. *)
 
 type op =
   | Put of { key : Row.key; col : Row.column; value : string; version : int }
@@ -38,7 +38,10 @@ type op =
       (** The coordinator cohort's commit/abort decision, replicated through
           its own Paxos log (a {!Row.decision_col} cell on the anchor row) —
           coordinator failover cannot lose it. [ts] is the commit timestamp
-          ordering the transaction in the MVCC timeline. *)
+          ordering the transaction in the MVCC timeline. The cell goes to
+          the store's decision table, not the memtable, and reaches the
+          SSTables' durability through the checkpoint that carries the
+          table. *)
   | Txn_resolve of {
       txn : string;
       commit : bool;
@@ -80,6 +83,14 @@ type reply_cache = (int * int * (int * outcome) list) list
     [(client, floor, outcomes)] with the outcomes (request id, outcome) at
     or above the floor. Checkpoints store it and catch-up ships it. *)
 
+module Decisions : Map.S with type key = string
+
+type decisions = (Row.coord * Row.cell) Decisions.t
+(** A store's decision table: per transaction id, its decision cell (the
+    {!Row.decision_col} coordinate on the anchor row, and the cell with its
+    LSN). Persistent, so a checkpoint shares the live table instead of
+    copying it. *)
+
 type entry =
   | Write of {
       lsn : Lsn.t;
@@ -92,12 +103,14 @@ type entry =
               leader failover and restart *)
     }
   | Commit_upto of Lsn.t  (** last committed LSN; non-forced log write (§5) *)
-  | Checkpoint of { upto : Lsn.t; replies : reply_cache }
-      (** memtable flushed up to [upto]; log rolled over. [replies] is the
+  | Checkpoint of { upto : Lsn.t; replies : reply_cache; decisions : decisions }
+      (** store flushed up to [upto]; log rolled over. [replies] is the
           cohort's settled reply cache when it flushed, which covers the
           outcome of every write at or below [upto] — so a restart rebuilds
           the cache from it plus the log tail, not from the rolled-over
-          records' origins. *)
+          records' origins. [decisions] is the store's decision table,
+          which holds every decision at or below [upto]: the SSTables do
+          not. *)
 
 type t = { cohort : int; entry : entry }
 
@@ -105,7 +118,8 @@ val write : cohort:int -> lsn:Lsn.t -> timestamp:int -> ?origin:origin -> op -> 
 
 val commit_upto : cohort:int -> Lsn.t -> t
 
-val checkpoint : cohort:int -> replies:reply_cache -> Lsn.t -> t
+val checkpoint : cohort:int -> replies:reply_cache -> ?decisions:decisions -> Lsn.t -> t
+(** [decisions] defaults to the empty table. *)
 
 val is_meta : op -> bool
 (** Membership/split meta records (no cells). *)
@@ -127,7 +141,7 @@ val cell_bytes : op -> int
 
 val approx_bytes : t -> int
 (** Serialised size estimate, for log-force accounting. A checkpoint counts
-    24 bytes whatever reply cache it holds. *)
+    24 bytes whatever reply cache and decision table it holds. *)
 
 val write_bytes : op -> int
 (** {!approx_bytes} of a [Write] record carrying the op, computed without

@@ -27,12 +27,13 @@ let newer_by_timestamp a b =
   | c -> c > 0
 
 (* ------------------------------------------------------------------ *)
-(* System columns: transaction bookkeeping stored as ordinary cells.
+(* System columns: transaction bookkeeping stored as cells.
 
    Write intents and 2PC decision records live in columns prefixed with a
-   byte no user column can start with ('\x00'), so they flow through the
-   memtable / SSTable / WAL / catch-up / migration machinery unchanged and
-   are exactly as durable and replicated as data. Readers filter them. *)
+   byte no user column can start with ('\x00'), so they ride the WAL,
+   catch-up and migration as cells and are exactly as durable and
+   replicated as data. Intents also flow through the memtable and SSTables;
+   a store keeps decisions in its own table instead. Readers filter them. *)
 
 let system_byte = '\x00'
 let is_system_col col = String.length col > 0 && col.[0] = system_byte
@@ -46,6 +47,11 @@ let is_intent_col col =
 let base_of_intent_col col = String.sub col 3 (String.length col - 3)
 let decision_prefix = "\x00d:"
 let decision_col txn = decision_prefix ^ txn
+
+let is_decision_col col =
+  String.length col >= 3 && col.[0] = system_byte && col.[1] = 'd' && col.[2] = ':'
+
+let txn_of_decision_col col = String.sub col 3 (String.length col - 3)
 
 type intent = { i_txn : string; i_anchor : key; i_fence : Lsn.t; i_value : string option }
 

@@ -48,9 +48,11 @@ val newer_by_timestamp : cell -> cell -> bool
 
     Transaction bookkeeping (write intents, 2PC decision records) is stored
     in columns prefixed with ['\x00'] — a byte user columns cannot start
-    with — so it rides the ordinary cell machinery (memtable, SSTables, WAL,
-    catch-up, migration) and is exactly as durable and replicated as data.
-    Read paths filter system columns out of user-visible results. *)
+    with — so it rides the WAL, catch-up and migration as cells and is
+    exactly as durable and replicated as data. Intent cells also live in the
+    memtable and SSTables; decision cells live in the store's decision
+    table, which each checkpoint carries ({!Store.decision}). Read paths
+    filter system columns out of user-visible results. *)
 
 val is_system_col : column -> bool
 
@@ -68,6 +70,11 @@ val base_of_intent_col : column -> column
 val decision_col : string -> column
 (** The system column on the coordinator's anchor row holding transaction
     [txn]'s commit/abort decision. *)
+
+val is_decision_col : column -> bool
+
+val txn_of_decision_col : column -> string
+(** Inverse of {!decision_col}. *)
 
 type intent = {
   i_txn : string;  (** owning transaction id *)

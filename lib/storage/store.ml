@@ -71,6 +71,22 @@ type t = {
           counts the replayed tail): the log-size flush trigger's gauge *)
   intents : (string, intent_info) Hashtbl.t;  (** txn id -> live intents *)
   intent_at : (Row.coord, string) Hashtbl.t;  (** base coord -> owning txn *)
+  mutable decisions : Log_record.decisions;
+      (** txn id -> its decision cell. Decisions never enter the memtable or
+          the SSTables: each is a new coordinate that is never overwritten,
+          so they would grow the memtable with the log and keep the
+          log-size trigger from firing. Each checkpoint carries the table. *)
+  mutable decided_upto : Lsn.t;
+      (** highest LSN of an applied decision cell (volatile): the table holds
+          decisions no checkpoint covers while it is above [flushed_upto] *)
+  mutable flushed_decisions : Log_record.decisions option;
+      (** the table as of the last flush, until a crash: the image a replay
+          without a crash starts from, when that flush's checkpoint may not
+          be durable yet *)
+  mutable inherited_decisions : Log_record.decisions;
+      (** for a split child: the parent's decisions whose anchor it owns.
+          Durable metadata like [inherited_upto], adopted by a replay until
+          the child's own first checkpoint *)
 }
 
 let create ~cohort ~wal ?(newer = Row.newer_by_lsn) ?(flush_bytes = 4 * 1024 * 1024)
@@ -105,6 +121,10 @@ let create ~cohort ~wal ?(newer = Row.newer_by_lsn) ?(flush_bytes = 4 * 1024 * 1
     logged_bytes = 0;
     intents = Hashtbl.create 16;
     intent_at = Hashtbl.create 16;
+    decisions = Log_record.Decisions.empty;
+    decided_upto = Lsn.zero;
+    flushed_decisions = None;
+    inherited_decisions = Log_record.Decisions.empty;
   }
 
 let wal t = t.wal
@@ -218,25 +238,35 @@ let major_compact t = if t.sstables <> [] then compact_all t
 let log_flush_ratio = 8
 let log_flush_floor = 64 * 1024
 
+(* Something applied is not yet covered by a checkpoint: cells in the
+   memtable, or decisions above the flush horizon. A tail of decisions alone
+   leaves the memtable empty, and must still roll over. *)
+let unflushed t =
+  (not (Memtable.is_empty t.memtable)) || Lsn.(t.decided_upto > t.flushed_upto)
+
 let flush_due t =
-  (not (Memtable.is_empty t.memtable))
+  unflushed t
   &&
   let bytes = Memtable.approx_bytes t.memtable in
   bytes >= t.flush_bytes || t.logged_bytes >= Stdlib.max log_flush_floor (log_flush_ratio * bytes)
 
 let flush t ~replies =
-  if not (Memtable.is_empty t.memtable) then begin
-    let table =
-      clamp_table t
-        (Compaction.build_table ~newer:t.newer
-           [ Iterator.of_sorted_list (Memtable.to_sorted_list t.memtable) ])
-    in
-    let upto = Lsn.max t.flushed_upto (Memtable.max_lsn t.memtable) in
-    t.sstables <- table :: t.sstables;
+  if unflushed t then begin
+    let upto = Lsn.max t.flushed_upto (Lsn.max (Memtable.max_lsn t.memtable) t.decided_upto) in
+    if not (Memtable.is_empty t.memtable) then begin
+      let table =
+        clamp_table t
+          (Compaction.build_table ~newer:t.newer
+             [ Iterator.of_sorted_list (Memtable.to_sorted_list t.memtable) ])
+      in
+      t.sstables <- table :: t.sstables;
+      t.memtable <- Memtable.create ()
+    end;
     t.flushed_upto <- upto;
-    t.memtable <- Memtable.create ();
+    t.flushed_decisions <- Some t.decisions;
     t.logged_bytes <- 0;
-    Wal.append t.wal (Log_record.checkpoint ~cohort:t.cohort ~replies upto);
+    Wal.append t.wal
+      (Log_record.checkpoint ~cohort:t.cohort ~replies ~decisions:t.decisions upto);
     (* Roll the log over only once the checkpoint record is durable. GC-ing
        eagerly opens a crash window in which the durable log holds neither
        the flushed writes nor the checkpoint that replaced them, so recovery
@@ -377,22 +407,50 @@ let track_system_cell t (key, col) (cell : Row.cell) =
       | None -> ())
   end
 
+(* A decision cell goes to the decision table. The first decision wins at
+   the participant, so a transaction has one; should a second arrive, the
+   newer cell wins, as it would in the memtable. *)
+let record_decision t ((_, col) as coord) (cell : Row.cell) =
+  let txn = Row.txn_of_decision_col col in
+  (match Log_record.Decisions.find_opt txn t.decisions with
+  | Some (_, old) when t.newer old cell -> ()
+  | _ -> t.decisions <- Log_record.Decisions.add txn (coord, cell) t.decisions);
+  t.decided_upto <- Lsn.max t.decided_upto cell.Row.lsn
+
+(* A split parent's table keeps the decisions it handed to the child (a
+   restart may adopt a checkpoint from before the split); they are not its
+   own to answer. *)
+let decision t txn =
+  match Log_record.Decisions.find_opt txn t.decisions with
+  | Some ((key, _), cell) when in_bounds t key -> Some cell
+  | _ -> None
+
 (* Where an ingested cell's memtable half goes: straight into the memtable
    ([apply], catch-up), or into the replay stage that recovery loads as its
    memtable once the log has been walked. *)
 type sink = Apply | Replay of Memtable.staged
 
+let to_memtable t sink coord cell =
+  match sink with
+  | Apply -> Memtable.put t.memtable ~newer:t.newer coord cell
+  | Replay stage -> Memtable.stage stage coord cell
+
 (* The per-cell ingest shared by [apply] and recovery replay. The cell's own
    [txn_ts] marks data cells installed by a committed transaction — carried
    on the cell (not derived from the op shape) so catch-up and migration,
-   which ship materialized cells, classify versions identically. *)
+   which ship materialized cells, classify versions identically. Decision
+   cells go to the decision table, whatever path brings them. *)
 let ingest_cell t sink ((key, col) as coord) (cell : Row.cell) =
   if in_bounds t key then begin
-    (match sink with
-    | Apply -> Memtable.put t.memtable ~newer:t.newer coord cell
-    | Replay stage -> Memtable.stage stage coord cell);
-    if Row.is_system_col col then track_system_cell t coord cell
+    if Row.is_system_col col then begin
+      if Row.is_decision_col col then record_decision t coord cell
+      else begin
+        to_memtable t sink coord cell;
+        track_system_cell t coord cell
+      end
+    end
     else begin
+      to_memtable t sink coord cell;
       push_version t coord cell;
       (* Write-through invalidation: the next read re-resolves the winner.
          Replay runs on the cache recovery just cleared. *)
@@ -444,10 +502,9 @@ let get_profiled t coord =
     let cell, probed = lookup t coord in
     (cell, Probed probed)
   | Some cache ->
-    (* System columns (intents, decision records) bypass the row cache in
-       both directions: they mutate out of band of the user write path, and
-       a cached copy could hand a snapshot reader a stale resolution
-       state. *)
+    (* System columns (intents) bypass the row cache in both directions:
+       they mutate out of band of the user write path, and a cached copy
+       could hand a snapshot reader a stale resolution state. *)
     if Row.is_system_col (snd coord) then begin
       let cell, probed = lookup t coord in
       (cell, Probed probed)
@@ -629,12 +686,15 @@ let scan t ~low ~high ~limit =
     go [] 0
   end
 
-(* The MVCC chains and intent index are volatile; recovery rebuilds them
-   (chains from the replayed log suffix, intents from the durable heads). *)
+(* The MVCC chains, intent index and decision table are volatile; recovery
+   rebuilds them (chains from the replayed log suffix, intents from the
+   durable heads, decisions from the checkpoint and the log tail). *)
 let reset_txn_state t =
   Hashtbl.reset t.mvcc;
   Hashtbl.reset t.intents;
-  Hashtbl.reset t.intent_at
+  Hashtbl.reset t.intent_at;
+  t.decisions <- Log_record.Decisions.empty;
+  t.decided_upto <- Lsn.zero
 
 let crash t =
   t.memtable <- Memtable.create ();
@@ -643,6 +703,7 @@ let crash t =
      case recovery must rederive the flush horizon from stable storage. The
      row cache is volatile too. *)
   t.flushed_upto <- Lsn.zero;
+  t.flushed_decisions <- None;
   t.logged_bytes <- 0;
   reset_txn_state t;
   clear_cache t
@@ -652,6 +713,7 @@ let wipe t =
   t.sstables <- [];
   t.flushed_upto <- Lsn.zero;
   t.inherited_upto <- Lsn.zero;
+  t.inherited_decisions <- Log_record.Decisions.empty;
   Skipped_lsns.clear t.skipped
 
 (* Rebuild the intent index from durable state: the newest resolution of
@@ -703,12 +765,23 @@ let replay t ~upto ~skipped =
 
 (* Drop the volatile state a replay rebuilds. SSTables survive the crash and
    hold everything through the checkpoint, or through a split child's
-   [inherited_upto] (its own log only starts after the split). *)
+   [inherited_upto] (its own log only starts after the split). The decision
+   table restarts from the newest durable checkpoint's, or from the split
+   child's inheritance before its first one; without a crash, from the
+   table of the last flush, whose checkpoint may still be in flight. *)
 let reset_for_replay t =
+  let flushed = t.flushed_decisions in
   t.memtable <- Memtable.create ();
   t.logged_bytes <- 0;
   clear_cache t;
   reset_txn_state t;
+  t.decisions <-
+    (match flushed with
+    | Some d -> d
+    | None -> (
+      match Wal.last_checkpoint_decisions t.wal ~cohort:t.cohort with
+      | Some d -> d
+      | None -> t.inherited_decisions));
   let checkpoint = Wal.last_checkpoint t.wal ~cohort:t.cohort in
   t.flushed_upto <- Lsn.max t.flushed_upto (Lsn.max checkpoint t.inherited_upto)
 
@@ -728,10 +801,16 @@ let recover_all t =
   replay t ~upto:lst ~skipped:(fun _ -> false);
   lst
 
+(* The decision table's cells, ascending by coordinate. *)
+let decision_cells t =
+  Log_record.Decisions.fold (fun _ item acc -> item :: acc) t.decisions []
+  |> List.sort (fun (a, _) (b, _) -> Row.compare_coord a b)
+
 let all_cells t =
   Iterator.to_list
     (Iterator.merge ~newer:t.newer
        (Iterator.of_sorted_list (Memtable.to_sorted_list t.memtable)
+       :: Iterator.of_sorted_list (decision_cells t)
        :: List.map (fun table -> Iterator.of_sstable table) t.sstables))
   |> List.filter (fun ((key, _), _) -> in_bounds t key)
 
@@ -788,14 +867,19 @@ let committed_cells_in t ~above ~upto =
     in
     if not log_covers then begin
       (* The log was rolled over below [above]: pull the missing range out of
-         SSTables tagged with an overlapping LSN range (§6.1). *)
+         SSTables tagged with an overlapping LSN range (§6.1), and the
+         decisions out of the decision table. *)
       t.served_from_sstables <- t.served_from_sstables + 1;
       List.iter
         (fun table ->
           if Lsn.(Sstable.max_lsn table > above) then
             List.iter (fun (coord, cell) -> consider coord cell)
               (Sstable.cells_with_lsn_in table ~above ~upto))
-        t.sstables
+        t.sstables;
+      Log_record.Decisions.iter
+        (fun _ (coord, (cell : Row.cell)) ->
+          if Lsn.(cell.lsn > above && cell.lsn <= upto) then consider coord cell)
+        t.decisions
     end;
     (* A record this replica truncated logically (§6.1.1) never committed,
        though it may sit below cmt; like local replay, skip it. *)
@@ -902,9 +986,19 @@ let split_child parent ~cohort ~lo ~hi =
      rewritten; out-of-bounds cells are dropped lazily by compaction. The
      parent's memtable must already be flushed (the split protocol flushes
      before logging the split record), so the tables hold everything. *)
+  let in_child key = String.compare lo key <= 0 && String.compare key hi < 0 in
+  let decisions =
+    Log_record.Decisions.filter (fun _ ((key, _), _) -> in_child key) parent.decisions
+  in
   let inherited =
     List.fold_left (fun acc table -> Lsn.max acc (Sstable.max_lsn table)) Lsn.zero
       parent.sstables
+  in
+  (* The inherited decisions lie at or below the horizon too, so a catch-up
+     from below it takes them from the decision table. *)
+  let inherited =
+    Log_record.Decisions.fold (fun _ (_, (cell : Row.cell)) acc -> Lsn.max acc cell.lsn)
+      decisions inherited
   in
   let child =
     create ~cohort ~wal:parent.wal ~newer:parent.newer ~flush_bytes:parent.flush_bytes
@@ -922,4 +1016,9 @@ let split_child parent ~cohort ~lo ~hi =
      tables; the child must know about them to block snapshot readers and
      answer the in-doubt sweep. *)
   rebuild_intents child;
+  (* The decisions whose anchor the child owns are its inheritance: the
+     parent's checkpoint holds them, the child's own log does not. *)
+  child.decisions <- decisions;
+  child.flushed_decisions <- Some decisions;
+  child.inherited_decisions <- decisions;
   child

@@ -72,7 +72,9 @@ val split_child : t -> cohort:int -> lo:Row.key -> hi:Row.key -> t
     are dropped lazily by the child's own compactions. The parent's memtable
     must be flushed first. The child keeps every {!create} option of the
     parent, [mvcc_depth] included. Its flush horizon and [inherited_upto]
-    are the shared tables' max LSN. *)
+    are the shared tables' max LSN. It inherits the parent's decisions whose
+    anchor lies in [[lo, hi)], and keeps them across a crash until its own
+    first checkpoint holds them. *)
 
 val skipped : t -> Skipped_lsns.t
 
@@ -99,7 +101,7 @@ val read : t -> Row.coord -> Row.cell option
 val current_version : t -> Row.coord -> int
 (** Version of the newest cell, 0 if the coordinate was never written. *)
 
-(** {2 MVCC snapshot reads and the transaction intent index} *)
+(** {2 MVCC snapshot reads, the transaction intent index and decisions} *)
 
 type snap_result =
   | Snap_cell of Row.cell  (** visible at the fence (may be a tombstone) *)
@@ -130,6 +132,14 @@ val intents_of : t -> string -> (Row.coord * string option) list
 (** The transaction's unresolved intents in this store: base coordinates
     with proposed values ([None] = proposed delete), ascending by
     coordinate. Empty once resolved. *)
+
+val decision : t -> string -> Row.cell option
+(** The transaction's decision cell ({!Row.decision_col} on its anchor
+    row), if this store has applied one. Decision cells live in a per-store
+    decision table, not the memtable or SSTables: every apply path (a
+    write, a recovery replay, a shipped cell) routes them there, and every
+    checkpoint carries the table, so a restart adopts the newest durable
+    one and replays the log tail above it. {!get} does not see them. *)
 
 val live_intents : t -> (string * Row.key * Row.coord list) list
 (** Every unresolved transaction in this store: (txn, anchor, coords). The
@@ -167,15 +177,19 @@ val log_flush_floor : int
 (** Log bytes below which the log-size trigger never fires (64 KiB). *)
 
 val flush_due : t -> bool
-(** The memtable is non-empty and either holds [flush_bytes], or the log
-    bytes of the writes applied since the last flush (a restart counts the
-    replayed tail) reach [max log_flush_floor (log_flush_ratio ×
+(** Something applied is not yet checkpointed (memtable cells, or decisions
+    above the flush horizon), and either the memtable holds [flush_bytes],
+    or the log bytes of the writes applied since the last flush (a restart
+    counts the replayed tail) reach [max log_flush_floor (log_flush_ratio ×
     memtable_bytes)]. The second trigger bounds what a restart replays by a
-    fixed multiple of the state it rebuilds, however few keys are hot. *)
+    fixed multiple of the state it rebuilds, however few keys are hot; a
+    tail of decisions alone trips it at the floor. *)
 
 val flush : t -> replies:Log_record.reply_cache -> unit
-(** Flush the memtable into an SSTable (a no-op when it is empty). Appends a
-    checkpoint record carrying [replies], the cohort's settled reply cache,
+(** Flush the memtable into an SSTable, when it holds cells, and checkpoint
+    through the newest applied cell or decision (a no-op when neither is
+    above the last checkpoint). Appends a checkpoint record carrying
+    [replies], the cohort's settled reply cache, and the decision table,
     then rolls the WAL over for this cohort only once the checkpoint is
     durable — GC-ing before the force opens a crash window in which the log
     holds neither the flushed writes nor the checkpoint. *)
@@ -204,13 +218,15 @@ val recover_all : t -> Lsn.t
     divergence is reconciled by read repair / anti-entropy instead. *)
 
 val all_cells : t -> (Row.coord * Row.cell) list
-(** The newest cell for every coordinate (tombstones included), ascending by
-    coordinate — Merkle-tree build input for anti-entropy. *)
+(** The newest cell for every coordinate (tombstones included), the
+    decision table's cells among them, ascending by coordinate — Merkle-tree
+    build input for anti-entropy and a migration's bulk round. *)
 
 val committed_cells_in : t -> above:Lsn.t -> upto:Lsn.t -> (Row.coord * Row.cell) list
 (** Committed writes with LSN in (above, upto], ascending by LSN — served
     from the log when available, otherwise from SSTables tagged with an
-    overlapping LSN range (§6.1). Used by leader-side catch-up. Coordinates
+    overlapping LSN range and the decision table's cells in the window
+    (§6.1). Used by leader-side catch-up. Coordinates
     only touched by plain writes collapse to their newest cell; a coordinate
     with any transactionally installed version in the window keeps every
     version, because the receiver rebuilds its MVCC chain from these cells

@@ -32,7 +32,7 @@ type cohort_index = {
   mutable lo : int;  (** live [Write] records are the slots [lo, hi) *)
   mutable hi : int;
   mutable commits : (Lsn.t * int) list;  (** durable [Commit_upto] records, newest first *)
-  mutable ckpts : (Lsn.t * Log_record.reply_cache * int) list;
+  mutable ckpts : (Lsn.t * Log_record.reply_cache * Log_record.decisions * int) list;
       (** durable [Checkpoint] records, newest first *)
   mutable last_commit : Lsn.t;  (** max over [commits]; maintained incrementally *)
   mutable last_ckpt : Lsn.t;  (** max over [ckpts]; maintained incrementally *)
@@ -206,8 +206,8 @@ let index_durable t (r : Log_record.t) =
   | Log_record.Commit_upto lsn ->
     c.commits <- (lsn, t.gseq) :: c.commits;
     c.last_commit <- Lsn.max c.last_commit lsn
-  | Log_record.Checkpoint { upto; replies } ->
-    c.ckpts <- (upto, replies, t.gseq) :: c.ckpts;
+  | Log_record.Checkpoint { upto; replies; decisions } ->
+    c.ckpts <- (upto, replies, decisions, t.gseq) :: c.ckpts;
     c.last_ckpt <- Lsn.max c.last_ckpt upto
 
 let rec kick t =
@@ -290,7 +290,8 @@ let durable_records t =
       done;
       List.iter (fun (lsn, g) -> all := (g, Log_record.commit_upto ~cohort lsn) :: !all) c.commits;
       List.iter
-        (fun (lsn, replies, g) -> all := (g, Log_record.checkpoint ~cohort ~replies lsn) :: !all)
+        (fun (lsn, replies, decisions, g) ->
+          all := (g, Log_record.checkpoint ~cohort ~replies ~decisions lsn) :: !all)
         c.ckpts)
     t.cohorts;
   List.sort (fun (a, _) (b, _) -> Int.compare a b) !all |> List.map snd
@@ -314,13 +315,18 @@ let last_checkpoint t ~cohort =
   match Hashtbl.find_opt t.cohorts cohort with None -> Lsn.zero | Some c -> c.last_ckpt
 
 (* The newest checkpoint carrying the max value: the one [gc_cohort] keeps. *)
-let last_checkpoint_replies t ~cohort =
+let newest_checkpoint t ~cohort =
   match Hashtbl.find_opt t.cohorts cohort with
-  | None -> []
-  | Some c -> (
-    match List.find_opt (fun (lsn, _, _) -> Lsn.equal lsn c.last_ckpt) c.ckpts with
-    | Some (_, replies, _) -> replies
-    | None -> [])
+  | None -> None
+  | Some c -> List.find_opt (fun (lsn, _, _, _) -> Lsn.equal lsn c.last_ckpt) c.ckpts
+
+let last_checkpoint_replies t ~cohort =
+  match newest_checkpoint t ~cohort with Some (_, replies, _, _) -> replies | None -> []
+
+let last_checkpoint_decisions t ~cohort =
+  match newest_checkpoint t ~cohort with
+  | Some (_, _, decisions, _) -> Some decisions
+  | None -> None
 
 let iter_durable_writes_in t ~cohort ~above ~upto f =
   match Hashtbl.find_opt t.cohorts cohort with
@@ -385,7 +391,7 @@ let gc_cohort t ~cohort ~upto =
     in
     let commits, removed_commits = prune fst c.commits c.last_commit in
     c.commits <- commits;
-    let ckpts, removed_ckpts = prune (fun (lsn, _, _) -> lsn) c.ckpts c.last_ckpt in
+    let ckpts, removed_ckpts = prune (fun (lsn, _, _, _) -> lsn) c.ckpts c.last_ckpt in
     c.ckpts <- ckpts;
     t.durable_count <- t.durable_count - removed_commits - removed_ckpts
 

@@ -80,6 +80,11 @@ val last_checkpoint_replies : t -> cohort:int -> Log_record.reply_cache
     {!last_checkpoint} ([[]] when the cohort has none): a restart adopts
     it, then re-learns the outcomes of the log tail above the checkpoint. *)
 
+val last_checkpoint_decisions : t -> cohort:int -> Log_record.decisions option
+(** The decision table stored by the same checkpoint ([None] when the
+    cohort has none): a restart adopts it, then replays the log tail above
+    the checkpoint into it. *)
+
 val durable_writes_in : t -> cohort:int -> above:Lsn.t -> upto:Lsn.t ->
   (Lsn.t * Log_record.op * int * Log_record.origin option) list
 (** Durable [Write] records with LSN in (above, upto], ascending; the [int]

@@ -23,4 +23,5 @@ let () =
       ("workload", Test_workload.suite);
       ("scaleout", Test_scaleout.suite);
       ("participants", Test_participants.suite);
+      ("decisions", Test_decisions.suite);
     ]
