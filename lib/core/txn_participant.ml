@@ -51,11 +51,11 @@ let blocks_write t cells =
 
 (* A transaction's decision, if one is on record: appended this term (the
    in-memory table) or applied (the store's decision table). *)
-let existing_decision t ~txn =
+let existing_decision t ~anchor ~txn =
   match Hashtbl.find_opt t.pending_decisions txn with
   | Some d -> Some d
   | None -> (
-    match Store.decision t.store txn with
+    match Store.decision t.store (anchor, Row.decision_col txn) with
     | Some { Row.value = Some payload; _ } -> Row.decode_decision payload
     | _ -> None)
 
@@ -88,7 +88,7 @@ let verdict t ~routes_here ~cmt ~ts (op : Message.client_op) =
     else if List.exists conflicts writes then Answer Log_record.Txn_conflict
     else Append (Log_record.Txn_prepare { txn; anchor; fence; writes })
   | Message.Txn_decide_req { txn; anchor; commit } -> (
-    match existing_decision t ~txn with
+    match existing_decision t ~anchor ~txn with
     | Some (commit, ts) ->
       (* First decision wins — a presumed abort may already have beaten a
          late commit request here; answer with what is on record. *)

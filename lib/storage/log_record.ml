@@ -30,9 +30,13 @@ type outcome =
 
 type reply_cache = (int * int * (int * outcome) list) list
 
-module Decisions = Map.Make (String)
+module Decisions = Map.Make (struct
+  type t = Row.coord
 
-type decisions = (Row.coord * Row.cell) Decisions.t
+  let compare = Row.compare_coord
+end)
+
+type decisions = Row.cell Decisions.t
 
 type entry =
   | Write of { lsn : Lsn.t; op : op; timestamp : int; origin : origin option }
@@ -44,7 +48,7 @@ type t = { cohort : int; entry : entry }
 let write ~cohort ~lsn ~timestamp ?origin op =
   { cohort; entry = Write { lsn; op; timestamp; origin } }
 let commit_upto ~cohort lsn = { cohort; entry = Commit_upto lsn }
-let checkpoint ~cohort ~replies ?(decisions = Decisions.empty) upto =
+let checkpoint ~cohort ~replies ~decisions upto =
   { cohort; entry = Checkpoint { upto; replies; decisions } }
 
 let is_meta = function

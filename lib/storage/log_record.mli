@@ -83,13 +83,12 @@ type reply_cache = (int * int * (int * outcome) list) list
     [(client, floor, outcomes)] with the outcomes (request id, outcome) at
     or above the floor. Checkpoints store it and catch-up ships it. *)
 
-module Decisions : Map.S with type key = string
+module Decisions : Map.S with type key = Row.coord
 
-type decisions = (Row.coord * Row.cell) Decisions.t
-(** A store's decision table: per transaction id, its decision cell (the
-    {!Row.decision_col} coordinate on the anchor row, and the cell with its
-    LSN). Persistent, so a checkpoint shares the live table instead of
-    copying it. *)
+type decisions = Row.cell Decisions.t
+(** A store's decision table: each decision cell (with its LSN) by its
+    coordinate, {!Row.decision_col} on the anchor row. Persistent, so a
+    checkpoint shares the live table instead of copying it. *)
 
 type entry =
   | Write of {
@@ -118,8 +117,7 @@ val write : cohort:int -> lsn:Lsn.t -> timestamp:int -> ?origin:origin -> op -> 
 
 val commit_upto : cohort:int -> Lsn.t -> t
 
-val checkpoint : cohort:int -> replies:reply_cache -> ?decisions:decisions -> Lsn.t -> t
-(** [decisions] defaults to the empty table. *)
+val checkpoint : cohort:int -> replies:reply_cache -> decisions:decisions -> Lsn.t -> t
 
 val is_meta : op -> bool
 (** Membership/split meta records (no cells). *)

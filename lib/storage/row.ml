@@ -51,8 +51,6 @@ let decision_col txn = decision_prefix ^ txn
 let is_decision_col col =
   String.length col >= 3 && col.[0] = system_byte && col.[1] = 'd' && col.[2] = ':'
 
-let txn_of_decision_col col = String.sub col 3 (String.length col - 3)
-
 type intent = { i_txn : string; i_anchor : key; i_fence : Lsn.t; i_value : string option }
 
 let sep = '\x01'

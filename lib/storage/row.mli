@@ -73,9 +73,6 @@ val decision_col : string -> column
 
 val is_decision_col : column -> bool
 
-val txn_of_decision_col : column -> string
-(** Inverse of {!decision_col}. *)
-
 type intent = {
   i_txn : string;  (** owning transaction id *)
   i_anchor : key;  (** coordinator anchor key (where the decision record lives) *)

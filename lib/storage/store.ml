@@ -72,7 +72,7 @@ type t = {
   intents : (string, intent_info) Hashtbl.t;  (** txn id -> live intents *)
   intent_at : (Row.coord, string) Hashtbl.t;  (** base coord -> owning txn *)
   mutable decisions : Log_record.decisions;
-      (** txn id -> its decision cell. Decisions never enter the memtable or
+      (** decision coordinate -> its cell. Decisions never enter the memtable or
           the SSTables: each is a new coordinate that is never overwritten,
           so they would grow the memtable with the log and keep the
           log-size trigger from firing. Each checkpoint carries the table. *)
@@ -354,9 +354,10 @@ let push_version t coord (cell : Row.cell) =
       end
     end
 
-(* Track an applied intent/decision system cell in the in-memory intent
-   index. Driven by the cell's coordinate, not the op shape, so catch-up
-   and migration (which replay cells as plain puts) keep the index right. *)
+(* Track an applied intent cell in the in-memory intent index; decision
+   cells go to the decision table instead. Driven by the cell's coordinate,
+   not the op shape, so catch-up and migration (which replay cells as plain
+   puts) keep the index right. *)
 let track_system_cell t (key, col) (cell : Row.cell) =
   if Row.is_intent_col col then begin
     let base = (key, Row.base_of_intent_col col) in
@@ -410,20 +411,17 @@ let track_system_cell t (key, col) (cell : Row.cell) =
 (* A decision cell goes to the decision table. The first decision wins at
    the participant, so a transaction has one; should a second arrive, the
    newer cell wins, as it would in the memtable. *)
-let record_decision t ((_, col) as coord) (cell : Row.cell) =
-  let txn = Row.txn_of_decision_col col in
-  (match Log_record.Decisions.find_opt txn t.decisions with
-  | Some (_, old) when t.newer old cell -> ()
-  | _ -> t.decisions <- Log_record.Decisions.add txn (coord, cell) t.decisions);
+let record_decision t coord (cell : Row.cell) =
+  (match Log_record.Decisions.find_opt coord t.decisions with
+  | Some old when t.newer old cell -> ()
+  | _ -> t.decisions <- Log_record.Decisions.add coord cell t.decisions);
   t.decided_upto <- Lsn.max t.decided_upto cell.Row.lsn
 
 (* A split parent's table keeps the decisions it handed to the child (a
    restart may adopt a checkpoint from before the split); they are not its
    own to answer. *)
-let decision t txn =
-  match Log_record.Decisions.find_opt txn t.decisions with
-  | Some ((key, _), cell) when in_bounds t key -> Some cell
-  | _ -> None
+let decision t ((key, _) as coord) =
+  if in_bounds t key then Log_record.Decisions.find_opt coord t.decisions else None
 
 (* Where an ingested cell's memtable half goes: straight into the memtable
    ([apply], catch-up), or into the replay stage that recovery loads as its
@@ -801,16 +799,11 @@ let recover_all t =
   replay t ~upto:lst ~skipped:(fun _ -> false);
   lst
 
-(* The decision table's cells, ascending by coordinate. *)
-let decision_cells t =
-  Log_record.Decisions.fold (fun _ item acc -> item :: acc) t.decisions []
-  |> List.sort (fun (a, _) (b, _) -> Row.compare_coord a b)
-
 let all_cells t =
   Iterator.to_list
     (Iterator.merge ~newer:t.newer
        (Iterator.of_sorted_list (Memtable.to_sorted_list t.memtable)
-       :: Iterator.of_sorted_list (decision_cells t)
+       :: Iterator.of_sorted_list (Log_record.Decisions.bindings t.decisions)
        :: List.map (fun table -> Iterator.of_sstable table) t.sstables))
   |> List.filter (fun ((key, _), _) -> in_bounds t key)
 
@@ -877,7 +870,7 @@ let committed_cells_in t ~above ~upto =
               (Sstable.cells_with_lsn_in table ~above ~upto))
         t.sstables;
       Log_record.Decisions.iter
-        (fun _ (coord, (cell : Row.cell)) ->
+        (fun coord (cell : Row.cell) ->
           if Lsn.(cell.lsn > above && cell.lsn <= upto) then consider coord cell)
         t.decisions
     end;
@@ -988,7 +981,7 @@ let split_child parent ~cohort ~lo ~hi =
      before logging the split record), so the tables hold everything. *)
   let in_child key = String.compare lo key <= 0 && String.compare key hi < 0 in
   let decisions =
-    Log_record.Decisions.filter (fun _ ((key, _), _) -> in_child key) parent.decisions
+    Log_record.Decisions.filter (fun (key, _) _ -> in_child key) parent.decisions
   in
   let inherited =
     List.fold_left (fun acc table -> Lsn.max acc (Sstable.max_lsn table)) Lsn.zero
@@ -997,7 +990,7 @@ let split_child parent ~cohort ~lo ~hi =
   (* The inherited decisions lie at or below the horizon too, so a catch-up
      from below it takes them from the decision table. *)
   let inherited =
-    Log_record.Decisions.fold (fun _ (_, (cell : Row.cell)) acc -> Lsn.max acc cell.lsn)
+    Log_record.Decisions.fold (fun _ (cell : Row.cell) acc -> Lsn.max acc cell.lsn)
       decisions inherited
   in
   let child =

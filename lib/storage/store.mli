@@ -133,13 +133,13 @@ val intents_of : t -> string -> (Row.coord * string option) list
     with proposed values ([None] = proposed delete), ascending by
     coordinate. Empty once resolved. *)
 
-val decision : t -> string -> Row.cell option
-(** The transaction's decision cell ({!Row.decision_col} on its anchor
-    row), if this store has applied one. Decision cells live in a per-store
-    decision table, not the memtable or SSTables: every apply path (a
-    write, a recovery replay, a shipped cell) routes them there, and every
-    checkpoint carries the table, so a restart adopts the newest durable
-    one and replays the log tail above it. {!get} does not see them. *)
+val decision : t -> Row.coord -> Row.cell option
+(** The decision cell at [(anchor, Row.decision_col txn)], if this store
+    has applied one. Decision cells live in a per-store decision table,
+    not the memtable or SSTables: every apply path (a write, a recovery
+    replay, a shipped cell) routes them there, and every checkpoint
+    carries the table, so a restart adopts the newest durable one and
+    replays the log tail above it. {!get} does not see them. *)
 
 val live_intents : t -> (string * Row.key * Row.coord list) list
 (** Every unresolved transaction in this store: (txn, anchor, coords). The

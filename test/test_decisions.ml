@@ -92,8 +92,8 @@ type model = {
   mutable seq : int;
   mutable lo : string;
   mutable hi : string;  (** the store's key bounds, [lo, hi) *)
-  mutable applied : (string * (Row.coord * Row.cell)) list;
-      (** every decision cell the store took, by txn *)
+  mutable applied : (Row.coord * Row.cell) list;
+      (** every decision cell the store took, by coordinate *)
   mutable decided : string list;  (** txns decided anywhere: first decision wins *)
 }
 
@@ -101,8 +101,7 @@ let in_range m k = String.compare m.lo k <= 0 && String.compare k m.hi < 0
 
 (* The reference's decision cells inside the bounds, ascending by coordinate. *)
 let ref_cells m ~keep =
-  List.filter (fun (_, ((k, _), c)) -> in_range m k && keep c) m.applied
-  |> List.map snd
+  List.filter (fun ((k, _), c) -> in_range m k && keep c) m.applied
   |> List.sort (fun (a, _) (b, _) -> Row.compare_coord a b)
 
 let decision_cells cells =
@@ -120,7 +119,7 @@ let apply m op =
   List.iter
     (fun (((k, col) as coord), cell) ->
       if Row.is_decision_col col && in_range m k then
-        m.applied <- (Row.txn_of_decision_col col, (coord, cell)) :: m.applied)
+        m.applied <- (coord, cell) :: m.applied)
     (Log_record.cells_of_write op ~lsn ~timestamp)
 
 let run_step m = function
@@ -178,13 +177,10 @@ let check m step =
   let fail fmt = QCheck.Test.fail_reportf ("after step %d: " ^^ fmt) step in
   for j = 0 to ntxns - 1 do
     let txn = txn_id j in
-    let want =
-      match List.assoc_opt txn m.applied with
-      | Some ((k, _), cell) when in_range m k -> Some cell
-      | _ -> None
-    in
-    if Store.decision m.store txn <> want then fail "decision %s differs" txn;
-    if Store.get m.store (anchor_of j, Row.decision_col txn) <> None then
+    let coord = (anchor_of j, Row.decision_col txn) in
+    let want = if in_range m (anchor_of j) then List.assoc_opt coord m.applied else None in
+    if Store.decision m.store coord <> want then fail "decision %s differs" txn;
+    if Store.get m.store coord <> None then
       fail "decision %s reached the memtable or an SSTable" txn
   done;
   let export = decision_cells (Store.all_cells m.store @ Store.chain_history_cells m.store) in
@@ -256,7 +252,7 @@ let test_decision_tail_rolls_over () =
   Store.crash store;
   ignore (Store.recover_all store);
   for seq = 1 to n do
-    match Store.decision store (Printf.sprintf "txn%05d" seq) with
+    match Store.decision store ("anchor", Row.decision_col (Printf.sprintf "txn%05d" seq)) with
     | Some { Row.value = Some payload; _ } ->
       if Row.decode_decision payload <> Some (seq mod 3 <> 0, seq) then
         Alcotest.failf "txn%05d: wrong decision after restart" seq
@@ -312,9 +308,9 @@ let replica cluster n ~range =
   | Some c -> c
   | None -> Alcotest.failf "n%d hosts no replica of range %d" n range
 
-let has_decision cluster n ~range txn =
+let has_decision cluster n ~range ~anchor txn =
   match Node.cohort (Cluster.node cluster n) ~range with
-  | Some c -> Store.decision (Cohort.store c) txn <> None
+  | Some c -> Store.decision (Cohort.store c) (anchor, Row.decision_col txn) <> None
   | None -> false
 
 let roll_over engine cluster ~range =
@@ -358,7 +354,7 @@ let test_follower_caught_up_from_sstables () =
   roll_over engine cluster ~range;
   let leader_store = Cohort.store (replica cluster leader ~range) in
   let decided_at =
-    match Store.decision leader_store "down" with
+    match Store.decision leader_store (anchor, Row.decision_col "down") with
     | Some cell -> cell.Row.lsn
     | None -> Alcotest.fail "the leader holds no decision"
   in
@@ -369,7 +365,7 @@ let test_follower_caught_up_from_sstables () =
   let served = Store.served_from_sstables leader_store in
   Cluster.restart_node cluster follower;
   check_bool "the follower catches up the decision" true
-    (await engine (fun () -> has_decision cluster follower ~range "down"));
+    (await engine (fun () -> has_decision cluster follower ~range ~anchor "down"));
   check_bool "the catch-up was served from SSTables" true
     (Store.served_from_sstables leader_store > served);
   lead_with engine cluster ~range follower;
@@ -401,7 +397,8 @@ let test_migration_joiner_answers () =
           false)));
   check_bool "the joiner holds every decision" true
     (await engine (fun () ->
-         List.for_all (fun (txn, _, _) -> has_decision cluster joiner ~range txn) txns));
+         List.for_all (fun (txn, anchor, _) -> has_decision cluster joiner ~range ~anchor txn)
+           txns));
   check_bool "the joiner is promoted" true
     (await engine (fun () -> not (Cohort.is_learner (replica cluster joiner ~range))));
   lead_with engine cluster ~range joiner;
@@ -447,10 +444,11 @@ let test_split_child_answers () =
   List.iter (Cluster.restart_node cluster) members;
   check_bool "ready after the restart" true (await engine (fun () -> Cluster.is_ready cluster));
   List.iter
-    (fun (txn, _, _) ->
+    (fun (txn, anchor, _) ->
       List.iter
         (fun n ->
-          check_bool (Printf.sprintf "n%d keeps %s" n txn) true (has_decision cluster n ~range:child txn))
+          check_bool (Printf.sprintf "n%d keeps %s" n txn) true
+            (has_decision cluster n ~range:child ~anchor txn))
         members)
     child_anchors;
   List.iter

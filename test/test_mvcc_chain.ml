@@ -355,7 +355,9 @@ let check_recovery ~newer ~all case =
       Wal.append wal (Log_record.write ~cohort:0 ~lsn:(lsn seq) ~timestamp (op_of seq r));
       if seq = case.commit_at then Wal.append wal (Log_record.commit_upto ~cohort:0 (lsn seq));
       if Some seq = case.checkpoint_at then
-        Wal.append wal (Log_record.checkpoint ~cohort:0 ~replies:[] (lsn seq)))
+        Wal.append wal
+          (Log_record.checkpoint ~cohort:0 ~replies:[] ~decisions:Log_record.Decisions.empty
+             (lsn seq)))
     case.records;
   Wal.force wal (fun () -> ());
   Sim.Engine.run engine;

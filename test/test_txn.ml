@@ -318,7 +318,8 @@ let test_presumed_abort_resolves_orphan_intent () =
   let live () = List.map (fun (txn, _, _) -> txn) (Store.live_intents (leader_store range)) in
   Alcotest.(check (list string)) "the intent is live" [ "orphan" ] (live ());
   let decision () =
-    match Store.decision (leader_store (Partition.route partition anchor)) "orphan" with
+    let store = leader_store (Partition.route partition anchor) in
+    match Store.decision store (anchor, Row.decision_col "orphan") with
     | Some { Row.value = Some payload; _ } -> Row.decode_decision payload
     | _ -> None
   in

@@ -298,7 +298,10 @@ let prop_differential =
             Wal.append wal r;
             m_append r
           | Append_ckpt (cohort, pos) ->
-            let r = Log_record.checkpoint ~cohort ~replies:[] (lsn pos) in
+            let r =
+              Log_record.checkpoint ~cohort ~replies:[] ~decisions:Log_record.Decisions.empty
+                (lsn pos)
+            in
             Wal.append wal r;
             m_append r
           | Force ->
